@@ -122,62 +122,10 @@ func TestComputeUnschedulableFallsBackToZeroFloor(t *testing.T) {
 	}
 }
 
-// simulatePostponed runs the mandatory backup jobs with postponed releases
-// under FP and reports whether all meet their deadlines.
+// simulatePostponed reports whether every mandatory backup job meets its
+// deadline under the postponed releases.
 func simulatePostponed(s *task.Set, an *Analysis, horizon timeu.Time) bool {
-	jobs := rta.MandatoryJobs(s, pattern.RPattern, horizon)
-	for idx := range jobs {
-		jobs[idx].Release += an.Theta[jobs[idx].TaskID]
-	}
-	// Re-sort by postponed release.
-	for i := 1; i < len(jobs); i++ {
-		for j := i; j > 0 && (jobs[j].Release < jobs[j-1].Release ||
-			(jobs[j].Release == jobs[j-1].Release && jobs[j].TaskID < jobs[j-1].TaskID)); j-- {
-			jobs[j], jobs[j-1] = jobs[j-1], jobs[j]
-		}
-	}
-	type act struct {
-		j   rta.MandatoryJob
-		rem timeu.Time
-	}
-	var ready []act
-	now := timeu.Time(0)
-	next := 0
-	for next < len(jobs) || len(ready) > 0 {
-		if len(ready) == 0 {
-			if next >= len(jobs) {
-				break
-			}
-			if jobs[next].Release > now {
-				now = jobs[next].Release
-			}
-		}
-		for next < len(jobs) && jobs[next].Release <= now {
-			a := act{j: jobs[next], rem: jobs[next].WCET}
-			pos := len(ready)
-			for pos > 0 && ready[pos-1].j.TaskID > a.j.TaskID {
-				pos--
-			}
-			ready = append(ready, act{})
-			copy(ready[pos+1:], ready[pos:])
-			ready[pos] = a
-			next++
-		}
-		cur := &ready[0]
-		until := now + cur.rem
-		if next < len(jobs) && jobs[next].Release < until {
-			until = jobs[next].Release
-		}
-		cur.rem -= until - now
-		now = until
-		if cur.rem == 0 {
-			if now > cur.j.Deadline {
-				return false
-			}
-			ready = ready[1:]
-		}
-	}
-	return true
+	return len(an.Verify(s, pattern.RPattern, horizon)) == 0
 }
 
 // TestPostponedScheduleMeetsDeadlinesFig5 verifies the Fig. 5(b) claim:

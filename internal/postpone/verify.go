@@ -2,7 +2,6 @@ package postpone
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pattern"
 	"repro/internal/rta"
@@ -12,12 +11,7 @@ import (
 
 // Violation describes one backup job that would miss its deadline under
 // the postponed releases.
-type Violation struct {
-	TaskID     int
-	Index      int
-	Completion timeu.Time
-	Deadline   timeu.Time
-}
+type Violation rta.Miss
 
 func (v Violation) String() string {
 	return fmt.Sprintf("backup J'%d,%d completes at %v past deadline %v",
@@ -31,64 +25,9 @@ func (v Violation) String() string {
 // offline analysis: callers who override θ values can use it to confirm
 // safety before deployment.
 func (a *Analysis) Verify(s *task.Set, kind pattern.Kind, horizon timeu.Time) []Violation {
-	jobs := rta.MandatoryJobs(s, kind, horizon)
-	for i := range jobs {
-		jobs[i].Release += a.Theta[jobs[i].TaskID]
+	var out []Violation
+	for _, m := range rta.PostponedMisses(s, kind, horizon, a.Theta) {
+		out = append(out, Violation(m))
 	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].Release != jobs[j].Release {
-			return jobs[i].Release < jobs[j].Release
-		}
-		return jobs[i].TaskID < jobs[j].TaskID
-	})
-	type act struct {
-		j   rta.MandatoryJob
-		rem timeu.Time
-	}
-	var (
-		ready      []act
-		violations []Violation
-		now        timeu.Time
-		next       int
-	)
-	insert := func(a act) {
-		pos := len(ready)
-		for pos > 0 && ready[pos-1].j.TaskID > a.j.TaskID {
-			pos--
-		}
-		ready = append(ready, act{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
-	for next < len(jobs) || len(ready) > 0 {
-		if len(ready) == 0 {
-			if next >= len(jobs) {
-				break
-			}
-			now = timeu.Max(now, jobs[next].Release)
-		}
-		for next < len(jobs) && jobs[next].Release <= now {
-			insert(act{j: jobs[next], rem: jobs[next].WCET})
-			next++
-		}
-		cur := &ready[0]
-		until := now + cur.rem
-		if next < len(jobs) && jobs[next].Release < until {
-			until = jobs[next].Release
-		}
-		cur.rem -= until - now
-		now = until
-		if cur.rem == 0 {
-			if now > cur.j.Deadline {
-				violations = append(violations, Violation{
-					TaskID:     cur.j.TaskID,
-					Index:      cur.j.Index,
-					Completion: now,
-					Deadline:   cur.j.Deadline,
-				})
-			}
-			ready = ready[1:]
-		}
-	}
-	return violations
+	return out
 }

@@ -10,15 +10,10 @@ import (
 // (m,k)-hyperperiod — the Theorem-1 schedule — in the aggregate terms
 // the analytical twin's closed-form energy model consumes. It is the
 // recording counterpart of the boolean SchedulableRPattern filter:
-// same mandIter stream, same FP walk, but it keeps what the filter
+// the same walk over the same stream, but it keeps what the filter
 // discards (busy time, idle-gap lengths, per-task job counts and
 // response times) and never exits early, so an unschedulable set still
 // yields a complete profile with Schedulable=false.
-//
-// This is deliberately a separate walk from simulateFP: the filter is a
-// //mklint:hotpath function on the sweep's candidate-rejection path and
-// must stay allocation-light, while the profile is computed once per set
-// and memoized in the analysis LRU.
 type Profile struct {
 	// Horizon is the profiled window: the (m,k)-hyperperiod, saturated
 	// at the cap passed to MandatoryProfile.
@@ -51,78 +46,46 @@ type Profile struct {
 // mandatory-only schedule of s under the given static pattern, with the
 // hyperperiod saturated at cap (same convention as SchedulableRPattern).
 func MandatoryProfile(s *task.Set, kind pattern.Kind, cap timeu.Time) Profile {
-	p := Profile{
+	rec := record{Profile: Profile{
+		Horizon:     s.MKHyperperiod(cap),
 		Count:       make([]int, s.N()),
 		MaxResponse: make([]timeu.Time, s.N()),
-		Schedulable: true,
+	}}
+	if rec.Horizon > 0 {
+		var it mandIter
+		it.init(s, kind, rec.Horizon, nil)
+		rec.Schedulable = it.walk(&rec)
 	}
-	p.Horizon = s.MKHyperperiod(cap)
-	if p.Horizon <= 0 {
-		p.Schedulable = false
-		return p
-	}
+	return rec.Profile
+}
+
+// Miss is a mandatory job that completed past its deadline.
+type Miss struct {
+	TaskID     int
+	Index      int // 1-based job index
+	Completion timeu.Time
+	Deadline   timeu.Time
+}
+
+// record is what a walk run to the end keeps: the profile fields plus
+// every miss. The misses stay out of Profile, which the analysis LRU
+// holds by value.
+type record struct {
+	Profile
+	misses []Miss
+}
+
+// PostponedMisses walks the mandatory jobs of s released in [0, horizon)
+// with task i's releases postponed by theta[i] — the spare processor's
+// backup schedule of Theorem 1 (Eq. 3) — and returns every job that
+// completes past its deadline, in completion order (nil when none does).
+func PostponedMisses(s *task.Set, kind pattern.Kind, horizon timeu.Time, theta []timeu.Time) []Miss {
+	rec := record{Profile: Profile{
+		Count:       make([]int, s.N()),
+		MaxResponse: make([]timeu.Time, s.N()),
+	}}
 	var it mandIter
-	it.init(s, kind, p.Horizon)
-
-	type active struct {
-		j         MandatoryJob
-		remaining timeu.Time
-	}
-	var ready []active
-	insert := func(a active) {
-		pos := len(ready)
-		for pos > 0 {
-			q := ready[pos-1]
-			if q.j.TaskID < a.j.TaskID || (q.j.TaskID == a.j.TaskID && q.j.Index < a.j.Index) {
-				break
-			}
-			pos--
-		}
-		ready = append(ready, active{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
-
-	now := timeu.Time(0)
-	pend, havePend := it.next()
-	for havePend || len(ready) > 0 {
-		if len(ready) == 0 {
-			if !havePend {
-				break
-			}
-			if pend.Release > now {
-				p.Gaps = append(p.Gaps, pend.Release-now)
-				now = pend.Release
-			}
-		}
-		for havePend && pend.Release <= now {
-			p.Count[pend.TaskID]++
-			p.Busy += pend.WCET
-			insert(active{j: pend, remaining: pend.WCET})
-			pend, havePend = it.next()
-		}
-		if len(ready) == 0 {
-			continue
-		}
-		cur := &ready[0]
-		until := now + cur.remaining
-		if havePend && pend.Release < until {
-			until = pend.Release
-		}
-		cur.remaining -= until - now
-		now = until
-		if cur.remaining == 0 {
-			if now > cur.j.Deadline {
-				p.Schedulable = false
-			}
-			if resp := now - cur.j.Release; resp > p.MaxResponse[cur.j.TaskID] {
-				p.MaxResponse[cur.j.TaskID] = resp
-			}
-			ready = ready[1:]
-		}
-	}
-	if now < p.Horizon {
-		p.Gaps = append(p.Gaps, p.Horizon-now)
-	}
-	return p
+	it.init(s, kind, horizon, theta)
+	it.walk(&rec)
+	return rec.misses
 }

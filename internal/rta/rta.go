@@ -136,13 +136,12 @@ func SchedulableRTA(s *task.Set) bool {
 	return err == nil
 }
 
-// MandatoryJob identifies one mandatory job within the pattern horizon.
-type MandatoryJob struct {
-	TaskID   int
-	Index    int // 1-based job index
-	Release  timeu.Time
-	Deadline timeu.Time
-	WCET     timeu.Time
+// job is one mandatory job streamed by mandIter. While it waits in a
+// walk's ready queue, left is its unexecuted WCET.
+type job struct {
+	taskID, index     int // index is the 1-based job index
+	release, deadline timeu.Time
+	left              timeu.Time
 }
 
 // mandCursor tracks one task's next mandatory release during the k-way
@@ -152,21 +151,22 @@ type mandCursor struct {
 	release timeu.Time
 }
 
-// mandIter streams the mandatory jobs of a set in (release, priority)
-// order — the k-way merge behind MandatoryJobs, exposed as an iterator so
-// the schedulability filter can consume jobs without materializing a
-// hyperperiod-sized slice per candidate (the allocation used to dominate
-// whole-sweep profiles).
+// mandIter streams the mandatory jobs of a set released in [0, horizon)
+// in (release, priority) order: a k-way merge of the per-task streams, so
+// no walk materializes a hyperperiod-sized job slice. A non-nil theta
+// postpones task i's releases by theta[i] (Eq. 3) inside the merge; the
+// horizon and the deadlines stay those of the nominal releases.
 type mandIter struct {
 	s       *task.Set
 	kind    pattern.Kind
 	horizon timeu.Time
+	theta   []timeu.Time
 	cur     []mandCursor
 }
 
 //mklint:hotpath
-func (it *mandIter) init(s *task.Set, kind pattern.Kind, horizon timeu.Time) {
-	it.s, it.kind, it.horizon = s, kind, horizon
+func (it *mandIter) init(s *task.Set, kind pattern.Kind, horizon timeu.Time, theta []timeu.Time) {
+	it.s, it.kind, it.horizon, it.theta = s, kind, horizon, theta
 	it.cur = make([]mandCursor, len(s.Tasks))
 	for i := range s.Tasks {
 		it.advance(i, 0)
@@ -186,6 +186,9 @@ func (it *mandIter) advance(i, from int) {
 			return
 		}
 		if pattern.Mandatory(it.kind, j, t.M, t.K) {
+			if it.theta != nil {
+				r += it.theta[i]
+			}
 			it.cur[i] = mandCursor{j: j, release: r}
 			return
 		}
@@ -196,7 +199,7 @@ func (it *mandIter) advance(i, from int) {
 // false once the streams are exhausted.
 //
 //mklint:hotpath
-func (it *mandIter) next() (mj MandatoryJob, ok bool) {
+func (it *mandIter) next() (jb job, ok bool) {
 	// Lowest release wins; the scan order breaks ties by priority.
 	best := -1
 	for i := range it.cur {
@@ -205,55 +208,121 @@ func (it *mandIter) next() (mj MandatoryJob, ok bool) {
 		}
 	}
 	if best < 0 {
-		return MandatoryJob{}, false
+		return job{}, false
 	}
 	t := &it.s.Tasks[best]
 	j := it.cur[best].j
-	mj = MandatoryJob{
-		TaskID:   t.ID,
-		Index:    j,
-		Release:  it.cur[best].release,
-		Deadline: t.AbsDeadline(j),
-		WCET:     t.WCET,
+	jb = job{
+		taskID:   t.ID,
+		index:    j,
+		release:  it.cur[best].release,
+		deadline: t.AbsDeadline(j),
+		left:     t.WCET,
 	}
 	it.advance(best, j)
-	return mj, true
+	return jb, true
 }
 
-// MandatoryJobs enumerates the mandatory jobs of every task (per the given
-// static pattern) released in [0, horizon). Jobs are returned sorted by
-// release time, then by priority (task index).
+// walk runs the preemptive fixed-priority schedule of the streamed jobs
+// on one processor: at every instant the released job of highest
+// priority (lowest task index, then earliest job) runs until it completes
+// or the next release preempts it. It is the one loop behind the
+// candidate filter, the twin's mandatory profile and the postponed-backup
+// check.
 //
-// Each task's mandatory jobs are already in release order, so the sorted
-// output is a k-way merge of per-task streams rather than a sort of their
-// concatenation. Callers that only consume the stream once (the
-// schedulability filter) use mandIter directly and skip this slice.
-func MandatoryJobs(s *task.Set, kind pattern.Kind, horizon timeu.Time) []MandatoryJob {
-	var it mandIter
-	it.init(s, kind, horizon)
-	total := 0
-	for _, t := range s.Tasks {
-		if n := int((horizon-t.Offset)/t.Period) + 1; n > 0 {
-			total += n
+// With rec == nil the walk is the filter: it reports false at the first
+// job that completes late, or that cannot finish by its deadline even
+// with the processor to itself. With a record it runs to the end, filling
+// in idle gaps, job counts, busy time, worst responses and misses, and
+// reports whether no job missed.
+//
+//mklint:hotpath
+func (it *mandIter) walk(rec *record) bool {
+	// ready holds the released, unfinished jobs by priority; ready[0] runs.
+	ready := make([]job, 0, len(it.cur))
+	now := timeu.Time(0)
+	pend, havePend := it.next()
+	for havePend || len(ready) > 0 {
+		// An empty queue means a release is pending: idle until it.
+		if len(ready) == 0 && pend.release > now {
+			if rec != nil {
+				rec.Gaps = append(rec.Gaps, pend.release-now)
+			}
+			now = pend.release
 		}
-	}
-	jobs := make([]MandatoryJob, 0, total)
-	for {
-		mj, ok := it.next()
-		if !ok {
-			return jobs
+		for havePend && pend.release <= now {
+			if rec != nil {
+				rec.Count[pend.taskID]++
+				rec.Busy += pend.left
+			}
+			ready = enqueue(ready, pend)
+			pend, havePend = it.next()
 		}
-		jobs = append(jobs, mj)
+		// Run the head until it completes or the next release, whichever
+		// comes first.
+		cur := &ready[0]
+		until := now + cur.left
+		if havePend && pend.release < until {
+			until = pend.release
+		}
+		cur.left -= until - now
+		now = until
+		if cur.left > 0 {
+			if rec == nil && now+cur.left > cur.deadline {
+				return false
+			}
+			continue
+		}
+		if now > cur.deadline {
+			if rec == nil {
+				return false
+			}
+			rec.misses = append(rec.misses, Miss{
+				TaskID:     cur.taskID,
+				Index:      cur.index,
+				Completion: now,
+				Deadline:   cur.deadline,
+			})
+		}
+		if rec != nil && now-cur.release > rec.MaxResponse[cur.taskID] {
+			rec.MaxResponse[cur.taskID] = now - cur.release
+		}
+		// Pop the head in place: the array is reused, not regrown.
+		ready = ready[:copy(ready, ready[1:])]
 	}
+	if rec == nil {
+		return true
+	}
+	if now < it.horizon {
+		rec.Gaps = append(rec.Gaps, it.horizon-now)
+	}
+	return len(rec.misses) == 0
+}
+
+// enqueue inserts jb into ready behind every job of equal or higher
+// priority. A task's jobs arrive in index order, so equal task indices
+// stay in job order.
+//
+//mklint:hotpath
+func enqueue(ready []job, jb job) []job {
+	pos := len(ready)
+	for pos > 0 && ready[pos-1].taskID > jb.taskID {
+		pos--
+	}
+	ready = append(ready, job{})
+	copy(ready[pos+1:], ready[pos:])
+	ready[pos] = jb
+	return ready
 }
 
 // SchedulableRPattern reports whether the mandatory jobs under the static
 // pattern, released synchronously at time 0, all meet their deadlines
 // under preemptive FP scheduling — the schedulability premise of
-// Theorem 1. It simulates the mandatory-only schedule over the
-// (m,k)-hyperperiod (saturating at cap). The synchronous release is the
-// critical instant for the shifted argument in the paper's proof, so a
-// pass here certifies the (m,k)-deadlines under Algorithm 1.
+// Theorem 1. It walks the mandatory-only schedule over the
+// (m,k)-hyperperiod (saturating at cap) and stops at the first miss. The
+// synchronous release is the critical instant for the shifted argument in
+// the paper's proof, so a pass here certifies the (m,k)-deadlines under
+// Algorithm 1.
 //
 // When the hyperperiod saturates at cap the test is still meaningful (it
 // checked every job in [0,cap)) but no longer exact; callers choosing a
@@ -266,88 +335,6 @@ func SchedulableRPattern(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
 		return false
 	}
 	var it mandIter
-	it.init(s, kind, horizon)
-	return simulateFP(s, &it, horizon)
-}
-
-// simulateFP runs a fast priority-queue-free FP simulation of the jobs
-// streamed by src (sorted by release time) and reports whether all
-// deadlines are met. The simulation walks release/completion events; at
-// each instant the highest-priority (lowest TaskID, then earliest index)
-// pending job runs. Consuming the stream with a one-job lookahead instead
-// of a materialized slice keeps the per-candidate filter allocation-light
-// regardless of the hyperperiod.
-//
-//mklint:hotpath
-func simulateFP(s *task.Set, src *mandIter, horizon timeu.Time) bool {
-	type active struct {
-		j         MandatoryJob
-		remaining timeu.Time
-	}
-	// ready, kept sorted by priority (TaskID asc, Index asc).
-	var ready []active
-	insert := func(a active) {
-		pos := len(ready)
-		for pos > 0 {
-			p := ready[pos-1]
-			if p.j.TaskID < a.j.TaskID || (p.j.TaskID == a.j.TaskID && p.j.Index < a.j.Index) {
-				break
-			}
-			pos--
-		}
-		ready = append(ready, active{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
-	now := timeu.Time(0)
-	pend, havePend := src.next()
-	for havePend || len(ready) > 0 {
-		if len(ready) == 0 {
-			// Idle until the next release.
-			if !havePend {
-				break
-			}
-			now = timeu.Max(now, pend.Release)
-		}
-		for havePend && pend.Release <= now {
-			insert(active{j: pend, remaining: pend.WCET})
-			pend, havePend = src.next()
-		}
-		if len(ready) == 0 {
-			continue
-		}
-		cur := &ready[0]
-		// Run until completion or the next release, whichever first.
-		until := now + cur.remaining
-		if havePend && pend.Release < until {
-			until = pend.Release
-		}
-		cur.remaining -= until - now
-		now = until
-		if cur.remaining == 0 {
-			if now > cur.j.Deadline {
-				return false
-			}
-			ready = ready[1:]
-		} else if now+cur.remaining > cur.j.Deadline {
-			// Even with the processor to itself it will miss; fail early.
-			return false
-		}
-		if now >= horizon+maxDeadline(s) {
-			break
-		}
-	}
-	return true
-}
-
-// maxDeadline bounds how far past the horizon the simulation may need to
-// run to drain jobs released just before it.
-//
-//mklint:hotpath
-func maxDeadline(s *task.Set) timeu.Time {
-	var d timeu.Time
-	for _, t := range s.Tasks {
-		d = timeu.Max(d, t.Deadline)
-	}
-	return d
+	it.init(s, kind, horizon, nil)
+	return it.walk(nil)
 }

@@ -71,23 +71,50 @@ func TestResponseTimeUnschedulable(t *testing.T) {
 	}
 }
 
+// drain collects every job the iterator streams.
+func drain(s *task.Set, horizon timeu.Time, theta []timeu.Time) []job {
+	var it mandIter
+	it.init(s, pattern.RPattern, horizon, theta)
+	var jobs []job
+	for jb, ok := it.next(); ok; jb, ok = it.next() {
+		jobs = append(jobs, jb)
+	}
+	return jobs
+}
+
 func TestMandatoryJobsEnumeration(t *testing.T) {
 	// Fig. 5 set: tau1=(10,10,3,2,3) -> jobs 1,2 mandatory per 3;
 	// tau2=(15,15,8,1,2) -> job 1 mandatory per 2. Horizon 30ms.
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 8, 1, 2))
-	jobs := MandatoryJobs(s, pattern.RPattern, ms(30))
+	jobs := drain(s, ms(30), nil)
 	// Expected: J11(r=0), J'21(r=0), J12(r=10). Sorted by release/priority.
 	if len(jobs) != 3 {
 		t.Fatalf("got %d jobs: %+v", len(jobs), jobs)
 	}
-	if jobs[0].TaskID != 0 || jobs[0].Release != 0 {
+	if jobs[0].taskID != 0 || jobs[0].release != 0 {
 		t.Errorf("jobs[0] = %+v", jobs[0])
 	}
-	if jobs[1].TaskID != 1 || jobs[1].Release != 0 {
+	if jobs[1].taskID != 1 || jobs[1].release != 0 {
 		t.Errorf("jobs[1] = %+v", jobs[1])
 	}
-	if jobs[2].TaskID != 0 || jobs[2].Release != ms(10) || jobs[2].Index != 2 {
+	if jobs[2].taskID != 0 || jobs[2].release != ms(10) || jobs[2].index != 2 {
 		t.Errorf("jobs[2] = %+v", jobs[2])
+	}
+	// Fig. 5(b): θ = (7, 4) postpones the backups to 7, 17 (τ1) and 4
+	// (τ2), so the merge reorders them while deadlines stay nominal.
+	post := drain(s, ms(30), []timeu.Time{ms(7), ms(4)})
+	want := []job{
+		{taskID: 1, index: 1, release: ms(4), deadline: ms(15), left: ms(8)},
+		{taskID: 0, index: 1, release: ms(7), deadline: ms(10), left: ms(3)},
+		{taskID: 0, index: 2, release: ms(17), deadline: ms(20), left: ms(3)},
+	}
+	if len(post) != len(want) {
+		t.Fatalf("postponed: got %+v, want %+v", post, want)
+	}
+	for i := range want {
+		if post[i] != want[i] {
+			t.Errorf("postponed[%d] = %+v, want %+v", i, post[i], want[i])
+		}
 	}
 }
 

@@ -231,8 +231,13 @@ func PostponementIntervals(s *Set) ([]Time, error) {
 // simulation of the spare processor's backup schedule over horizonMS
 // milliseconds, that every postponed backup job still meets its deadline
 // (Theorem 1's backup half). It returns human-readable violations; nil
-// means the postponement is safe over the horizon.
+// means the postponement is safe over the horizon. A horizon that is not
+// a finite positive time (NaN, ±Inf, zero, negative, or shorter than one
+// tick) is an error: it would check no job and report a vacuous pass.
 func VerifyPostponement(s *Set, horizonMS float64) ([]string, error) {
+	if !(horizonMS > 0 && horizonMS < timeu.Infinity.Millis()) || timeu.FromMillis(horizonMS) == 0 {
+		return nil, fmt.Errorf("repro: horizon %v ms is not a finite positive time", horizonMS)
+	}
 	an, err := postpone.Compute(s, postpone.Options{Pattern: pattern.RPattern})
 	if err != nil {
 		return nil, err

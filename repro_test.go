@@ -305,3 +305,35 @@ func TestVerifyPostponement(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyPostponementHorizon: a horizon the walk cannot check is an
+// error, never a vacuous "no violations". τ1 = τ2 = (10,10,8,1,2) makes
+// every backup job of τ2 miss, so a checked horizon reports them.
+func TestVerifyPostponementHorizon(t *testing.T) {
+	s := NewSet(NewTask(10, 10, 8, 1, 2), NewTask(10, 10, 8, 1, 2))
+	tests := []struct {
+		name       string
+		horizonMS  float64
+		wantMisses int
+		wantErr    bool
+	}{
+		{"checked horizon", 300, 15, false},
+		{"zero", 0, 0, true},
+		{"negative", -5, 0, true},
+		{"NaN", math.NaN(), 0, true},
+		{"+Inf", math.Inf(1), 0, true},
+		{"-Inf", math.Inf(-1), 0, true},
+		{"below one tick", 1e-4, 0, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			v, err := VerifyPostponement(s, tt.horizonMS)
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("VerifyPostponement(%v) error = %v, wantErr %v", tt.horizonMS, err, tt.wantErr)
+			}
+			if len(v) != tt.wantMisses {
+				t.Errorf("VerifyPostponement(%v) = %d violations %v, want %d", tt.horizonMS, len(v), v, tt.wantMisses)
+			}
+		})
+	}
+}

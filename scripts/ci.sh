@@ -7,8 +7,10 @@
 #
 # Steps: gofmt -s, go vet, go build, mklint (the project's own static
 # analysis, see cmd/mklint; its ratcheted depdag findings double as the
-# policy-layering gate), go test, go test -race, golden-figure diff
-# (Figures 1-5 vs results/golden/), policy smoke (the full-size DBP
+# policy-layering gate), go test, the benchmark module (go vet + go test
+# in _perfbench/, which ./... skips), go test -race, golden-figure diff
+# (Figures 1-5 vs results/golden/, the full Figure-6 sweep vs
+# results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
 # k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), bench smoke (one iteration of every
 # benchmark + a reduced mkbench sweep emitting BENCH_ci.json), the perf
@@ -57,6 +59,9 @@ go run ./cmd/mklint -baseline results/lint_baseline.json ./...
 step "go test"
 go test ./...
 
+step "benchmark module (go vet + go test in _perfbench/)"
+(cd _perfbench && go vet ./... && go test ./...)
+
 if [ "$fast" = 0 ]; then
   step "go test -race"
   go test -race ./...
@@ -70,6 +75,16 @@ for fig in 1 2 3 4 5; do
   go run ./cmd/mktrace -fig "$fig" > "$tmp/fig$fig.txt"
   if ! diff -u "results/golden/fig$fig.txt" "$tmp/fig$fig.txt"; then
     echo "figure $fig regressed (regenerate goldens only if the change is intended)" >&2
+    status=1
+  fi
+done
+[ "$status" = 0 ]
+
+step "golden Figure-6 CSVs (full sweep vs results/fig6{a,b,c}.csv)"
+go run ./cmd/mkbench -fig all -q -csv "$tmp"
+for fig in 6a 6b 6c; do
+  if ! diff -u "results/fig$fig.csv" "$tmp/fig$fig.csv"; then
+    echo "figure $fig CSV regressed (regenerate only if the change is intended)" >&2
     status=1
   fi
 done
