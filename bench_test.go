@@ -70,15 +70,21 @@ func BenchmarkFig5Postponement(b *testing.B) {
 	}
 }
 
-// benchFig6 runs a reduced Figure 6 sweep per iteration and reports the
-// series the paper plots: per-approach normalized energy (averaged over
-// the sweep) and the maximal selective-over-DP reduction.
-func benchFig6(b *testing.B, sc Scenario) {
-	b.Helper()
+// reducedFig6 is the reduced Figure 6 sweep of the Fig-6 benches: 4 sets
+// or 1200 candidates per interval over [0.2, 0.7).
+func reducedFig6(sc Scenario) SweepConfig {
 	cfg := DefaultSweepConfig(sc)
 	cfg.SetsPerInterval = 4
 	cfg.MaxCandidates = 1200
 	cfg.Intervals = workload.Intervals(0.2, 0.7, 0.1)
+	return cfg
+}
+
+// benchFig6 runs the sweep cfg per iteration and reports the series the
+// paper plots: per-approach normalized energy (averaged over the sweep)
+// and the maximal selective-over-DP reduction.
+func benchFig6(b *testing.B, cfg SweepConfig) {
+	b.Helper()
 	var rep *Report
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -108,7 +114,7 @@ func benchFig6(b *testing.B, sc Scenario) {
 }
 
 // BenchmarkFig6aNoFault — Figure 6(a): energy under no faults.
-func BenchmarkFig6aNoFault(b *testing.B) { benchFig6(b, NoFault) }
+func BenchmarkFig6aNoFault(b *testing.B) { benchFig6(b, reducedFig6(NoFault)) }
 
 // BenchmarkSimulateSweepFig6a is the wall-clock-gated perf benchmark: the
 // same reduced Figure 6(a) sweep as BenchmarkFig6aNoFault, under the
@@ -119,14 +125,28 @@ func BenchmarkFig6aNoFault(b *testing.B) { benchFig6(b, NoFault) }
 // the current baseline is ledgered under hypotheses/.
 func BenchmarkSimulateSweepFig6a(b *testing.B) {
 	b.ReportAllocs()
-	benchFig6(b, NoFault)
+	benchFig6(b, reducedFig6(NoFault))
+}
+
+// BenchmarkSimulateSweepFig6Reject gates the rejecting side of the sweep
+// that BenchmarkSimulateSweepFig6a never reaches: the paper's settings
+// (20 sets, 5000 candidates, seed 2020) over [0.7, 1.0), seeded as
+// intervals 7–9 of the full sweep, so its rows are the 2/0/0-set rows of
+// results/fig6a.csv. Nearly all of its time is candidate generation and
+// the R-pattern filter.
+func BenchmarkSimulateSweepFig6Reject(b *testing.B) {
+	b.ReportAllocs()
+	cfg := DefaultSweepConfig(NoFault)
+	cfg.Intervals = cfg.Intervals[6:]
+	cfg.IntervalOffset = 6
+	benchFig6(b, cfg)
 }
 
 // BenchmarkFig6bPermanent — Figure 6(b): one permanent fault.
-func BenchmarkFig6bPermanent(b *testing.B) { benchFig6(b, PermanentOnly) }
+func BenchmarkFig6bPermanent(b *testing.B) { benchFig6(b, reducedFig6(PermanentOnly)) }
 
 // BenchmarkFig6cPermTransient — Figure 6(c): permanent + transient.
-func BenchmarkFig6cPermTransient(b *testing.B) { benchFig6(b, PermanentAndTransient) }
+func BenchmarkFig6cPermTransient(b *testing.B) { benchFig6(b, reducedFig6(PermanentAndTransient)) }
 
 // BenchmarkSelectiveDispatch backs the paper's O(n) dispatch-complexity
 // claim for Algorithm 1: simulated wall time per task should scale

@@ -75,6 +75,9 @@ func (sp SweepSpec) normalize() (SweepSpec, error) {
 	if sp.Hi <= 0 {
 		sp.Hi = 1.0
 	}
+	if sp.Hi > 1 {
+		return sp, fmt.Errorf("fleet: %w", workload.ErrHiAboveOne)
+	}
 	if sp.Hi <= sp.Lo {
 		return sp, fmt.Errorf("fleet: hi (%v) must exceed lo (%v)", sp.Hi, sp.Lo)
 	}

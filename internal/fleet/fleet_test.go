@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // testSpec is the small sweep the failure-mode tests distribute: three
@@ -387,6 +389,9 @@ func TestSweepSpecNormalize(t *testing.T) {
 	}
 	if _, err := (SweepSpec{Lo: 0.5, Hi: 0.4}).Normalized(); err == nil {
 		t.Error("hi <= lo accepted")
+	}
+	if _, err := (SweepSpec{Lo: 2.5e15, Hi: 2500000000000000.5}).Normalized(); !errors.Is(err, workload.ErrHiAboveOne) {
+		t.Errorf("hi past 1: err = %v, want %v", err, workload.ErrHiAboveOne)
 	}
 	if _, err := (SweepSpec{Approaches: []string{"bogus"}}).Normalized(); err == nil {
 		t.Error("unknown approach accepted")

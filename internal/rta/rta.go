@@ -329,7 +329,38 @@ func enqueue(ready []job, jb job) []job {
 // generous cap (many times max ki·Pi) get a high-confidence filter, and
 // the workload generator additionally requires SchedulableRTA for a safe
 // sufficient condition.
+//
+// A cheap necessary test runs first (firstJobsFit), so most rejects never
+// compute the hyperperiod or walk.
 func SchedulableRPattern(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
+	return firstJobsFit(s) && walkFilter(s, kind, cap)
+}
+
+// firstJobsFit is the filter's O(n), allocation-free necessary test.
+// With synchronous releases job 1 of every task is mandatory under both
+// the R- and the E-pattern and released at 0, so task i's first job
+// cannot complete before C₁+…+Cᵢ: a sum above Dᵢ means the walk would
+// reject too. The sum stops at the first task with a non-zero offset.
+//
+//mklint:hotpath
+func firstJobsFit(s *task.Set) bool {
+	var demand timeu.Time
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
+		if t.Offset != 0 {
+			return true
+		}
+		demand += t.WCET
+		if demand > t.Deadline {
+			return false
+		}
+	}
+	return true
+}
+
+// walkFilter is the exact part of SchedulableRPattern: the filter walk
+// over the (m,k)-hyperperiod saturated at cap.
+func walkFilter(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
 	horizon := s.MKHyperperiod(cap)
 	if horizon <= 0 {
 		return false

@@ -216,28 +216,40 @@ func TestWalkMatchesReference(t *testing.T) {
 
 // TestFilterAllocsIndependentOfHyperperiod: the filter's allocations
 // must not grow with the number of jobs it walks. The second set repeats
-// the first's load over a 10x longer (m,k)-hyperperiod, and the third is
-// rejected.
+// the first's load over a 10x longer (m,k)-hyperperiod. The third passes
+// the first-job test (1 + 2 ≤ 3) and misses a later job: under the
+// E-pattern τ2's third job, released at 6 ms, meets τ1's jobs at 6 and
+// 8 ms and is still running at its 9 ms deadline, so the walk rejects it
+// and must allocate exactly as often as an accepting walk. The fourth
+// fails the first-job test (8 + 8 > 10) and is rejected before the walk,
+// without allocating.
 func TestFilterAllocsIndependentOfHyperperiod(t *testing.T) {
 	short := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
 	long := task.NewSet(task.New(0, 5, 4, 3, 20, 40), task.New(1, 10, 10, 3, 10, 20))
-	bad := task.NewSet(task.New(0, 10, 10, 8, 1, 2), task.New(1, 10, 10, 8, 1, 2))
+	late := task.NewSet(task.New(0, 2, 2, 1, 3, 4), task.New(1, 3, 3, 2, 1, 2))
+	first := task.NewSet(task.New(0, 10, 10, 8, 1, 2), task.New(1, 10, 10, 8, 1, 2))
 	const cap = 10 * timeu.Second
 	if h, l := short.MKHyperperiod(cap), long.MKHyperperiod(cap); l < 10*h {
 		t.Fatalf("hyperperiods %v and %v: premise broken", h, l)
 	}
-	allocs := func(s *task.Set, want bool) float64 {
-		if rta.SchedulableRPattern(s, pattern.RPattern, cap) != want {
+	if m := rta.PostponedMisses(late, pattern.EPattern, late.MKHyperperiod(cap), make([]timeu.Time, 2)); len(m) == 0 || m[0].Index < 2 {
+		t.Fatalf("misses %+v: want the first miss on a later job", m)
+	}
+	allocs := func(s *task.Set, kind pattern.Kind, want bool) float64 {
+		if rta.SchedulableRPattern(s, kind, cap) != want {
 			t.Fatalf("set %v: want schedulable=%v", s, want)
 		}
-		return testing.AllocsPerRun(50, func() { rta.SchedulableRPattern(s, pattern.RPattern, cap) })
+		return testing.AllocsPerRun(50, func() { rta.SchedulableRPattern(s, kind, cap) })
 	}
-	base := allocs(short, true)
-	if got := allocs(long, true); got != base {
+	base := allocs(short, pattern.RPattern, true)
+	if got := allocs(long, pattern.RPattern, true); got != base {
 		t.Errorf("accepting walk over the 10x hyperperiod allocates %v times, over the short one %v", got, base)
 	}
-	if got := allocs(bad, false); got != base {
+	if got := allocs(late, pattern.EPattern, false); got != base {
 		t.Errorf("rejecting walk allocates %v times, accepting walk %v", got, base)
+	}
+	if got := allocs(first, pattern.RPattern, false); got != 0 {
+		t.Errorf("first-job reject allocates %v times, want 0", got)
 	}
 }
 

@@ -80,6 +80,28 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		}
 	})
 
+	// hi past the (m,k)-utilization axis must be refused before the
+	// handler builds its buckets: 1e9 asks for 10¹⁰ of them, and from 2⁵¹
+	// upward x += 0.1 no longer moves x, so the second never ends.
+	for _, tc := range []struct {
+		name string
+		req  SweepRequest
+	}{
+		{"hi far above 1", SweepRequest{Hi: 1e9}},
+		{"hi where x+0.1 stalls", SweepRequest{Lo: 2.5e15, Hi: 2500000000000000.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/v1/sweep", tc.req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d", resp.StatusCode)
+			}
+			doc := decodeError(t, resp)
+			if doc.Code != CodeBadRequest || !strings.HasPrefix(doc.Error, "hi ") {
+				t.Errorf("error %+v does not name the offending field with code %q", doc, CodeBadRequest)
+			}
+		})
+	}
+
 	t.Run("bad approach", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "bogus"})
 		if resp.StatusCode != http.StatusBadRequest {

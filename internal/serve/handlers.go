@@ -427,6 +427,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Hi <= 0 {
 		req.Hi = 1.0
 	}
+	if req.Hi > 1 {
+		s.reject(w, http.StatusBadRequest, 0, workload.ErrHiAboveOne.Error())
+		return
+	}
 	if req.Hi <= req.Lo {
 		s.reject(w, http.StatusBadRequest, 0, "hi must exceed lo")
 		return

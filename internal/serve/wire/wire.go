@@ -120,6 +120,7 @@ type EstimateDoc struct {
 // SweepRequest is the POST /v1/sweep body. The response is a chunked
 // JSONL stream: one "start" line, one "row" line per utilization
 // interval as it completes, and a terminal "done" (or "error") line.
+// Hi may not exceed 1, where Figure 6's (m,k)-utilization axis ends.
 type SweepRequest struct {
 	Scenario        string   `json:"scenario,omitempty"`
 	Seed            uint64   `json:"seed,omitempty"`

@@ -77,6 +77,11 @@ func DefaultConfig() Config {
 type Generator struct {
 	cfg Config
 	rng *stats.Rand
+	// us and cand are the draw's scratch: GenerateInterval draws, checks
+	// and filters each candidate in place and copies out only the sets it
+	// keeps.
+	us   []float64
+	cand task.Set
 }
 
 // NewGenerator builds a generator with the given config and seed.
@@ -85,9 +90,15 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 }
 
 // uunifast splits total utilization across n tasks uniformly at random
-// (Bini & Buttazzo's UUniFast), the standard unbiased splitter.
+// (Bini & Buttazzo's UUniFast), the standard unbiased splitter. The
+// split lives in g.us until the next call.
+//
+//mklint:hotpath
 func (g *Generator) uunifast(n int, total float64) []float64 {
-	us := make([]float64, n)
+	if cap(g.us) < n {
+		g.us = make([]float64, n)
+	}
+	us := g.us[:n]
 	sum := total
 	for i := 0; i < n-1; i++ {
 		next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
@@ -98,6 +109,18 @@ func (g *Generator) uunifast(n int, total float64) []float64 {
 	return us
 }
 
+// infeasibleError reports a drawn task whose WCET exceeds its deadline.
+// It formats only in Error: GenerateInterval discards such candidates
+// without building one.
+type infeasibleError struct {
+	task           int // 1-based
+	wcet, deadline timeu.Time
+}
+
+func (e *infeasibleError) Error() string {
+	return fmt.Sprintf("workload: task %d infeasible (C=%v > D=%v)", e.task, e.wcet, e.deadline)
+}
+
 // Candidate draws one random task set with total (m,k)-utilization
 // targetU (no schedulability filtering). It errors only when the target
 // is infeasible for the drawn structure (some Ci would exceed its
@@ -106,12 +129,31 @@ func (g *Generator) Candidate(targetU float64) (*task.Set, error) {
 	if targetU <= 0 {
 		return nil, errors.New("workload: non-positive utilization target")
 	}
+	if !g.draw(targetU) {
+		last := len(g.cand.Tasks) - 1
+		t := g.cand.Tasks[last]
+		return nil, &infeasibleError{task: last + 1, wcet: t.WCET, deadline: t.Deadline}
+	}
+	s := task.NewSet(g.cand.Tasks...)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// draw draws one candidate with total (m,k)-utilization targetU > 0 into
+// g.cand, overwriting the previous one. It stops at the first task whose
+// WCET exceeds its deadline and reports false; that task is then the
+// last in g.cand.
+//
+//mklint:hotpath
+func (g *Generator) draw(targetU float64) bool {
 	n := g.cfg.NTasksMin
 	if g.cfg.NTasksMax > g.cfg.NTasksMin {
 		n += g.rng.Intn(g.cfg.NTasksMax - g.cfg.NTasksMin + 1)
 	}
 	us := g.uunifast(n, targetU)
-	tasks := make([]task.Task, n)
+	g.cand.Tasks = g.cand.Tasks[:0]
 	for i := 0; i < n; i++ {
 		var period timeu.Time
 		var k int
@@ -130,23 +172,19 @@ func (g *Generator) Candidate(targetU float64) (*task.Set, error) {
 		if wcet < g.cfg.MinWCET {
 			wcet = g.cfg.MinWCET
 		}
-		if wcet > period {
-			return nil, fmt.Errorf("workload: task %d infeasible (C=%v > D=%v)", i+1, wcet, period)
-		}
-		tasks[i] = task.Task{
+		g.cand.Tasks = append(g.cand.Tasks, task.Task{
 			ID:       i,
 			Period:   period,
 			Deadline: period,
 			WCET:     wcet,
 			M:        m,
 			K:        k,
+		})
+		if wcet > period {
+			return false
 		}
 	}
-	s := task.NewSet(tasks...)
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return true
 }
 
 // Schedulable reports whether s passes the evaluation's filter.
@@ -164,6 +202,12 @@ func (iv Interval) String() string { return fmt.Sprintf("[%.2f,%.2f)", iv.Lo, iv
 
 // Mid returns the interval midpoint (Figure 6's x coordinate).
 func (iv Interval) Mid() float64 { return (iv.Lo + iv.Hi) / 2 }
+
+// ErrHiAboveOne rejects a sweep range that runs past 1, the end of
+// Figure 6's (m,k)-utilization axis. Without the bound a request could
+// ask Intervals for billions of buckets, or, from 2⁵¹ upward where
+// x += 0.1 no longer moves x, for a loop that never ends.
+var ErrHiAboveOne = errors.New("hi must not exceed 1, the end of the (m,k)-utilization axis")
 
 // Intervals builds the sweep buckets: [lo, lo+step), ..., up to hi.
 func Intervals(lo, hi, step float64) []Interval {
@@ -183,25 +227,27 @@ type IntervalResult struct {
 
 // GenerateInterval rejection-samples schedulable sets whose total
 // (m,k)-utilization lies in iv, stopping at want sets or maxCandidates
-// attempts (paper: 20 and 5000).
+// attempts (paper: 20 and 5000). Each candidate is drawn, checked and
+// filtered in the generator's scratch; only a kept set is copied out.
+// The stream is consumed exactly as a loop of Candidate, bucket check
+// and Schedulable would consume it.
 func (g *Generator) GenerateInterval(iv Interval, want, maxCandidates int) IntervalResult {
 	res := IntervalResult{Interval: iv}
 	for res.Candidates < maxCandidates && len(res.Sets) < want {
 		res.Candidates++
 		target := iv.Lo + g.rng.Float64()*(iv.Hi-iv.Lo)
-		s, err := g.Candidate(target)
-		if err != nil {
+		if target <= 0 || !g.draw(target) || g.cand.Validate() != nil {
 			continue
 		}
 		// The WCET floor can push the realized utilization out of the
 		// bucket; keep the buckets honest.
-		if u := s.MKUtilization(); u < iv.Lo || u >= iv.Hi {
+		if u := g.cand.MKUtilization(); u < iv.Lo || u >= iv.Hi {
 			continue
 		}
-		if !g.Schedulable(s) {
+		if !g.Schedulable(&g.cand) {
 			continue
 		}
-		res.Sets = append(res.Sets, s)
+		res.Sets = append(res.Sets, task.NewSet(g.cand.Tasks...))
 	}
 	return res
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/task"
 	"repro/internal/timeu"
 )
 
@@ -172,4 +175,159 @@ func TestHarmonicPeriods(t *testing.T) {
 			t.Fatalf("harmonic hyperperiod saturated: %v", h)
 		}
 	}
+}
+
+// refCandidate is Candidate as it was before the draw moved into the
+// generator's scratch: fresh slices and a fresh set per candidate, the
+// error formatted on the spot. It is the oracle for the stream the draw
+// must consume and the sets it must produce.
+func refCandidate(g *Generator, targetU float64) (*task.Set, error) {
+	if targetU <= 0 {
+		return nil, errors.New("workload: non-positive utilization target")
+	}
+	n := g.cfg.NTasksMin
+	if g.cfg.NTasksMax > g.cfg.NTasksMin {
+		n += g.rng.Intn(g.cfg.NTasksMax - g.cfg.NTasksMin + 1)
+	}
+	us := make([]float64, n)
+	sum := targetU
+	for i := 0; i < n-1; i++ {
+		next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
+		us[i] = sum - next
+		sum = next
+	}
+	us[n-1] = sum
+	tasks := make([]task.Task, n)
+	for i := 0; i < n; i++ {
+		var period timeu.Time
+		var k int
+		if g.cfg.HarmonicPeriods {
+			period = harmonicPeriodMenu[g.rng.Intn(len(harmonicPeriodMenu))]
+			k = harmonicKMenu[g.rng.Intn(len(harmonicKMenu))]
+		} else {
+			periodMS := int64(g.cfg.PeriodMin/timeu.Millisecond) +
+				g.rng.Int64n(int64((g.cfg.PeriodMax-g.cfg.PeriodMin)/timeu.Millisecond)+1)
+			period = timeu.Time(periodMS) * timeu.Millisecond
+			k = g.cfg.KMin + g.rng.Intn(g.cfg.KMax-g.cfg.KMin+1)
+		}
+		m := 1 + g.rng.Intn(k-1)
+		wcet := timeu.Time(math.Round(us[i] * float64(k) * float64(period) / float64(m)))
+		if wcet < g.cfg.MinWCET {
+			wcet = g.cfg.MinWCET
+		}
+		if wcet > period {
+			return nil, fmt.Errorf("workload: task %d infeasible (C=%v > D=%v)", i+1, wcet, period)
+		}
+		tasks[i] = task.Task{ID: i, Period: period, Deadline: period, WCET: wcet, M: m, K: k}
+	}
+	s := task.NewSet(tasks...)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// refGenerateInterval is the loop GenerateInterval ran before it drew
+// into scratch: Candidate, bucket check, Schedulable.
+func refGenerateInterval(g *Generator, iv Interval, want, maxCandidates int) IntervalResult {
+	res := IntervalResult{Interval: iv}
+	for res.Candidates < maxCandidates && len(res.Sets) < want {
+		res.Candidates++
+		target := iv.Lo + g.rng.Float64()*(iv.Hi-iv.Lo)
+		s, err := refCandidate(g, target)
+		if err != nil {
+			continue
+		}
+		if u := s.MKUtilization(); u < iv.Lo || u >= iv.Hi {
+			continue
+		}
+		if !g.Schedulable(s) {
+			continue
+		}
+		res.Sets = append(res.Sets, s)
+	}
+	return res
+}
+
+// TestGenerateIntervalMatchesReference pins the scratch draw to the
+// pre-change loop: for five seeds, the nine Fig-6 intervals and both
+// period models, GenerateInterval must keep the same sets and count the
+// same candidates, and the two generators must end on the same stream
+// position. Two more intervals cover the other exits: one straddling 0
+// draws non-positive targets, which must consume nothing past the target
+// itself, and in a narrow one WCET rounding moves many sets out of the
+// bucket.
+func TestGenerateIntervalMatchesReference(t *testing.T) {
+	harmonic := DefaultConfig()
+	harmonic.HarmonicPeriods = true
+	ivs := append(Intervals(0.1, 1.0, 0.1), Interval{-0.1, 0.1}, Interval{0.3, 0.3001})
+	for _, cfg := range []Config{DefaultConfig(), harmonic} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			got, want := NewGenerator(cfg, seed), NewGenerator(cfg, seed)
+			for _, iv := range ivs {
+				g := got.GenerateInterval(iv, 8, 1500)
+				w := refGenerateInterval(want, iv, 8, 1500)
+				if g.Candidates != w.Candidates || len(g.Sets) != len(w.Sets) {
+					t.Fatalf("harmonic=%v seed %d %v: %d sets from %d candidates, reference %d from %d",
+						cfg.HarmonicPeriods, seed, iv, len(g.Sets), g.Candidates, len(w.Sets), w.Candidates)
+				}
+				for i := range g.Sets {
+					if gs, ws := g.Sets[i].String(), w.Sets[i].String(); gs != ws {
+						t.Fatalf("harmonic=%v seed %d %v set %d:\n%s\nreference:\n%s",
+							cfg.HarmonicPeriods, seed, iv, i, gs, ws)
+					}
+				}
+			}
+			if a, b := got.rng.Uint64(), want.rng.Uint64(); a != b {
+				t.Fatalf("harmonic=%v seed %d: streams diverged", cfg.HarmonicPeriods, seed)
+			}
+		}
+	}
+}
+
+// TestCandidateMatchesReference pins Candidate, errors included, to the
+// pre-change draw over a stream that mixes feasible and infeasible
+// targets, the non-positive one that draws nothing among them.
+func TestCandidateMatchesReference(t *testing.T) {
+	got, want := NewGenerator(DefaultConfig(), 6), NewGenerator(DefaultConfig(), 6)
+	var infeasible int
+	for i := 0; i < 600; i++ {
+		target := float64(i%12) / 10 // 0.0 .. 1.1
+		gs, gerr := got.Candidate(target)
+		ws, werr := refCandidate(want, target)
+		switch {
+		case (gerr == nil) != (werr == nil):
+			t.Fatalf("draw %d (U=%v): error %v, reference %v", i, target, gerr, werr)
+		case gerr != nil:
+			if gerr.Error() != werr.Error() {
+				t.Fatalf("draw %d (U=%v): error %q, reference %q", i, target, gerr, werr)
+			}
+			if target > 0 {
+				infeasible++
+			}
+		case gs.String() != ws.String():
+			t.Fatalf("draw %d (U=%v):\n%v\nreference:\n%v", i, target, gs, ws)
+		}
+	}
+	if infeasible < 30 {
+		t.Errorf("only %d infeasible draws; the corpus no longer covers the error path", infeasible)
+	}
+}
+
+// TestGenerateIntervalRejectAllocs: a Fig-6 reject unit draws 5000
+// candidates and keeps none, so its allocations must not scale with the
+// candidate count (about 43,600 before the draw moved into scratch).
+func TestGenerateIntervalRejectAllocs(t *testing.T) {
+	iv := Interval{0.9, 1.0}
+	var res IntervalResult
+	allocs := testing.AllocsPerRun(3, func() {
+		res = NewGenerator(DefaultConfig(), 5).GenerateInterval(iv, 20, 5000)
+	})
+	if res.Candidates != 5000 || len(res.Sets) != 0 {
+		t.Fatalf("%d sets from %d candidates: premise broken, want 0 from 5000", len(res.Sets), res.Candidates)
+	}
+	if allocs >= 100 {
+		t.Errorf("GenerateInterval over %v allocates %v times, want < 100", iv, allocs)
+	}
+	t.Logf("%v allocations for 5000 rejected candidates", allocs)
 }
