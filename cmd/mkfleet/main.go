@@ -388,47 +388,26 @@ func writeStatusFile(path string, st fleet.PoolStats) error {
 // over the full range, emitted through the same serve.RowLine path the
 // workers use — the byte-identity baseline for a distributed run.
 func runLocal(ctx context.Context, spec fleet.SweepSpec, emit func([]byte) error) error {
-	sp, err := spec.Normalized()
+	sw, err := spec.Sweep()
 	if err != nil {
 		return err
 	}
-	sc, err := repro.ParseScenario(sp.Scenario)
-	if err != nil {
-		return err
-	}
-	as := make([]repro.Approach, len(sp.Approaches))
-	for i, n := range sp.Approaches {
-		if as[i], err = repro.ParseApproach(n); err != nil {
-			return err
-		}
-	}
-	intervals := sp.Intervals()
+	intervals := sw.Intervals()
 	start := time.Now() //mklint:allow determinism — CLI wall clock for the done line's elapsed_ms
-	if err := emit(serve.MarshalLine(serve.SweepLine{
-		Type: "start", Schema: serve.SweepSchema,
-		Scenario: sp.Scenario, Seed: sp.Seed, Intervals: len(intervals),
-	})); err != nil {
+	if err := emit(sw.StartLine(len(intervals))); err != nil {
 		return err
 	}
-	cfg := repro.DefaultSweepConfig(sc)
-	cfg.Seed = sp.Seed
-	cfg.SetsPerInterval = sp.SetsPerInterval
-	cfg.MaxCandidates = sp.MaxCandidates
-	cfg.Approaches = as
-	cfg.Intervals = intervals
-	rep, err := repro.SweepContext(ctx, cfg)
+	rep, err := repro.SweepContext(ctx, sw.Config(intervals, 0))
 	if err != nil {
 		return err
 	}
 	for _, row := range rep.Rows {
-		if err := emit(serve.MarshalLine(serve.RowLine(rep.Approaches, row))); err != nil {
+		if err := emit(serve.RowLine(rep.Approaches, row)); err != nil {
 			return err
 		}
 	}
 	elapsed := time.Now().Sub(start) //mklint:allow determinism — CLI wall clock for the done line's elapsed_ms
-	return emit(serve.MarshalLine(serve.SweepLine{
-		Type: "done", Intervals: len(intervals), ElapsedMS: float64(elapsed) / 1e6,
-	}))
+	return emit(serve.DoneLine(len(intervals), float64(elapsed)/1e6))
 }
 
 // benchDoc is the versioned fleet-benchmark artifact.

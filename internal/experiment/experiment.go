@@ -146,8 +146,10 @@ func Run(cfg Config) (*Report, error) {
 //
 // On cancellation RunContext returns the partial Report — the intervals
 // that completed, in interval order — together with a non-nil error
-// wrapping ctx.Err() (test with errors.Is). All workers are drained
-// before it returns; no goroutines leak.
+// wrapping ctx.Err() (test with errors.Is). Set generation looks at ctx
+// every generateChunk candidates, so an interval that is still rejecting
+// candidates stops promptly too. All workers are drained before it
+// returns; no goroutines leak.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.SetsPerInterval <= 0 {
 		cfg.SetsPerInterval = 20
@@ -216,8 +218,11 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			sem <- struct{}{}
 			gen := workload.NewGenerator(cfg.Workload, stats.DeriveSeed(cfg.Seed, uint64(cfg.IntervalOffset+ivIdx)))
-			batch := gen.GenerateInterval(iv, cfg.SetsPerInterval, cfg.MaxCandidates)
+			batch, err := generate(ctx, gen, iv, cfg.SetsPerInterval, cfg.MaxCandidates)
 			<-sem
+			if err != nil {
+				return // canceled: a cut-short interval never becomes a row
+			}
 			row := Row{
 				Interval:   iv,
 				Candidates: batch.Candidates,
@@ -290,6 +295,28 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep.Rows = rows
 	return rep, nil
+}
+
+// generateChunk bounds the candidates an interval draws between two
+// looks at the context: GenerateInterval itself never checks one, so a
+// canceled sweep stops within one chunk and frees its worker slot.
+const generateChunk = 256
+
+// generate draws an interval's sets as one GenerateInterval call would,
+// in calls of at most generateChunk candidates — which consume the
+// generator's stream exactly as one call does — and returns ctx's error
+// once ctx is done.
+func generate(ctx context.Context, gen *workload.Generator, iv workload.Interval, want, maxCandidates int) (workload.IntervalResult, error) {
+	res := workload.IntervalResult{Interval: iv}
+	for len(res.Sets) < want && res.Candidates < maxCandidates {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
+		part := gen.GenerateInterval(iv, want-len(res.Sets), min(generateChunk, maxCandidates-res.Candidates))
+		res.Sets = append(res.Sets, part.Sets...)
+		res.Candidates += part.Candidates
+	}
+	return res, nil
 }
 
 // isCtxErr reports whether err is just the context's cancellation

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -283,5 +285,44 @@ func TestReportJSON(t *testing.T) {
 	nm := row0["norm_mean"].(map[string]any)
 	if v, ok := nm["MKSS-ST"].(float64); !ok || math.Abs(v-1) > 1e-9 {
 		t.Errorf("ST norm mean in JSON = %v", nm["MKSS-ST"])
+	}
+}
+
+// TestGenerateChunksMatchOneCall pins that drawing an interval in
+// chunks of generateChunk candidates keeps the same sets and candidate
+// count as one GenerateInterval call, on accepting and rejecting
+// intervals and on budgets that are not a multiple of the chunk.
+func TestGenerateChunksMatchOneCall(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, iv := range workload.Intervals(0.1, 1.0, 0.1) {
+			for _, budget := range []int{generateChunk - 1, 3*generateChunk + 17} {
+				want := workload.NewGenerator(workload.DefaultConfig(), seed).GenerateInterval(iv, 20, budget)
+				got, err := generate(context.Background(), workload.NewGenerator(workload.DefaultConfig(), seed), iv, 20, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Candidates != want.Candidates || len(got.Sets) != len(want.Sets) {
+					t.Fatalf("seed %d %v budget %d: %d sets / %d candidates, want %d / %d",
+						seed, iv, budget, len(got.Sets), got.Candidates, len(want.Sets), want.Candidates)
+				}
+				for i := range want.Sets {
+					if got.Sets[i].String() != want.Sets[i].String() {
+						t.Fatalf("seed %d %v budget %d: set %d differs", seed, iv, budget, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateStopsWhenCanceled pins that a canceled context stops
+// generation before it draws another chunk.
+func TestGenerateStopsWhenCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gen := workload.NewGenerator(workload.DefaultConfig(), 1)
+	res, err := generate(ctx, gen, workload.Interval{Lo: 0.9, Hi: 1.0}, 1_000_000, 1<<40)
+	if !errors.Is(err, context.Canceled) || res.Candidates != 0 {
+		t.Fatalf("canceled generate drew %d candidates, err %v", res.Candidates, err)
 	}
 }

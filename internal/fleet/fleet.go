@@ -33,16 +33,11 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
-
-// intervalStep is the utilization bucket width shared with the serving
-// layer and the paper's evaluation (width-0.1 intervals).
-const intervalStep = 0.1
 
 // SweepSpec identifies one logical sweep — the same parameters a batch
 // /v1/sweep request carries, minus the per-request plumbing.
@@ -56,55 +51,49 @@ type SweepSpec struct {
 	Approaches      []string `json:"approaches"`
 }
 
-// normalize applies the serving layer's defaults and canonicalizes the
-// scenario and approach names, so the checkpoint key and the worker
-// requests are stable across spellings ("st" vs "MKSS-ST").
-func (sp SweepSpec) normalize() (SweepSpec, error) {
-	if sp.Seed == 0 {
-		sp.Seed = 2020
-	}
-	if sp.SetsPerInterval <= 0 {
-		sp.SetsPerInterval = 3
-	}
-	if sp.MaxCandidates <= 0 {
-		sp.MaxCandidates = 500
-	}
-	if sp.Lo <= 0 {
-		sp.Lo = 0.1
-	}
-	if sp.Hi <= 0 {
-		sp.Hi = 1.0
-	}
-	if sp.Hi > 1 {
-		return sp, fmt.Errorf("fleet: %w", workload.ErrHiAboveOne)
-	}
-	if sp.Hi <= sp.Lo {
-		return sp, fmt.Errorf("fleet: hi (%v) must exceed lo (%v)", sp.Hi, sp.Lo)
-	}
-	sc, err := repro.ParseScenario(orDefault(sp.Scenario, "none"))
+// Sweep settles the spec through serve.NormalizeSweep, the normalizer
+// the /v1/sweep handler itself uses, so the coordinator and its workers
+// agree on the defaults, the bounds and the canonical names.
+func (sp SweepSpec) Sweep() (serve.Sweep, error) {
+	sw, err := serve.NormalizeSweep(serve.SweepRequest{
+		Scenario:        sp.Scenario,
+		Seed:            sp.Seed,
+		SetsPerInterval: sp.SetsPerInterval,
+		MaxCandidates:   sp.MaxCandidates,
+		Lo:              sp.Lo,
+		Hi:              sp.Hi,
+		Approaches:      sp.Approaches,
+	})
 	if err != nil {
-		return sp, fmt.Errorf("fleet: %w", err)
+		return sw, fmt.Errorf("fleet: %w", err)
 	}
-	sp.Scenario = sc.String()
-	if len(sp.Approaches) == 0 {
-		sp.Approaches = []string{"st", "dp", "selective"}
-	}
-	names := make([]string, len(sp.Approaches))
-	for i, n := range sp.Approaches {
-		a, err := repro.ParseApproach(n)
-		if err != nil {
-			return sp, fmt.Errorf("fleet: %w", err)
-		}
-		names[i] = a.String()
-	}
-	sp.Approaches = names
-	return sp, nil
+	return sw, nil
 }
 
-// Normalized is the exported normalize: callers that need the exact
-// sweep a coordinator would run (e.g. mkfleet -local computing the
-// reference stream) share one defaulting/canonicalization path.
-func (sp SweepSpec) Normalized() (SweepSpec, error) { return sp.normalize() }
+// Normalized returns the spec with /v1/sweep's defaults applied and its
+// scenario and approach names canonicalized, so the checkpoint key and
+// the worker requests are stable across spellings ("st" vs "MKSS-ST").
+func (sp SweepSpec) Normalized() (SweepSpec, error) {
+	sw, err := sp.Sweep()
+	if err != nil {
+		return sp, err
+	}
+	return specOf(sw), nil
+}
+
+// specOf is the spec of a normalized sweep.
+func specOf(sw serve.Sweep) SweepSpec {
+	r := sw.Req
+	return SweepSpec{
+		Scenario:        r.Scenario,
+		Seed:            r.Seed,
+		SetsPerInterval: r.SetsPerInterval,
+		MaxCandidates:   r.MaxCandidates,
+		Lo:              r.Lo,
+		Hi:              r.Hi,
+		Approaches:      r.Approaches,
+	}
+}
 
 // Key canonicalizes the sweep identity for the checkpoint header: two
 // sweeps with the same key produce the same rows.
@@ -118,12 +107,6 @@ func (sp SweepSpec) Key() string {
 		strconv.FormatFloat(sp.Hi, 'g', -1, 64),
 		strings.Join(sp.Approaches, ","),
 	}, "|")
-}
-
-// Intervals returns the sweep's work units — the same width-0.1 buckets
-// a batch run iterates, in the same order.
-func (sp SweepSpec) Intervals() []workload.Interval {
-	return workload.Intervals(sp.Lo, sp.Hi, intervalStep)
 }
 
 // Config tunes a Coordinator. Zero values pick the documented defaults.
@@ -190,9 +173,9 @@ type Config struct {
 
 // Coordinator runs one distributed sweep. Create with New, run with Run.
 type Coordinator struct {
-	cfg  Config
-	spec SweepSpec
-	now  func() time.Time
+	cfg   Config
+	sweep serve.Sweep
+	now   func() time.Time
 }
 
 // New validates cfg and builds a Coordinator.
@@ -200,7 +183,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 && cfg.Pool == nil {
 		return nil, errors.New("fleet: no workers configured")
 	}
-	spec, err := cfg.Spec.normalize()
+	sw, err := cfg.Spec.Sweep()
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +222,11 @@ func New(cfg Config) (*Coordinator, error) {
 			return client.New(client.Config{Addr: addr})
 		}
 	}
-	return &Coordinator{cfg: cfg, spec: spec, now: cfg.Now}, nil
+	return &Coordinator{cfg: cfg, sweep: sw, now: cfg.Now}, nil
 }
 
 // Spec returns the normalized sweep the coordinator will run.
-func (c *Coordinator) Spec() SweepSpec { return c.spec }
+func (c *Coordinator) Spec() SweepSpec { return specOf(c.sweep) }
 
 // unit lifecycle states.
 const (
@@ -290,10 +273,10 @@ type probeResult struct {
 // (when configured) retains every unit completed before the failure.
 func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Summary, error) {
 	start := c.now()
-	intervals := c.spec.Intervals()
+	intervals := c.sweep.Intervals()
 	n := len(intervals)
 	if n == 0 {
-		return nil, fmt.Errorf("fleet: sweep [%v, %v) contains no intervals", c.spec.Lo, c.spec.Hi)
+		return nil, fmt.Errorf("fleet: sweep [%v, %v) contains no intervals", c.sweep.Req.Lo, c.sweep.Req.Hi)
 	}
 
 	// Checkpoint: fresh journal, or resume from a previous run's.
@@ -306,7 +289,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	fromCkpt := 0
 	if c.cfg.CheckpointPath != "" {
 		if c.cfg.Resume {
-			j, prev, oerr := OpenJournal(c.cfg.CheckpointPath, c.spec.Key(), n)
+			j, prev, oerr := OpenJournal(c.cfg.CheckpointPath, c.Spec().Key(), n)
 			if oerr != nil {
 				return nil, oerr
 			}
@@ -317,7 +300,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 				fromCkpt++
 			}
 		} else {
-			j, cerr := CreateJournal(c.cfg.CheckpointPath, c.spec.Key(), n)
+			j, cerr := CreateJournal(c.cfg.CheckpointPath, c.Spec().Key(), n)
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -332,14 +315,17 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 
 	// Cross-run store: a pending unit whose row is already stored needs
 	// no worker at all — it is journaled like a freshly computed unit so
-	// a later -resume run is warm even without the store.
+	// a later -resume run is warm even without the store. A unit's key is
+	// the one its worker derives for the single-interval request runUnit
+	// sends (serve.Sweep.UnitKey on both sides), so a row cached by a
+	// worker's own store and one cached here are interchangeable.
 	fromStore := 0
 	if c.cfg.Store != nil {
 		for u := 0; u < n; u++ {
 			if units[u].state == unitDone {
 				continue
 			}
-			raw, ok := c.cfg.Store.Get(c.unitKey(u, intervals[u]))
+			raw, ok := c.cfg.Store.Get(c.sweep.UnitKey(intervals[u], u))
 			if !ok {
 				continue
 			}
@@ -360,7 +346,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 		if c.cfg.Store == nil {
 			return
 		}
-		if err := c.cfg.Store.Put(c.unitKey(u, intervals[u]), row); err != nil {
+		if err := c.cfg.Store.Put(c.sweep.UnitKey(intervals[u], u), row); err != nil {
 			fmt.Fprintf(c.cfg.Log, "fleet: store write-back for unit %d: %v\n", u, err)
 		}
 	}
@@ -386,10 +372,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 
 	// The merged stream opens with the same start line a single batch
 	// /v1/sweep over the full range would emit.
-	if err := out(serve.MarshalLine(serve.SweepLine{
-		Type: "start", Schema: serve.SweepSchema,
-		Scenario: c.spec.Scenario, Seed: c.spec.Seed, Intervals: n,
-	})); err != nil {
+	if err := out(c.sweep.StartLine(n)); err != nil {
 		return nil, fmt.Errorf("fleet: write start line: %w", err)
 	}
 	// flush emits every contiguous completed row not yet written — the
@@ -652,14 +635,12 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	if fatal != nil {
 		// Best-effort terminal error line, mirroring the serving
 		// layer's mid-stream error convention.
-		if werr := out(serve.MarshalLine(serve.SweepLine{Type: "error", Error: fatal.Error()})); werr != nil {
+		if werr := out(serve.ErrorLine(fatal)); werr != nil {
 			fmt.Fprintf(c.cfg.Log, "fleet: write error line: %v\n", werr)
 		}
 		return sum, fatal
 	}
-	if err := out(serve.MarshalLine(serve.SweepLine{
-		Type: "done", Intervals: n, ElapsedMS: elapsedMS,
-	})); err != nil {
+	if err := out(serve.DoneLine(n, elapsedMS)); err != nil {
 		return sum, fmt.Errorf("fleet: write done line: %w", err)
 	}
 	fmt.Fprintf(c.cfg.Log, "fleet: sweep complete: %d units (%d from checkpoint, %d from store, %d dispatched, %d retried, %d hedged) in %.0f ms\n",
@@ -667,31 +648,13 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	return sum, nil
 }
 
-// unitKey derives a unit's persistent-store key. It is the exact key the
-// serving layer computes for the single-interval sweep request runUnit
-// sends: workload.Intervals regenerates bit-identical interval bounds
-// from (Lo, Hi) on both sides, so a row cached by a worker's own store
-// and a row cached by the coordinator are interchangeable.
-func (c *Coordinator) unitKey(unit int, iv workload.Interval) string {
-	return store.SweepUnitKey(c.spec.Scenario, c.spec.Seed, c.spec.SetsPerInterval,
-		c.spec.MaxCandidates, iv.Lo, iv.Hi, unit, c.spec.Approaches)
-}
-
 // runUnit executes one work unit on one worker: a single-interval sweep
 // request whose IntervalOffset pins it to the batch run's sub-stream.
 // It returns the raw row line, byte-exact as the worker streamed it.
 func (c *Coordinator) runUnit(ctx context.Context, cl *client.Client, unit int, iv workload.Interval) ([]byte, error) {
-	req := serve.SweepRequest{
-		Scenario:        c.spec.Scenario,
-		Seed:            c.spec.Seed,
-		SetsPerInterval: c.spec.SetsPerInterval,
-		MaxCandidates:   c.spec.MaxCandidates,
-		Lo:              iv.Lo,
-		Hi:              iv.Hi,
-		Approaches:      c.spec.Approaches,
-		IntervalOffset:  unit,
-		TimeoutMS:       float64(c.cfg.UnitTimeout) / float64(time.Millisecond),
-	}
+	req := c.sweep.Req
+	req.Lo, req.Hi, req.IntervalOffset = iv.Lo, iv.Hi, unit
+	req.TimeoutMS = float64(c.cfg.UnitTimeout) / float64(time.Millisecond)
 	var row []byte
 	_, err := cl.SweepStream(ctx, req, func(raw []byte, line serve.SweepLine) error {
 		if line.Type == "row" {
@@ -709,12 +672,4 @@ func (c *Coordinator) runUnit(ctx context.Context, cl *client.Client, unit int, 
 		return nil, fmt.Errorf("unit %d stream carried no row", unit)
 	}
 	return row, nil
-}
-
-// orDefault substitutes def for an empty string.
-func orDefault(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
 }

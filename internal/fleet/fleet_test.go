@@ -32,33 +32,17 @@ func testSpec() SweepSpec {
 // must reproduce byte for byte.
 func referenceRows(t *testing.T, spec SweepSpec) [][]byte {
 	t.Helper()
-	sp, err := spec.Normalized()
+	sw, err := spec.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := repro.ParseScenario(sp.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as := make([]repro.Approach, len(sp.Approaches))
-	for i, n := range sp.Approaches {
-		if as[i], err = repro.ParseApproach(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := repro.DefaultSweepConfig(sc)
-	cfg.Seed = sp.Seed
-	cfg.SetsPerInterval = sp.SetsPerInterval
-	cfg.MaxCandidates = sp.MaxCandidates
-	cfg.Approaches = as
-	cfg.Intervals = sp.Intervals()
-	rep, err := repro.NewRunner(repro.RunnerConfig{}).Sweep(context.Background(), cfg)
+	rep, err := repro.NewRunner(repro.RunnerConfig{}).Sweep(context.Background(), sw.Config(sw.Intervals(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows [][]byte
 	for _, row := range rep.Rows {
-		rows = append(rows, serve.MarshalLine(serve.RowLine(rep.Approaches, row)))
+		rows = append(rows, serve.RowLine(rep.Approaches, row))
 	}
 	return rows
 }

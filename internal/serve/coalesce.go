@@ -5,86 +5,20 @@ import (
 	"sync"
 )
 
-// flightGroup coalesces concurrent identical unary requests
-// (singleflight): the first caller for a key becomes the leader and runs
-// the computation on a detached context; every caller that arrives while
-// the flight is open waits for the shared result instead of recomputing
-// it. The leader's context stays alive while at least one caller is
-// still waiting and is canceled when the last caller gives up — a
-// thundering herd that disconnects frees its execution slot immediately.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-}
-
-type flightCall struct {
-	done    chan struct{}
-	val     []byte
-	err     error
-	waiters int
-	cancel  context.CancelFunc
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: map[string]*flightCall{}}
-}
-
-// do returns fn's result for key, computing it at most once among
-// concurrent callers. shared reports whether this caller joined an
-// already-open flight (the coalescing counter's increment condition).
-// The bytes returned are shared across callers and must not be mutated.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) (val []byte, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		c.waiters++
-		g.mu.Unlock()
-		val, err = g.wait(ctx, c)
-		return val, true, err
-	}
-	lctx, cancel := context.WithCancel(context.Background())
-	c := &flightCall{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	g.calls[key] = c
-	g.mu.Unlock()
-	go func() {
-		v, ferr := fn(lctx)
-		g.mu.Lock()
-		c.val, c.err = v, ferr
-		delete(g.calls, key)
-		g.mu.Unlock()
-		close(c.done)
-		cancel()
-	}()
-	val, err = g.wait(ctx, c)
-	return val, false, err
-}
-
-// wait blocks until the flight completes or the caller's context dies.
-// A caller abandoning the flight decrements the waiter count; the last
-// one to leave cancels the leader's context.
-func (g *flightGroup) wait(ctx context.Context, c *flightCall) ([]byte, error) {
-	select {
-	case <-c.done:
-		return c.val, c.err
-	case <-ctx.Done():
-		g.mu.Lock()
-		c.waiters--
-		last := c.waiters == 0
-		g.mu.Unlock()
-		if last {
-			c.cancel()
-		}
-		return nil, ctx.Err()
-	}
-}
-
-// sweepJob is one in-flight streaming sweep shared by every client that
-// requested an identical sweep while it was running. The leader appends
-// encoded JSONL rows as intervals complete; subscribers replay the rows
-// from the beginning and then follow live, so a coalesced client sees
-// the identical byte stream it would have received as the leader.
-type sweepJob struct {
+// flight is one in-flight computation shared by every request that asked
+// for the same key while it ran. Its output is a sequence of encoded
+// documents: one for /v1/simulate and /v1/estimate?refine=true, and a
+// start line, one row per interval and a done line for /v1/sweep. The
+// leader runs on a detached context and publishes each document as it
+// completes; every subscriber, the first one included, replays the
+// published prefix and then follows live, so a coalesced client receives
+// the bytes it would have received as the leader. The leader's context
+// stays alive while at least one subscriber remains and is canceled by
+// the last one to leave an unfinished flight — a herd that disconnects
+// frees its execution slot immediately.
+type flight struct {
 	mu     sync.Mutex
-	rows   [][]byte
+	docs   [][]byte
 	done   bool
 	err    error
 	subs   int
@@ -92,41 +26,46 @@ type sweepJob struct {
 	cancel context.CancelFunc
 }
 
-// publish appends one encoded row and wakes the subscribers.
-func (j *sweepJob) publish(row []byte) {
-	j.mu.Lock()
-	j.rows = append(j.rows, row)
-	close(j.wake)
-	j.wake = make(chan struct{})
-	j.mu.Unlock()
+// publish appends one encoded document and wakes the subscribers.
+func (f *flight) publish(doc []byte) {
+	f.mu.Lock()
+	f.docs = append(f.docs, doc)
+	close(f.wake)
+	f.wake = make(chan struct{})
+	f.mu.Unlock()
 }
 
-// finish marks the job complete (err non-nil on failure) and wakes the
-// subscribers one last time.
-func (j *sweepJob) finish(err error) {
-	j.mu.Lock()
-	j.done = true
-	j.err = err
-	close(j.wake)
-	j.mu.Unlock()
+// finish appends the leader's last document (when non-nil), marks the
+// flight complete with err, and wakes the subscribers one last time. The
+// last document and the completion land under one lock, so a subscriber
+// that has written the last document never waits on its own context
+// again and cannot append an error to a complete response.
+func (f *flight) finish(last []byte, err error) {
+	f.mu.Lock()
+	if last != nil {
+		f.docs = append(f.docs, last)
+	}
+	f.done = true
+	f.err = err
+	close(f.wake)
+	f.mu.Unlock()
 }
 
-// stream emits every row to emit in order, blocking for new rows until
-// the job finishes. It detaches on context cancellation or emit failure;
-// when the last subscriber detaches from an unfinished job, the leader's
-// context is canceled and the shard freed.
-func (j *sweepJob) stream(ctx context.Context, emit func([]byte) error) error {
+// stream emits every document to emit in order, blocking for new ones
+// until the flight finishes, and returns the flight's error. It detaches
+// on context cancellation or emit failure.
+func (f *flight) stream(ctx context.Context, emit func([]byte) error) error {
 	i := 0
 	for {
-		j.mu.Lock()
-		pending := j.rows[i:]
-		i = len(j.rows)
-		done, err := j.done, j.err
-		wake := j.wake
-		j.mu.Unlock()
-		for _, row := range pending {
-			if eerr := emit(row); eerr != nil {
-				j.detach()
+		f.mu.Lock()
+		pending := f.docs[i:]
+		i = len(f.docs)
+		done, err := f.done, f.err
+		wake := f.wake
+		f.mu.Unlock()
+		for _, doc := range pending {
+			if eerr := emit(doc); eerr != nil {
+				f.detach()
 				return eerr
 			}
 		}
@@ -136,59 +75,62 @@ func (j *sweepJob) stream(ctx context.Context, emit func([]byte) error) error {
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			j.detach()
+			f.detach()
 			return ctx.Err()
 		}
 	}
 }
 
 // detach drops one subscriber, canceling the leader when none remain
-// and the sweep has not finished.
-func (j *sweepJob) detach() {
-	j.mu.Lock()
-	j.subs--
-	last := j.subs == 0 && !j.done
-	j.mu.Unlock()
+// and the flight has not finished.
+func (f *flight) detach() {
+	f.mu.Lock()
+	f.subs--
+	last := f.subs == 0 && !f.done
+	f.mu.Unlock()
 	if last {
-		j.cancel()
+		f.cancel()
 	}
 }
 
-// sweepRegistry tracks the open sweep jobs by canonical request key.
-type sweepRegistry struct {
+// coalescer is the server's one request coalescer: it tracks the open
+// flights by key — store.RunKey for a run, store.SweepUnitKey over the
+// request's own bounds for a sweep — so the in-process dedupe and the
+// persistent store agree on what "the same request" means.
+type coalescer struct {
 	mu   sync.Mutex
-	jobs map[string]*sweepJob
+	open map[string]*flight
 }
 
-func newSweepRegistry() *sweepRegistry {
-	return &sweepRegistry{jobs: map[string]*sweepJob{}}
+func newCoalescer() *coalescer {
+	return &coalescer{open: map[string]*flight{}}
 }
 
-// attach subscribes to the sweep for key, starting a leader goroutine
-// running run when no identical sweep is open. started reports whether
-// this caller created the job (false = coalesced). run receives the
-// leader context and the publish callback and its error becomes the
-// job's terminal state.
-func (r *sweepRegistry) attach(key string, run func(ctx context.Context, publish func([]byte)) error) (j *sweepJob, started bool) {
-	r.mu.Lock()
-	if j, ok := r.jobs[key]; ok {
-		j.mu.Lock()
-		j.subs++
-		j.mu.Unlock()
-		r.mu.Unlock()
-		return j, false
+// attach subscribes to the flight for key, starting a leader goroutine
+// running run when none is open; started reports whether this caller
+// created the flight (false = coalesced). run receives the leader
+// context and the publish callback; its returned document (nil for none)
+// is the flight's last, and its error the flight's terminal state.
+func (c *coalescer) attach(key string, run func(ctx context.Context, publish func([]byte)) ([]byte, error)) (f *flight, started bool) {
+	c.mu.Lock()
+	if f, ok := c.open[key]; ok {
+		f.mu.Lock()
+		f.subs++
+		f.mu.Unlock()
+		c.mu.Unlock()
+		return f, false
 	}
 	lctx, cancel := context.WithCancel(context.Background())
-	j = &sweepJob{subs: 1, wake: make(chan struct{}), cancel: cancel}
-	r.jobs[key] = j
-	r.mu.Unlock()
+	f = &flight{subs: 1, wake: make(chan struct{}), cancel: cancel}
+	c.open[key] = f
+	c.mu.Unlock()
 	go func() {
-		err := run(lctx, j.publish)
-		r.mu.Lock()
-		delete(r.jobs, key)
-		r.mu.Unlock()
-		j.finish(err)
+		last, err := run(lctx, f.publish)
+		c.mu.Lock()
+		delete(c.open, key)
+		c.mu.Unlock()
+		f.finish(last, err)
 		cancel()
 	}()
-	return j, true
+	return f, true
 }

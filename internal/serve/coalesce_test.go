@@ -9,15 +9,22 @@ import (
 	"time"
 )
 
-// TestFlightGroupSingleExecution coalesces N concurrent identical calls
-// into exactly one execution of fn, with every caller seeing the shared
-// result and all but the leader reporting shared=true.
+// TestFlightGroupSingleExecution coalesces N concurrent identical
+// requests into exactly one execution of the leader, with every caller
+// receiving the shared document and all but the leader reporting
+// started=false.
 func TestFlightGroupSingleExecution(t *testing.T) {
-	g := newFlightGroup()
+	c := newCoalescer()
 	const n = 16
 	var calls atomic.Int64
 	arrived := make(chan struct{}, n)
 	proceed := make(chan struct{})
+	run := func(context.Context, func([]byte)) ([]byte, error) {
+		calls.Add(1)
+		arrived <- struct{}{}
+		<-proceed // hold the flight open until every caller joined
+		return []byte("result"), nil
+	}
 	var wg sync.WaitGroup
 	vals := make([][]byte, n)
 	shareds := make([]bool, n)
@@ -25,38 +32,40 @@ func TestFlightGroupSingleExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := g.do(context.Background(), "k", func(context.Context) ([]byte, error) {
-				calls.Add(1)
-				arrived <- struct{}{}
-				<-proceed // hold the flight open until every caller joined
-				return []byte("result"), nil
+			f, started := c.attach("k", run)
+			err := f.stream(context.Background(), func(doc []byte) error {
+				vals[i] = append(vals[i], doc...)
+				return nil
 			})
 			if err != nil {
-				t.Errorf("do: %v", err)
+				t.Errorf("stream: %v", err)
 			}
-			vals[i], shareds[i] = v, shared
+			shareds[i] = !started
 		}(i)
 	}
-	<-arrived // the leader is inside fn; followers can only join now
-	// Wait for the follower goroutines to have had a chance to enter do;
-	// they either joined the open flight (shared) or, by serialization on
-	// g.mu, cannot start a second one before the flight completes.
+	<-arrived // the leader is running; followers can only join now
+	// Wait for the follower goroutines to have attached; by
+	// serialization on c.mu none can start a second flight before this
+	// one completes.
 	for deadline := 0; ; deadline++ {
-		g.mu.Lock()
-		w := g.calls["k"].waiters
-		g.mu.Unlock()
-		if w == n {
+		c.mu.Lock()
+		f := c.open["k"]
+		c.mu.Unlock()
+		f.mu.Lock()
+		subs := f.subs
+		f.mu.Unlock()
+		if subs == n {
 			break
 		}
 		if deadline > 1000 {
-			t.Fatalf("followers never joined: %d/%d waiters", w, n)
+			t.Fatalf("followers never joined: %d/%d subscribers", subs, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(proceed)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn executed %d times, want 1", got)
+		t.Fatalf("leader executed %d times, want 1", got)
 	}
 	sharedCount := 0
 	for i := range vals {
@@ -73,49 +82,52 @@ func TestFlightGroupSingleExecution(t *testing.T) {
 }
 
 // TestFlightGroupLastWaiterCancelsLeader verifies that abandoning every
-// waiter cancels the leader's detached context (the shard is freed as
-// soon as nobody wants the result).
+// subscriber of a one-document flight cancels the leader's detached
+// context (the shard is freed as soon as nobody wants the result).
 func TestFlightGroupLastWaiterCancelsLeader(t *testing.T) {
-	g := newFlightGroup()
+	c := newCoalescer()
 	leaderDone := make(chan error, 1)
 	started := make(chan struct{})
+	f, _ := c.attach("k", func(lctx context.Context, _ func([]byte)) ([]byte, error) {
+		close(started)
+		<-lctx.Done() // simulate work that honors cancellation
+		leaderDone <- lctx.Err()
+		return nil, lctx.Err()
+	})
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		_, _, err := g.do(ctx, "k", func(lctx context.Context) ([]byte, error) {
-			close(started)
-			<-lctx.Done() // simulate work that honors cancellation
-			return nil, lctx.Err()
-		})
-		leaderDone <- err
-	}()
 	<-started
 	cancel() // the only caller gives up
+	if err := f.stream(ctx, func([]byte) error { return nil }); err == nil {
+		t.Fatal("expected a context error after abandoning the flight")
+	}
 	select {
 	case err := <-leaderDone:
 		if err == nil {
-			t.Fatal("expected a context error after abandoning the flight")
+			t.Fatal("leader context ended without an error")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("leader context was never canceled")
 	}
 }
 
-// TestFlightGroupSequentialNotShared checks that non-overlapping calls
-// each execute fn (coalescing is in-flight only, not a cache).
+// TestFlightGroupSequentialNotShared checks that non-overlapping
+// requests each execute the leader (coalescing is in-flight only, not a
+// cache).
 func TestFlightGroupSequentialNotShared(t *testing.T) {
-	g := newFlightGroup()
+	c := newCoalescer()
 	var calls atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, shared, err := g.do(context.Background(), "k", func(context.Context) ([]byte, error) {
+		f, started := c.attach("k", func(context.Context, func([]byte)) ([]byte, error) {
 			calls.Add(1)
 			return []byte("x"), nil
 		})
-		if err != nil || shared {
-			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
+		err := f.stream(context.Background(), func([]byte) error { return nil })
+		if err != nil || !started {
+			t.Fatalf("call %d: started=%v err=%v", i, started, err)
 		}
 	}
 	if calls.Load() != 3 {
-		t.Fatalf("fn executed %d times, want 3", calls.Load())
+		t.Fatalf("leader executed %d times, want 3", calls.Load())
 	}
 }
 
@@ -123,14 +135,13 @@ func TestFlightGroupSequentialNotShared(t *testing.T) {
 // mid-flight: it must replay the published prefix and then follow live,
 // seeing the identical full sequence.
 func TestSweepJobReplayAndFollow(t *testing.T) {
-	reg := newSweepRegistry()
+	c := newCoalescer()
 	gate := make(chan struct{})
-	j, started := reg.attach("k", func(ctx context.Context, publish func([]byte)) error {
+	j, started := c.attach("k", func(ctx context.Context, publish func([]byte)) ([]byte, error) {
 		publish([]byte("row0"))
 		publish([]byte("row1"))
 		<-gate
-		publish([]byte("row2"))
-		return nil
+		return []byte("row2"), nil
 	})
 	if !started {
 		t.Fatal("first attach should start the job")
@@ -138,14 +149,14 @@ func TestSweepJobReplayAndFollow(t *testing.T) {
 	// Wait until the first two rows are in.
 	for {
 		j.mu.Lock()
-		n := len(j.rows)
+		n := len(j.docs)
 		j.mu.Unlock()
 		if n == 2 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	j2, started2 := reg.attach("k", nil)
+	j2, started2 := c.attach("k", nil)
 	if started2 || j2 != j {
 		t.Fatal("second attach should coalesce onto the open job")
 	}
@@ -167,13 +178,13 @@ func TestSweepJobReplayAndFollow(t *testing.T) {
 // TestSweepJobLastSubscriberCancelsLeader verifies that the leader's
 // context dies when its only subscriber disconnects mid-stream.
 func TestSweepJobLastSubscriberCancelsLeader(t *testing.T) {
-	reg := newSweepRegistry()
+	c := newCoalescer()
 	canceled := make(chan struct{})
-	j, _ := reg.attach("k", func(ctx context.Context, publish func([]byte)) error {
+	j, _ := c.attach("k", func(ctx context.Context, publish func([]byte)) ([]byte, error) {
 		publish([]byte("row0"))
 		<-ctx.Done()
 		close(canceled)
-		return ctx.Err()
+		return nil, ctx.Err()
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -102,6 +102,45 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		})
 	}
 
+	// A timeout_ms past what a time.Duration holds used to wrap to a
+	// negative, already expired deadline and answer 504 at once.
+	for _, tc := range []struct {
+		name   string
+		method string
+		path   string
+		body   any
+	}{
+		{"simulate timeout_ms 1e13", http.MethodPost, "/v1/simulate",
+			SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e13}},
+		{"simulate timeout_ms 1e300", http.MethodPost, "/v1/simulate",
+			SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e300}},
+		{"refine timeout_ms 1e13", http.MethodPost, "/v1/estimate",
+			EstimateRequest{Set: paperSpec(), HorizonMS: 20, Refine: true, TimeoutMS: 1e13}},
+		{"estimate timeout_ms Inf", http.MethodGet,
+			estimateURL("", map[string]string{"timeout_ms": "Inf", "refine": "true"}), nil},
+		{"sweep timeout_ms 1e13", http.MethodPost, "/v1/sweep",
+			SweepRequest{Lo: 0.3, Hi: 0.4, TimeoutMS: 1e13}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var resp *http.Response
+			if tc.method == http.MethodGet {
+				var err error
+				if resp, err = http.Get(ts.URL + tc.path); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				resp = postJSON(t, ts.URL+tc.path, tc.body)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400: %s", resp.StatusCode, readAll(t, resp))
+			}
+			doc := decodeError(t, resp)
+			if doc.Code != CodeBadRequest || !strings.HasPrefix(doc.Error, "timeout_ms ") {
+				t.Errorf("error %+v does not name timeout_ms with code %q", doc, CodeBadRequest)
+			}
+		})
+	}
+
 	t.Run("bad approach", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "bogus"})
 		if resp.StatusCode != http.StatusBadRequest {

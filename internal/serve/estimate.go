@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/analysis"
 	"repro/internal/estimate"
 )
@@ -47,31 +46,21 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
 	}
-	set, err := req.Set.Set()
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	a, err := repro.ParseApproach(orDefault(req.Approach, "selective"))
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	sc, err := repro.ParseScenario(orDefault(req.Scenario, "none"))
+	run, err := parseRun(SimulateRequest{
+		Set:           req.Set,
+		Approach:      req.Approach,
+		Scenario:      req.Scenario,
+		Seed:          req.Seed,
+		HorizonMS:     req.HorizonMS,
+		TransientRate: req.TransientRate,
+		TimeoutMS:     req.TimeoutMS,
+	})
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
 	if req.Refine {
-		s.serveSimulate(w, r, SimulateRequest{
-			Set:           req.Set,
-			Approach:      req.Approach,
-			Scenario:      req.Scenario,
-			Seed:          req.Seed,
-			HorizonMS:     req.HorizonMS,
-			TransientRate: req.TransientRate,
-			TimeoutMS:     req.TimeoutMS,
-		}, set, a, sc)
+		s.serveSimulate(w, r, run)
 		return
 	}
 	est, err := estimate.New(req.Backend, s.runner)
@@ -91,9 +80,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := s.now()
 	ans, err := est.Estimate(ctx, estimate.Request{
-		Set:           set,
-		Approach:      a,
-		Scenario:      sc,
+		Set:           run.set,
+		Approach:      run.a,
+		Scenario:      run.sc,
 		Seed:          req.Seed,
 		HorizonMS:     req.HorizonMS,
 		TransientRate: req.TransientRate,
@@ -112,10 +101,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, EstimateDoc{
 		Schema:       EstimateSchema,
-		Fingerprint:  analysis.Fingerprint(set),
+		Fingerprint:  analysis.Fingerprint(run.set),
 		Backend:      ans.Backend,
 		Policy:       ans.Policy,
-		Scenario:     sc.String(),
+		Scenario:     run.sc.String(),
 		Seed:         req.Seed,
 		HorizonUS:    int64(ans.Horizon),
 		Schedulable:  ans.Schedulable,

@@ -13,11 +13,9 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
-	"repro/internal/experiment"
 	"repro/internal/serve/wire"
 	"repro/internal/store"
 	"repro/internal/timeu"
-	"repro/internal/workload"
 )
 
 // The request/response documents of every endpoint live in the shared
@@ -188,19 +186,47 @@ func ceilSeconds(d time.Duration) int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-// simulateKey canonicalizes the identity of one simulate request: the
-// set fingerprint (names excluded — they cannot influence the run) plus
-// every config field that can change the result. The same key serves
-// both in-process coalescing (flightGroup) and the persistent store, so
-// the two dedupe layers agree on what "the same request" means.
-func simulateKey(set *repro.Set, a repro.Approach, sc repro.Scenario, req SimulateRequest) string {
+// runRequest is a parsed run request: the /v1/simulate wire request
+// plus its task set, approach and scenario. /v1/estimate parses its
+// mirrored fields into the same shape.
+type runRequest struct {
+	SimulateRequest
+	set *repro.Set
+	a   repro.Approach
+	sc  repro.Scenario
+}
+
+// parseRun is the one parse of a run request, shared by /v1/simulate
+// and /v1/estimate: the set spec, the approach (default selective), the
+// scenario (default none) and the timeout_ms bound, in that order.
+func parseRun(req SimulateRequest) (runRequest, error) {
+	run := runRequest{SimulateRequest: req}
+	var err error
+	if run.set, err = req.Set.Set(); err != nil {
+		return run, err
+	}
+	if run.a, err = repro.ParseApproach(orDefault(req.Approach, "selective")); err != nil {
+		return run, err
+	}
+	if run.sc, err = repro.ParseScenario(orDefault(req.Scenario, "none")); err != nil {
+		return run, err
+	}
+	return run, checkTimeout(req.TimeoutMS)
+}
+
+// key canonicalizes the identity of one run: the set fingerprint (names
+// excluded — they cannot influence the run) plus every config field that
+// can change the result. The same key serves both in-process coalescing
+// and the persistent store, so the two dedupe layers agree on what "the
+// same request" means.
+func (run runRequest) key() string {
 	return store.RunKey(
-		analysis.Fingerprint(set),
-		a.String(),
-		sc.String(),
-		req.Seed,
-		int64(timeu.FromMillis(req.HorizonMS)),
-		req.TransientRate,
+		analysis.Fingerprint(run.set),
+		run.a.String(),
+		run.sc.String(),
+		run.Seed,
+		int64(timeu.FromMillis(run.HorizonMS)),
+		run.TransientRate,
 	)
 }
 
@@ -217,72 +243,57 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
 	}
-	set, err := req.Set.Set()
+	run, err := parseRun(req)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	a, err := repro.ParseApproach(orDefault(req.Approach, "selective"))
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	sc, err := repro.ParseScenario(orDefault(req.Scenario, "none"))
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	s.serveSimulate(w, r, req, set, a, sc)
+	s.serveSimulate(w, r, run)
 }
 
-// serveSimulate is the post-parse core of /v1/simulate — coalesced,
-// admitted, executed and written. /v1/estimate's refine=true path calls
-// it with the translated request, which is what makes a refined estimate
-// byte-identical to the simulation it approximates: both producers run
-// this one function (and share one coalescing flight when concurrent).
-func (s *Server) serveSimulate(w http.ResponseWriter, r *http.Request, req SimulateRequest, set *repro.Set, a repro.Approach, sc repro.Scenario) {
-	ctx, cancel := s.workCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	key := simulateKey(set, a, sc, req)
+// serveSimulate is the post-parse core of /v1/simulate — read through
+// the store, coalesced, admitted, executed and written. /v1/estimate's
+// refine=true path calls it with the translated request, which is what
+// makes a refined estimate byte-identical to the simulation it
+// approximates: both producers run this one function (and share one
+// flight when concurrent).
+func (s *Server) serveSimulate(w http.ResponseWriter, r *http.Request, run runRequest) {
+	key := run.key()
 	// The persistent store is consulted before admission: a hit is the
 	// bytes a live run would produce (the store is keyed on everything
 	// that can change them), served without an execution slot, so a warm
 	// restart absorbs repeat traffic at disk-read cost.
-	if s.cfg.Store != nil {
-		if val, ok := s.cfg.Store.Get(key); ok {
-			s.events.emit(eventStoreHit, key, Tenant(r))
-			w.Header().Set("X-Mkss-Store", "hit")
-			s.writeRaw(w, val)
-			return
-		}
-		s.events.emit(eventStoreMiss, key, Tenant(r))
+	if val, ok := s.storeGet(key, Tenant(r)); ok {
+		w.Header().Set("X-Mkss-Store", "hit")
+		s.writeRaw(w, val)
+		return
 	}
-
-	val, shared, err := s.flights.do(ctx, key, func(lctx context.Context) ([]byte, error) {
+	ctx, cancel := s.workCtx(r, run.TimeoutMS)
+	defer cancel()
+	s.serveFlight(ctx, w, key, func(lctx context.Context, _ func([]byte)) ([]byte, error) {
 		release, err := s.adm.acquire(lctx)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		res, err := s.runner.Simulate(lctx, set, a, repro.RunConfig{
-			HorizonMS:     req.HorizonMS,
-			Scenario:      sc,
-			Seed:          req.Seed,
-			TransientRate: req.TransientRate,
+		res, err := s.runner.Simulate(lctx, run.set, run.a, repro.RunConfig{
+			HorizonMS:     run.HorizonMS,
+			Scenario:      run.sc,
+			Seed:          run.Seed,
+			TransientRate: run.TransientRate,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.recordRun(res)
+		s.recordRuns(1, res.Counters)
 		doc := RunDoc{
 			Schema:       RunSchema,
-			Fingerprint:  analysis.Fingerprint(set),
+			Fingerprint:  analysis.Fingerprint(run.set),
 			Policy:       res.Policy,
-			Scenario:     sc.String(),
-			Seed:         req.Seed,
+			Scenario:     run.sc.String(),
+			Seed:         run.Seed,
 			HorizonUS:    int64(res.Horizon),
-			Schedulable:  s.runner.Analysis(set).Schedulable(),
+			Schedulable:  s.runner.Analysis(run.set).Schedulable(),
 			ActiveEnergy: res.ActiveEnergy(),
 			TotalEnergy:  res.TotalEnergy(),
 			MKSatisfied:  res.MKSatisfied(),
@@ -293,31 +304,47 @@ func (s *Server) serveSimulate(w http.ResponseWriter, r *http.Request, req Simul
 			doc.PermanentAtUS = int64(pf.At)
 			doc.PermanentProc = pf.Proc
 		}
-		data, merr := json.Marshal(doc)
-		if merr != nil {
-			return nil, merr
+		data, err := json.Marshal(doc)
+		if err != nil {
+			return nil, err
 		}
-		// Write-back: the next process lifetime (or the next fleet run)
-		// serves these bytes without simulating. A store failure costs
-		// only future hits, never this response.
-		if s.cfg.Store != nil {
-			if perr := s.cfg.Store.Put(key, data); perr != nil {
-				fmt.Fprintf(s.cfg.Log, "mkservd: store write-back: %v\n", perr)
-			} else {
-				s.events.emit(eventStoreWrite, key, "")
-			}
-		}
+		s.storePut(key, data)
 		return data, nil
+	}, func(doc []byte) error {
+		s.writeRaw(w, doc)
+		return nil
 	})
-	if shared {
+}
+
+// serveFlight attaches a request to the flight for key, starting run as
+// its leader when none is open, and writes the flight's documents
+// through emit. A failure before the first document becomes the HTTP
+// status; after it the client already holds a 200, so the stream ends
+// with an error line instead.
+func (s *Server) serveFlight(ctx context.Context, w http.ResponseWriter, key string,
+	run func(ctx context.Context, publish func([]byte)) ([]byte, error), emit func([]byte) error) {
+	f, started := s.flights.attach(key, run)
+	if !started {
 		s.coalesced.Add(1)
 		w.Header().Set("X-Mkss-Coalesced", "1")
 	}
-	if err != nil {
-		s.fail(w, classifyCtx(err))
+	wrote := false
+	err := f.stream(ctx, func(doc []byte) error {
+		wrote = true
+		return emit(doc)
+	})
+	if err == nil {
 		return
 	}
-	s.writeRaw(w, val)
+	err = classifyCtx(err)
+	if !wrote {
+		s.fail(w, err)
+		return
+	}
+	s.failures.Add(1)
+	if werr := emit(ErrorLine(err)); werr != nil {
+		fmt.Fprintf(s.cfg.Log, "mkservd: stream error line: %v\n", werr)
+	}
 }
 
 // writeRaw writes a prebuilt JSON document plus the trailing newline.
@@ -332,247 +359,6 @@ func (s *Server) writeRaw(w http.ResponseWriter, val []byte) {
 		}
 	} else {
 		fmt.Fprintf(s.cfg.Log, "mkservd: write response: %v\n", err)
-	}
-}
-
-// RowLine builds the "row" stream line for one completed sweep interval.
-// It is the single encoding of a sweep row shared by the streaming
-// /v1/sweep handler and any client that needs to reproduce the stream
-// locally (mkfleet -local): two producers of the same Row marshal to the
-// same bytes because they build the same SweepLine here.
-func RowLine(approaches []repro.Approach, row experiment.Row) SweepLine {
-	line := SweepLine{
-		Type:       "row",
-		UtilLo:     row.Interval.Lo,
-		UtilHi:     row.Interval.Hi,
-		Sets:       len(row.Sets),
-		Candidates: row.Candidates,
-		NormMean:   map[string]float64{},
-		NormCI95:   map[string]float64{},
-		Violations: map[string]int{},
-	}
-	for _, a := range approaches {
-		line.NormMean[a.String()] = row.NormMean[a]
-		line.NormCI95[a.String()] = row.NormCI[a]
-		line.Violations[a.String()] = row.Violations[a]
-	}
-	return line
-}
-
-// MarshalLine encodes a stream line exactly as the sweep handler does
-// (mustLine), for clients reproducing the stream byte for byte.
-func MarshalLine(v SweepLine) []byte { return mustLine(v) }
-
-// sweepUnitKeys derives the persistent-store key of every interval in a
-// sweep request. The key space is shared with the fleet coordinator:
-// interval i of this request is unit (req.IntervalOffset + i) of the
-// logical full-range sweep, so a row computed through either path is a
-// store hit for the other.
-func sweepUnitKeys(sc repro.Scenario, as []repro.Approach, req SweepRequest, intervals []workload.Interval) []string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.String()
-	}
-	keys := make([]string, len(intervals))
-	for i, iv := range intervals {
-		keys[i] = store.SweepUnitKey(sc.String(), req.Seed, req.SetsPerInterval,
-			req.MaxCandidates, iv.Lo, iv.Hi, req.IntervalOffset+i, names)
-	}
-	return keys
-}
-
-// sweepKey canonicalizes the coalescing key of one sweep request.
-func sweepKey(sc repro.Scenario, as []repro.Approach, req SweepRequest) string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.String()
-	}
-	return strings.Join([]string{
-		sc.String(),
-		strconv.FormatUint(req.Seed, 10),
-		strconv.Itoa(req.SetsPerInterval),
-		strconv.Itoa(req.MaxCandidates),
-		strconv.FormatFloat(req.Lo, 'g', -1, 64),
-		strconv.FormatFloat(req.Hi, 'g', -1, 64),
-		strconv.Itoa(req.IntervalOffset),
-		strings.Join(names, ","),
-	}, "|")
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, 0, "POST required")
-		return
-	}
-	if !s.admitRate(w, r) {
-		return
-	}
-	var req SweepRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
-		return
-	}
-	if req.Seed == 0 {
-		req.Seed = 2020
-	}
-	if req.SetsPerInterval <= 0 {
-		req.SetsPerInterval = 3
-	}
-	if req.MaxCandidates <= 0 {
-		req.MaxCandidates = 500
-	}
-	if req.Lo <= 0 {
-		req.Lo = 0.1
-	}
-	if req.Hi <= 0 {
-		req.Hi = 1.0
-	}
-	if req.Hi > 1 {
-		s.reject(w, http.StatusBadRequest, 0, workload.ErrHiAboveOne.Error())
-		return
-	}
-	if req.Hi <= req.Lo {
-		s.reject(w, http.StatusBadRequest, 0, "hi must exceed lo")
-		return
-	}
-	if req.IntervalOffset < 0 {
-		s.reject(w, http.StatusBadRequest, 0, "interval_offset must be non-negative")
-		return
-	}
-	sc, err := repro.ParseScenario(orDefault(req.Scenario, "none"))
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	names := req.Approaches
-	if len(names) == 0 {
-		names = []string{"st", "dp", "selective"}
-	}
-	as := make([]repro.Approach, len(names))
-	for i, n := range names {
-		if as[i], err = repro.ParseApproach(n); err != nil {
-			s.reject(w, http.StatusBadRequest, 0, err.Error())
-			return
-		}
-	}
-	ctx, cancel := s.workCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	intervals := workload.Intervals(req.Lo, req.Hi, 0.1)
-	job, started := s.sweeps.attach(sweepKey(sc, as, req), func(lctx context.Context, publish func([]byte)) error {
-		start := s.now()
-		// Probe the store for every interval up front. Rows that hit are
-		// streamed from disk; a sweep whose every interval hits never
-		// acquires an execution slot at all — a warm re-run of a whole
-		// sweep is pure reads.
-		var keys []string
-		var cached [][]byte
-		allHit := false
-		if s.cfg.Store != nil {
-			keys = sweepUnitKeys(sc, as, req, intervals)
-			cached = make([][]byte, len(intervals))
-			allHit = true
-			for i, k := range keys {
-				if val, ok := s.cfg.Store.Get(k); ok {
-					cached[i] = val
-					s.events.emit(eventStoreHit, k, "")
-				} else {
-					allHit = false
-					s.events.emit(eventStoreMiss, k, "")
-				}
-			}
-		}
-		if !allHit {
-			release, err := s.adm.acquire(lctx)
-			if err != nil {
-				return err
-			}
-			defer release()
-		}
-		publish(mustLine(SweepLine{
-			Type: "start", Schema: SweepSchema, Scenario: sc.String(),
-			Seed: req.Seed, Intervals: len(intervals),
-		}))
-		for i, iv := range intervals {
-			if cached != nil && cached[i] != nil {
-				publish(cached[i])
-				continue
-			}
-			cfg := repro.DefaultSweepConfig(sc)
-			cfg.Seed = req.Seed
-			cfg.SetsPerInterval = req.SetsPerInterval
-			cfg.MaxCandidates = req.MaxCandidates
-			cfg.Approaches = as
-			cfg.Intervals = []workload.Interval{iv}
-			// IntervalOffset keeps the streamed rows bit-identical to a
-			// batch sweep over [lo, hi) with the same seed; the request's
-			// own offset stacks on top so a sharded single-interval
-			// request lands on the right sub-stream.
-			cfg.IntervalOffset = req.IntervalOffset + i
-			cfg.Workers = s.cfg.MaxInFlight
-			rep, err := s.runner.Sweep(lctx, cfg)
-			if err != nil {
-				return err
-			}
-			row := rep.Rows[0]
-			line := RowLine(rep.Approaches, row)
-			s.aggMu.Lock()
-			for _, a := range rep.Approaches {
-				s.agg = s.agg.Add(row.Counters[a])
-			}
-			s.aggRuns += uint64(len(row.Sets) * len(rep.Approaches))
-			s.aggMu.Unlock()
-			raw := mustLine(line)
-			if s.cfg.Store != nil {
-				if perr := s.cfg.Store.Put(keys[i], raw); perr != nil {
-					fmt.Fprintf(s.cfg.Log, "mkservd: store write-back: %v\n", perr)
-				} else {
-					s.events.emit(eventStoreWrite, keys[i], "")
-				}
-			}
-			publish(raw)
-		}
-		publish(mustLine(SweepLine{
-			Type:      "done",
-			Intervals: len(intervals),
-			ElapsedMS: float64(s.now().Sub(start)) / 1e6,
-		}))
-		return nil
-	})
-	if !started {
-		s.coalesced.Add(1)
-		w.Header().Set("X-Mkss-Coalesced", "1")
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	wrote := false
-	emit := func(row []byte) error {
-		// row is shared across coalesced subscribers: never append into it.
-		if _, err := w.Write(row); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		wrote = true
-		return nil
-	}
-	if err := job.stream(ctx, emit); err != nil {
-		err = classifyCtx(err)
-		if !wrote {
-			s.fail(w, err)
-			return
-		}
-		// The stream is already under way: append a terminal error line
-		// instead of a status code the client can no longer see.
-		s.failures.Add(1)
-		if werr := emit(mustLine(SweepLine{Type: "error", Error: err.Error()})); werr != nil {
-			fmt.Fprintf(s.cfg.Log, "mkservd: sweep error line: %v\n", werr)
-		}
 	}
 }
 
@@ -681,14 +467,4 @@ func orDefault(v, def string) string {
 		return def
 	}
 	return v
-}
-
-// mustLine marshals a stream line; the line types contain nothing that
-// can fail to marshal.
-func mustLine(v SweepLine) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

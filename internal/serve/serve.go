@@ -6,10 +6,10 @@
 //     rate, and a bounded job queue with backpressure (429 + Retry-After
 //     when full) keeps simulation work from oversubscribing the host;
 //   - request coalescing: concurrent identical requests — keyed by the
-//     canonical set fingerprint plus the run configuration — share one
-//     computation (singleflight for /v1/simulate, a row broadcaster for
-//     streaming /v1/sweep), so a thundering herd of equal queries costs
-//     one simulation;
+//     store key of their result — share one computation whose documents
+//     every request streams (one for /v1/simulate, the rows of a
+//     /v1/sweep), so a thundering herd of equal queries costs one
+//     simulation;
 //   - per-request deadlines: every request's context, bounded by its
 //     timeout_ms (or the server default), propagates into
 //     SimulateContext/SweepContext, so a disconnecting client frees its
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -100,8 +101,7 @@ type Server struct {
 
 	bucket  *tokenBucket
 	adm     *admission
-	flights *flightGroup
-	sweeps  *sweepRegistry
+	flights *coalescer
 	tenants *tenantLimiter
 	events  *eventLog
 	lat     *latencyRing
@@ -110,10 +110,10 @@ type Server struct {
 	// and /metrics (fed by tenants, which holds a pointer to it).
 	quotaRejections metrics.TenantCounter
 
-	// hardStop is closed when the drain window expires; every in-flight
+	// stop is canceled when the drain window expires; every in-flight
 	// request's work context is canceled through it.
-	hardStop  chan struct{}
-	stopOnce  sync.Once
+	stop      context.Context //mklint:allow ctxflow — server-lifetime drain signal, not a per-call context
+	stopWork  context.CancelFunc
 	draining  atomic.Bool
 	inflight  atomic.Int64
 	queued    atomic.Int64
@@ -160,14 +160,13 @@ func NewServer(cfg Config) *Server {
 		cfg.Now = time.Now // the one sanctioned wall-clock source of the package
 	}
 	s := &Server{
-		cfg:      cfg,
-		runner:   cfg.Runner,
-		now:      cfg.Now,
-		flights:  newFlightGroup(),
-		sweeps:   newSweepRegistry(),
-		lat:      newLatencyRing(512),
-		hardStop: make(chan struct{}),
+		cfg:     cfg,
+		runner:  cfg.Runner,
+		now:     cfg.Now,
+		flights: newCoalescer(),
+		lat:     newLatencyRing(512),
 	}
+	s.stop, s.stopWork = context.WithCancel(context.Background())
 	if cfg.RatePerSec > 0 {
 		s.bucket = newTokenBucket(cfg.RatePerSec, cfg.Burst, cfg.Now)
 	}
@@ -248,7 +247,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 		// The window expired with handlers still running: abort their
 		// work contexts and give them a moment to unwind before closing
 		// the remaining connections outright.
-		s.abortInflight()
+		s.stopWork()
 		fctx, fcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer fcancel()
 		if err := hs.Shutdown(fctx); err != nil {
@@ -265,37 +264,70 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	return nil
 }
 
-// abortInflight cancels every in-flight request's work context, once.
-func (s *Server) abortInflight() {
-	s.stopOnce.Do(func() { close(s.hardStop) })
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds, about
+// 292 years; a larger one would wrap to a negative, already expired
+// deadline.
+const maxTimeoutMS = float64(math.MaxInt64 / int64(time.Millisecond))
+
+// checkTimeout bounds a request's timeout_ms: it must be finite and at
+// most maxTimeoutMS. Zero and negative values mean the server default.
+func checkTimeout(ms float64) error {
+	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms > maxTimeoutMS {
+		return fmt.Errorf("timeout_ms must be finite and at most %v, got %v", maxTimeoutMS, ms)
+	}
+	return nil
 }
 
 // workCtx derives the context one request's simulation work runs under:
-// the client's context, bounded by the request deadline, and canceled
-// early when the drain window expires.
+// the client's context, bounded by the request deadline (checked by
+// checkTimeout), and canceled early when the drain window expires.
 func (s *Server) workCtx(r *http.Request, timeoutMS float64) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS * float64(time.Millisecond))
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-s.hardStop:
-			s.aborted.Add(1)
-			cancel()
-		case <-done:
-		}
-	}()
-	return ctx, func() { close(done); cancel() }
+	unhook := context.AfterFunc(s.stop, func() {
+		s.aborted.Add(1)
+		cancel()
+	})
+	return ctx, func() { unhook(); cancel() }
 }
 
-// recordRun folds one executed simulation's counters into the server
-// aggregate surfaced by /metrics.
-func (s *Server) recordRun(res *repro.Result) {
+// storeGet reads key from the result store, emitting the hit or miss
+// event; without a store every read misses silently.
+func (s *Server) storeGet(key, tenant string) ([]byte, bool) {
+	if s.cfg.Store == nil {
+		return nil, false
+	}
+	if val, ok := s.cfg.Store.Get(key); ok {
+		s.events.emit(eventStoreHit, key, tenant)
+		return val, true
+	}
+	s.events.emit(eventStoreMiss, key, tenant)
+	return nil, false
+}
+
+// storePut writes a computed document back to the result store, so the
+// next process lifetime (or the next fleet run) serves it without
+// simulating. A store failure costs only future hits, never this
+// response.
+func (s *Server) storePut(key string, val []byte) {
+	if s.cfg.Store == nil {
+		return
+	}
+	if err := s.cfg.Store.Put(key, val); err != nil {
+		fmt.Fprintf(s.cfg.Log, "mkservd: store write-back: %v\n", err)
+		return
+	}
+	s.events.emit(eventStoreWrite, key, "")
+}
+
+// recordRuns folds the summed counters of runs executed simulations into
+// the server aggregate surfaced by /metrics.
+func (s *Server) recordRuns(runs int, c metrics.Counters) {
 	s.aggMu.Lock()
-	s.agg = s.agg.Add(res.Counters)
-	s.aggRuns++
+	s.agg = s.agg.Add(c)
+	s.aggRuns += uint64(runs)
 	s.aggMu.Unlock()
 }

@@ -74,6 +74,45 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return data
 }
 
+// waitFlight waits until the server's coalescer holds exactly one open
+// flight and returns it.
+func waitFlight(t *testing.T, s *Server) *flight {
+	t.Helper()
+	for deadline := 0; ; deadline++ {
+		var f *flight
+		s.flights.mu.Lock()
+		for _, open := range s.flights.open {
+			f = open
+		}
+		n := len(s.flights.open)
+		s.flights.mu.Unlock()
+		if n == 1 {
+			return f
+		}
+		if deadline > 5000 {
+			t.Fatal("first request never opened a flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitSubscribers waits until n requests are attached to flight f.
+func waitSubscribers(t *testing.T, f *flight, n int) {
+	t.Helper()
+	for deadline := 0; ; deadline++ {
+		f.mu.Lock()
+		subs := f.subs
+		f.mu.Unlock()
+		if subs == n {
+			return
+		}
+		if deadline > 5000 {
+			t.Fatalf("%d of %d requests joined the flight", subs, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSimulateMatchesLibrary checks that POST /v1/simulate returns the
 // identical numbers the library produces for the paper's Figure 2 run.
 func TestSimulateMatchesLibrary(t *testing.T) {
@@ -175,34 +214,9 @@ func TestSimulateCoalescing(t *testing.T) {
 	go do()
 	// Wait until the first request's flight is open (its leader is parked
 	// on the occupied slot) before firing the second.
-	for deadline := 0; ; deadline++ {
-		s.flights.mu.Lock()
-		open := len(s.flights.calls)
-		s.flights.mu.Unlock()
-		if open == 1 {
-			break
-		}
-		if deadline > 5000 {
-			t.Fatal("first request never opened a flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	f := waitFlight(t, s)
 	go do()
-	for deadline := 0; ; deadline++ {
-		s.flights.mu.Lock()
-		var waiters int
-		for _, c := range s.flights.calls {
-			waiters = c.waiters
-		}
-		s.flights.mu.Unlock()
-		if waiters == 2 {
-			break
-		}
-		if deadline > 5000 {
-			t.Fatal("second request never joined the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribers(t, f, 2)
 	release()
 	a, b := <-results, <-results
 	if a.err != nil || b.err != nil {
@@ -219,6 +233,62 @@ func TestSimulateCoalescing(t *testing.T) {
 	}
 	if got := s.coalesced.Load(); got != 1 {
 		t.Fatalf("coalesced counter = %d, want 1", got)
+	}
+}
+
+// TestSimulateAndRefineShareOneLeader fires /v1/simulate and
+// /v1/estimate?refine=true for one run while the only slot is held:
+// both attach to one flight, so the server runs one simulation, marks
+// one response coalesced, and both bodies are byte-identical.
+func TestSimulateAndRefineShareOneLeader(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8})
+	release, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		body      []byte
+		coalesced bool
+		status    int
+		err       error
+	}
+	results := make(chan result, 2)
+	do := func(path string, body any) {
+		resp, err := post(ts.URL+path, body)
+		if err != nil {
+			results <- result{err: err}
+			return
+		}
+		data, rerr := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); rerr == nil {
+			rerr = cerr
+		}
+		results <- result{data, resp.Header.Get("X-Mkss-Coalesced") != "", resp.StatusCode, rerr}
+	}
+	go do("/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40})
+	f := waitFlight(t, s)
+	go do("/v1/estimate", EstimateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40, Refine: true})
+	waitSubscribers(t, f, 2)
+	release()
+	a, b := <-results, <-results
+	if a.err != nil || b.err != nil {
+		t.Fatalf("request errors: %v / %v", a.err, b.err)
+	}
+	if a.status != http.StatusOK || b.status != http.StatusOK {
+		t.Fatalf("statuses %d/%d: %s %s", a.status, b.status, a.body, b.body)
+	}
+	if !bytes.Equal(a.body, b.body) {
+		t.Fatalf("simulate and refine bodies differ:\n%s\n%s", a.body, b.body)
+	}
+	if a.coalesced == b.coalesced {
+		t.Fatalf("want exactly one coalesced follower, got %v/%v", a.coalesced, b.coalesced)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics := string(readAll(t, resp)); !strings.Contains(metrics, "\nmkss_runs_total 1\n") {
+		t.Fatalf("want one executed run:\n%s", metrics)
 	}
 }
 
@@ -408,6 +478,52 @@ func TestSimulateDeadline(t *testing.T) {
 	}
 }
 
+// TestNonPositiveTimeoutMeansDefault pins that a zero or negative
+// timeout_ms runs under the server default rather than expiring at once.
+func TestNonPositiveTimeoutMeansDefault(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, ms := range []float64{0, -1, -1e300} {
+		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: ms})
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms %v: status %d, want 200: %s", ms, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestSweepDeadlineFreesSlot gives a sweep that would draw candidates
+// for hours a 100 ms budget on a one-slot server with no queue: the
+// stream must end with an error line (a 504 if the deadline beat the
+// start line), and the sweep must give its slot back so a simulate miss
+// right after it is admitted.
+func TestSweepDeadlineFreesSlot(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+		Lo: 0.9, SetsPerInterval: 1e6, MaxCandidates: 1 << 40, TimeoutMS: 100,
+	})
+	if resp.StatusCode == http.StatusGatewayTimeout {
+		readAll(t, resp)
+	} else {
+		lines, err := sweepLines(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(lines); n == 0 || lines[n-1].Type != "error" {
+			t.Fatalf("sweep stream = %+v, want it to end with an error line", lines)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+		body := readAll(t, resp)
+		if resp.StatusCode == http.StatusOK {
+			return
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("simulate after the canceled sweep: status %d: %s", resp.StatusCode, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // sweepLines collects the JSONL lines of one /v1/sweep response
 // (goroutine-safe).
 func sweepLines(resp *http.Response) ([]SweepLine, error) {
@@ -512,37 +628,9 @@ func TestSweepCoalescing(t *testing.T) {
 		results <- result{lines, resp.Header.Get("X-Mkss-Coalesced") != "", err}
 	}
 	go do()
-	for deadline := 0; ; deadline++ {
-		s.sweeps.mu.Lock()
-		open := len(s.sweeps.jobs)
-		s.sweeps.mu.Unlock()
-		if open == 1 {
-			break
-		}
-		if deadline > 5000 {
-			t.Fatal("first sweep never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	f := waitFlight(t, s)
 	go do()
-	var job *sweepJob
-	s.sweeps.mu.Lock()
-	for _, j := range s.sweeps.jobs {
-		job = j
-	}
-	s.sweeps.mu.Unlock()
-	for deadline := 0; ; deadline++ {
-		job.mu.Lock()
-		subs := job.subs
-		job.mu.Unlock()
-		if subs == 2 {
-			break
-		}
-		if deadline > 5000 {
-			t.Fatal("second sweep never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribers(t, f, 2)
 	release()
 	a, b := <-results, <-results
 	if a.err != nil || b.err != nil {

@@ -38,8 +38,11 @@ type SimulateRequest struct {
 	Seed          uint64        `json:"seed,omitempty"`
 	HorizonMS     float64       `json:"horizon_ms,omitempty"`
 	TransientRate float64       `json:"transient_rate,omitempty"`
-	// TimeoutMS caps this request's simulation work; zero uses the server
-	// default. The deadline propagates as a context into the engine.
+	// TimeoutMS caps this request's simulation work; zero or negative
+	// uses the server default. It must be finite and at most
+	// 9223372036854 (the milliseconds a Go time.Duration holds, about 292
+	// years), or the request is a 400 naming timeout_ms. The deadline
+	// propagates as a context into the engine.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 }
 
@@ -84,7 +87,8 @@ type EstimateRequest struct {
 	// parameters (and it consumes an execution slot, unlike the twin).
 	Refine bool `json:"refine,omitempty"`
 	// TimeoutMS caps the request's work; only meaningful with Refine (a
-	// twin answer completes in microseconds).
+	// twin answer completes in microseconds). Bounded as in
+	// SimulateRequest.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 }
 
@@ -129,7 +133,8 @@ type SweepRequest struct {
 	Lo              float64  `json:"lo,omitempty"`
 	Hi              float64  `json:"hi,omitempty"`
 	Approaches      []string `json:"approaches,omitempty"`
-	TimeoutMS       float64  `json:"timeout_ms,omitempty"`
+	// TimeoutMS caps the sweep's work, bounded as in SimulateRequest.
+	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 	// IntervalOffset shifts the per-interval seed derivation (see
 	// experiment.Config.IntervalOffset): a request for the single
 	// interval [lo, lo+0.1) with IntervalOffset i returns the row that
