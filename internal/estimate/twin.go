@@ -275,7 +275,7 @@ func parityResponse(s *repro.Set, i int) timeu.Time {
 			if j%sim.NumProcs != i%sim.NumProcs {
 				continue
 			}
-			next += rta.MandatoryDemand(s.Tasks[j], pattern.RPattern, f)
+			next += rta.MandatoryDemand(s.Tasks[j], f)
 		}
 		if next <= f {
 			return f

@@ -1,127 +1,92 @@
 package rta
 
 import (
-	"repro/internal/pattern"
+	"math"
+	"math/bits"
+
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
 
-// This file provides the *analytical* counterpart to SchedulableRPattern:
-// a pattern-aware response-time analysis in the spirit of Quan & Hu's
-// enhanced fixed-priority (m,k) analysis [13]. Instead of simulating the
-// synchronous mandatory schedule, it bounds each mandatory job's response
-// time with a busy-period fixed point whose interference term counts only
-// the *mandatory* jobs of higher-priority tasks under the static pattern.
-// It is exact for the synchronous release case it analyzes (which is the
-// critical instant per the paper's Theorem 1 shifting argument), and the
-// package tests cross-validate it against the simulation-based test.
+// This file holds the exact Theorem-1 test for the paper's own setting:
+// synchronous releases, the R-pattern of Eq. (1) and Dᵢ ≤ Pᵢ. It is a
+// pattern-aware busy-period fixed point in the spirit of Quan & Hu's
+// enhanced fixed-priority (m,k) analysis [13]. Job 1 of each task is its
+// worst case (hypotheses/h7 has the proof sketch): Eq. (1) makes jobs
+// 1..m of every k-window mandatory, so no L consecutive jobs of τj hold
+// more mandatory jobs than the first L, and no window of length x holds
+// more mandatory demand of τj than MandatoryDemand(τj, x). Every later
+// job of τi therefore completes within job 1's response. The E-pattern
+// lacks that prefix property and offsets break the synchronous bound, so
+// those sets keep the hyperperiod walk.
 
 // MandatoryDemand returns the cumulative WCET of task t's mandatory jobs
-// (per the pattern) released in [0, x) — the pattern-aware request-bound
-// function RBF_t(x).
-func MandatoryDemand(t task.Task, kind pattern.Kind, x timeu.Time) timeu.Time {
+// released in [0, x) under the R-pattern: the pattern-aware
+// request-bound function RBF_t(x). Of the ⌈x/P⌉ releases, every whole
+// k-window holds m mandatory jobs (Eq. (1)) and the partial window
+// min(rem, m). The product saturates at the largest Time instead of
+// wrapping.
+func MandatoryDemand(t task.Task, x timeu.Time) timeu.Time {
 	if x <= t.Offset {
 		return 0
 	}
-	span := x - t.Offset
-	// Whole pattern periods of k jobs contribute m executions each.
-	patternSpan := timeu.Time(t.K) * t.Period
-	whole := span / patternSpan
-	demand := whole * timeu.Time(t.M) * t.WCET
-	// Remaining partial window: count mandatory jobs one by one.
-	rem := span % patternSpan
-	jobs := int(timeu.CeilDiv(rem, t.Period)) // releases in [0, rem)
-	base := int(whole) * t.K
-	for j := 1; j <= jobs; j++ {
-		if pattern.Mandatory(kind, base+j, t.M, t.K) {
-			demand += t.WCET
-		}
-	}
-	return demand
+	jobs := timeu.CeilDiv(x-t.Offset, t.Period)
+	k, m := timeu.Time(t.K), timeu.Time(t.M)
+	return addJobs(0, jobs/k*m+min(jobs%k, m), t.WCET)
 }
 
-// mandatoryHigherDemand sums MandatoryDemand over tasks with priority
-// above level i.
-func mandatoryHigherDemand(s *task.Set, kind pattern.Kind, i int, x timeu.Time) timeu.Time {
-	var d timeu.Time
-	for k := 0; k < i; k++ {
-		d += MandatoryDemand(s.Tasks[k], kind, x)
+// addJobs returns sum + n·c for non-negative operands, saturated at the
+// largest Time instead of wrapping.
+//
+//mklint:hotpath
+func addJobs(sum, n, c timeu.Time) timeu.Time {
+	hi, lo := bits.Mul64(uint64(n), uint64(c))
+	if hi != 0 || lo > uint64(math.MaxInt64-sum) {
+		return math.MaxInt64
 	}
-	return d
+	return sum + timeu.Time(lo)
 }
 
-// MandatoryResponseTime bounds the response time of the j-th job of task
-// i in the synchronous mandatory-only schedule under the static pattern,
-// via the level-i busy-period fixed point
+// criticalInstantFits is SchedulableRPattern's exact test for a
+// synchronous R-pattern set that passed firstJobsFit: every task's first
+// job completes by its deadline. It needs no hyperperiod, cap or
+// allocation.
 //
-//	F = demand_i(jobs 1..j) + Σ_{k<i} RBF_k(F)
-//
-// solved for the completion time F of job j; the response time is
-// F − r_ij. Returns (response, true) on convergence within the deadline
-// horizon, or (last iterate, false) if the job provably misses.
-func MandatoryResponseTime(s *task.Set, kind pattern.Kind, i, j int) (timeu.Time, bool) {
-	t := s.Tasks[i]
-	// Own demand: mandatory jobs of task i among 1..j (job j included).
-	var own timeu.Time
-	for q := 1; q <= j; q++ {
-		if pattern.Mandatory(kind, q, t.M, t.K) {
-			own += t.WCET
-		}
-	}
-	r := t.Release(j)
-	dl := t.AbsDeadline(j)
-	// Fixed point starting at own demand.
-	f := own
-	for {
-		next := own + mandatoryHigherDemand(s, kind, i, f)
-		if next == f {
-			break
-		}
-		if next > dl {
-			return next - r, false
-		}
-		f = next
-	}
-	if f <= r {
-		// Completed before its own release is impossible; the fixed
-		// point counts all earlier jobs, so f > r whenever job j is
-		// mandatory. A non-mandatory query returns trivially.
-		return 0, true
-	}
-	return f - r, f <= dl
-}
-
-// SchedulableRPatternAnalytic is the analytical sufficient-and-exact (for
-// synchronous release) schedulability test: every mandatory job of every
-// task within the level-i (m,k)-hyperperiod meets its deadline, with
-// response times bounded by MandatoryResponseTime. Levels whose
-// hyperperiod saturates cap are checked over [0, cap) only (same caveat
-// as the simulation test).
-//
-// Limitation (documented, matching the busy-period formulation): the
-// analysis assumes the level-i busy period does not extend across idle
-// time in a way the fixed point misses; because the fixed point includes
-// the full demand prefix up to each job, the bound is safe for the
-// deeply-red patterns used here, and the property tests cross-validate it
-// against the simulation test on random workloads.
-func SchedulableRPatternAnalytic(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
-	for i, t := range s.Tasks {
-		horizon := s.MKHyperperiodLevel(i, cap)
-		for j := 1; t.Release(j) < horizon; j++ {
-			if !pattern.Mandatory(kind, j, t.M, t.K) {
-				continue
-			}
-			if _, ok := MandatoryResponseTime(s, kind, i, j); !ok {
-				return false
-			}
+//mklint:hotpath
+func criticalInstantFits(s *task.Set) bool {
+	var prefix timeu.Time
+	for i := range s.Tasks {
+		prefix += s.Tasks[i].WCET // at most Dᵢ: firstJobsFit passed
+		if _, ok := firstJobResponse(s, i, prefix); !ok {
+			return false
 		}
 	}
 	return true
 }
 
-// MKUtilizationBound is the trivial necessary condition: the total
-// mandatory utilization Σ mi·Ci/(ki·Pi) of a feasible set cannot exceed
-// 1 per processor. Useful as a cheap pre-filter before the exact tests.
-func MKUtilizationBound(s *task.Set) bool {
-	return s.MKUtilization() <= 1.0
+// firstJobResponse solves R = Cᵢ + Σ_{j<i} MandatoryDemand(τj, R) for
+// task i's first job, iterating up from start, a lower bound on the least
+// fixed point that is at most Dᵢ. criticalInstantFits starts at
+// C₁+…+Cᵢ: job 1 of every task is mandatory and released at 0, so τi's
+// first job cannot finish sooner. ok is false once an iterate passes Dᵢ;
+// each term is checked against the remaining budget before it is added,
+// so no sum overflows.
+//
+//mklint:hotpath
+func firstJobResponse(s *task.Set, i int, start timeu.Time) (r timeu.Time, ok bool) {
+	t := &s.Tasks[i]
+	for r = start; ; {
+		next := t.WCET
+		for j := 0; j < i; j++ {
+			d := MandatoryDemand(s.Tasks[j], r)
+			if d > t.Deadline-next {
+				return 0, false
+			}
+			next += d
+		}
+		if next == r {
+			return r, true
+		}
+		r = next
+	}
 }

@@ -9,11 +9,10 @@ import (
 // Profile summarizes the synchronous mandatory-only FP schedule over one
 // (m,k)-hyperperiod — the Theorem-1 schedule — in the aggregate terms
 // the analytical twin's closed-form energy model consumes. It is the
-// recording counterpart of the boolean SchedulableRPattern filter:
-// the same walk over the same stream, but it keeps what the filter
-// discards (busy time, idle-gap lengths, per-task job counts and
-// response times) and never exits early, so an unschedulable set still
-// yields a complete profile with Schedulable=false.
+// recording mode of the walk behind SchedulableRPattern: it keeps what
+// the filter discards (busy time, idle-gap lengths, per-task job counts
+// and response times) and never exits early, so an unschedulable set
+// still yields a complete profile with Schedulable=false.
 type Profile struct {
 	// Horizon is the profiled window: the (m,k)-hyperperiod, saturated
 	// at the cap passed to MandatoryProfile.
@@ -38,7 +37,8 @@ type Profile struct {
 	// used by the θ/Yi overlap terms.
 	MaxResponse []timeu.Time
 	// Schedulable reports whether every mandatory job met its deadline —
-	// identical to SchedulableRPattern over the same horizon.
+	// SchedulableRPattern's verdict whenever the cap is at least every
+	// deadline.
 	Schedulable bool
 }
 

@@ -71,7 +71,7 @@ func TestMandatoryProfileMatchesFilter(t *testing.T) {
 		}
 		var demand, count timeu.Time
 		for i, t := range s.Tasks {
-			demand += MandatoryDemand(t, pattern.RPattern, prof.Horizon)
+			demand += MandatoryDemand(t, prof.Horizon)
 			count += timeu.Time(prof.Count[i]) * t.WCET
 		}
 		if prof.Busy != demand || count != demand {

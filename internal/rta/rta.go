@@ -2,13 +2,15 @@
 // derived quantities the paper needs: the worst-case response time Ri of
 // each task, the dual-priority promotion time Yi = Di − Ri (Eq. (2)), and
 // schedulability tests — the classic exact RTA test over full periodic
-// interference, plus an R-pattern-aware test that simulates the
-// synchronous mandatory-only schedule over the (m,k)-hyperperiod (the
-// premise of Theorem 1).
+// interference, plus Theorem 1's premise that the mandatory jobs are
+// schedulable: one first-job fixed point per task for synchronous
+// R-pattern sets (mkrta.go), else a walk of the mandatory-only schedule
+// over the (m,k)-hyperperiod, which also profiles it for the twin.
 package rta
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/pattern"
 	"repro/internal/task"
@@ -35,20 +37,21 @@ func (e *ErrUnschedulable) Error() string {
 //
 // The fixed-point iteration R = Ci + Σ_{j<i} ⌈R/Pj⌉·Cj starts from Ci and
 // stops when it converges or exceeds the deadline, in which case an
-// *ErrUnschedulable is returned.
+// *ErrUnschedulable is returned. The sum saturates at the largest Time
+// instead of wrapping, and a saturated iterate is past every deadline.
 func ResponseTime(s *task.Set, i int) (timeu.Time, error) {
 	t := s.Tasks[i]
 	r := t.WCET
-	for iter := 0; ; iter++ {
+	for {
 		next := t.WCET
 		for j := 0; j < i; j++ {
-			hp := s.Tasks[j]
-			next += timeu.CeilDiv(r, hp.Period) * hp.WCET
+			hp := &s.Tasks[j]
+			next = addJobs(next, timeu.CeilDiv(r, hp.Period), hp.WCET)
 		}
 		if next == r {
 			return r, nil
 		}
-		if next > t.Deadline {
+		if next > t.Deadline || next == math.MaxInt64 {
 			return next, &ErrUnschedulable{TaskID: i, Detail: fmt.Sprintf("response time exceeds deadline %v", t.Deadline)}
 		}
 		r = next
@@ -227,14 +230,17 @@ func (it *mandIter) next() (jb job, ok bool) {
 // on one processor: at every instant the released job of highest
 // priority (lowest task index, then earliest job) runs until it completes
 // or the next release preempts it. It is the one loop behind the
-// candidate filter, the twin's mandatory profile and the postponed-backup
-// check.
+// candidate filter for E-pattern and offset sets, the twin's mandatory
+// profile and the postponed-backup check.
 //
 // With rec == nil the walk is the filter: it reports false at the first
-// job that completes late, or that cannot finish by its deadline even
-// with the processor to itself. With a record it runs to the end, filling
-// in idle gaps, job counts, busy time, worst responses and misses, and
-// reports whether no job missed.
+// job that completes late, that cannot finish by its deadline even with
+// the processor to itself, or that is still queued when its task releases
+// again (Dᵢ ≤ Pᵢ puts its deadline at or before that release), so an
+// overload stops at its first backlog instead of queueing jobs until the
+// horizon. With a record it runs to the end, filling in idle gaps, job
+// counts, busy time, worst responses and misses, and reports whether no
+// job missed.
 //
 //mklint:hotpath
 func (it *mandIter) walk(rec *record) bool {
@@ -255,20 +261,24 @@ func (it *mandIter) walk(rec *record) bool {
 				rec.Count[pend.taskID]++
 				rec.Busy += pend.left
 			}
-			ready = enqueue(ready, pend)
+			var backlog bool
+			if ready, backlog = enqueue(ready, pend); backlog && rec == nil {
+				return false
+			}
 			pend, havePend = it.next()
 		}
 		// Run the head until it completes or the next release, whichever
-		// comes first.
+		// comes first. The clock saturates at the largest Time instead of
+		// wrapping: a job that would complete past it misses anyway.
 		cur := &ready[0]
-		until := now + cur.left
-		if havePend && pend.release < until {
-			until = pend.release
+		run := cur.left
+		if havePend && pend.release-now < run {
+			run = pend.release - now
 		}
-		cur.left -= until - now
-		now = until
+		cur.left -= run
+		now = min(now, math.MaxInt64-run) + run
 		if cur.left > 0 {
-			if rec == nil && now+cur.left > cur.deadline {
+			if rec == nil && cur.left > cur.deadline-now {
 				return false
 			}
 			continue
@@ -300,11 +310,12 @@ func (it *mandIter) walk(rec *record) bool {
 }
 
 // enqueue inserts jb into ready behind every job of equal or higher
-// priority. A task's jobs arrive in index order, so equal task indices
-// stay in job order.
+// priority and reports whether an earlier job of jb's task is still
+// queued. A task's jobs arrive in index order, so equal task indices stay
+// in job order.
 //
 //mklint:hotpath
-func enqueue(ready []job, jb job) []job {
+func enqueue(ready []job, jb job) ([]job, bool) {
 	pos := len(ready)
 	for pos > 0 && ready[pos-1].taskID > jb.taskID {
 		pos--
@@ -312,28 +323,31 @@ func enqueue(ready []job, jb job) []job {
 	ready = append(ready, job{})
 	copy(ready[pos+1:], ready[pos:])
 	ready[pos] = jb
-	return ready
+	return ready, pos > 0 && ready[pos-1].taskID == jb.taskID
 }
 
 // SchedulableRPattern reports whether the mandatory jobs under the static
-// pattern, released synchronously at time 0, all meet their deadlines
-// under preemptive FP scheduling — the schedulability premise of
-// Theorem 1. It walks the mandatory-only schedule over the
-// (m,k)-hyperperiod (saturating at cap) and stops at the first miss. The
-// synchronous release is the critical instant for the shifted argument in
-// the paper's proof, so a pass here certifies the (m,k)-deadlines under
-// Algorithm 1.
+// pattern, released at their offsets (synchronously at 0 in the paper's
+// model), all meet their deadlines under preemptive FP scheduling — the
+// schedulability premise of Theorem 1, so a pass certifies the
+// (m,k)-deadlines under Algorithm 1.
 //
-// When the hyperperiod saturates at cap the test is still meaningful (it
-// checked every job in [0,cap)) but no longer exact; callers choosing a
-// generous cap (many times max ki·Pi) get a high-confidence filter, and
-// the workload generator additionally requires SchedulableRTA for a safe
-// sufficient condition.
-//
-// A cheap necessary test runs first (firstJobsFit), so most rejects never
-// compute the hyperperiod or walk.
+// firstJobsFit runs first for every set, so most rejects cost O(n). A
+// synchronous R-pattern set is then decided exactly by
+// criticalInstantFits, one first-job fixed point per task. The E-pattern
+// and sets with non-zero offsets walk the mandatory-only schedule over
+// the (m,k)-hyperperiod, saturated at cap, and stop at the first miss. A
+// saturated walk checks every job released in [0, cap) but is no longer
+// exact. The two agree whenever cap is at least every deadline. A cap ≤ 0
+// or an empty set reports false.
 func SchedulableRPattern(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
-	return firstJobsFit(s) && walkFilter(s, kind, cap)
+	if cap <= 0 || len(s.Tasks) == 0 || !firstJobsFit(s) {
+		return false
+	}
+	if kind == pattern.RPattern && synchronous(s) {
+		return criticalInstantFits(s)
+	}
+	return walkFilter(s, kind, cap)
 }
 
 // firstJobsFit is the filter's O(n), allocation-free necessary test.
@@ -341,6 +355,7 @@ func SchedulableRPattern(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
 // the R- and the E-pattern and released at 0, so task i's first job
 // cannot complete before C₁+…+Cᵢ: a sum above Dᵢ means the walk would
 // reject too. The sum stops at the first task with a non-zero offset.
+// Each WCET is checked against the remaining budget, so it cannot wrap.
 //
 //mklint:hotpath
 func firstJobsFit(s *task.Set) bool {
@@ -350,16 +365,28 @@ func firstJobsFit(s *task.Set) bool {
 		if t.Offset != 0 {
 			return true
 		}
+		if t.WCET > t.Deadline-demand {
+			return false
+		}
 		demand += t.WCET
-		if demand > t.Deadline {
+	}
+	return true
+}
+
+// synchronous reports whether every task releases its first job at 0.
+//
+//mklint:hotpath
+func synchronous(s *task.Set) bool {
+	for i := range s.Tasks {
+		if s.Tasks[i].Offset != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// walkFilter is the exact part of SchedulableRPattern: the filter walk
-// over the (m,k)-hyperperiod saturated at cap.
+// walkFilter is SchedulableRPattern's walk for the E-pattern and for
+// offsets: the filter walk over the (m,k)-hyperperiod saturated at cap.
 func walkFilter(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
 	horizon := s.MKHyperperiod(cap)
 	if horizon <= 0 {

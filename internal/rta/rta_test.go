@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/pattern"
 	"repro/internal/task"
@@ -68,6 +69,50 @@ func TestResponseTimeUnschedulable(t *testing.T) {
 	}
 	if SchedulableRTA(s) {
 		t.Error("SchedulableRTA must be false")
+	}
+}
+
+// TestOverflowSetUnschedulable: two tasks with P = D = 4.8e15 ms and
+// C = 4.7e15 ms pass validation. τ2 cannot finish before 9.4e15 ms > D₂,
+// but C₁ + C₂ passes the largest Time. Wrapped sums would make
+// ResponseTime's fixed point oscillate forever (hanging /v1/analyze) and
+// let the filter and the profile accept the set.
+func TestOverflowSetUnschedulable(t *testing.T) {
+	tk := task.New(0, 4.8e15, 4.8e15, 4.7e15, 1, 2)
+	s := task.NewSet(tk, tk)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ResponseTime(s, 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ue *ErrUnschedulable
+		if !errors.As(err, &ue) || ue.TaskID != 1 {
+			t.Errorf("ResponseTime(s, 1) error = %v, want *ErrUnschedulable for task 1", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ResponseTime(s, 1) did not return within 10 s")
+	}
+	const cap = 10 * timeu.Second
+	if SchedulableRPattern(s, pattern.RPattern, cap) {
+		t.Error("filter accepts the set")
+	}
+	if MandatoryProfile(s, pattern.RPattern, cap).Schedulable {
+		t.Error("profile accepts the set")
+	}
+	// Past the prefilter, neither the walk's clock nor the fixed point
+	// may wrap either.
+	for _, kind := range []pattern.Kind{pattern.RPattern, pattern.EPattern} {
+		if walkFilter(s, kind, cap) {
+			t.Errorf("%v walk accepts the set", kind)
+		}
+	}
+	if _, ok := firstJobResponse(s, 1, tk.WCET); ok {
+		t.Error("first-job fixed point accepts the set")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/pattern"
 	"repro/internal/postpone"
@@ -215,19 +216,23 @@ func TestWalkMatchesReference(t *testing.T) {
 }
 
 // TestFilterAllocsIndependentOfHyperperiod: the filter's allocations
-// must not grow with the number of jobs it walks. The second set repeats
-// the first's load over a 10x longer (m,k)-hyperperiod. The third passes
-// the first-job test (1 + 2 ≤ 3) and misses a later job: under the
-// E-pattern τ2's third job, released at 6 ms, meets τ1's jobs at 6 and
-// 8 ms and is still running at its 9 ms deadline, so the walk rejects it
-// and must allocate exactly as often as an accepting walk. The fourth
-// fails the first-job test (8 + 8 > 10) and is rejected before the walk,
-// without allocating.
+// must not grow with the number of jobs it could walk. Synchronous
+// R-pattern sets go to the first-job fixed point and allocate nothing,
+// accepted or rejected: short and long (short's load over a 10x longer
+// (m,k)-hyperperiod) pass, first fails the first-job sum (8 + 8 > 10),
+// and overload passes that sum (3 + 5 ≤ 10) but not the fixed point
+// (τ1's job at 5 ms pushes τ2's first job to 11 ms). The E-pattern still
+// walks: the walk over long allocates exactly as often as over short, and
+// late passes the first-job sum (1 + 2 ≤ 3) and misses a later job —
+// τ2's third job, released at 6 ms, meets τ1's jobs at 6 and 8 ms and is
+// still running at its 9 ms deadline — so its rejecting walk allocates
+// exactly as often as an accepting one.
 func TestFilterAllocsIndependentOfHyperperiod(t *testing.T) {
 	short := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
 	long := task.NewSet(task.New(0, 5, 4, 3, 20, 40), task.New(1, 10, 10, 3, 10, 20))
-	late := task.NewSet(task.New(0, 2, 2, 1, 3, 4), task.New(1, 3, 3, 2, 1, 2))
 	first := task.NewSet(task.New(0, 10, 10, 8, 1, 2), task.New(1, 10, 10, 8, 1, 2))
+	overload := task.NewSet(task.New(0, 5, 5, 3, 1, 1), task.New(1, 10, 10, 5, 1, 1))
+	late := task.NewSet(task.New(0, 2, 2, 1, 3, 4), task.New(1, 3, 3, 2, 1, 2))
 	const cap = 10 * timeu.Second
 	if h, l := short.MKHyperperiod(cap), long.MKHyperperiod(cap); l < 10*h {
 		t.Fatalf("hyperperiods %v and %v: premise broken", h, l)
@@ -235,21 +240,53 @@ func TestFilterAllocsIndependentOfHyperperiod(t *testing.T) {
 	if m := rta.PostponedMisses(late, pattern.EPattern, late.MKHyperperiod(cap), make([]timeu.Time, 2)); len(m) == 0 || m[0].Index < 2 {
 		t.Fatalf("misses %+v: want the first miss on a later job", m)
 	}
+	if !rta.FirstJobsFit(overload) {
+		t.Fatal("overload fails the first-job sum: premise broken")
+	}
 	allocs := func(s *task.Set, kind pattern.Kind, want bool) float64 {
 		if rta.SchedulableRPattern(s, kind, cap) != want {
 			t.Fatalf("set %v: want schedulable=%v", s, want)
 		}
 		return testing.AllocsPerRun(50, func() { rta.SchedulableRPattern(s, kind, cap) })
 	}
-	base := allocs(short, pattern.RPattern, true)
-	if got := allocs(long, pattern.RPattern, true); got != base {
-		t.Errorf("accepting walk over the 10x hyperperiod allocates %v times, over the short one %v", got, base)
+	for name, c := range map[string]struct {
+		s    *task.Set
+		want bool
+	}{
+		"short": {short, true}, "long": {long, true}, "first": {first, false}, "overload": {overload, false},
+	} {
+		if got := allocs(c.s, pattern.RPattern, c.want); got != 0 {
+			t.Errorf("R-pattern %s (schedulable=%v) allocates %v times, want 0", name, c.want, got)
+		}
+	}
+	base := allocs(short, pattern.EPattern, true)
+	if got := allocs(long, pattern.EPattern, true); got != base {
+		t.Errorf("E-pattern walk over the 10x hyperperiod allocates %v times, over the short one %v", got, base)
 	}
 	if got := allocs(late, pattern.EPattern, false); got != base {
-		t.Errorf("rejecting walk allocates %v times, accepting walk %v", got, base)
+		t.Errorf("rejecting E-pattern walk allocates %v times, accepting walk %v", got, base)
 	}
-	if got := allocs(first, pattern.RPattern, false); got != 0 {
-		t.Errorf("first-job reject allocates %v times, want 0", got)
+}
+
+// TestWalkStopsAtFirstBacklog pins an overload FuzzCriticalInstantMatchesWalk
+// found. τ1 keeps the processor busy (C = P = 2 µs), so τ2's first job
+// never runs. A filter walk that queued every later τ2 release until the
+// 10 s horizon would scan that queue on each of τ1's 5 million releases
+// and run for minutes. It must reject at τ2's second release, under
+// either pattern.
+func TestWalkStopsAtFirstBacklog(t *testing.T) {
+	s := task.NewSet(task.New(0, 0.002, 0.002, 0.002, 4, 4), task.New(1, 0.26, 0.24, 0.08, 16, 20))
+	for _, kind := range []pattern.Kind{pattern.RPattern, pattern.EPattern} {
+		done := make(chan bool, 1)
+		go func() { done <- rta.WalkFilter(s, kind, 10*timeu.Second) }()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Errorf("%v: walk accepts an overloaded set", kind)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: walk did not return within 10 s", kind)
+		}
 	}
 }
 

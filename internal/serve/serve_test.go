@@ -356,6 +356,36 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOverflowSet: two tasks with P = 4.8e15 ms and C = 4.7e15 ms
+// pass SetSpec.Set(), but C₁ + C₂ passes the largest Time, and wrapped
+// sums would spin ResponseTime's fixed point forever. The request must
+// answer 200 within the client's deadline: τ2 cannot finish by its
+// deadline, so its RTA does not converge and the mandatory jobs are not
+// schedulable.
+func TestAnalyzeOverflowSet(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"tasks":[{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2},{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2}]}`
+	client := &http.Client{Timeout: 20 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var doc AnalyzeDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Schedulable {
+		t.Error("r_pattern_schedulable = true, want false")
+	}
+	if len(doc.Tasks) != 2 || doc.Tasks[1].RTAConverged {
+		t.Errorf("tasks %+v: want τ2 with rta_converged false", doc.Tasks)
+	}
+}
+
 // TestHealthzAndDrainGate checks the liveness document and the drain
 // gate: once draining, /healthz flips to 503/draining and the work
 // endpoints refuse new submissions.

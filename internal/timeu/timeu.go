@@ -156,7 +156,8 @@ func LCMAll(vs []Time, cap Time) Time {
 }
 
 // CeilDiv returns ⌈a / b⌉ for positive b, the workhorse of response-time
-// analysis interference terms.
+// analysis interference terms. It never overflows: a + b − 1 would wrap
+// once a and b together pass the largest Time.
 func CeilDiv(a, b Time) Time {
 	if b <= 0 {
 		panic("timeu: CeilDiv by non-positive divisor")
@@ -164,5 +165,9 @@ func CeilDiv(a, b Time) Time {
 	if a <= 0 {
 		return 0
 	}
-	return (a + b - 1) / b
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
 }

@@ -128,6 +128,10 @@ func TestCeilDiv(t *testing.T) {
 		{6, 5, 2},
 		{10, 5, 2},
 		{11, 5, 3},
+		// a + b − 1 would wrap: 4.7e18 + 4.8e18 passes the largest Time.
+		{4_700_000_000_000_000_000, 4_800_000_000_000_000_000, 1},
+		{math.MaxInt64, math.MaxInt64, 1},
+		{math.MaxInt64, 2, math.MaxInt64/2 + 1},
 	}
 	for _, c := range cases {
 		if got := CeilDiv(c.a, c.b); got != c.want {

@@ -3,7 +3,7 @@
 # green local run means a green CI run.
 #
 #   scripts/ci.sh            # everything
-#   scripts/ci.sh -fast      # skip the race detector and bench smoke
+#   scripts/ci.sh -fast      # skip the race detector, fuzzing and bench smoke
 #
 # Steps: gofmt -s, go vet, go build, mklint (the project's own static
 # analysis, see cmd/mklint; its ratcheted depdag findings double as the
@@ -12,8 +12,10 @@
 # (Figures 1-5 vs results/golden/, the full Figure-6 sweep vs
 # results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
 # k-sequence sweep diffed byte-for-byte against
-# results/golden/fig7_ksweep.csv), bench smoke (one iteration of every
-# benchmark + a reduced mkbench sweep emitting BENCH_ci.json), the perf
+# results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
+# schedulability test against the hyperperiod walk, bench smoke (one
+# iteration of every benchmark + a reduced mkbench sweep emitting
+# BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
 # BenchmarkSimulateSweep* wall clock, >40% fails, both vs the committed
 # results/bench_baseline.txt at count=6, then a reduced mkbench sweep
@@ -99,6 +101,9 @@ if ! diff -u results/golden/fig7_ksweep.csv "$tmp/fig7_ksweep.csv"; then
 fi
 
 if [ "$fast" = 0 ]; then
+  step "fuzz (first-job test vs the walk, 15 s)"
+  go test -run '^$' -fuzz '^FuzzCriticalInstantMatchesWalk$' -fuzztime 15s ./internal/rta
+
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
   go run ./cmd/mkbench -fig 6a -sets 3 -candidates 800 -q -json -jsonout "$tmp/BENCH_ci.json"

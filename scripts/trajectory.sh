@@ -3,6 +3,9 @@
 # mkss-bench/v1 document and append a one-line summary record to the perf
 # trajectory log (results/bench_trajectory.jsonl in CI), so the sweep
 # wall clock is queryable across PRs with nothing fancier than grep/jq.
+# Records are comparable only at one frozen config, so any document not
+# made by `mkbench -fig 6a -sets 4 -candidates 1200` (no-fault) is
+# refused.
 set -euo pipefail
 
 doc=$1
@@ -19,6 +22,11 @@ if doc.get("schema") != "mkss-bench/v1":
     sys.exit(f"trajectory: {sys.argv[1]} schema {doc.get('schema')!r}, want mkss-bench/v1")
 if not doc.get("rows"):
     sys.exit(f"trajectory: {sys.argv[1]} has no rows — refusing to log an empty sweep")
+frozen = {"figure": "6a", "scenario": "no-fault", "sets_per_interval": 4, "max_candidates": 1200}
+for field, want in frozen.items():
+    if doc.get(field) != want:
+        sys.exit(f"trajectory: {sys.argv[1]} has {field} {doc.get(field)!r}, want {want!r} — "
+                 "only `mkbench -fig 6a -sets 4 -candidates 1200` records are comparable")
 
 try:
     commit = subprocess.run(
