@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -80,15 +81,18 @@ func reducedFig6(sc Scenario) SweepConfig {
 	return cfg
 }
 
-// benchFig6 runs the sweep cfg per iteration and reports the series the
-// paper plots: per-approach normalized energy (averaged over the sweep)
-// and the maximal selective-over-DP reduction.
+// benchFig6 runs the sweep cfg per iteration, each on a fresh session so
+// that every iteration pays for the whole one-shot sweep — generation,
+// analyses and engine runs — instead of hitting the interval memo and
+// analysis cache the previous iteration filled. It reports the series
+// the paper plots: per-approach normalized energy (averaged over the
+// sweep) and the maximal selective-over-DP reduction.
 func benchFig6(b *testing.B, cfg SweepConfig) {
 	b.Helper()
 	var rep *Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = Sweep(cfg)
+		rep, err = NewRunner(RunnerConfig{}).Sweep(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,25 +125,49 @@ func BenchmarkFig6aNoFault(b *testing.B) { benchFig6(b, reducedFig6(NoFault)) }
 // BenchmarkSimulate* name prefix so scripts/benchgate.sh gates its ns/op
 // against results/bench_baseline.txt (generous margin — shared runners
 // are noisy; the gate exists to catch order-of-magnitude engine
-// regressions that allocs/op cannot see). The optimization history behind
-// the current baseline is ledgered under hypotheses/.
+// regressions that allocs/op cannot see). Each iteration is a one-shot
+// sweep on a fresh session. The optimization history behind the current
+// baseline is ledgered under hypotheses/.
 func BenchmarkSimulateSweepFig6a(b *testing.B) {
 	b.ReportAllocs()
 	benchFig6(b, reducedFig6(NoFault))
 }
 
-// BenchmarkSimulateSweepFig6Reject gates the rejecting side of the sweep
-// that BenchmarkSimulateSweepFig6a never reaches: the paper's settings
-// (20 sets, 5000 candidates, seed 2020) over [0.7, 1.0), seeded as
-// intervals 7–9 of the full sweep, so its rows are the 2/0/0-set rows of
-// results/fig6a.csv. Nearly all of its time is candidate generation and
-// the R-pattern filter.
-func BenchmarkSimulateSweepFig6Reject(b *testing.B) {
-	b.ReportAllocs()
-	cfg := DefaultSweepConfig(NoFault)
+// fig6Reject is the rejecting side of the sweep that
+// BenchmarkSimulateSweepFig6a never reaches: the paper's settings (20
+// sets, 5000 candidates, seed 2020) over [0.7, 1.0), seeded as intervals
+// 7–9 of the full sweep, so its no-fault rows are the 2/0/0-set rows of
+// results/fig6a.csv.
+func fig6Reject(sc Scenario) SweepConfig {
+	cfg := DefaultSweepConfig(sc)
 	cfg.Intervals = cfg.Intervals[6:]
 	cfg.IntervalOffset = 6
-	benchFig6(b, cfg)
+	return cfg
+}
+
+// BenchmarkSimulateSweepFig6Reject gates generation: each iteration runs
+// fig6Reject once on a fresh session, and nearly all of its time is
+// candidate generation and the R-pattern filter.
+func BenchmarkSimulateSweepFig6Reject(b *testing.B) {
+	b.ReportAllocs()
+	benchFig6(b, fig6Reject(NoFault))
+}
+
+// BenchmarkSimulateSweepScenarios gates the session's interval memo: each
+// iteration runs fig6Reject under no-fault, permanent and
+// permanent+transient on one fresh session, as `mkbench -fig all` does.
+// Only the first scenario draws its intervals; if the memo stopped
+// hitting, ns/op would roughly triple.
+func BenchmarkSimulateSweepScenarios(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewRunner(RunnerConfig{})
+		for _, sc := range []Scenario{NoFault, PermanentOnly, PermanentAndTransient} {
+			if _, err := r.Sweep(context.Background(), fig6Reject(sc)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkFig6bPermanent — Figure 6(b): one permanent fault.

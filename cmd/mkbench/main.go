@@ -49,15 +49,17 @@ func main() {
 		loU        = flag.Float64("lo", 0.1, "lowest utilization bound")
 		hiU        = flag.Float64("hi", 1.0, "highest utilization bound")
 		quiet      = flag.Bool("q", false, "suppress per-interval progress")
-		noCache    = flag.Bool("nocache", false, "disable the offline-analysis cache (benchmarking the cache itself)")
+		noCache    = flag.Bool("nocache", false, "disable the offline-analysis cache and the interval memo (benchmarking the caches themselves)")
 		cacheStats = flag.Bool("cachestats", false, "print analysis-cache hit/miss statistics after each figure")
 	)
 	flag.Parse()
 
-	// One session for all figures: the same seed regenerates identical
-	// task sets per figure, so the second and third sweeps hit the
-	// offline-analysis cache instead of re-deriving everything. SIGINT or
-	// SIGTERM cancels gracefully, printing the partial table.
+	// One session for all figures: the figures evaluate one population of
+	// task sets, so the second and third sweeps take each interval's sets
+	// from the session's interval memo instead of drawing them again, and
+	// their analyses from the offline-analysis cache instead of
+	// re-deriving them. -nocache turns both off. SIGINT or SIGTERM cancels
+	// gracefully, printing the partial table.
 	runner := repro.NewRunner(repro.RunnerConfig{CacheEntries: cacheCap(*noCache)})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,14 +1,18 @@
 // Tests for the concurrent session behavior the serving layer builds
-// on: single cache admission under a thundering herd, and the stdin
-// entry point of LoadSetFile shared by mkservd, mksim and mkload.
+// on: single cache admission under a thundering herd, concurrent sweeps
+// sharing one session's interval memo, and the stdin entry point of
+// LoadSetFile shared by mkservd, mksim and mkload.
 package repro
 
 import (
 	"context"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestAnalysisCacheSingleAdmission races 64 goroutines, each with its
@@ -100,5 +104,60 @@ func TestLoadSetFileStdin(t *testing.T) {
 		if s.Tasks[i] != want.Tasks[i] {
 			t.Errorf("task %d = %+v, want %+v", i, s.Tasks[i], want.Tasks[i])
 		}
+	}
+}
+
+// TestRunnerConcurrentMixedSweeps races sweeps of all three fault
+// scenarios over one population through one Runner. Concurrent misses on
+// one interval may both draw; every report must still equal a fresh
+// session's sweep of its scenario.
+func TestRunnerConcurrentMixedSweeps(t *testing.T) {
+	const seed = 11
+	ctx := context.Background()
+	scenarios := []Scenario{NoFault, PermanentOnly, PermanentAndTransient}
+	cfg := func(sc Scenario) SweepConfig {
+		c := DefaultSweepConfig(sc)
+		c.Seed = seed
+		c.SetsPerInterval = 2
+		c.MaxCandidates = 300
+		c.Intervals = workload.Intervals(0.3, 0.6, 0.1)
+		c.Workers = 2
+		return c
+	}
+	want := map[Scenario]*Report{}
+	for _, sc := range scenarios {
+		rep, err := NewRunner(RunnerConfig{}).Sweep(ctx, cfg(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sc] = rep
+	}
+	r := NewRunner(RunnerConfig{})
+	const n = 12
+	var (
+		wg   sync.WaitGroup
+		reps [n]*Report
+		errs [n]error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = r.Sweep(ctx, cfg(scenarios[i%len(scenarios)]))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		sc := scenarios[i%len(scenarios)]
+		if errs[i] != nil {
+			t.Fatalf("sweep %d (%v): %v", i, sc, errs[i])
+		}
+		if !reflect.DeepEqual(reps[i].Rows, want[sc].Rows) {
+			t.Errorf("seed %d sweep %d (%v): report differs from a fresh session's", seed, i, sc)
+		}
+	}
+	hits, misses := r.memo.Counts()
+	if intervals := uint64(len(cfg(NoFault).Intervals)); hits+misses != n*intervals || misses < intervals {
+		t.Errorf("seed %d: %d hits, %d misses over %d interval lookups", seed, hits, misses, n*intervals)
 	}
 }

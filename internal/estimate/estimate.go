@@ -62,7 +62,7 @@ type Answer struct {
 	Horizon timeu.Time
 	// Schedulable is the Theorem-1 R-pattern verdict — exact for both
 	// backends (the twin computes the same memoized test the simulation
-	// reports).
+	// reports, and answers only sets that pass it).
 	Schedulable bool
 	// ActiveEnergy and TotalEnergy estimate the run's energy figures.
 	ActiveEnergy float64

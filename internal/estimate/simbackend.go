@@ -19,9 +19,6 @@ type SimBackend struct {
 	runner *repro.Runner
 }
 
-// NewSim builds the empirical backend around a session.
-func NewSim(r *repro.Runner) *SimBackend { return &SimBackend{runner: r} }
-
 func (b *SimBackend) Name() string { return "sim" }
 func (b *SimBackend) Exact() bool  { return true }
 

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"context"
+	"errors"
 	"strings"
 
 	"repro"
@@ -78,10 +79,20 @@ func defaultPower() repro.PowerModel { return sim.DefaultPower() }
 //
 // The schedulability and (m,k) verdicts are not estimates: they are the
 // memoized Theorem-1 test itself, identical to what a simulation run's
-// document reports.
+// document reports. The twin answers only sets that pass it and refuses
+// the rest with errUnschedulable, which serving maps to a 422.
 type Twin struct {
 	runner *repro.Runner
 }
+
+// errUnschedulable refuses a twin estimate of a set whose mandatory jobs
+// fail the Theorem-1 test. The closed forms model a schedule without
+// backlog, and the profile walk beneath them runs to the end of the
+// hyperperiod: on an unschedulable set a backlog can grow without bound,
+// and every job the walk queues copies it. A schedulable set never
+// backlogs, because Di ≤ Pi makes a backlog a miss, so the walk stays
+// linear behind the check.
+var errUnschedulable = errors.New("estimate: mandatory jobs are not schedulable under the static pattern, and the twin models only sets that are; refine with the simulator")
 
 // NewTwin builds the twin around a session.
 func NewTwin(r *repro.Runner) *Twin { return &Twin{runner: r} }
@@ -113,6 +124,9 @@ func (t *Twin) Estimate(_ context.Context, req Request) (*Answer, error) {
 		return nil, err
 	}
 	prods := t.runner.Analysis(s)
+	if !prods.Schedulable() {
+		return nil, errUnschedulable
+	}
 	prof := prods.MandatoryProfile()
 	power := req.power()
 	H := req.horizon()

@@ -73,6 +73,10 @@ type Config struct {
 	// ScratchPool, when non-nil, recycles engine working state between
 	// runs; nil means a sweep-private pool.
 	ScratchPool *sim.ScratchPool
+	// IntervalMemo, when non-nil, keeps generated intervals across
+	// sweeps, so an interval whose generation inputs already ran is not
+	// drawn again; nil means no reuse. A Runner session shares one.
+	IntervalMemo *IntervalMemo
 }
 
 // DefaultConfig returns the paper's Figure 6 setup for a scenario.
@@ -92,6 +96,8 @@ func DefaultConfig(sc fault.Scenario) Config {
 
 // SetResult is one task set's outcome across approaches.
 type SetResult struct {
+	// Set is read-only: the session's interval memo and analysis cache
+	// share it with every sweep that draws the same interval.
 	Set     *task.Set
 	Horizon timeu.Time
 	// Active[a] is the absolute active energy of approach a; Norm[a] is
@@ -140,9 +146,10 @@ func Run(cfg Config) (*Report, error) {
 // RunContext executes the sweep, sharding whole intervals across the
 // worker budget: each interval generates its task sets and fans the
 // per-set simulations out over a semaphore shared by every interval, so
-// the sweep keeps all workers busy across interval boundaries. Per-set
-// offline analyses are memoized in cfg.Cache and derived once per set,
-// not once per approach.
+// the sweep keeps all workers busy across interval boundaries. An
+// interval already kept in cfg.IntervalMemo is not drawn again and takes
+// no worker slot. Per-set offline analyses are memoized in cfg.Cache and
+// derived once per set, not once per approach.
 //
 // On cancellation RunContext returns the partial Report — the intervals
 // that completed, in interval order — together with a non-nil error
@@ -216,12 +223,18 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			if ctx.Err() != nil {
 				return
 			}
-			sem <- struct{}{}
-			gen := workload.NewGenerator(cfg.Workload, stats.DeriveSeed(cfg.Seed, uint64(cfg.IntervalOffset+ivIdx)))
-			batch, err := generate(ctx, gen, iv, cfg.SetsPerInterval, cfg.MaxCandidates)
-			<-sem
-			if err != nil {
-				return // canceled: a cut-short interval never becomes a row
+			key := intervalKey(cfg.Workload, stats.DeriveSeed(cfg.Seed, uint64(cfg.IntervalOffset+ivIdx)),
+				iv, cfg.SetsPerInterval, cfg.MaxCandidates)
+			batch, ok := cfg.IntervalMemo.get(key)
+			if !ok {
+				sem <- struct{}{}
+				var err error
+				batch, err = generate(ctx, workload.NewGenerator(cfg.Workload, key.seed), iv, cfg.SetsPerInterval, cfg.MaxCandidates)
+				<-sem
+				if err != nil {
+					return // canceled: a cut-short interval never becomes a row or a memo entry
+				}
+				cfg.IntervalMemo.put(key, batch)
 			}
 			row := Row{
 				Interval:   iv,

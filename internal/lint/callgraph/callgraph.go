@@ -17,7 +17,6 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -332,7 +331,3 @@ func (g *Graph) Reach(roots []*Node) *ReachResult {
 	}
 	return res
 }
-
-// SitePos returns the position of the call site an edge was discovered
-// through — a convenience for diagnostics.
-func (e *Edge) SitePos() token.Pos { return e.Site.Pos() }

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
+
+	"repro"
 )
 
 // estimateURL builds the GET form of an estimate query.
@@ -231,6 +235,48 @@ func TestEstimateTwinUnsupportedDBP(t *testing.T) {
 	}))
 	if !doc.Exact || doc.Policy != "MKSS-DBP" {
 		t.Errorf("sim backend for dbp: %+v", doc)
+	}
+}
+
+// A set whose mandatory jobs backlog is refused with a structured 422
+// before the twin's profile walk, which would copy the growing backlog
+// on every job it queues (hours for this body at the default cap). The
+// client deadline turns a regression into a failure, not a silent
+// stall; refine=true still simulates the set.
+func TestEstimateUnschedulableRefusedPromptly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	backlog := repro.SetSpec{Tasks: []repro.TaskSpec{
+		{PeriodMS: 0.002, WCETMS: 0.002, M: 1, K: 1},
+		{PeriodMS: 0.003, WCETMS: 0.001, M: 1, K: 1},
+		{PeriodMS: 999.983, WCETMS: 0.001, M: 1, K: 2},
+	}}
+	body, err := json.Marshal(EstimateRequest{Set: backlog, Approach: "selective", TimeoutMS: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &http.Client{Timeout: 10 * time.Second}
+	resp, err := cl.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("twin estimate of a backlogging set: %v", err)
+	}
+	got := readAll(t, resp)
+	var doc ErrorDoc
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%s)", resp.StatusCode, got)
+	}
+	if err := json.Unmarshal(got, &doc); err != nil || doc.Code != CodeUnprocessable || doc.Error == "" {
+		t.Errorf("error doc %s (err %v), want code %q", got, err, CodeUnprocessable)
+	}
+
+	refined := postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+		Set: backlog, Approach: "st", HorizonMS: 10, Refine: true,
+	})
+	var run RunDoc
+	if err := json.Unmarshal(readAll(t, refined), &run); err != nil || refined.StatusCode != http.StatusOK {
+		t.Fatalf("refine=true: status %d, err %v", refined.StatusCode, err)
+	}
+	if run.Schema != RunSchema || run.Schedulable {
+		t.Errorf("refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, RunSchema)
 	}
 }
 

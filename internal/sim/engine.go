@@ -286,9 +286,6 @@ func (e *Engine) Set() *task.Set { return e.set }
 // Horizon returns the configured horizon.
 func (e *Engine) Horizon() timeu.Time { return e.cfg.Horizon }
 
-// ProcDead reports whether processor p has suffered the permanent fault.
-func (e *Engine) ProcDead(p int) bool { return e.procs[p].dead }
-
 // Survivor returns the index of a live processor (the survivor after a
 // permanent fault; Primary when both are alive).
 func (e *Engine) Survivor() int {

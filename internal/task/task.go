@@ -106,9 +106,6 @@ func (t Task) MKUtilization() float64 {
 	return float64(t.M) * float64(t.WCET) / (float64(t.K) * float64(t.Period))
 }
 
-// IsHard reports whether the task tolerates no misses at all (m == k).
-func (t Task) IsHard() bool { return t.M == t.K }
-
 // Release returns the release time of the j-th job (j counting from 1, as
 // in the paper's J_ij notation).
 func (t Task) Release(j int) timeu.Time {

@@ -17,28 +17,34 @@ type CacheStats = analysis.CacheStats
 
 // RunnerConfig tunes a Runner. The zero value is the recommended setup.
 type RunnerConfig struct {
-	// CacheEntries bounds the offline-analysis LRU: 0 means the default
-	// capacity (analysis.DefaultCacheEntries); a negative value disables
-	// memoization entirely (every run re-derives its analyses — the
-	// pre-Runner behavior, useful for benchmarking the cache itself).
-	// The disabled cache is passed down to Sweep too, so a -nocache
-	// session is uncached end to end.
+	// CacheEntries bounds the offline-analysis LRU, and the total sets
+	// the interval memo keeps: 0 means the default capacity
+	// (analysis.DefaultCacheEntries); a negative value disables
+	// memoization entirely (every run re-derives its analyses and every
+	// sweep redraws its intervals — the pre-Runner behavior, useful for
+	// benchmarking the caches themselves). Both disabled caches are
+	// passed down to Sweep, so a -nocache session is uncached end to end.
 	CacheEntries int
 }
 
 // Runner is a reusable simulation session: it memoizes per-set offline
 // analyses (R-pattern tables, RTA response/promotion times, θ intervals)
-// in a size-bounded LRU and recycles engine working state through a
-// scratch pool, so batches of Simulate calls and whole Sweeps avoid
-// re-deriving analyses and re-allocating queues run after run.
+// in a size-bounded LRU, keeps the task sets of recently generated sweep
+// intervals in a bounded memo, and recycles engine working state through
+// a scratch pool. Batches of Simulate calls and whole Sweeps thus avoid
+// re-deriving analyses and re-allocating queues run after run, and
+// sweeps of one population under several fault scenarios (Figure 6a, 6b
+// and 6c) draw each interval once.
 //
 // A Runner is safe for concurrent use; results are bit-for-bit identical
 // to the free-function path (the caches only skip recomputation of pure
-// functions of the task set). The zero-configured NewRunner is what the
-// package-level Simulate/Sweep wrappers use.
+// functions of the task set or of the interval's generation inputs). The
+// zero-configured NewRunner is what the package-level Simulate/Sweep
+// wrappers use.
 type Runner struct {
 	cache *analysis.Cache // in passthrough mode when memoization is disabled
 	pool  *sim.ScratchPool
+	memo  *experiment.IntervalMemo // keeps nothing when memoization is disabled
 }
 
 // NewRunner builds a session with the given configuration.
@@ -46,6 +52,7 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return &Runner{
 		cache: analysis.NewCache(cfg.CacheEntries),
 		pool:  sim.NewScratchPool(),
+		memo:  experiment.NewIntervalMemo(cfg.CacheEntries),
 	}
 }
 
@@ -65,15 +72,19 @@ func (r *Runner) Simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig
 	return simulate(ctx, s, a, cfg, prods, scr)
 }
 
-// Sweep runs a utilization sweep through the session's cache and scratch
-// pool. On cancellation it returns the partial Report (completed
-// intervals, in order) together with an error wrapping ctx.Err().
+// Sweep runs a utilization sweep through the session's cache, interval
+// memo and scratch pool. On cancellation it returns the partial Report
+// (completed intervals, in order) together with an error wrapping
+// ctx.Err().
 func (r *Runner) Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 	if cfg.Cache == nil {
 		cfg.Cache = r.cache
 	}
 	if cfg.ScratchPool == nil {
 		cfg.ScratchPool = r.pool
+	}
+	if cfg.IntervalMemo == nil {
+		cfg.IntervalMemo = r.memo
 	}
 	return experiment.RunContext(ctx, cfg)
 }

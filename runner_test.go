@@ -259,3 +259,76 @@ func BenchmarkSweepReducedFig6a(b *testing.B) {
 		}
 	})
 }
+
+// TestSessionFiguresMatchFreshSessions runs Figures 6a, 6b and 6c over
+// the full range on one session. Each report must equal a fresh
+// session's, and the interval memo must serve 6b and 6c without drawing
+// a single candidate.
+func TestSessionFiguresMatchFreshSessions(t *testing.T) {
+	const seed = 2020
+	ctx := context.Background()
+	session := NewRunner(RunnerConfig{})
+	for fig, sc := range []Scenario{NoFault, PermanentOnly, PermanentAndTransient} {
+		cfg := DefaultSweepConfig(sc)
+		cfg.Seed = seed
+		cfg.SetsPerInterval = 3
+		cfg.MaxCandidates = 600
+		got, err := session.Sweep(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewRunner(RunnerConfig{}).Sweep(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("seed %d %v: the session's report differs from a fresh session's", seed, sc)
+		}
+		n := uint64(len(cfg.Intervals))
+		if hits, misses := session.memo.Counts(); hits != uint64(fig)*n || misses != n {
+			t.Errorf("seed %d after %v: %d memo hits, %d misses; want %d and %d", seed, sc, hits, misses, uint64(fig)*n, n)
+		}
+	}
+}
+
+// TestBenchmarkCycleDrawsOnce names the property the Fig-6 benchmark
+// workloads gain from: a cycle runs each interval as a one-interval
+// sweep under no-fault, permanent and permanent+transient on one
+// session, so only the first scenario's units draw — 5 intervals of 15
+// units on fig6-accept, 3 of 9 on fig6-reject. CacheEntries < 0 turns
+// the memo off, and then every unit draws.
+func TestBenchmarkCycleDrawsOnce(t *testing.T) {
+	const seed = 2020
+	all := workload.Intervals(0.1, 1.0, 0.1)
+	cases := []struct {
+		name        string
+		first, last int
+		entries     int
+		draws       uint64
+	}{
+		{"fig6-accept", 0, 5, 0, 5},
+		{"fig6-reject", 6, 9, 0, 3},
+		{"fig6-reject uncached", 6, 9, -1, 9},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner(RunnerConfig{CacheEntries: c.entries})
+			for _, sc := range []Scenario{NoFault, PermanentOnly, PermanentAndTransient} {
+				for off := c.first; off < c.last; off++ {
+					cfg := DefaultSweepConfig(sc)
+					cfg.Seed = seed
+					cfg.Intervals = all[off : off+1]
+					cfg.IntervalOffset = off
+					cfg.Workers = 1
+					if _, err := r.Sweep(context.Background(), cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			units := uint64(3 * (c.last - c.first))
+			if hits, misses := r.memo.Counts(); misses != c.draws || hits != units-c.draws {
+				t.Errorf("seed %d: %d of %d units drew (%d hits), want %d", seed, misses, units, hits, c.draws)
+			}
+		})
+	}
+}

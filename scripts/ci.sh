@@ -9,8 +9,8 @@
 # analysis, see cmd/mklint; its ratcheted depdag findings double as the
 # policy-layering gate), go test, the benchmark module (go vet + go test
 # in _perfbench/, which ./... skips), go test -race, golden-figure diff
-# (Figures 1-5 vs results/golden/, the full Figure-6 sweep vs
-# results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
+# (Figures 1-5 vs results/golden/, the full Figure-6 sweep, memoized and
+# with -nocache, vs results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
 # k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, bench smoke (one
@@ -82,13 +82,16 @@ for fig in 1 2 3 4 5; do
 done
 [ "$status" = 0 ]
 
-step "golden Figure-6 CSVs (full sweep vs results/fig6{a,b,c}.csv)"
-go run ./cmd/mkbench -fig all -q -csv "$tmp"
-for fig in 6a 6b 6c; do
-  if ! diff -u "results/fig$fig.csv" "$tmp/fig$fig.csv"; then
-    echo "figure $fig CSV regressed (regenerate only if the change is intended)" >&2
-    status=1
-  fi
+step "golden Figure-6 CSVs (full sweep, memoized and -nocache, vs results/fig6{a,b,c}.csv)"
+go run ./cmd/mkbench -fig all -q -csv "$tmp/cached"
+go run ./cmd/mkbench -fig all -nocache -q -csv "$tmp/nocache"
+for mode in cached nocache; do
+  for fig in 6a 6b 6c; do
+    if ! diff -u "results/fig$fig.csv" "$tmp/$mode/fig$fig.csv"; then
+      echo "figure $fig CSV regressed ($mode; regenerate only if the change is intended)" >&2
+      status=1
+    fi
+  done
 done
 [ "$status" = 0 ]
 
