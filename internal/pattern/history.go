@@ -38,7 +38,10 @@ func (h *History) K() int { return h.k }
 // Record appends one job outcome (true = effective).
 func (h *History) Record(effective bool) {
 	h.ring[h.head] = effective
-	h.head = (h.head + 1) % h.k
+	h.head++
+	if h.head == h.k {
+		h.head = 0
+	}
 	h.recorded++
 }
 
@@ -77,10 +80,19 @@ func (h *History) outcome(pos int) bool {
 // outcomes retains the current effective outcomes shifted x positions
 // older; the constraint survives iff the m-th most recent effective
 // outcome is still inside the window, i.e. l_m + x <= k.
+//
+// The walk runs backwards through the ring from head and wraps with a
+// compare: it runs at every dynamic-policy release, where a modulo per
+// window position showed in profiles.
 func (h *History) FlexibilityDegree() int {
 	seen := 0
+	idx := h.head
 	for pos := 1; pos <= h.k; pos++ {
-		if h.outcome(pos) {
+		if idx == 0 {
+			idx = h.k
+		}
+		idx--
+		if h.ring[idx] {
 			seen++
 			if seen == h.m {
 				return h.k - pos

@@ -52,7 +52,9 @@ type Policy interface {
 	// Release is called at each job release instant r_ij, in priority
 	// order. The policy classifies the job and calls e.Admit for every
 	// copy it wants scheduled (or e.SettleSkip to skip an optional job).
-	Release(e *Engine, t task.Task, index int)
+	// t points into the engine's task set and is read-only: the pointer
+	// spares a copy of the task per release, not a license to mutate it.
+	Release(e *Engine, t *task.Task, index int)
 	// Less orders two eligible job copies competing for the same
 	// processor; true means a runs before b.
 	Less(now timeu.Time, a, b *task.Job) bool
@@ -198,7 +200,11 @@ type Engine struct {
 	counters Counters
 	sink     metrics.Sink
 	permHit  *fault.Permanent
-	events   int
+	// permAt caches the pending permanent fault's instant so the per-event
+	// checks compare one field instead of following cfg.Faults: it is
+	// timeu.Infinity when the plan has no permanent fault or once it fired.
+	permAt timeu.Time
+	events int
 
 	// checkNext, when non-nil, is called with every nextEventTime result
 	// before the engine advances. Tests use it to cross-check the wheel
@@ -236,7 +242,9 @@ func New(set *task.Set, policy Policy, cfg Config) (*Engine, error) {
 	scr.prepare(set.N())
 	scr.wheel.sizeFor(set)
 	for i := range set.Tasks {
-		if r := set.Tasks[i].Release(1); r < scr.minRel {
+		r := set.Tasks[i].Release(1)
+		scr.nextRel[i] = r
+		if r < scr.minRel {
 			scr.minRel = r
 		}
 	}
@@ -261,7 +269,7 @@ func New(set *task.Set, policy Policy, cfg Config) (*Engine, error) {
 // so batch runs reuse job records.
 //
 //mklint:hotpath
-func (e *Engine) NewJob(t task.Task, index int, class task.Class) *task.Job {
+func (e *Engine) NewJob(t *task.Task, index int, class task.Class) *task.Job {
 	j := e.scr.jobs.get()
 	task.InitJob(j, t, index, class)
 	return j
@@ -271,7 +279,7 @@ func (e *Engine) NewJob(t task.Task, index int, class task.Class) *task.Job {
 // scratch arena, postponed by theta (Eq. 3).
 //
 //mklint:hotpath
-func (e *Engine) NewBackup(t task.Task, index int, theta timeu.Time) *task.Job {
+func (e *Engine) NewBackup(t *task.Task, index int, theta timeu.Time) *task.Job {
 	j := e.scr.jobs.get()
 	task.InitBackup(j, t, index, theta)
 	return j
@@ -455,6 +463,12 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if err := e.policy.Init(e); err != nil {
 		return nil, fmt.Errorf("sim: policy init: %w", err)
 	}
+	// Read the fault plan here, not in New: the plan is part of the
+	// configuration until the run starts.
+	e.permAt = timeu.Infinity
+	if pf := e.cfg.Faults.Permanent; pf != nil {
+		e.permAt = pf.At
+	}
 	done := ctx.Done()
 	if done != nil {
 		// Short runs can finish inside one check stride; a context that
@@ -507,19 +521,25 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // The scan is guarded by the cached minimum next release: between release
 // instants it costs one comparison. One firing drains every task
 // releasing at this instant (in priority order — same-instant batching),
-// then re-arms the wheel with the single next release instant.
+// then re-arms the wheel with the single next release instant. The
+// per-task release calendar (nextRel, kept equal to Release(nextIdx))
+// makes the drain a comparison per task and an addition per release.
 //
 //mklint:hotpath
 func (e *Engine) processReleases() {
 	if e.scr.minRel != e.now {
 		return
 	}
-	idx := e.scr.nextIdx
+	idx, rel := e.scr.nextIdx, e.scr.nextRel
+	tasks := e.set.Tasks
 	minRel := timeu.Infinity
-	for i := range e.set.Tasks {
-		t := e.set.Tasks[i]
-		for t.Release(idx[i]) == e.now && t.Release(idx[i]) < e.cfg.Horizon {
-			if t.AbsDeadline(idx[i]) <= e.cfg.Horizon {
+	for i := range tasks {
+		// The loop only runs while now < Horizon, so a task due now is
+		// released before the horizon; periods are positive, so it is due
+		// at most once per instant.
+		if rel[i] == e.now {
+			t := &tasks[i]
+			if rel[i]+t.Deadline <= e.cfg.Horizon {
 				e.counters.Released++
 				if e.sink != nil {
 					e.sink.Emit(metrics.Event{T: e.now, Kind: metrics.EvRelease, Proc: -1, TaskID: i, Index: idx[i], Copy: metrics.CopyNone})
@@ -527,10 +547,9 @@ func (e *Engine) processReleases() {
 				e.policy.Release(e, t, idx[i])
 			}
 			idx[i]++
+			rel[i] += t.Period
 		}
-		if r := t.Release(idx[i]); r < minRel {
-			minRel = r
-		}
+		minRel = min(minRel, rel[i])
 	}
 	e.scr.minRel = minRel
 	if minRel < e.cfg.Horizon {
@@ -709,10 +728,11 @@ func (e *Engine) processDeadlines() {
 
 // processPermanentFault kills the faulted processor when its time comes.
 func (e *Engine) processPermanentFault() {
-	pf := e.cfg.Faults.Permanent
-	if pf == nil || e.permHit != nil || pf.At > e.now {
+	if e.permAt > e.now {
 		return
 	}
+	pf := e.cfg.Faults.Permanent
+	e.permAt = timeu.Infinity
 	e.permHit = pf
 	e.counters.PermanentFaults++
 	e.emitProc(metrics.EvPermanentFault, pf.Proc)
@@ -851,8 +871,8 @@ func (e *Engine) nextEventTime() (timeu.Time, error) {
 			}
 		}
 	}
-	if pf := e.cfg.Faults.Permanent; pf != nil && e.permHit == nil && pf.At > e.now && pf.At < next {
-		next = pf.At
+	if e.permAt > e.now && e.permAt < next {
+		next = e.permAt
 	}
 	if next <= e.now && e.now < e.cfg.Horizon {
 		//mklint:allow hotpath — stall diagnostic on a should-never-happen error path

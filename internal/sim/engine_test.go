@@ -33,12 +33,12 @@ func (p *fpPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 func (p *fpPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
 func (p *fpPolicy) OnPermanentFault(e *Engine, dead int)                   { p.deadProcs[dead] = true }
 
-func (p *fpPolicy) Release(e *Engine, t task.Task, index int) {
+func (p *fpPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.skipEvery > 0 && t.ID == 0 && index%p.skipEvery == 0 {
 		e.SettleSkip(t.ID, index)
 		return
 	}
-	main := task.NewJob(t, index, task.Mandatory)
+	main := task.NewJob(*t, index, task.Mandatory)
 	if p.single || p.deadProcs[Primary] || p.deadProcs[Spare] {
 		e.Admit(main, e.Survivor())
 		return
@@ -48,7 +48,7 @@ func (p *fpPolicy) Release(e *Engine, t task.Task, index int) {
 	if p.theta != nil {
 		th = p.theta[t.ID]
 	}
-	e.Admit(task.NewBackup(t, index, th), Spare)
+	e.Admit(task.NewBackup(*t, index, th), Spare)
 }
 
 func oneTask() *task.Set { return task.NewSet(task.New(0, 10, 10, 3, 1, 2)) }
@@ -491,10 +491,10 @@ func (p *splitPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 }
 func (p *splitPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
 func (p *splitPolicy) OnPermanentFault(e *Engine, dead int)                   {}
-func (p *splitPolicy) Release(e *Engine, t task.Task, index int) {
-	e.Admit(task.NewJob(t, index, task.Mandatory), Primary)
+func (p *splitPolicy) Release(e *Engine, t *task.Task, index int) {
+	e.Admit(task.NewJob(*t, index, task.Mandatory), Primary)
 	if t.ID == 1 {
-		e.Admit(task.NewBackup(t, index, 0), Spare)
+		e.Admit(task.NewBackup(*t, index, 0), Spare)
 	}
 }
 
@@ -543,9 +543,9 @@ func (p *stubbornPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 }
 func (p *stubbornPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
 func (p *stubbornPolicy) OnPermanentFault(e *Engine, dead int)                   {}
-func (p *stubbornPolicy) Release(e *Engine, t task.Task, index int) {
-	e.Admit(task.NewJob(t, index, task.Mandatory), Primary)
-	e.Admit(task.NewBackup(t, index, 0), Spare)
+func (p *stubbornPolicy) Release(e *Engine, t *task.Task, index int) {
+	e.Admit(task.NewJob(*t, index, task.Mandatory), Primary)
+	e.Admit(task.NewBackup(*t, index, 0), Spare)
 }
 
 func TestSurvivor(t *testing.T) {

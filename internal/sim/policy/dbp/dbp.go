@@ -86,7 +86,7 @@ func (p *dbpPolicy) Init(e *sim.Engine) error {
 	return nil
 }
 
-func (p *dbpPolicy) Release(e *sim.Engine, t task.Task, index int) {
+func (p *dbpPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 	dist := p.hist[t.ID].FlexibilityDegree() + 1
 	if p.onClassify != nil {
 		p.onClassify(t.ID, index, dist)
@@ -105,7 +105,7 @@ func (p *dbpPolicy) Release(e *sim.Engine, t task.Task, index int) {
 		e.Admit(backup, sim.Spare)
 		return
 	}
-	if policy.StaticMandatory(p.opts, t, index) {
+	if policy.StaticMandatory(&p.opts, t, index) {
 		e.Counters().Demotions++
 	}
 	e.Counters().OptionalSelected++

@@ -64,7 +64,7 @@ func (p *greedyPolicy) Init(e *sim.Engine) error {
 	return nil
 }
 
-func (p *greedyPolicy) Release(e *sim.Engine, t task.Task, index int) {
+func (p *greedyPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 	fd := p.hist[t.ID].FlexibilityDegree()
 	if fd == 0 {
 		e.Counters().MandatoryJobs++
@@ -77,7 +77,7 @@ func (p *greedyPolicy) Release(e *sim.Engine, t task.Task, index int) {
 		e.Admit(e.NewBackup(t, index, p.ys[t.ID]), sim.Spare)
 		return
 	}
-	if policy.StaticMandatory(p.opts, t, index) {
+	if policy.StaticMandatory(&p.opts, t, index) {
 		e.Counters().Demotions++
 	}
 	e.Counters().OptionalSelected++

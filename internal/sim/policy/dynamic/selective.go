@@ -77,7 +77,7 @@ func (p *selectivePolicy) theta(taskID int) timeu.Time {
 	return p.an.Theta[taskID]
 }
 
-func (p *selectivePolicy) Release(e *sim.Engine, t task.Task, index int) {
+func (p *selectivePolicy) Release(e *sim.Engine, t *task.Task, index int) {
 	fd := p.hist[t.ID].FlexibilityDegree()
 	switch {
 	case fd == 0:
@@ -90,7 +90,7 @@ func (p *selectivePolicy) Release(e *sim.Engine, t task.Task, index int) {
 		e.Admit(main, sim.Primary)
 		e.Admit(e.NewBackup(t, index, p.theta(t.ID)), sim.Spare)
 	case fd <= p.opts.FDThreshold:
-		if policy.StaticMandatory(p.opts, t, index) {
+		if policy.StaticMandatory(&p.opts, t, index) {
 			e.Counters().Demotions++
 		}
 		e.Counters().OptionalSelected++
@@ -103,7 +103,7 @@ func (p *selectivePolicy) Release(e *sim.Engine, t task.Task, index int) {
 		p.alt[t.ID]++
 		e.Admit(j, proc)
 	default:
-		if policy.StaticMandatory(p.opts, t, index) {
+		if policy.StaticMandatory(&p.opts, t, index) {
 			e.Counters().Demotions++
 		}
 		e.SettleSkip(t.ID, index)

@@ -126,8 +126,9 @@ func Histories(s *task.Set) []*pattern.History {
 
 // StaticMandatory applies the static pattern classification shared by the
 // ST and DP baselines, via the memoized table when offline products are
-// attached.
-func StaticMandatory(opts Options, t task.Task, index int) bool {
+// attached. Both arguments are read through pointers so the per-release
+// call copies neither the options nor the task.
+func StaticMandatory(opts *Options, t *task.Task, index int) bool {
 	if opts.Offline != nil {
 		return opts.Offline.Mandatory(t.ID, index)
 	}

@@ -14,7 +14,7 @@ type fakePolicy struct{ name string }
 
 func (p *fakePolicy) Name() string                                        { return p.name }
 func (p *fakePolicy) Init(e *sim.Engine) error                            { return nil }
-func (p *fakePolicy) Release(e *sim.Engine, t task.Task, index int)       {}
+func (p *fakePolicy) Release(e *sim.Engine, t *task.Task, index int)      {}
 func (p *fakePolicy) Less(now timeu.Time, a, b *task.Job) bool            { return false }
 func (p *fakePolicy) Runnable(now timeu.Time, j *task.Job) bool           { return true }
 func (p *fakePolicy) OnSettled(e *sim.Engine, taskID, index int, ok bool) {}

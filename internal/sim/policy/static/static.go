@@ -47,8 +47,8 @@ func (p *stPolicy) Name() string { return NameST }
 
 func (p *stPolicy) Init(e *sim.Engine) error { return nil }
 
-func (p *stPolicy) Release(e *sim.Engine, t task.Task, index int) {
-	if !policy.StaticMandatory(p.opts, t, index) {
+func (p *stPolicy) Release(e *sim.Engine, t *task.Task, index int) {
+	if !policy.StaticMandatory(&p.opts, t, index) {
 		e.SettleSkip(t.ID, index)
 		return
 	}
@@ -109,8 +109,8 @@ func (p *dpPolicy) Init(e *sim.Engine) error {
 // alternating assignment).
 func (p *dpPolicy) mainProc(taskID int) int { return taskID % sim.NumProcs }
 
-func (p *dpPolicy) Release(e *sim.Engine, t task.Task, index int) {
-	if !policy.StaticMandatory(p.opts, t, index) {
+func (p *dpPolicy) Release(e *sim.Engine, t *task.Task, index int) {
+	if !policy.StaticMandatory(&p.opts, t, index) {
 		e.SettleSkip(t.ID, index)
 		return
 	}

@@ -48,7 +48,11 @@ func (a *arena[T]) reset() { a.n = 0 }
 // arenas, the pair table rows and the wheel buckets amortize across every
 // interval of the sweep, not just across the approaches of one set.
 type Scratch struct {
+	// nextIdx[i] is the index of task i's next release and nextRel[i] its
+	// instant, Release(nextIdx[i]): the release calendar processReleases
+	// drains and advances by one period per release.
 	nextIdx []int
+	nextRel []timeu.Time
 	// pairTab is the settlement table: pairTab[taskID][index-1] is the
 	// jobPair of J_(taskID,index), nil until the job is admitted or
 	// skipped. Job indices are dense and released in order, so a slice
@@ -85,6 +89,10 @@ func (s *Scratch) prepare(n int) {
 	for i := range s.nextIdx {
 		s.nextIdx[i] = 1
 	}
+	if cap(s.nextRel) < n {
+		s.nextRel = make([]timeu.Time, n)
+	}
+	s.nextRel = s.nextRel[:n]
 	if cap(s.pairTab) < n {
 		s.pairTab = make([][]*jobPair, n)
 	}

@@ -5,6 +5,8 @@ package sim
 //mklint:hotpath file
 
 import (
+	"math/bits"
+
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
@@ -16,6 +18,8 @@ const (
 	// the bucket storage across runs of different sets.
 	wheelBuckets = 256
 	wheelMask    = wheelBuckets - 1
+	// wheelWords is the length of the occupancy bitmap, one bit per bucket.
+	wheelWords = wheelBuckets / 64
 	// wheelScanLimit bounds the empty-bucket walk of nextAfter. Event
 	// instants in a periodic schedule land within a few buckets of each
 	// other when delta divides the periods; a sparse tail (e.g. only a
@@ -41,9 +45,15 @@ const (
 // amortized O(1) nextAfter that lazily drops instants at or before now —
 // an instant that has been reached has, by construction of the event
 // loop, already been fully processed.
+//
+// occ is the occupancy bitmap: bit b is set exactly when bucket b holds
+// an entry. Every operation that empties or fills a bucket keeps it
+// current, so the walks jump from one non-empty bucket to the next with
+// a trailing-zero count instead of visiting the empty ones between.
 type timeWheel struct {
 	delta   timeu.Time
 	count   int
+	occ     [wheelWords]uint64
 	buckets [wheelBuckets][]timeu.Time
 }
 
@@ -73,10 +83,15 @@ func (w *timeWheel) sizeFor(set *task.Set) {
 	}
 }
 
-// reset empties every bucket, retaining capacity.
+// reset empties every bucket, retaining capacity. Only occupied buckets
+// hold entries, so only those need truncating.
 func (w *timeWheel) reset() {
-	for b := range w.buckets {
-		w.buckets[b] = w.buckets[b][:0]
+	for wi, word := range w.occ {
+		for ; word != 0; word &= word - 1 {
+			b := wi<<6 | bits.TrailingZeros64(word)
+			w.buckets[b] = w.buckets[b][:0]
+		}
+		w.occ[wi] = 0
 	}
 	w.count = 0
 }
@@ -87,7 +102,31 @@ func (w *timeWheel) reset() {
 func (w *timeWheel) schedule(t timeu.Time) {
 	b := int(t/w.delta) & wheelMask
 	w.buckets[b] = append(w.buckets[b], t)
+	w.occ[b>>6] |= 1 << uint(b&63)
 	w.count++
+}
+
+// vacate clears bucket b's occupancy bit; callers invoke it when they
+// remove the bucket's last entry.
+func (w *timeWheel) vacate(b int) {
+	w.occ[b>>6] &^= 1 << uint(b&63)
+}
+
+// occupiedFrom returns the distance, counted in buckets around the ring,
+// from bucket b to the first occupied bucket at or after it, or
+// wheelBuckets when every bucket is empty.
+func (w *timeWheel) occupiedFrom(b int) int {
+	wi := b >> 6
+	word := w.occ[wi] &^ (1<<uint(b&63) - 1)
+	for n := 0; n <= wheelWords; n++ {
+		if word != 0 {
+			next := wi<<6 | bits.TrailingZeros64(word)
+			return (next - b) & wheelMask
+		}
+		wi = (wi + 1) % wheelWords
+		word = w.occ[wi]
+	}
+	return wheelBuckets
 }
 
 // unschedule removes one occurrence of a future instant, if present. The
@@ -101,6 +140,9 @@ func (w *timeWheel) unschedule(t timeu.Time) {
 		if v == t {
 			bk[i] = bk[len(bk)-1]
 			w.buckets[b] = bk[:len(bk)-1]
+			if len(bk) == 1 {
+				w.vacate(b)
+			}
 			w.count--
 			return
 		}
@@ -114,31 +156,26 @@ func (w *timeWheel) unschedule(t timeu.Time) {
 // exists, is the global minimum because every earlier window has already
 // been exhausted. Entries from later laps hash into the same buckets but
 // fall outside the current window and are skipped, not returned early.
+//
+// The occupancy bitmap lets the walk skip empty windows outright: they
+// hold nothing to drop and nothing to return, so jumping over them
+// changes no result and no wheel state. The windows visited, and the
+// wheelScanLimit bound after which the walk gives up for scanAll, are
+// those of a window-by-window walk.
 func (w *timeWheel) nextAfter(now timeu.Time) timeu.Time {
 	if w.count == 0 {
 		return timeu.Infinity
 	}
 	ord := now / w.delta
-	for i := timeu.Time(0); i <= wheelScanLimit; i++ {
-		o := ord + i
-		hi := (o + 1) * w.delta
-		best := timeu.Infinity
-		bk := w.buckets[int(o)&wheelMask]
-		for k := 0; k < len(bk); {
-			v := bk[k]
-			if v <= now {
-				bk[k] = bk[len(bk)-1]
-				bk = bk[:len(bk)-1]
-				w.count--
-				continue
-			}
-			if v < hi && v < best {
-				best = v
-			}
-			k++
+	b0 := int(ord) & wheelMask
+	for i := 0; ; i++ {
+		i += w.occupiedFrom((b0 + i) & wheelMask)
+		if i > wheelScanLimit {
+			break
 		}
-		w.buckets[int(o)&wheelMask] = bk
-		if best != timeu.Infinity {
+		o := ord + timeu.Time(i)
+		hi := (o + 1) * w.delta
+		if best := w.drain(int(o)&wheelMask, now, hi); best != timeu.Infinity {
 			return best
 		}
 		if w.count == 0 {
@@ -148,26 +185,46 @@ func (w *timeWheel) nextAfter(now timeu.Time) timeu.Time {
 	return w.scanAll(now)
 }
 
-// scanAll is the sparse-tail fallback: one pass over every bucket,
-// dropping stale entries and returning the global minimum after now.
+// drain drops bucket b's entries at or before now and returns its
+// smallest entry below hi, or timeu.Infinity. It writes the bucket back
+// only when it removed an entry.
+func (w *timeWheel) drain(b int, now, hi timeu.Time) timeu.Time {
+	best := timeu.Infinity
+	bk := w.buckets[b]
+	n := len(bk)
+	for k := 0; k < len(bk); {
+		v := bk[k]
+		if v <= now {
+			bk[k] = bk[len(bk)-1]
+			bk = bk[:len(bk)-1]
+			continue
+		}
+		if v < hi && v < best {
+			best = v
+		}
+		k++
+	}
+	if len(bk) != n {
+		w.buckets[b] = bk
+		w.count -= n - len(bk)
+		if len(bk) == 0 {
+			w.vacate(b)
+		}
+	}
+	return best
+}
+
+// scanAll is the sparse-tail fallback: one pass over every occupied
+// bucket, dropping stale entries and returning the global minimum after
+// now.
 func (w *timeWheel) scanAll(now timeu.Time) timeu.Time {
 	best := timeu.Infinity
-	for b := range w.buckets {
-		bk := w.buckets[b]
-		for k := 0; k < len(bk); {
-			v := bk[k]
-			if v <= now {
-				bk[k] = bk[len(bk)-1]
-				bk = bk[:len(bk)-1]
-				w.count--
-				continue
-			}
-			if v < best {
+	for wi, word := range w.occ {
+		for ; word != 0; word &= word - 1 {
+			if v := w.drain(wi<<6|bits.TrailingZeros64(word), now, timeu.Infinity); v < best {
 				best = v
 			}
-			k++
 		}
-		w.buckets[b] = bk
 	}
 	return best
 }

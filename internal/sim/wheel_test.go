@@ -156,7 +156,7 @@ func (p *wheelPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 func (p *wheelPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
 func (p *wheelPolicy) OnPermanentFault(e *Engine, dead int)                   { p.dead = true }
 
-func (p *wheelPolicy) Release(e *Engine, t task.Task, index int) {
+func (p *wheelPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.skipEvery > 0 && (index+t.ID)%p.skipEvery == 0 {
 		e.SettleSkip(t.ID, index)
 		return
@@ -304,5 +304,79 @@ func TestWheelSameInstantBatching(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("no %v event at the coincident instant 20ms (got kinds %v)", want, kinds)
 		}
+	}
+}
+
+// checkOccupancy asserts the bitmap invariant: bucket b's bit is set
+// exactly when the bucket holds an entry, and count is their total.
+func checkOccupancy(t *testing.T, w *timeWheel, seed uint64, step int) {
+	t.Helper()
+	n := 0
+	for b := range w.buckets {
+		n += len(w.buckets[b])
+		if set := w.occ[b>>6]&(1<<uint(b&63)) != 0; set != (len(w.buckets[b]) > 0) {
+			t.Fatalf("seed %#x step %d: bucket %d holds %d entries but its bit is %v", seed, step, b, len(w.buckets[b]), set)
+		}
+	}
+	if n != w.count {
+		t.Fatalf("seed %#x step %d: count %d, buckets hold %d", seed, step, w.count, n)
+	}
+}
+
+// TestWheelBitmapMatchesMultiset drives the wheel with random schedules,
+// unschedules and advances (near instants, far laps and sparse tails) and
+// checks every nextAfter against a plain multiset, and the occupancy
+// bitmap against the buckets after every operation.
+func TestWheelBitmapMatchesMultiset(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := stats.NewRand(seed)
+		w := wheelFor(oneTask()) // delta = 10ms
+		var ref []timeu.Time
+		now := timeu.Time(0)
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				// Mostly within a few windows, sometimes laps or a sparse
+				// tail away.
+				span := 8 * w.delta
+				if rng.Intn(8) == 0 {
+					span = 3 * wheelBuckets * w.delta
+				}
+				x := now + 1 + timeu.Time(rng.Int64n(int64(span)))
+				w.schedule(x)
+				ref = append(ref, x)
+			case op < 7 && len(ref) > 0:
+				i := rng.Intn(len(ref))
+				if ref[i] > now {
+					w.unschedule(ref[i])
+				}
+				ref[i] = ref[len(ref)-1]
+				ref = ref[:len(ref)-1]
+			default:
+				want := timeu.Infinity
+				for _, x := range ref {
+					if x > now && x < want {
+						want = x
+					}
+				}
+				if got := w.nextAfter(now); got != want {
+					t.Fatalf("seed %#x step %d: nextAfter(%v) = %v, want %v", seed, step, now, got, want)
+				}
+				if want != timeu.Infinity {
+					now = want
+				}
+				// Instants at or before now are consumed by time passing.
+				kept := ref[:0]
+				for _, x := range ref {
+					if x > now {
+						kept = append(kept, x)
+					}
+				}
+				ref = kept
+			}
+			checkOccupancy(t, w, seed, step)
+		}
+		w.reset()
+		checkOccupancy(t, w, seed, -1)
 	}
 }

@@ -102,25 +102,25 @@ type Job struct {
 
 // InitJob (re)initializes j in place as the main copy of J_ij for task t
 // with the given class, overwriting any previous state — the pooled engine
-// scratch reuses Job records across runs through this entry point.
-func InitJob(j *Job, t Task, index int, class Class) {
+// scratch reuses Job records across runs through this entry point. It
+// zeroes the record and assigns the fields in place (no temporary Job, no
+// copy of t); t is only read.
+func InitJob(j *Job, t *Task, index int, class Class) {
 	r := t.Release(index)
-	*j = Job{
-		TaskID:      t.ID,
-		Index:       index,
-		Copy:        Main,
-		Class:       class,
-		Release:     r,
-		BaseRelease: r,
-		Deadline:    t.AbsDeadline(index),
-		WCET:        t.WCET,
-		Remaining:   t.WCET,
-	}
+	*j = Job{}
+	j.TaskID = t.ID
+	j.Index = index
+	j.Class = class
+	j.Release = r
+	j.BaseRelease = r
+	j.Deadline = r + t.Deadline
+	j.WCET = t.WCET
+	j.Remaining = t.WCET
 }
 
 // InitBackup (re)initializes j in place as the backup copy of a mandatory
 // job, postponed by theta (Eq. 3: r̃_i = r_i + θ_i).
-func InitBackup(j *Job, t Task, index int, theta timeu.Time) {
+func InitBackup(j *Job, t *Task, index int, theta timeu.Time) {
 	InitJob(j, t, index, Mandatory)
 	j.Copy = Backup
 	j.Release = j.BaseRelease + theta
@@ -129,7 +129,7 @@ func InitBackup(j *Job, t Task, index int, theta timeu.Time) {
 // NewJob builds the main copy of J_ij for task t with the given class.
 func NewJob(t Task, index int, class Class) *Job {
 	j := new(Job)
-	InitJob(j, t, index, class)
+	InitJob(j, &t, index, class)
 	return j
 }
 
@@ -137,7 +137,7 @@ func NewJob(t Task, index int, class Class) *Job {
 // (Eq. 3: r̃_i = r_i + θ_i).
 func NewBackup(t Task, index int, theta timeu.Time) *Job {
 	j := new(Job)
-	InitBackup(j, t, index, theta)
+	InitBackup(j, &t, index, theta)
 	return j
 }
 
