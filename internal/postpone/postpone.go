@@ -24,7 +24,9 @@
 package postpone
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 	"repro/internal/rta"
@@ -176,34 +178,34 @@ func relevantHP(s *task.Set, an *Analysis, kind pattern.Kind, i int, r, d timeu.
 }
 
 // thetaJob evaluates Eq. (4) for backup job J'_ij.
+//
+// The inspecting points (Definition 3) are dij and every r̃kl in
+// (rij, dij); the interference at a point t̄ is the WCET of every
+// higher-priority backup job with dkl > rij and r̃kl < t̄. relevantHP
+// returns only jobs with dkl > rij and r̃kl < dij, so once they are sorted
+// by r̃kl the interference at each point is a running prefix sum, and the
+// whole evaluation costs O(h log h) for h such jobs instead of O(h²).
 func thetaJob(s *task.Set, an *Analysis, kind pattern.Kind, i, j int) timeu.Time {
 	t := s.Tasks[i]
 	r := t.Release(j)
 	d := t.AbsDeadline(j)
 	hp := relevantHP(s, an, kind, i, r, d)
-	// Inspecting points (Definition 3): dij plus every r̃kl in (rij, dij).
-	points := []timeu.Time{d}
-	for _, b := range hp {
-		if b.posted > r && b.posted < d {
-			points = append(points, b.posted)
-		}
-	}
+	slices.SortFunc(hp, func(a, b hpJob) int { return cmp.Compare(a.posted, b.posted) })
 	best := -timeu.Infinity // Eq. (4) may be negative
-	for _, tb := range points {
-		// Interference: higher-priority backup jobs with dkl > rij and
-		// r̃kl < t̄ contribute their whole WCET.
-		var inter timeu.Time
-		for _, b := range hp {
-			if b.dl > r && b.posted < tb {
-				inter += b.wcet
-			}
+	var inter timeu.Time
+	for k := 0; k < len(hp); {
+		// inter sums the jobs posted strictly before tb: those posted at
+		// tb itself do not interfere at that point.
+		tb := hp[k].posted
+		if tb > r {
+			best = max(best, tb-(t.WCET+inter)-r)
 		}
-		v := tb - (t.WCET + inter) - r
-		if v > best {
-			best = v
+		for ; k < len(hp) && hp[k].posted == tb; k++ {
+			inter += hp[k].wcet
 		}
 	}
-	return best
+	// The deadline point: every relevant job is posted before dij.
+	return max(best, d-(t.WCET+inter)-r)
 }
 
 // PostponedReleases returns the postponed release instants r̃ of task i's

@@ -278,6 +278,28 @@ func TestEstimateUnschedulableRefusedPromptly(t *testing.T) {
 	if run.Schema != RunSchema || run.Schedulable {
 		t.Errorf("refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, RunSchema)
 	}
+
+	// selective runs the θ analysis in its Init, outside any context: on
+	// this set each window of τ3 holds about 830,000 higher-priority
+	// backup jobs, which a quadratic Eq. (4) took about an hour over. The
+	// client bound leaves room for the race detector, not for that.
+	body, err = json.Marshal(EstimateRequest{Set: backlog, Approach: "selective", HorizonMS: 10, Refine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := &http.Client{Timeout: 30 * time.Second}
+	resp, err = slow.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("selective refine=true on a backlogging set: %v", err)
+	}
+	got = readAll(t, resp)
+	run = RunDoc{}
+	if err := json.Unmarshal(got, &run); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("selective refine=true: status %d, err %v (%s)", resp.StatusCode, err, got)
+	}
+	if run.Schema != RunSchema || run.Schedulable {
+		t.Errorf("selective refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, RunSchema)
+	}
 }
 
 func TestEstimateBadRequests(t *testing.T) {
