@@ -170,6 +170,25 @@ func BenchmarkSimulateSweepScenarios(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateSweepEngine gates the engine on its own: one session
+// is warmed with an untimed reducedFig6(NoFault) sweep, and each iteration
+// reruns that sweep on it. The interval memo and the analysis cache then
+// hit, so an iteration times only the engine runs and the aggregation.
+func BenchmarkSimulateSweepEngine(b *testing.B) {
+	b.ReportAllocs()
+	r := NewRunner(RunnerConfig{})
+	cfg := reducedFig6(NoFault)
+	if _, err := r.Sweep(context.Background(), cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Sweep(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig6bPermanent — Figure 6(b): one permanent fault.
 func BenchmarkFig6bPermanent(b *testing.B) { benchFig6(b, reducedFig6(PermanentOnly)) }
 

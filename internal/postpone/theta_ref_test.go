@@ -125,25 +125,3 @@ func TestThetaMatchesQuadraticReference(t *testing.T) {
 	}
 	t.Logf("%d backup jobs over %d exact levels matched", jobs, exactLevels)
 }
-
-// TestThetaBacklogSetIsFast pins the case that made the quadratic Eq. (4)
-// take about an hour: under τ1 = (2, 2) µs and τ2 = (3, 1) µs, hard, a
-// (1,2) task with a ~1 s period sees about 830,000 higher-priority backup
-// jobs per window. Sorted prefix sums answer in about a second.
-func TestThetaBacklogSetIsFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("analyses ~2.5M higher-priority jobs")
-	}
-	s := task.NewSet(
-		task.Task{Period: 2, Deadline: 2, WCET: 2, M: 1, K: 1},
-		task.Task{Period: 3, Deadline: 3, WCET: 1, M: 1, K: 1},
-		task.Task{Period: 999983, Deadline: 999983, WCET: 1, M: 1, K: 2},
-	)
-	an, err := Compute(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !an.Exact[2] {
-		t.Fatalf("level 3 fell back to Y; the hyperperiod %v is within the cap", s.MKHyperperiodLevel(2, DefaultHyperperiodCap))
-	}
-}

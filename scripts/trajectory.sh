@@ -5,7 +5,9 @@
 # wall clock is queryable across PRs with nothing fancier than grep/jq.
 # Records are comparable only at one frozen config, so any document not
 # made by `mkbench -fig 6a -sets 4 -candidates 1200` (no-fault) is
-# refused.
+# refused. The record's commit names the measured tree: HEAD's short
+# hash, suffixed "+dirty" when tracked files differ from HEAD (the usual
+# case when a change is measured before it is committed).
 set -euo pipefail
 
 doc=$1
@@ -33,6 +35,9 @@ try:
         ["git", "rev-parse", "--short", "HEAD"],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
+    # Exit status 1 means staged or unstaged changes to tracked files.
+    if subprocess.run(["git", "diff", "--quiet", "HEAD", "--"]).returncode != 0:
+        commit += "+dirty"
 except Exception:
     commit = "unknown"
 
