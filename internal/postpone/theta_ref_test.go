@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pattern"
+	"repro/internal/rta"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/workload"
@@ -47,14 +48,10 @@ func computeReference(s *task.Set, opts Options, jobs *int) *Analysis {
 		cap = DefaultHyperperiodCap
 	}
 	n := s.N()
-	an, err := Compute(s, opts) // for Y only; Theta is rebuilt below
-	if err != nil {
-		panic(err)
-	}
 	ref := &Analysis{
 		Theta:    make([]timeu.Time, n),
 		RawTheta: make([]timeu.Time, n),
-		Y:        an.Y,
+		Y:        rta.PromotionTimesSafe(s),
 		Exact:    make([]bool, n),
 	}
 	for i := 0; i < n; i++ {

@@ -534,9 +534,9 @@ func (e *Engine) processReleases() {
 	tasks := e.set.Tasks
 	minRel := timeu.Infinity
 	for i := range tasks {
-		// The loop only runs while now < Horizon, so a task due now is
-		// released before the horizon; periods are positive, so it is due
-		// at most once per instant.
+		// RunContext calls this only while now < Horizon, so a task due
+		// now is released before the horizon; periods are positive, so it
+		// is due at most once per instant.
 		if rel[i] == e.now {
 			t := &tasks[i]
 			if rel[i]+t.Deadline <= e.cfg.Horizon {

@@ -20,11 +20,11 @@ const (
 	wheelMask    = wheelBuckets - 1
 	// wheelWords is the length of the occupancy bitmap, one bit per bucket.
 	wheelWords = wheelBuckets / 64
-	// wheelScanLimit bounds the empty-bucket walk of nextAfter. Event
-	// instants in a periodic schedule land within a few buckets of each
-	// other when delta divides the periods; a sparse tail (e.g. only a
-	// far-away deadline left near the horizon) falls back to one global
-	// scan instead of walking laps of empty windows.
+	// wheelScanLimit bounds how many windows beyond now's nextAfter
+	// looks into. Event instants in a periodic schedule land within a few
+	// buckets of each other when delta divides the periods; a sparse tail
+	// (e.g. only a far-away deadline left near the horizon) falls back to
+	// one global scan instead of walking laps of windows.
 	wheelScanLimit = 64
 	// wheelBucketCap is the initial capacity carved out for each bucket
 	// from one shared backing array, so a cold wheel costs one allocation
