@@ -162,7 +162,8 @@ func TestSimulateBadRequests(t *testing.T) {
 		want string
 	}{
 		{"field path", `{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":-3,"m":2,"k":4}]}}`, "tasks[0]"},
-		{"unknown approach", `{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4}]},"approach":"nope"}`, "approach"},
+		{"unknown approach", `{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4}]},"approach":"nope"}`,
+			`"error":"core: unknown approach \"nope\" (want one of MKSS-ST, MKSS-DP, MKSS-greedy, MKSS-selective, MKSS-DP-background, MKSS-DBP)"`},
 		{"unknown field", `{"sett":{}}`, "sett"},
 	}
 	for _, tc := range cases {

@@ -76,18 +76,76 @@ func TestLoadSetRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseApproach pins the approach surface every flag, report and
+// wire body goes through: each canonical name and alias in any case and
+// with underscores, the zero value, the listing order, the text
+// round trip and the rendering of an out-of-range value.
 func TestParseApproach(t *testing.T) {
 	for name, want := range map[string]Approach{
 		"st": ST, "dp": DP, "greedy": Greedy, "selective": Selective, "sel": Selective,
-		"MKSS-ST": ST, "MKSS-selective": Selective,
+		"dp-background": DPBackground, "dpbg": DPBackground, "dbp": DBP, "distance": DBP,
+		"MKSS-ST": ST, "MKSS-DP": DP, "MKSS-greedy": Greedy, "MKSS-selective": Selective,
+		"MKSS-DP-background": DPBackground, "MKSS-DBP": DBP,
+		"mkss-st": ST, "mkss-dp": DP, "mkss-greedy": Greedy, "mkss-selective": Selective,
+		"mkss-dp-background": DPBackground, "mkss-dbp": DBP,
+		"MKSS_ST": ST, "mkss_dp": DP, "MKSS_GREEDY": Greedy, "MKSS_selective": Selective,
+		"MKSS_DP_BACKGROUND": DPBackground, "dp_background": DPBackground, "MKSS_DBP": DBP,
+		"ST": ST, "Dp": DP, "GREEDY": Greedy, " Sel ": Selective, "DPBG": DPBackground,
+		"Distance": DBP, "\tdbp\n": DBP,
 	} {
 		got, err := ParseApproach(name)
 		if err != nil || got != want {
 			t.Errorf("ParseApproach(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseApproach("edf"); err == nil {
-		t.Error("unknown approach accepted")
+	for _, bad := range []string{"edf", "", "mkss", "mkss-", "dp background", "dp--background", "st2"} {
+		if _, err := ParseApproach(bad); err == nil {
+			t.Errorf("ParseApproach(%q) accepted", bad)
+		}
+	}
+	_, err := ParseApproach("nope")
+	const wantErr = `core: unknown approach "nope" (want one of MKSS-ST, MKSS-DP, MKSS-greedy, MKSS-selective, MKSS-DP-background, MKSS-DBP)`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("ParseApproach(\"nope\") error = %v, want %s", err, wantErr)
+	}
+
+	var zero Approach
+	if zero != ST {
+		t.Errorf("zero Approach = %v, want ST", zero)
+	}
+	want := []string{"MKSS-ST", "MKSS-DP", "MKSS-greedy", "MKSS-selective", "MKSS-DP-background", "MKSS-DBP"}
+	if got := ApproachNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("ApproachNames() = %v, want %v", got, want)
+	}
+
+	all := append(Approaches(), Extensions()...)
+	if len(all) != len(want) {
+		t.Fatalf("Approaches()+Extensions() = %v, want %d approaches", all, len(want))
+	}
+	for i, a := range all {
+		if a.String() != want[i] {
+			t.Errorf("%d: String() = %q, want %q", i, a.String(), want[i])
+		}
+		text, err := a.MarshalText()
+		if err != nil || string(text) != want[i] {
+			t.Errorf("%v.MarshalText() = %q, %v", a, text, err)
+		}
+		var back Approach
+		if err := back.UnmarshalText(text); err != nil || back != a {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, a)
+		}
+	}
+
+	out := Approach(99)
+	if got := out.String(); got != "Approach(99)" {
+		t.Errorf("Approach(99).String() = %q", got)
+	}
+	if text, err := out.MarshalText(); err == nil {
+		t.Errorf("Approach(99).MarshalText() = %q, want an error", text)
+	}
+	var back Approach
+	if err := back.UnmarshalText([]byte("nope")); err == nil {
+		t.Error("UnmarshalText(nope) accepted")
 	}
 }
 
