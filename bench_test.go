@@ -13,9 +13,9 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pattern"
+	"repro/internal/sim/policy"
 	"repro/internal/workload"
 )
 
@@ -262,7 +262,7 @@ func BenchmarkObservability(b *testing.B) {
 // design ingredient of Algorithm 1 changed, reporting the same metrics so
 // the contribution of each ingredient is visible.
 
-func benchAblation(b *testing.B, opts core.Options) {
+func benchAblation(b *testing.B, opts policy.Options) {
 	b.Helper()
 	cfg := DefaultSweepConfig(fault.NoFault)
 	cfg.SetsPerInterval = 4
@@ -293,23 +293,23 @@ func benchAblation(b *testing.B, opts core.Options) {
 // BenchmarkAblationNoAlternation — optional jobs all on the primary
 // instead of alternating (principle (ii) of Algorithm 1 disabled).
 func BenchmarkAblationNoAlternation(b *testing.B) {
-	benchAblation(b, core.Options{NoAlternation: true})
+	benchAblation(b, policy.Options{NoAlternation: true})
 }
 
 // BenchmarkAblationFDThreshold2 — select optional jobs with FD ≤ 2
 // instead of exactly 1 (more eager optional execution).
 func BenchmarkAblationFDThreshold2(b *testing.B) {
-	benchAblation(b, core.Options{FDThreshold: 2})
+	benchAblation(b, policy.Options{FDThreshold: 2})
 }
 
 // BenchmarkAblationThetaVsY — backups postponed by the promotion
 // interval Yi instead of θi (Defs. 2–5 disabled).
 func BenchmarkAblationThetaVsY(b *testing.B) {
-	benchAblation(b, core.Options{UsePromotionForTheta: true})
+	benchAblation(b, policy.Options{UsePromotionForTheta: true})
 }
 
 // BenchmarkAblationEPattern — evenly-distributed static pattern instead
 // of the deeply-red R-pattern for the baselines and the θ analysis.
 func BenchmarkAblationEPattern(b *testing.B) {
-	benchAblation(b, core.Options{Pattern: pattern.EPattern})
+	benchAblation(b, policy.Options{Pattern: pattern.EPattern})
 }

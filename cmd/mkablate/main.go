@@ -36,18 +36,18 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/pattern"
 	"repro/internal/rta"
+	"repro/internal/sim/policy"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 type variant struct {
 	name string
-	opts core.Options
+	opts policy.Options
 	// approaches overrides the compared approaches (nil = ST/DP/selective).
-	approaches []core.Approach
+	approaches []repro.Approach
 }
 
 func main() {
@@ -70,13 +70,13 @@ func main() {
 	}
 
 	variants := []variant{
-		{name: "paper", opts: core.Options{}},
-		{name: "no-alternate", opts: core.Options{NoAlternation: true}},
-		{name: "fd<=2", opts: core.Options{FDThreshold: 2}},
-		{name: "theta=Y", opts: core.Options{UsePromotionForTheta: true}},
-		{name: "e-pattern", opts: core.Options{Pattern: pattern.EPattern}},
-		{name: "dp-background", opts: core.Options{},
-			approaches: []core.Approach{core.ST, core.DPBackground, core.Selective}},
+		{name: "paper", opts: policy.Options{}},
+		{name: "no-alternate", opts: policy.Options{NoAlternation: true}},
+		{name: "fd<=2", opts: policy.Options{FDThreshold: 2}},
+		{name: "theta=Y", opts: policy.Options{UsePromotionForTheta: true}},
+		{name: "e-pattern", opts: policy.Options{Pattern: pattern.EPattern}},
+		{name: "dp-background", opts: policy.Options{},
+			approaches: []repro.Approach{repro.ST, repro.DPBackground, repro.Selective}},
 	}
 
 	sc, err := repro.ParseScenario(*scenario)
@@ -121,12 +121,12 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		dpApproach := core.DP
+		dpApproach := repro.DP
 		if v.approaches != nil {
-			dpApproach = core.DPBackground
+			dpApproach = repro.DPBackground
 		}
 		dpMean, selMean := sweepMeans(rep, dpApproach)
-		gain, at := rep.MaxGain(core.Selective, dpApproach)
+		gain, at := rep.MaxGain(repro.Selective, dpApproach)
 		fmt.Printf("%-14s %12.3f %12.3f %9.1f%% at %v   (%v)\n",
 			v.name, dpMean, selMean, 100*gain, at,
 			time.Since(t0).Round(time.Millisecond)) //mklint:allow determinism — reporting the variant's wall-clock duration
@@ -238,7 +238,7 @@ func runKSweep(sets, candidates int, seed uint64, lo, hi float64, quiet bool) {
 	}
 }
 
-func sweepMeans(rep *repro.Report, dp core.Approach) (dpMean, selMean float64) {
+func sweepMeans(rep *repro.Report, dp repro.Approach) (dpMean, selMean float64) {
 	n := 0
 	for _, row := range rep.Rows {
 		if len(row.Sets) == 0 {
@@ -246,7 +246,7 @@ func sweepMeans(rep *repro.Report, dp core.Approach) (dpMean, selMean float64) {
 		}
 		n++
 		dpMean += row.NormMean[dp]
-		selMean += row.NormMean[core.Selective]
+		selMean += row.NormMean[repro.Selective]
 	}
 	if n > 0 {
 		dpMean /= float64(n)

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/workload"
 )
@@ -95,7 +94,7 @@ func main() {
 		cfg.MaxCandidates = *candidates
 		cfg.Intervals = workload.Intervals(*loU, *hiU, 0.1)
 		if *withGreedy {
-			cfg.Approaches = []core.Approach{core.ST, core.DP, core.Greedy, core.Selective}
+			cfg.Approaches = []repro.Approach{repro.ST, repro.DP, repro.Greedy, repro.Selective}
 		}
 		if !*quiet {
 			cfg.Progress = os.Stderr

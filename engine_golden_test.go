@@ -11,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/pattern"
+	"repro/internal/sim/policy"
 )
 
 // -update-engine-golden regenerates results/golden/engine_runs.txt from
@@ -117,7 +117,7 @@ func TestEngineRunsMatchGolden(t *testing.T) {
 								Seed:          seed,
 								TransientRate: rt.rate,
 								RecordTrace:   true,
-								Options:       core.Options{Pattern: pk},
+								Options:       policy.Options{Pattern: pk},
 							})
 							if err != nil {
 								t.Fatal(err)

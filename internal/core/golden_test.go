@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 )
 
@@ -45,7 +46,7 @@ func segString(segs []sim.Segment) string {
 }
 
 func TestGoldenFig1Schedule(t *testing.T) {
-	r := runApproach(t, fig1Set(), DP, 20)
+	r := runApproach(t, fig1Set(), policy.DP, 20)
 	want := strings.Join([]string{
 		"P0:J1,1[0ms,3ms)",   // main τ1 job 1
 		"P1:J2,1[0ms,1ms)",   // main τ2 starts on the spare
@@ -61,7 +62,7 @@ func TestGoldenFig1Schedule(t *testing.T) {
 }
 
 func TestGoldenFig2Schedule(t *testing.T) {
-	r := runApproach(t, fig1Set(), Selective, 20)
+	r := runApproach(t, fig1Set(), policy.Selective, 20)
 	want := strings.Join([]string{
 		"P0:J2,1[0ms,3ms)",   // O21 (FD 1), τ2's 1st selection -> primary
 		"P0:J1,2[5ms,8ms)",   // O12, τ1's 1st selection -> primary
@@ -74,7 +75,7 @@ func TestGoldenFig2Schedule(t *testing.T) {
 }
 
 func TestGoldenFig4Schedule(t *testing.T) {
-	r := runApproach(t, fig3Set(), Selective, 25)
+	r := runApproach(t, fig3Set(), policy.Selective, 25)
 	want := strings.Join([]string{
 		"P0:J2,2[4ms,5ms)",   // O22 starts on the primary...
 		"P0:J1,2[5ms,7ms)",   // ...preempted by O12 (FP within the OJQ)
@@ -91,7 +92,7 @@ func TestGoldenFig4Schedule(t *testing.T) {
 }
 
 func TestGoldenFig3GreedySchedule(t *testing.T) {
-	r := runApproach(t, fig3Set(), Greedy, 25)
+	r := runApproach(t, fig3Set(), policy.Greedy, 25)
 	// The §III narrative, reconstructed: O11 runs first (FP tie-break at
 	// FD 2), J12 expires behind O22 (FIFO within equal FD), J13/J14
 	// become FD-1 jobs and preempt, four τ1 jobs total.

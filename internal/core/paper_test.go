@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
@@ -18,9 +19,9 @@ func fig3Set() *task.Set {
 	return task.NewSet(task.New(0, 5, 2.5, 2, 2, 4), task.New(1, 4, 4, 2, 2, 4))
 }
 
-func runApproach(t *testing.T, s *task.Set, a Approach, horizonMS float64) *sim.Result {
+func runApproach(t *testing.T, s *task.Set, a policy.Approach, horizonMS float64) *sim.Result {
 	t.Helper()
-	eng, err := sim.New(s, MustNew(a, Options{}), sim.Config{
+	eng, err := sim.New(s, mustNew(t, a, Options{}), sim.Config{
 		Horizon:     timeu.FromMillis(horizonMS),
 		RecordTrace: true,
 	})
@@ -45,7 +46,7 @@ func wantEnergy(t *testing.T, r *sim.Result, want float64) {
 // baseline on τ1=(5,4,3,2,4), τ2=(10,10,3,1,2) consumes 15 energy units
 // in the hyper period [0,20].
 func TestPaperFig1(t *testing.T) {
-	r := runApproach(t, fig1Set(), DP, 20)
+	r := runApproach(t, fig1Set(), policy.DP, 20)
 	wantEnergy(t, r, 15)
 	if !r.MKSatisfied() {
 		t.Error("(m,k) constraints violated")
@@ -55,7 +56,7 @@ func TestPaperFig1(t *testing.T) {
 // TestPaperFig1Reference: the same set under MKSS_ST runs both copies in
 // full (three mandatory jobs × 3 ms × 2 processors = 18 units).
 func TestPaperFig1Reference(t *testing.T) {
-	r := runApproach(t, fig1Set(), ST, 20)
+	r := runApproach(t, fig1Set(), policy.ST, 20)
 	wantEnergy(t, r, 18)
 	if !r.MKSatisfied() {
 		t.Error("(m,k) constraints violated")
@@ -67,7 +68,7 @@ func TestPaperFig1Reference(t *testing.T) {
 // lower than that in Figure 1". The executed set is O21, O12, J13 (re-
 // selected), J22 (re-selected); J11 and J14 are skipped.
 func TestPaperFig2(t *testing.T) {
-	r := runApproach(t, fig1Set(), Selective, 20)
+	r := runApproach(t, fig1Set(), policy.Selective, 20)
 	wantEnergy(t, r, 12)
 	if !r.MKSatisfied() {
 		t.Error("(m,k) constraints violated")
@@ -102,7 +103,7 @@ func TestPaperFig2(t *testing.T) {
 // τ1=(5,2.5,2,2,4), τ2=(4,4,2,2,4) executes four τ1 jobs and six τ2 jobs
 // before t=25 — 20 energy units.
 func TestPaperFig3(t *testing.T) {
-	r := runApproach(t, fig3Set(), Greedy, 25)
+	r := runApproach(t, fig3Set(), policy.Greedy, 25)
 	wantEnergy(t, r, 20)
 	if !r.MKSatisfied() {
 		t.Error("(m,k) constraints violated")
@@ -124,7 +125,7 @@ func TestPaperFig3(t *testing.T) {
 // τ1 executes J12 (primary), J13 (spare), J15 (primary); τ2 executes J22
 // (primary), J23 (spare), J25 (primary), J26 (spare).
 func TestPaperFig4(t *testing.T) {
-	r := runApproach(t, fig3Set(), Selective, 25)
+	r := runApproach(t, fig3Set(), policy.Selective, 25)
 	wantEnergy(t, r, 14)
 	if !r.MKSatisfied() {
 		t.Error("(m,k) constraints violated")
@@ -158,8 +159,8 @@ func TestPaperFig4(t *testing.T) {
 // TestFig3GreedyVsSelective checks the §III headline: selective is 30%
 // cheaper than greedy on the Figure 3 set.
 func TestFig3GreedyVsSelective(t *testing.T) {
-	g := runApproach(t, fig3Set(), Greedy, 25)
-	s := runApproach(t, fig3Set(), Selective, 25)
+	g := runApproach(t, fig3Set(), policy.Greedy, 25)
+	s := runApproach(t, fig3Set(), policy.Selective, 25)
 	if g.ActiveEnergy() <= s.ActiveEnergy() {
 		t.Errorf("greedy (%v) must exceed selective (%v)", g.ActiveEnergy(), s.ActiveEnergy())
 	}
@@ -172,8 +173,8 @@ func TestFig3GreedyVsSelective(t *testing.T) {
 // TestFig2SelectiveVsDP checks the §III headline: 20% saving over the
 // Figure 1 schedule.
 func TestFig2SelectiveVsDP(t *testing.T) {
-	dp := runApproach(t, fig1Set(), DP, 20)
-	sel := runApproach(t, fig1Set(), Selective, 20)
+	dp := runApproach(t, fig1Set(), policy.DP, 20)
+	sel := runApproach(t, fig1Set(), policy.Selective, 20)
 	saving := 1 - sel.ActiveEnergy()/dp.ActiveEnergy()
 	if math.Abs(saving-0.20) > 1e-9 {
 		t.Errorf("saving = %v, want 0.20", saving)

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sim/policy"
 	"repro/internal/workload"
 )
 
@@ -17,7 +17,7 @@ func benchConfig(sc fault.Scenario) Config {
 	cfg.SetsPerInterval = 3
 	cfg.MaxCandidates = 800
 	cfg.Intervals = workload.Intervals(0.2, 0.5, 0.1)
-	cfg.Approaches = []core.Approach{core.ST, core.DP, core.Greedy, core.Selective}
+	cfg.Approaches = []policy.Approach{policy.ST, policy.DP, policy.Greedy, policy.Selective}
 	return cfg
 }
 
@@ -95,13 +95,13 @@ func TestBenchJSONNormalizedEnergyConsistency(t *testing.T) {
 		if row.Sets == 0 {
 			continue
 		}
-		if got := row.NormMean[core.ST.String()]; got != 1 {
+		if got := row.NormMean[policy.ST.String()]; got != 1 {
 			t.Errorf("interval [%g,%g): ST norm mean = %v, want 1", row.UtilLo, row.UtilHi, got)
 		}
 		// The selective scheme saves energy by executing less: its busy
 		// time must not exceed the reference's.
-		st := row.Counters[core.ST.String()]
-		sel := row.Counters[core.Selective.String()]
+		st := row.Counters[policy.ST.String()]
+		sel := row.Counters[policy.Selective.String()]
 		stBusy := st.Proc[0].Busy + st.Proc[1].Busy
 		selBusy := sel.Proc[0].Busy + sel.Proc[1].Busy
 		if selBusy > stBusy {

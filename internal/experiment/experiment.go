@@ -18,14 +18,20 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sim/policy"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/workload"
+
+	// The implementation packages register all six approaches, so every
+	// caller of Simulate can build any of them.
+	_ "repro/internal/sim/policy/dbp"
+	_ "repro/internal/sim/policy/dynamic"
+	_ "repro/internal/sim/policy/static"
 )
 
 // Config parameterizes a sweep; DefaultConfig reproduces Figure 6.
@@ -42,11 +48,11 @@ type Config struct {
 	// Scenario selects the fault setting (Figure 6a/b/c).
 	Scenario fault.Scenario
 	// Approaches to compare; ST is always run (it is the normalizer).
-	Approaches []core.Approach
+	Approaches []policy.Approach
 	// Workload generation parameters (zero value → workload.DefaultConfig).
 	Workload workload.Config
 	// CoreOpts tune the policies (ablations); zero value is the paper.
-	CoreOpts core.Options
+	CoreOpts policy.Options
 	// Power is the energy model (zero value → sim.DefaultPower()).
 	Power sim.PowerModel
 	// MinHorizon and HorizonCap bound the per-set simulation horizon: the
@@ -87,7 +93,7 @@ func DefaultConfig(sc fault.Scenario) Config {
 		SetsPerInterval: 20,
 		MaxCandidates:   5000,
 		Scenario:        sc,
-		Approaches:      []core.Approach{core.ST, core.DP, core.Selective},
+		Approaches:      []policy.Approach{policy.ST, policy.DP, policy.Selective},
 		Workload:        workload.DefaultConfig(),
 		MinHorizon:      500 * timeu.Millisecond,
 		HorizonCap:      2 * timeu.Second,
@@ -102,14 +108,14 @@ type SetResult struct {
 	Horizon timeu.Time
 	// Active[a] is the absolute active energy of approach a; Norm[a] is
 	// Active[a]/Active[ST].
-	Active map[core.Approach]float64
-	Norm   map[core.Approach]float64
+	Active map[policy.Approach]float64
+	Norm   map[policy.Approach]float64
 	// Violated[a] reports an (m,k) violation under approach a.
-	Violated map[core.Approach]bool
+	Violated map[policy.Approach]bool
 	// Counters[a] is the run's observability counters under approach a
 	// (the per-mechanism accounting behind the energy number: backup
 	// cancellations, demotions, DPD sleeps, ...).
-	Counters map[core.Approach]metrics.Counters
+	Counters map[policy.Approach]metrics.Counters
 }
 
 // Row aggregates one utilization interval.
@@ -119,22 +125,22 @@ type Row struct {
 	Sets       []SetResult
 	// NormMean[a] is the interval's mean normalized energy; NormCI the
 	// 95% half-width.
-	NormMean map[core.Approach]float64
-	NormCI   map[core.Approach]float64
+	NormMean map[policy.Approach]float64
+	NormCI   map[policy.Approach]float64
 	// Violations[a] counts sets with (m,k) violations.
-	Violations map[core.Approach]int
+	Violations map[policy.Approach]int
 	// Counters[a] sums the interval's run counters per approach, and
 	// HorizonTotal the corresponding simulated horizons, so invariants
 	// like busy+idle+sleep+dead = horizon × processors stay checkable on
 	// the aggregate.
-	Counters     map[core.Approach]metrics.Counters
+	Counters     map[policy.Approach]metrics.Counters
 	HorizonTotal timeu.Time
 }
 
 // Report is a full sweep.
 type Report struct {
 	Scenario   fault.Scenario
-	Approaches []core.Approach
+	Approaches []policy.Approach
 	Rows       []Row
 }
 
@@ -239,10 +245,10 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			row := Row{
 				Interval:   iv,
 				Candidates: batch.Candidates,
-				NormMean:   map[core.Approach]float64{},
-				NormCI:     map[core.Approach]float64{},
-				Violations: map[core.Approach]int{},
-				Counters:   map[core.Approach]metrics.Counters{},
+				NormMean:   map[policy.Approach]float64{},
+				NormCI:     map[policy.Approach]float64{},
+				Violations: map[policy.Approach]int{},
+				Counters:   map[policy.Approach]metrics.Counters{},
 			}
 			results := make([]SetResult, len(batch.Sets))
 			var iwg sync.WaitGroup
@@ -339,24 +345,39 @@ func isCtxErr(ctx context.Context, err error) bool {
 	return cause != nil && errors.Is(err, cause)
 }
 
-// RunSet simulates one task set under every approach with an identical
-// fault realization and returns the per-approach energies.
-func RunSet(s *task.Set, approaches []core.Approach, cfg Config, faultSeed uint64) (SetResult, error) {
-	return runSet(context.Background(), s, approaches, cfg, faultSeed, nil)
+// Simulate is the one place a run is put together: it draws approach a's
+// fault plan for scenario sc from faultSeed — with transientRate, when
+// positive, in place of the paper's transient fault rate — builds the
+// policy from opts and the engine from cfg (whose Faults it replaces),
+// and runs the engine under ctx.
+func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.Options, sc fault.Scenario, transientRate float64, faultSeed uint64, cfg sim.Config) (*sim.Result, error) {
+	cfg.Faults = fault.NewPlan(sc, cfg.Horizon, stats.NewRand(faultSeed))
+	if transientRate > 0 {
+		cfg.Faults.WithTransientRate(transientRate)
+	}
+	pol, err := policy.New(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := sim.New(s, pol, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.RunContext(ctx)
 }
 
 // runSet borrows engine working state from scratches (the sweep's
 // per-worker roster) when non-nil, else from cfg.ScratchPool (nil-safe: a
 // nil pool mints a fresh Scratch).
-func runSet(ctx context.Context, s *task.Set, approaches []core.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch) (SetResult, error) {
+func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch) (SetResult, error) {
 	horizon := simHorizon(s, cfg.MinHorizon, cfg.HorizonCap)
 	sr := SetResult{
 		Set:      s,
 		Horizon:  horizon,
-		Active:   map[core.Approach]float64{},
-		Norm:     map[core.Approach]float64{},
-		Violated: map[core.Approach]bool{},
-		Counters: map[core.Approach]metrics.Counters{},
+		Active:   map[policy.Approach]float64{},
+		Norm:     map[policy.Approach]float64{},
+		Violated: map[policy.Approach]bool{},
+		Counters: map[policy.Approach]metrics.Counters{},
 	}
 	opts := cfg.CoreOpts
 	if opts.Offline == nil && cfg.Cache != nil {
@@ -380,21 +401,8 @@ func runSet(ctx context.Context, s *task.Set, approaches []core.Approach, cfg Co
 		// permanent fault instant/processor are identical across
 		// approaches (fair comparison); transient draws consume the
 		// stream per executed job.
-		plan := fault.NewPlan(cfg.Scenario, horizon, stats.NewRand(faultSeed))
-		policy, err := core.New(a, opts)
-		if err != nil {
-			return sr, err
-		}
-		eng, err := sim.New(s, policy, sim.Config{
-			Power:   cfg.Power,
-			Horizon: horizon,
-			Faults:  plan,
-			Scratch: scr,
-		})
-		if err != nil {
-			return sr, err
-		}
-		res, err := eng.RunContext(ctx)
+		res, err := Simulate(ctx, s, a, opts, cfg.Scenario, 0, faultSeed,
+			sim.Config{Power: cfg.Power, Horizon: horizon, Scratch: scr})
 		if err != nil {
 			return sr, err
 		}
@@ -402,7 +410,7 @@ func runSet(ctx context.Context, s *task.Set, approaches []core.Approach, cfg Co
 		sr.Violated[a] = !res.MKSatisfied()
 		sr.Counters[a] = res.Counters
 	}
-	ref := sr.Active[core.ST]
+	ref := sr.Active[policy.ST]
 	for _, a := range approaches {
 		if ref > 0 {
 			sr.Norm[a] = sr.Active[a] / ref
@@ -433,7 +441,7 @@ func simHorizon(s *task.Set, minH, capH timeu.Time) timeu.Time {
 	return total
 }
 
-func aggregate(row *Row, approaches []core.Approach) {
+func aggregate(row *Row, approaches []policy.Approach) {
 	for _, a := range approaches {
 		var sample stats.Sample
 		var sum metrics.Counters
@@ -453,7 +461,7 @@ func aggregate(row *Row, approaches []core.Approach) {
 	}
 }
 
-func (row Row) summary(approaches []core.Approach) string {
+func (row Row) summary(approaches []policy.Approach) string {
 	parts := make([]string, 0, len(approaches))
 	for _, a := range approaches {
 		parts = append(parts, fmt.Sprintf("%s=%.3f", a, row.NormMean[a]))
@@ -461,20 +469,20 @@ func (row Row) summary(approaches []core.Approach) string {
 	return strings.Join(parts, " ")
 }
 
-func ensureST(as []core.Approach) []core.Approach {
+func ensureST(as []policy.Approach) []policy.Approach {
 	for _, a := range as {
-		if a == core.ST {
+		if a == policy.ST {
 			return as
 		}
 	}
-	return append([]core.Approach{core.ST}, as...)
+	return append([]policy.Approach{policy.ST}, as...)
 }
 
 // MaxGain returns the largest interval-mean energy reduction of approach
 // a over approach b (1 − mean_a/mean_b) and the interval where it occurs
 // — the paper's "maximal energy reduction by MKSS_selective over MKSS_DP"
 // headline.
-func (r *Report) MaxGain(a, b core.Approach) (float64, workload.Interval) {
+func (r *Report) MaxGain(a, b policy.Approach) (float64, workload.Interval) {
 	best := 0.0
 	var at workload.Interval
 	for _, row := range r.Rows {
@@ -510,9 +518,9 @@ func (r *Report) Table() string {
 		}
 		b.WriteString("\n")
 	}
-	if gain, at := r.MaxGain(core.Selective, core.DP); gain > 0 {
+	if gain, at := r.MaxGain(policy.Selective, policy.DP); gain > 0 {
 		fmt.Fprintf(&b, "max energy reduction of %s over %s: %.1f%% (at %v)\n",
-			core.Selective, core.DP, 100*gain, at)
+			policy.Selective, policy.DP, 100*gain, at)
 	}
 	return b.String()
 }

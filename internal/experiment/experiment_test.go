@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/workload"
@@ -42,11 +42,11 @@ func TestRunProducesRows(t *testing.T) {
 			t.Errorf("interval %v: %d sets", row.Interval, len(row.Sets))
 		}
 		for _, sr := range row.Sets {
-			if sr.Active[core.ST] <= 0 {
+			if sr.Active[policy.ST] <= 0 {
 				t.Error("ST active energy must be positive")
 			}
-			if math.Abs(sr.Norm[core.ST]-1) > 1e-12 {
-				t.Errorf("ST norm = %v", sr.Norm[core.ST])
+			if math.Abs(sr.Norm[policy.ST]-1) > 1e-12 {
+				t.Errorf("ST norm = %v", sr.Norm[policy.ST])
 			}
 		}
 	}
@@ -141,11 +141,11 @@ func mustJSON(t *testing.T, r *Report) string {
 }
 
 func TestEnsureST(t *testing.T) {
-	got := ensureST([]core.Approach{core.DP, core.Selective})
-	if got[0] != core.ST {
+	got := ensureST([]policy.Approach{policy.DP, policy.Selective})
+	if got[0] != policy.ST {
 		t.Errorf("ST not prepended: %v", got)
 	}
-	same := []core.Approach{core.Selective, core.ST}
+	same := []policy.Approach{policy.Selective, policy.ST}
 	if len(ensureST(same)) != 2 {
 		t.Error("ST duplicated")
 	}
@@ -176,21 +176,21 @@ func TestSimHorizon(t *testing.T) {
 
 func TestMaxGain(t *testing.T) {
 	rep := &Report{
-		Approaches: []core.Approach{core.ST, core.DP, core.Selective},
+		Approaches: []policy.Approach{policy.ST, policy.DP, policy.Selective},
 		Rows: []Row{
 			{
 				Interval: workload.Interval{Lo: 0.2, Hi: 0.3},
 				Sets:     make([]SetResult, 1),
-				NormMean: map[core.Approach]float64{core.ST: 1, core.DP: 0.8, core.Selective: 0.6},
+				NormMean: map[policy.Approach]float64{policy.ST: 1, policy.DP: 0.8, policy.Selective: 0.6},
 			},
 			{
 				Interval: workload.Interval{Lo: 0.3, Hi: 0.4},
 				Sets:     make([]SetResult, 1),
-				NormMean: map[core.Approach]float64{core.ST: 1, core.DP: 0.5, core.Selective: 0.45},
+				NormMean: map[policy.Approach]float64{policy.ST: 1, policy.DP: 0.5, policy.Selective: 0.45},
 			},
 		},
 	}
-	gain, at := rep.MaxGain(core.Selective, core.DP)
+	gain, at := rep.MaxGain(policy.Selective, policy.DP)
 	if math.Abs(gain-0.25) > 1e-12 {
 		t.Errorf("gain = %v, want 0.25", gain)
 	}
@@ -240,17 +240,17 @@ func TestFaultScenarioIncreasesNothingWeird(t *testing.T) {
 
 func TestRunSetSharesPermanentFault(t *testing.T) {
 	// The same fault seed must give every approach the same permanent
-	// fault instant — verified indirectly: RunSet is deterministic and
+	// fault instant — verified indirectly: runSet is deterministic and
 	// ST/DP/selective all see a fault (their energies differ from the
 	// fault-free run).
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 4, 1, 2))
 	cfg := smallConfig(fault.PermanentOnly)
-	apps := []core.Approach{core.ST, core.DP, core.Selective}
-	a, err := RunSet(s, apps, cfg, 77)
+	apps := []policy.Approach{policy.ST, policy.DP, policy.Selective}
+	a, err := runSet(context.Background(), s, apps, cfg, 77, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSet(s, apps, cfg, 77)
+	b, err := runSet(context.Background(), s, apps, cfg, 77, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

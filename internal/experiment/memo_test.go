@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/workload"
 )
@@ -25,7 +25,7 @@ func memoBase() Config {
 	cfg.MaxCandidates = 300
 	cfg.Intervals = workload.Intervals(0.1, 0.5, 0.1)[2:3]
 	cfg.IntervalOffset = 2
-	cfg.Approaches = []core.Approach{core.ST, core.Selective}
+	cfg.Approaches = []policy.Approach{policy.ST, policy.Selective}
 	cfg.Workers = 2
 	return cfg
 }
@@ -74,7 +74,7 @@ func TestIntervalMemoKeyCompleteness(t *testing.T) {
 	cases := []keyCase{
 		{"nothing", func(*Config) {}, true},
 		{"scenario", func(c *Config) { c.Scenario = fault.PermanentAndTransient }, true},
-		{"approaches", func(c *Config) { c.Approaches = []core.Approach{core.DP} }, true},
+		{"approaches", func(c *Config) { c.Approaches = []policy.Approach{policy.DP} }, true},
 		{"workers", func(c *Config) { c.Workers = 1 }, true},
 		{"seed", func(c *Config) { c.Seed++ }, false},
 		{"interval offset", func(c *Config) { c.IntervalOffset++ }, false},

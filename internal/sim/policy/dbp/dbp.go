@@ -18,11 +18,8 @@ import (
 	"repro/internal/timeu"
 )
 
-// Name is the canonical policy name, as registered and reported.
-const Name = "MKSS-DBP"
-
 func init() {
-	policy.Register(Name, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.DBP, func(opts policy.Options) sim.Policy {
 		return &dbpPolicy{opts: opts}
 	})
 }
@@ -64,7 +61,7 @@ type dbpPolicy struct {
 	onClassify func(taskID, index, dist int)
 }
 
-func (p *dbpPolicy) Name() string { return Name }
+func (p *dbpPolicy) Name() string { return policy.DBP.String() }
 
 func (p *dbpPolicy) Init(e *sim.Engine) error {
 	set := e.Set()

@@ -214,16 +214,19 @@ func TestReleaseClassification(t *testing.T) {
 }
 
 // TestRegistryConstructible pins the policy's registry wiring: MKSS-DBP
-// is constructible by name and reports its canonical name.
+// is constructible, reports its canonical name, and its aliases parse to
+// it.
 func TestRegistryConstructible(t *testing.T) {
-	p, err := policy.New(Name, policy.Options{})
+	p, err := policy.New(policy.DBP, policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != Name {
-		t.Errorf("Name() = %q, want %q", p.Name(), Name)
+	if p.Name() != "MKSS-DBP" {
+		t.Errorf("Name() = %q, want MKSS-DBP", p.Name())
 	}
-	if _, err := policy.New("mkss-dbp", policy.Options{}); err != nil {
-		t.Errorf("case-insensitive lookup failed: %v", err)
+	for _, name := range []string{"mkss-dbp", "dbp", "Distance"} {
+		if a, err := policy.ParseApproach(name); err != nil || a != policy.DBP {
+			t.Errorf("ParseApproach(%q) = %v, %v", name, a, err)
+		}
 	}
 }

@@ -53,15 +53,18 @@ func TestGreedyLessBands(t *testing.T) {
 }
 
 // TestRegistryNames pins that both dynamic policies are registered and
-// constructible by canonical name.
+// report their canonical names.
 func TestRegistryNames(t *testing.T) {
-	for _, name := range []string{NameGreedy, NameSelective} {
-		p, err := policy.New(name, policy.Options{})
+	for _, c := range []struct {
+		a    policy.Approach
+		name string
+	}{{policy.Greedy, "MKSS-greedy"}, {policy.Selective, "MKSS-selective"}} {
+		p, err := policy.New(c.a, policy.Options{})
 		if err != nil {
-			t.Fatalf("policy.New(%q): %v", name, err)
+			t.Fatalf("policy.New(%v): %v", c.a, err)
 		}
-		if p.Name() != name {
-			t.Errorf("Name() = %q, want %q", p.Name(), name)
+		if p.Name() != c.name {
+			t.Errorf("Name() = %q, want %q", p.Name(), c.name)
 		}
 	}
 }

@@ -14,17 +14,11 @@ import (
 	"repro/internal/timeu"
 )
 
-// Canonical policy names, as registered and reported.
-const (
-	NameGreedy    = "MKSS-greedy"
-	NameSelective = "MKSS-selective"
-)
-
 func init() {
-	policy.Register(NameGreedy, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.Greedy, func(opts policy.Options) sim.Policy {
 		return &greedyPolicy{opts: opts}
 	})
-	policy.Register(NameSelective, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.Selective, func(opts policy.Options) sim.Policy {
 		return &selectivePolicy{opts: opts}
 	})
 }
@@ -51,7 +45,7 @@ type greedyPolicy struct {
 	dead [sim.NumProcs]bool
 }
 
-func (p *greedyPolicy) Name() string { return NameGreedy }
+func (p *greedyPolicy) Name() string { return policy.Greedy.String() }
 
 func (p *greedyPolicy) Init(e *sim.Engine) error {
 	set := e.Set()

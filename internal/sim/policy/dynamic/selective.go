@@ -45,7 +45,7 @@ type selectivePolicy struct {
 	dead [sim.NumProcs]bool
 }
 
-func (p *selectivePolicy) Name() string { return NameSelective }
+func (p *selectivePolicy) Name() string { return policy.Selective.String() }
 
 func (p *selectivePolicy) Init(e *sim.Engine) error {
 	set := e.Set()

@@ -2,22 +2,19 @@
 // the concrete scheduling schemes. The engine (internal/sim) owns time,
 // processors, energy and settlement; everything approach-specific — which
 // job copy goes where, in which priority band, when backups become
-// eligible — lives in a sim.Policy implementation registered here by
-// name.
+// eligible — lives in a sim.Policy implementation registered here under
+// its Approach.
 //
+// The Approach table (approach.go) is the one place an approach is named:
+// its canonical name, its aliases and its position in every listing.
 // Implementations live in sub-packages (static, dynamic, dbp) and
-// register themselves from init, so adding a scheme never touches the
-// kernel: a new policy package imports sim and this registry, calls
-// Register, and becomes selectable by name from every cmd/ binary. The
+// register themselves from init, so adding a scheme is one table row plus
+// one Register call from a new package, and never touches the kernel. The
 // one-way dependency (policy packages import sim, never the reverse) is
 // enforced by the depdag lint table.
 package policy
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/pattern"
 	"repro/internal/sim"
@@ -56,50 +53,6 @@ type Options struct {
 // cheap: per-set analysis belongs in the policy's Init, where the engine
 // and its memoized offline products are available.
 type Builder func(Options) sim.Policy
-
-// registry maps lower-cased policy names to builders; names keeps the
-// canonical spellings in registration order so listings never iterate
-// the map. Registration runs from package inits (serialized by the
-// runtime); lookups afterwards are read-only, so no lock is needed.
-var (
-	registry = map[string]Builder{}
-	names    []string
-)
-
-// Register adds a policy under its canonical name. It panics on a
-// duplicate or empty registration — both are programmer errors caught at
-// process start by any test that imports the implementation packages.
-func Register(name string, build Builder) {
-	if name == "" || build == nil {
-		panic("policy: Register with empty name or nil builder")
-	}
-	key := strings.ToLower(name)
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	registry[key] = build
-	names = append(names, name)
-}
-
-// New builds the named policy (case-insensitive). The FDThreshold default
-// is applied here so every construction path sees the paper's value.
-func New(name string, opts Options) (sim.Policy, error) {
-	if opts.FDThreshold == 0 {
-		opts.FDThreshold = 1
-	}
-	build, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)", name, strings.Join(Names(), ", "))
-	}
-	return build(opts), nil
-}
-
-// Names lists the registered canonical names, sorted.
-func Names() []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
-}
 
 // FPLess is plain fixed-priority ordering: lower task index first, then
 // earlier job, then mains before backups (the last tie can only occur

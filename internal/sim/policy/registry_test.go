@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,62 +19,68 @@ func (p *fakePolicy) Runnable(now timeu.Time, j *task.Job) bool           { retu
 func (p *fakePolicy) OnSettled(e *sim.Engine, taskID, index int, ok bool) {}
 func (p *fakePolicy) OnPermanentFault(e *sim.Engine, dead int)            {}
 
+// emptyRegistry swaps in an empty builder table until the test ends, so
+// registration can be exercised without disturbing the implementation
+// packages the external tests of this package link in.
+func emptyRegistry(t *testing.T) {
+	saved := builders
+	builders = [numApproaches]Builder{}
+	t.Cleanup(func() { builders = saved })
+}
+
 func TestRegisterAndNew(t *testing.T) {
-	Register("test-fake", func(opts Options) sim.Policy {
-		if opts.FDThreshold != 1 {
-			t.Errorf("FDThreshold default not applied: %d", opts.FDThreshold)
-		}
-		return &fakePolicy{name: "test-fake"}
-	})
-	// Case-insensitive lookup.
-	for _, name := range []string{"test-fake", "TEST-FAKE", "Test-Fake"} {
-		p, err := New(name, Options{})
+	emptyRegistry(t)
+	for a := ST; a < numApproaches; a++ {
+		Register(a, func(opts Options) sim.Policy {
+			if opts.FDThreshold != 1 {
+				t.Errorf("%v: FDThreshold default not applied: %d", a, opts.FDThreshold)
+			}
+			return &fakePolicy{name: a.String()}
+		})
+	}
+	for a := ST; a < numApproaches; a++ {
+		p, err := New(a, Options{})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("New(%v): %v", a, err)
 		}
-		if p.Name() != "test-fake" {
-			t.Errorf("Name() = %q", p.Name())
+		if p.Name() != a.String() {
+			t.Errorf("New(%v).Name() = %q", a, p.Name())
 		}
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-fake" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Names() = %v, missing test-fake", Names())
 	}
 }
 
+// TestNewUnknownNamesRegistered pins that New refuses an approach outside
+// the table and one that nothing registered.
 func TestNewUnknownNamesRegistered(t *testing.T) {
-	_, err := New("no-such-policy", Options{})
-	if err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if !strings.Contains(err.Error(), "registered:") {
-		t.Errorf("error does not list registered policies: %v", err)
+	emptyRegistry(t)
+	for _, a := range []Approach{-1, numApproaches, 99, ST} {
+		if _, err := New(a, Options{}); err == nil {
+			t.Errorf("New(%v) accepted", a)
+		}
 	}
 }
 
 func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	Register("test-dup", func(Options) sim.Policy { return &fakePolicy{name: "test-dup"} })
+	emptyRegistry(t)
+	fake := func(Options) sim.Policy { return &fakePolicy{} }
+	Register(DP, fake)
 	for _, c := range []struct {
-		name  string
+		a     Approach
 		build Builder
 	}{
-		{"test-dup", func(Options) sim.Policy { return nil }}, // exact dup
-		{"TEST-DUP", func(Options) sim.Policy { return nil }}, // case-folded dup
-		{"", func(Options) sim.Policy { return nil }},         // empty name
-		{"test-nil", nil}, // nil builder
+		{DP, fake},            // duplicate
+		{Approach(99), fake},  // unknown approach
+		{numApproaches, fake}, // one past the table
+		{Approach(-1), fake},  // negative
+		{ST, nil},             // nil builder
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Register(%q) did not panic", c.name)
+					t.Errorf("Register(%v) did not panic", c.a)
 				}
 			}()
-			Register(c.name, c.build)
+			Register(c.a, c.build)
 		}()
 	}
 }

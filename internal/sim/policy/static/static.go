@@ -14,21 +14,14 @@ import (
 	"repro/internal/timeu"
 )
 
-// Canonical policy names, as registered and reported.
-const (
-	NameST           = "MKSS-ST"
-	NameDP           = "MKSS-DP"
-	NameDPBackground = "MKSS-DP-background"
-)
-
 func init() {
-	policy.Register(NameST, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.ST, func(opts policy.Options) sim.Policy {
 		return &stPolicy{opts: opts}
 	})
-	policy.Register(NameDP, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.DP, func(opts policy.Options) sim.Policy {
 		return &dpPolicy{opts: opts}
 	})
-	policy.Register(NameDPBackground, func(opts policy.Options) sim.Policy {
+	policy.Register(policy.DPBackground, func(opts policy.Options) sim.Policy {
 		return &dpPolicy{opts: opts, background: true}
 	})
 }
@@ -43,7 +36,7 @@ type stPolicy struct {
 	dead [sim.NumProcs]bool
 }
 
-func (p *stPolicy) Name() string { return NameST }
+func (p *stPolicy) Name() string { return policy.ST.String() }
 
 func (p *stPolicy) Init(e *sim.Engine) error { return nil }
 
@@ -91,9 +84,9 @@ type dpPolicy struct {
 
 func (p *dpPolicy) Name() string {
 	if p.background {
-		return NameDPBackground
+		return policy.DPBackground.String()
 	}
-	return NameDP
+	return policy.DP.String()
 }
 
 func (p *dpPolicy) Init(e *sim.Engine) error {

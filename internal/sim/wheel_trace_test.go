@@ -1,43 +1,34 @@
 package sim_test
 
 // External-package test: drives the wheel-based engine through the real
-// policies of internal/core and verifies, via internal/trace, that the
+// policies of internal/sim/policy and verifies, via internal/trace, that the
 // same seed yields an identical execution trace whether the scratch (and
 // its wheel) is fresh or warm from previous runs, and that the traces
 // pass the trace-level invariants.
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/stats"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-func runTraced(t *testing.T, s *task.Set, a core.Approach, scenario fault.Scenario, seed uint64, scr *sim.Scratch) *sim.Result {
+func runTraced(t *testing.T, s *task.Set, a policy.Approach, scenario fault.Scenario, seed uint64, scr *sim.Scratch) *sim.Result {
 	t.Helper()
-	horizon := 100 * timeu.Millisecond
-	policy, err := core.New(a, core.Options{})
-	if err != nil {
-		t.Fatalf("core.New(%v): %v", a, err)
-	}
-	eng, err := sim.New(s, policy, sim.Config{
-		Horizon:     horizon,
-		Faults:      fault.NewPlan(scenario, horizon, stats.NewRand(seed)),
+	res, err := experiment.Simulate(context.Background(), s, a, policy.Options{}, scenario, 0, seed, sim.Config{
+		Horizon:     100 * timeu.Millisecond,
 		RecordTrace: true,
 		Scratch:     scr,
 	})
 	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Simulate(%v): %v", a, err)
 	}
 	return res
 }
@@ -56,7 +47,7 @@ func TestWheelTraceIdenticalFreshVsWarm(t *testing.T) {
 	}
 	scr := sim.NewScratch()
 	for si, s := range sets {
-		for _, a := range []core.Approach{core.ST, core.DP, core.Selective} {
+		for _, a := range []policy.Approach{policy.ST, policy.DP, policy.Selective} {
 			for _, scenario := range []fault.Scenario{fault.NoFault, fault.PermanentOnly} {
 				seed := uint64(si)*100 + uint64(scenario)
 				fresh := runTraced(t, s, a, scenario, seed, nil)

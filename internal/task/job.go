@@ -56,9 +56,9 @@ type Job struct {
 	Index  int
 	// Copy says whether this record is the main or the backup copy.
 	Copy Copy
-	// Class at release time. A job released Mandatory may later be
-	// demoted (its Demoted flag set) when the selective scheme learns the
-	// preceding optional job succeeded; see core.
+	// Class at release time: from the static (m,k) pattern under ST and
+	// DP, from the task's outcome window under the dynamic policies (see
+	// internal/sim/policy).
 	Class Class
 
 	// Release is the time the copy becomes eligible: r_ij for mains,

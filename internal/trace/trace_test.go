@@ -1,26 +1,25 @@
 package trace
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
 
-func fig1Run(t *testing.T, a core.Approach) (*task.Set, *sim.Result) {
+func fig1Run(t *testing.T, a policy.Approach) (*task.Set, *sim.Result) {
 	t.Helper()
 	s := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
-	eng, err := sim.New(s, core.MustNew(a, core.Options{}), sim.Config{
+	r, err := experiment.Simulate(context.Background(), s, a, policy.Options{}, fault.NoFault, 0, 0, sim.Config{
 		Horizon:     timeu.FromMillis(20),
 		RecordTrace: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func fig1Run(t *testing.T, a core.Approach) (*task.Set, *sim.Result) {
 }
 
 func TestGanttRender(t *testing.T) {
-	_, r := fig1Run(t, core.DP)
+	_, r := fig1Run(t, policy.DP)
 	out := Gantt{}.Render(r)
 	if !strings.Contains(out, "primary") || !strings.Contains(out, "spare") {
 		t.Errorf("missing lanes:\n%s", out)
@@ -45,7 +44,7 @@ func TestGanttRender(t *testing.T) {
 }
 
 func TestGanttWidthCap(t *testing.T) {
-	_, r := fig1Run(t, core.ST)
+	_, r := fig1Run(t, policy.ST)
 	out := Gantt{Width: 10}.Render(r)
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "primary") && len(line) > 8+1+10+1 {
@@ -55,7 +54,7 @@ func TestGanttWidthCap(t *testing.T) {
 }
 
 func TestGanttExplicitQuantum(t *testing.T) {
-	_, r := fig1Run(t, core.ST)
+	_, r := fig1Run(t, policy.ST)
 	out := Gantt{Quantum: timeu.FromMillis(2)}.Render(r)
 	if !strings.Contains(out, "quantum 2ms") {
 		t.Errorf("quantum not honored:\n%s", out)
@@ -63,7 +62,7 @@ func TestGanttExplicitQuantum(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	_, r := fig1Run(t, core.DP)
+	_, r := fig1Run(t, policy.DP)
 	out := Summarize(r)
 	// Figure 1: main J1,1 on the primary at [0,3).
 	if !strings.Contains(out, "[0ms,3ms) primary J1,1") {
@@ -76,7 +75,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestCheckCleanOnPaperSchedules(t *testing.T) {
-	for _, a := range core.Approaches() {
+	for _, a := range policy.Approaches() {
 		s, r := fig1Run(t, a)
 		if problems := Check(s, r); len(problems) != 0 {
 			t.Errorf("%v: trace problems: %v", a, problems)

@@ -20,7 +20,7 @@
 //	fmt.Println(res.ActiveEnergy()) // 12 — Figure 2 of the paper
 //
 // The heavy lifting lives in the internal packages (task, pattern, rta,
-// postpone, sim, core, fault, workload, experiment, trace); this package
+// postpone, sim, sim/policy, fault, workload, experiment, trace); this package
 // re-exports the surface a downstream user needs.
 package repro
 
@@ -32,7 +32,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -40,6 +39,7 @@ import (
 	"repro/internal/postpone"
 	"repro/internal/rta"
 	"repro/internal/sim"
+	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/trace"
@@ -56,7 +56,7 @@ type (
 	// Time is a simulation instant/duration in integer microseconds.
 	Time = timeu.Time
 	// Approach selects a scheduling scheme.
-	Approach = core.Approach
+	Approach = policy.Approach
 	// Result is one simulation run's outcome.
 	Result = sim.Result
 	// PowerModel is the energy model (P_act, P_idle, P_sleep, T_be).
@@ -88,12 +88,12 @@ const BenchSchema = experiment.BenchSchema
 // DBP (distance-based priority — every job prioritized by its distance
 // to (m,k) failure).
 const (
-	ST           = core.ST
-	DP           = core.DP
-	Greedy       = core.Greedy
-	Selective    = core.Selective
-	DPBackground = core.DPBackground
-	DBP          = core.DBP
+	ST           = policy.ST
+	DP           = policy.DP
+	Greedy       = policy.Greedy
+	Selective    = policy.Selective
+	DPBackground = policy.DPBackground
+	DBP          = policy.DBP
 )
 
 // The three fault scenarios of Figure 6.
@@ -140,7 +140,7 @@ type RunConfig struct {
 	// see NewJSONLSink. Leaving it nil costs the simulation nothing.
 	Sink MetricsSink
 	// Options tunes the policies (ablations); zero value is the paper.
-	Options core.Options
+	Options policy.Options
 }
 
 // Simulate runs one task set under one approach through the process-wide
@@ -384,23 +384,23 @@ func LoadSetFile(path string) (*Set, error) {
 }
 
 // Approaches lists every implemented approach.
-func Approaches() []Approach { return core.Approaches() }
+func Approaches() []Approach { return policy.Approaches() }
 
 // Extensions lists the registered beyond-paper policies (DPBackground,
 // DBP, ...): selectable by name everywhere, excluded from the default
 // Fig-6 comparison.
-func Extensions() []Approach { return core.Extensions() }
+func Extensions() []Approach { return policy.Extensions() }
 
 // ApproachNames lists the canonical approach names ("MKSS-ST", ...), for
 // flag usage strings.
-func ApproachNames() []string { return core.ApproachNames() }
+func ApproachNames() []string { return policy.ApproachNames() }
 
 // ParseApproach maps a name — canonical ("MKSS-selective"), short alias
 // ("st", "dp", "greedy", "selective", "dp-background"), or any case
 // variant thereof — to an Approach. One canonical table (shared with
 // Approach.String, MarshalText and UnmarshalText) backs every command's
 // flag parsing.
-func ParseApproach(name string) (Approach, error) { return core.ParseApproach(name) }
+func ParseApproach(name string) (Approach, error) { return policy.ParseApproach(name) }
 
 // ParseScenario maps a fault-scenario name ("none", "permanent",
 // "permanent+transient"/"both", case-insensitive) to a Scenario; it is

@@ -4,11 +4,8 @@ import (
 	"context"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/timeu"
 )
 
@@ -124,28 +121,15 @@ func simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig, prods *ana
 	if horizon <= 0 {
 		horizon = s.MKHyperperiod(2000 * timeu.Millisecond)
 	}
-	plan := fault.NewPlan(cfg.Scenario, horizon, stats.NewRand(cfg.Seed))
-	if cfg.TransientRate > 0 {
-		plan.WithTransientRate(cfg.TransientRate)
-	}
 	opts := cfg.Options
 	if opts.Offline == nil {
 		opts.Offline = prods
 	}
-	policy, err := core.New(a, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.New(s, policy, sim.Config{
+	return experiment.Simulate(ctx, s, a, opts, cfg.Scenario, cfg.TransientRate, cfg.Seed, sim.Config{
 		Power:       cfg.Power,
 		Horizon:     horizon,
-		Faults:      plan,
 		RecordTrace: cfg.RecordTrace,
 		Sink:        cfg.Sink,
 		Scratch:     scr,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunContext(ctx)
 }
