@@ -24,9 +24,7 @@
 package postpone
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/pattern"
 	"repro/internal/rta"
@@ -95,6 +93,7 @@ func Compute(s *task.Set, opts Options) (*Analysis, error) {
 		Y:        ys,
 		Exact:    make([]bool, n),
 	}
+	cur := make([]hpCursor, 0, n) // thetaJob's merge buffer, shared by every job
 	for i := 0; i < n; i++ {
 		t := s.Tasks[i]
 		hyper := s.MKHyperperiodLevel(i, cap)
@@ -113,7 +112,7 @@ func Compute(s *task.Set, opts Options) (*Analysis, error) {
 				continue
 			}
 			found = true
-			th := thetaJob(s, an, opts.Pattern, i, j)
+			th := thetaJob(s, an, opts.Pattern, i, j, cur)
 			if th < theta {
 				theta = th
 			}
@@ -134,74 +133,82 @@ func Compute(s *task.Set, opts Options) (*Analysis, error) {
 	return an, nil
 }
 
-// hpJob is one higher-priority backup job relevant to an Eq. (4) window.
-type hpJob struct {
-	posted timeu.Time // r̃kl
-	dl     timeu.Time // dkl
-	wcet   timeu.Time // ckl
+// hpCursor walks one higher-priority task's backup jobs that are
+// relevant to an Eq. (4) window [r, d): mandatory, with deadline after r
+// (dkl > r) and postponed release before d (r̃kl < d). All of a task's
+// backups share θk, so the cursor meets them in r̃ order.
+type hpCursor struct {
+	t      *task.Task
+	theta  timeu.Time // θk
+	l      int        // index of the job under the cursor
+	posted timeu.Time // its r̃kl
 }
 
-// relevantHP enumerates the higher-priority backup jobs that can appear
-// in Eq. (4) for a window [r, d): those with deadline after r (dkl > r)
-// or postponed release inside (r, d). Both conditions bound the nominal
-// release to (r − Dk, d − θk), a window of at most Dk + Pi per task, so
-// the enumeration is O(jobs near the window), not O(jobs in the
-// hyperperiod).
-func relevantHP(s *task.Set, an *Analysis, kind pattern.Kind, i int, r, d timeu.Time) []hpJob {
-	var out []hpJob
-	for k := 0; k < i; k++ {
-		tk := s.Tasks[k]
-		thetaK := an.Theta[k]
-		// First candidate: release > r − Dk  =>  l > (r − Dk − offset)/Pk.
-		lo := tk.JobIndexAt(r-tk.Deadline) + 1
-		if lo < 1 {
-			lo = 1
+// seek moves c to the first relevant job at or after c.l and reports
+// whether there is one. A job posted at or after d can neither interfere
+// (that needs r̃kl < t̄ ≤ d) nor be an inspecting point itself, and later
+// jobs only more so, so the walk ends there.
+func (c *hpCursor) seek(kind pattern.Kind, r, d timeu.Time) bool {
+	for ; ; c.l++ {
+		rel := c.t.Release(c.l)
+		if rel+c.theta >= d {
+			return false
 		}
-		for l := lo; ; l++ {
-			rel := tk.Release(l)
-			if rel+thetaK >= d {
-				// Posted at or after every inspecting point: such a job
-				// can neither interfere (needs r̃kl < t̄ ≤ d) nor be an
-				// inspecting point itself; later jobs only more so.
-				break
-			}
-			if !pattern.Mandatory(kind, l, tk.M, tk.K) {
-				continue
-			}
-			dl := rel + tk.Deadline
-			if dl > r {
-				out = append(out, hpJob{posted: rel + thetaK, dl: dl, wcet: tk.WCET})
-			}
+		if rel+c.t.Deadline > r && pattern.Mandatory(kind, c.l, c.t.M, c.t.K) {
+			c.posted = rel + c.theta
+			return true
 		}
 	}
-	return out
 }
 
 // thetaJob evaluates Eq. (4) for backup job J'_ij.
 //
 // The inspecting points (Definition 3) are dij and every r̃kl in
 // (rij, dij); the interference at a point t̄ is the WCET of every
-// higher-priority backup job with dkl > rij and r̃kl < t̄. relevantHP
-// returns only jobs with dkl > rij and r̃kl < dij, so once they are sorted
-// by r̃kl the interference at each point is a running prefix sum, and the
-// whole evaluation costs O(h log h) for h such jobs instead of O(h²).
-func thetaJob(s *task.Set, an *Analysis, kind pattern.Kind, i, j int) timeu.Time {
+// higher-priority backup job with dkl > rij and r̃kl < t̄. One hpCursor
+// per higher-priority task yields exactly the jobs with dkl > rij and
+// r̃kl < dij, each task's in r̃ order, so merging the cursors visits every
+// job once in r̃ order and the interference at each point is a running
+// sum: O(h·i) time for h such jobs, and no memory beyond the i cursors in
+// cur, which the caller owns and thetaJob overwrites.
+func thetaJob(s *task.Set, an *Analysis, kind pattern.Kind, i, j int, cur []hpCursor) timeu.Time {
 	t := s.Tasks[i]
 	r := t.Release(j)
 	d := t.AbsDeadline(j)
-	hp := relevantHP(s, an, kind, i, r, d)
-	slices.SortFunc(hp, func(a, b hpJob) int { return cmp.Compare(a.posted, b.posted) })
+	cur = cur[:0]
+	for k := 0; k < i; k++ {
+		tk := &s.Tasks[k]
+		// First candidate: release > r − Dk  =>  l > (r − Dk − offset)/Pk.
+		c := hpCursor{t: tk, theta: an.Theta[k], l: max(tk.JobIndexAt(r-tk.Deadline)+1, 1)}
+		if c.seek(kind, r, d) {
+			cur = append(cur, c)
+		}
+	}
 	best := -timeu.Infinity // Eq. (4) may be negative
 	var inter timeu.Time
-	for k := 0; k < len(hp); {
+	for len(cur) > 0 {
 		// inter sums the jobs posted strictly before tb: those posted at
 		// tb itself do not interfere at that point.
-		tb := hp[k].posted
+		tb := cur[0].posted
+		for _, c := range cur[1:] {
+			tb = min(tb, c.posted)
+		}
 		if tb > r {
 			best = max(best, tb-(t.WCET+inter)-r)
 		}
-		for ; k < len(hp) && hp[k].posted == tb; k++ {
-			inter += hp[k].wcet
+		// Consume the jobs posted at tb, at most one per task.
+		for x := 0; x < len(cur); {
+			c := &cur[x]
+			if c.posted == tb {
+				inter += c.t.WCET
+				c.l++
+				if !c.seek(kind, r, d) {
+					cur[x] = cur[len(cur)-1]
+					cur = cur[:len(cur)-1]
+					continue
+				}
+			}
+			x++
 		}
 	}
 	// The deadline point: every relevant job is posted before dij.

@@ -1,6 +1,7 @@
 package postpone
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/pattern"
@@ -9,6 +10,43 @@ import (
 	"repro/internal/timeu"
 	"repro/internal/workload"
 )
+
+// hpJob is one higher-priority backup job relevant to an Eq. (4) window.
+type hpJob struct {
+	posted timeu.Time // r̃kl
+	dl     timeu.Time // dkl
+	wcet   timeu.Time // ckl
+}
+
+// relevantHP enumerates, task by task, the higher-priority backup jobs
+// that can appear in Eq. (4) for a window [r, d): those with deadline
+// after r (dkl > r) and postponed release before d. It materializes the
+// jobs the cursors of thetaJob visit in place, as the oracle's input.
+func relevantHP(s *task.Set, an *Analysis, kind pattern.Kind, i int, r, d timeu.Time) []hpJob {
+	var out []hpJob
+	for k := 0; k < i; k++ {
+		tk := s.Tasks[k]
+		thetaK := an.Theta[k]
+		lo := tk.JobIndexAt(r-tk.Deadline) + 1
+		if lo < 1 {
+			lo = 1
+		}
+		for l := lo; ; l++ {
+			rel := tk.Release(l)
+			if rel+thetaK >= d {
+				break
+			}
+			if !pattern.Mandatory(kind, l, tk.M, tk.K) {
+				continue
+			}
+			dl := rel + tk.Deadline
+			if dl > r {
+				out = append(out, hpJob{posted: rel + thetaK, dl: dl, wcet: tk.WCET})
+			}
+		}
+	}
+	return out
+}
 
 // thetaJobQuadratic is the direct reading of Eq. (4), kept as the oracle
 // for thetaJob: every inspecting point sums the interference of every
@@ -121,4 +159,64 @@ func TestThetaMatchesQuadraticReference(t *testing.T) {
 		t.Fatalf("corpus too thin: %d jobs over %d exact levels", jobs, exactLevels)
 	}
 	t.Logf("%d backup jobs over %d exact levels matched", jobs, exactLevels)
+}
+
+// backlogSet is the set with the densest Eq. (4) windows: every window of
+// τ3 (about one second) spans about 830,000 backup jobs of the 2 µs and
+// 3 µs tasks, and its level hyperperiod (about 6 s) keeps τ3 exact.
+func backlogSet() *task.Set {
+	return task.NewSet(
+		task.New(0, 0.002, 0.002, 0.002, 1, 1),
+		task.New(1, 0.003, 0.003, 0.001, 1, 1),
+		task.New(2, 999.983, 999.983, 0.001, 1, 2),
+	)
+}
+
+// TestComputeMemoryIndependentOfWindowJobs bounds what one Compute
+// allocates on backlogSet: thetaJob merges the higher-priority job
+// streams in place, so the analysis holds one cursor per task however
+// many jobs a window spans. Collecting each window's jobs into a slice
+// allocated about 330 MB here.
+func TestComputeMemoryIndependentOfWindowJobs(t *testing.T) {
+	s := backlogSet()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	an, err := Compute(s, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !an.Exact[2] {
+		t.Fatal("τ3 fell back to Y; the bound needs the exact analysis")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("Compute allocated %d bytes, want < 16 MB", alloc)
+	}
+}
+
+// BenchmarkCompute times the analysis on backlogSet and on a fixed batch
+// of §V candidate sets with (m,k)-utilization in [0.1, 0.6).
+func BenchmarkCompute(b *testing.B) {
+	gen := workload.NewGenerator(workload.DefaultConfig(), 1)
+	var fig6 []*task.Set
+	for len(fig6) < 20 {
+		if s, err := gen.Candidate(0.1 + 0.025*float64(len(fig6))); err == nil {
+			fig6 = append(fig6, s)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		sets []*task.Set
+	}{{"backlog", []*task.Set{backlogSet()}}, {"fig6", fig6}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for _, s := range c.sets {
+					if _, err := Compute(s, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
