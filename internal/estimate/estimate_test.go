@@ -112,12 +112,21 @@ func TestTwinMatchesSimOnPaperSet(t *testing.T) {
 	}
 }
 
+// newTwin builds the twin backend around r through the registry.
+func newTwin(t *testing.T, r *repro.Runner) Estimator {
+	t.Helper()
+	tw, err := New("twin", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tw
+}
+
 // A zero horizon must resolve exactly as Runner.Simulate resolves it.
 func TestTwinDefaultHorizon(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
 	set := paperSet()
-	tw := NewTwin(r)
-	a, err := tw.Estimate(context.Background(), Request{Set: set, Approach: repro.ST})
+	a, err := newTwin(t, r).Estimate(context.Background(), Request{Set: set, Approach: repro.ST})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestTwinDefaultHorizon(t *testing.T) {
 func TestTwinSchedulableIsExact(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
 	set := paperSet()
-	a, err := NewTwin(r).Estimate(context.Background(), Request{Set: set, Approach: repro.DP, HorizonMS: 100})
+	a, err := newTwin(t, r).Estimate(context.Background(), Request{Set: set, Approach: repro.DP, HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +182,7 @@ func TestExecFraction(t *testing.T) {
 // UnsupportedError, never a zero-activity estimate that looks plausible.
 func TestTwinUnsupportedDBP(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
-	twin := NewTwin(r)
+	twin := newTwin(t, r)
 	_, err := twin.Estimate(context.Background(), Request{
 		Set: paperSet(), Approach: repro.DBP, HorizonMS: 100,
 	})

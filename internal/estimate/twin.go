@@ -94,9 +94,6 @@ type Twin struct {
 // linear behind the check.
 var errUnschedulable = errors.New("estimate: mandatory jobs are not schedulable under the static pattern, and the twin models only sets that are; refine with the simulator")
 
-// NewTwin builds the twin around a session.
-func NewTwin(r *repro.Runner) *Twin { return &Twin{runner: r} }
-
 func (t *Twin) Name() string { return "twin" }
 func (t *Twin) Exact() bool  { return false }
 

@@ -131,13 +131,6 @@ func (p *Plan) TransientDuring(d timeu.Time) bool {
 	return p.rng.Float64() < prob
 }
 
-// PermanentAt reports whether the permanent fault strikes processor proc
-// at a time in (from, to].
-func (p *Plan) PermanentAt(proc int, from, to timeu.Time) bool {
-	return p.Permanent != nil && p.Permanent.Proc == proc &&
-		p.Permanent.At > from && p.Permanent.At <= to
-}
-
 func (p *Plan) String() string {
 	s := "faults{"
 	if p.Permanent != nil {

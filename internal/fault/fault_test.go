@@ -93,22 +93,6 @@ func TestTransientDuringZeroDuration(t *testing.T) {
 	}
 }
 
-func TestPermanentAt(t *testing.T) {
-	p := &Plan{Permanent: &Permanent{At: 100, Proc: 1}}
-	if !p.PermanentAt(1, 50, 100) {
-		t.Error("boundary (from,to] must include At == to")
-	}
-	if p.PermanentAt(1, 100, 150) {
-		t.Error("(from,to] must exclude At == from")
-	}
-	if p.PermanentAt(0, 50, 150) {
-		t.Error("wrong processor matched")
-	}
-	if NoFaults().PermanentAt(0, 0, timeu.Second) {
-		t.Error("no permanent fault must never match")
-	}
-}
-
 func TestPlanString(t *testing.T) {
 	p := NewPlan(PermanentAndTransient, timeu.Second, stats.NewRand(3))
 	s := p.String()

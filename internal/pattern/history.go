@@ -15,8 +15,6 @@ type History struct {
 	// recent. true = effective (successfully completed by its deadline).
 	ring []bool
 	head int
-	// recorded counts total outcomes ever recorded (diagnostics only).
-	recorded int
 }
 
 // NewHistory builds an all-effective history for constraint (m,k).
@@ -42,11 +40,7 @@ func (h *History) Record(effective bool) {
 	if h.head == h.k {
 		h.head = 0
 	}
-	h.recorded++
 }
-
-// Recorded returns how many outcomes have ever been recorded.
-func (h *History) Recorded() int { return h.recorded }
 
 // Meets returns the number of effective outcomes in the window.
 func (h *History) Meets() int {
@@ -102,9 +96,6 @@ func (h *History) FlexibilityDegree() int {
 	return 0
 }
 
-// NextMandatory reports whether the next job must be mandatory (FD == 0).
-func (h *History) NextMandatory() bool { return h.FlexibilityDegree() == 0 }
-
 // Snapshot returns the window ordered oldest -> newest (for tests and
 // trace output).
 func (h *History) Snapshot() []bool {
@@ -117,7 +108,7 @@ func (h *History) Snapshot() []bool {
 
 // Clone returns an independent copy.
 func (h *History) Clone() *History {
-	c := &History{m: h.m, k: h.k, ring: make([]bool, h.k), head: h.head, recorded: h.recorded}
+	c := &History{m: h.m, k: h.k, ring: make([]bool, h.k), head: h.head}
 	copy(c.ring, h.ring)
 	return c
 }

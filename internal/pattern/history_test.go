@@ -1,10 +1,14 @@
 package pattern
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// nextMandatory reports whether h's next job must be mandatory (FD == 0).
+func nextMandatory(h *History) bool { return h.FlexibilityDegree() == 0 }
 
 func TestInitialFDMatchesPaper(t *testing.T) {
 	// Footnote 1 / Fig. 2 of the paper: with fresh (all-effective)
@@ -24,7 +28,7 @@ func TestFDHardTask(t *testing.T) {
 	if fd := h.FlexibilityDegree(); fd != 0 {
 		t.Errorf("FD(3,3) = %d, want 0", fd)
 	}
-	if !h.NextMandatory() {
+	if !nextMandatory(h) {
 		t.Error("hard task's next job must be mandatory")
 	}
 }
@@ -118,20 +122,17 @@ func TestSnapshotAndString(t *testing.T) {
 	if s := h.String(); !strings.HasPrefix(s, "1101") {
 		t.Errorf("String = %q", s)
 	}
-	if h.Recorded() != 2 {
-		t.Errorf("Recorded = %d", h.Recorded())
-	}
 }
 
 func TestCloneIndependent(t *testing.T) {
 	h := NewHistory(1, 3)
 	c := h.Clone()
 	c.Record(false)
-	if h.FlexibilityDegree() != c.FlexibilityDegree()+0 && h.Recorded() != 0 {
-		t.Error("clone mutated original")
+	if got := fmt.Sprint(h.Snapshot()); got != "[true true true]" {
+		t.Errorf("clone mutated original: %s", got)
 	}
-	if h.Recorded() != 0 || c.Recorded() != 1 {
-		t.Error("clone shares state")
+	if got := fmt.Sprint(c.Snapshot()); got != "[true true false]" {
+		t.Errorf("clone lost its record: %s", got)
 	}
 }
 
@@ -157,14 +158,14 @@ func TestFDPolicyNeverViolates(t *testing.T) {
 		h := NewHistory(m, k)
 		var outcomes []bool
 		for _, c := range choices {
-			exec := h.NextMandatory() || c
+			exec := nextMandatory(h) || c
 			h.Record(exec)
 			outcomes = append(outcomes, exec)
 			if h.Violated() {
 				return false
 			}
 		}
-		return Satisfies(outcomes, m, k)
+		return satisfies(outcomes, m, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -180,7 +181,7 @@ func TestFDMatchesBruteForce(t *testing.T) {
 		h := NewHistory(m, k)
 		for _, b := range seed {
 			// Keep history valid: record a meet when mandatory.
-			h.Record(h.NextMandatory() || b)
+			h.Record(nextMandatory(h) || b)
 		}
 		fd := h.FlexibilityDegree()
 		// Brute force: misses until violation.

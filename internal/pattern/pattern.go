@@ -58,40 +58,12 @@ func Mandatory(kind Kind, j, m, k int) bool {
 	}
 }
 
-// MandatorySlice returns the first n pattern bits (index 0 = job 1).
-func MandatorySlice(kind Kind, n, m, k int) []bool {
-	out := make([]bool, n)
-	for j := 1; j <= n; j++ {
-		out[j-1] = Mandatory(kind, j, m, k)
-	}
-	return out
-}
-
-// CountMandatory returns how many of the first n jobs are mandatory.
-func CountMandatory(kind Kind, n, m, k int) int {
-	c := 0
-	for j := 1; j <= n; j++ {
-		if Mandatory(kind, j, m, k) {
-			c++
-		}
-	}
-	return c
-}
-
-// Satisfies reports whether a 0/1 outcome sequence (true = effective)
-// satisfies the (m,k) constraint: every window of k consecutive outcomes
-// contains at least m trues. Windows are only checked once full, matching
-// the paper's "any k_i consecutive jobs" over the realized sequence with
-// an implicit all-effective prefix (a prefix of fewer than k jobs cannot
-// violate the constraint when preceded by effective history).
-func Satisfies(outcomes []bool, m, k int) bool {
-	return FirstViolation(outcomes, m, k) < 0
-}
-
 // FirstViolation returns the index (0-based) of the last job of the first
-// violating k-window, or -1 if the sequence satisfies (m,k). The sequence
-// is treated as preceded by an infinite all-effective history, so windows
-// that begin before index 0 count their missing prefix as effective.
+// violating k-window, or -1 if the sequence satisfies (m,k): every window
+// of k consecutive outcomes (true = effective) holds at least m trues.
+// The sequence is treated as preceded by an infinite all-effective
+// history, so windows that begin before index 0 count their missing
+// prefix as effective.
 func FirstViolation(outcomes []bool, m, k int) int {
 	meets := 0 // number of trues in the current window
 	for i, ok := range outcomes {

@@ -5,11 +5,34 @@ import (
 	"testing/quick"
 )
 
+// mandatorySlice returns the first n pattern bits (index 0 = job 1).
+func mandatorySlice(kind Kind, n, m, k int) []bool {
+	out := make([]bool, n)
+	for j := 1; j <= n; j++ {
+		out[j-1] = Mandatory(kind, j, m, k)
+	}
+	return out
+}
+
+// countTrue counts the true bits of seq.
+func countTrue(seq []bool) int {
+	c := 0
+	for _, b := range seq {
+		if b {
+			c++
+		}
+	}
+	return c
+}
+
+// satisfies reports whether seq meets (m,k), by FirstViolation.
+func satisfies(seq []bool, m, k int) bool { return FirstViolation(seq, m, k) < 0 }
+
 func TestRPatternEq1(t *testing.T) {
 	// Eq. (1): pi_ij = 1 iff 1 <= j mod k <= m, for (m,k) = (2,4):
 	// jobs 1,2 mandatory; 3,4 optional; repeats.
 	want := []bool{true, true, false, false, true, true, false, false}
-	got := MandatorySlice(RPattern, 8, 2, 4)
+	got := mandatorySlice(RPattern, 8, 2, 4)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("R(2,4) job %d = %v, want %v", i+1, got[i], want[i])
@@ -20,7 +43,7 @@ func TestRPatternEq1(t *testing.T) {
 func TestRPatternFig5(t *testing.T) {
 	// tau1=(10,10,3,2,3): jobs 1,2 mandatory, 3 optional (paper Fig. 5:
 	// backups at t=0 and t=10 only within [0,30)).
-	got := MandatorySlice(RPattern, 3, 2, 3)
+	got := mandatorySlice(RPattern, 3, 2, 3)
 	want := []bool{true, true, false}
 	for i := range want {
 		if got[i] != want[i] {
@@ -37,7 +60,7 @@ func TestRPatternCounts(t *testing.T) {
 	// Over any k consecutive jobs, the R-pattern marks exactly m mandatory.
 	for _, mk := range [][2]int{{1, 2}, {2, 3}, {2, 4}, {3, 7}, {19, 20}} {
 		m, k := mk[0], mk[1]
-		if got := CountMandatory(RPattern, k, m, k); got != m {
+		if got := countTrue(mandatorySlice(RPattern, k, m, k)); got != m {
 			t.Errorf("R(%d,%d): %d mandatory in one window, want %d", m, k, got, m)
 		}
 	}
@@ -53,7 +76,7 @@ func TestMHardEqualsAllMandatory(t *testing.T) {
 
 func TestEPatternSpread(t *testing.T) {
 	// E(2,4) should mark jobs 1 and 3 (spread), not 1 and 2 (deeply red).
-	got := MandatorySlice(EPattern, 8, 2, 4)
+	got := mandatorySlice(EPattern, 8, 2, 4)
 	want := []bool{true, false, true, false, true, false, true, false}
 	for i := range want {
 		if got[i] != want[i] {
@@ -63,7 +86,7 @@ func TestEPatternSpread(t *testing.T) {
 	// Each window of k jobs still contains exactly m mandatory ones.
 	for _, mk := range [][2]int{{1, 2}, {2, 3}, {2, 4}, {3, 7}, {5, 9}} {
 		m, k := mk[0], mk[1]
-		if got := CountMandatory(EPattern, k, m, k); got != m {
+		if got := countTrue(mandatorySlice(EPattern, k, m, k)); got != m {
 			t.Errorf("E(%d,%d): %d mandatory per window, want %d", m, k, got, m)
 		}
 	}
@@ -74,8 +97,8 @@ func TestPatternSatisfiesMK(t *testing.T) {
 	for _, kind := range []Kind{RPattern, EPattern} {
 		for m := 1; m < 6; m++ {
 			for k := m + 1; k <= 8; k++ {
-				seq := MandatorySlice(kind, 5*k, m, k)
-				if !Satisfies(seq, m, k) {
+				seq := mandatorySlice(kind, 5*k, m, k)
+				if !satisfies(seq, m, k) {
 					t.Errorf("%v(%d,%d) does not satisfy its own constraint", kind, m, k)
 				}
 			}
@@ -139,7 +162,7 @@ func TestSatisfiesMatchesNaive(t *testing.T) {
 	f := func(bits []bool, mr, kr uint8) bool {
 		k := int(kr%8) + 1
 		m := int(mr)%k + 1
-		return Satisfies(bits, m, k) == naive(bits, m, k)
+		return satisfies(bits, m, k) == naive(bits, m, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -214,16 +214,3 @@ func thetaJob(s *task.Set, an *Analysis, kind pattern.Kind, i, j int, cur []hpCu
 	// The deadline point: every relevant job is posted before dij.
 	return max(best, d-(t.WCET+inter)-r)
 }
-
-// PostponedReleases returns the postponed release instants r̃ of task i's
-// mandatory backup jobs in [0, horizon), for trace output and tests.
-func (a *Analysis) PostponedReleases(s *task.Set, i int, kind pattern.Kind, horizon timeu.Time) []timeu.Time {
-	t := s.Tasks[i]
-	var out []timeu.Time
-	for j := 1; t.Release(j) < horizon; j++ {
-		if pattern.Mandatory(kind, j, t.M, t.K) {
-			out = append(out, t.Release(j)+a.Theta[i])
-		}
-	}
-	return out
-}

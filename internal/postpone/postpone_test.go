@@ -12,6 +12,19 @@ import (
 
 func ms(v float64) timeu.Time { return timeu.FromMillis(v) }
 
+// postponedReleases returns the postponed release instants r̃ of task i's
+// mandatory backup jobs in [0, horizon).
+func postponedReleases(a *Analysis, s *task.Set, i int, kind pattern.Kind, horizon timeu.Time) []timeu.Time {
+	t := s.Tasks[i]
+	var out []timeu.Time
+	for j := 1; t.Release(j) < horizon; j++ {
+		if pattern.Mandatory(kind, j, t.M, t.K) {
+			out = append(out, t.Release(j)+a.Theta[i])
+		}
+	}
+	return out
+}
+
 // TestPaperFig5Postponement reproduces the paper's worked example:
 // tau1=(10,10,3,2,3), tau2=(15,15,8,1,2) yield theta1 = 7, theta2 = 4, and
 // theta2 far exceeds the promotion interval Y2 = 1.
@@ -36,11 +49,11 @@ func TestPaperFig5Postponement(t *testing.T) {
 	}
 	// Postponed releases per Fig. 5(b): tau1 backups at 7 and 17; tau2
 	// backup at 4.
-	r1 := an.PostponedReleases(s, 0, pattern.RPattern, ms(30))
+	r1 := postponedReleases(an, s, 0, pattern.RPattern, ms(30))
 	if len(r1) != 2 || r1[0] != ms(7) || r1[1] != ms(17) {
 		t.Errorf("tau1 postponed releases = %v", r1)
 	}
-	r2 := an.PostponedReleases(s, 1, pattern.RPattern, ms(30))
+	r2 := postponedReleases(an, s, 1, pattern.RPattern, ms(30))
 	if len(r2) != 1 || r2[0] != ms(4) {
 		t.Errorf("tau2 postponed releases = %v", r2)
 	}

@@ -9,7 +9,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // SplitMix64 advances x and returns the next output of the SplitMix64
@@ -75,17 +74,6 @@ func (r *Rand) Int64n(n int64) int64 {
 			return int64(v % bound)
 		}
 	}
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1
-// (mean 1), via inverse transform.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	// Guard against log(0).
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1 - u)
 }
 
 // Split derives an independent generator; the parent advances once.
@@ -170,27 +158,4 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(s.xs))
-	copy(xs, s.xs)
-	sort.Float64s(xs)
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }

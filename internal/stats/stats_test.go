@@ -81,23 +81,6 @@ func TestInt64n(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRand(4)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential sample %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestUniformMean(t *testing.T) {
 	r := NewRand(5)
 	var sum float64
@@ -121,7 +104,7 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sample must be all zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -145,31 +128,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if s.SE() <= 0 || s.CI95() <= 0 {
 		t.Error("SE/CI must be positive for non-degenerate sample")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 5; i++ {
-		s.Add(float64(i))
-	}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileUnsortedInput(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{9, 1, 5, 3, 7} {
-		s.Add(x)
-	}
-	if got := s.Quantile(0.5); got != 5 {
-		t.Errorf("median = %v, want 5", got)
 	}
 }
 
