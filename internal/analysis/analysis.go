@@ -183,7 +183,7 @@ func (p *Products) Mandatory(taskID, index int) bool {
 // buildMandatory is Mandatory's cold path, entered at most once per
 // caller before the ready flag flips.
 func (p *Products) buildMandatory() {
-	p.mandOnce.Do(func() { //mklint:allow hotprop — once-per-Products cold path; Mandatory's per-release fast path is the atomic load above
+	p.mandOnce.Do(func() { //mklint:allow hotpath — once-per-Products cold path; Mandatory's per-release fast path is the atomic load above
 		mand := make([][]bool, p.set.N())
 		for i := range p.set.Tasks {
 			t := &p.set.Tasks[i]

@@ -8,13 +8,13 @@ import (
 
 func TestBaselineApply(t *testing.T) {
 	b := &Baseline{Schema: BaselineSchema, Entries: []BaselineEntry{
-		{Rule: "hotprop", File: "a.go", Message: "m1", Why: "accepted"},
+		{Rule: "hotpath", File: "a.go", Message: "m1", Why: "accepted"},
 		{Rule: "locks", File: "b.go", Message: "m2", Why: "accepted"},
 	}}
 	diags := []Diagnostic{
-		{File: "a.go", Line: 7, Rule: "hotprop", Message: "m1"},  // baselined (line ignored)
+		{File: "a.go", Line: 7, Rule: "hotpath", Message: "m1"},  // baselined (line ignored)
 		{File: "c.go", Line: 1, Rule: "goleak", Message: "new"},  // fresh
-		{File: "a.go", Line: 2, Rule: "hotprop", Message: "new"}, // fresh: same rule+file, different message
+		{File: "a.go", Line: 2, Rule: "hotpath", Message: "new"}, // fresh: same rule+file, different message
 	}
 	fresh, stale := b.Apply(diags)
 	if len(fresh) != 2 {
@@ -44,10 +44,10 @@ func TestBaselineValidate(t *testing.T) {
 
 func TestBaselineRefreshAndRoundTrip(t *testing.T) {
 	prev := &Baseline{Schema: BaselineSchema, Entries: []BaselineEntry{
-		{Rule: "hotprop", File: "a.go", Message: "m1", Why: "hand-written reason"},
+		{Rule: "hotpath", File: "a.go", Message: "m1", Why: "hand-written reason"},
 	}}
 	diags := []Diagnostic{
-		{File: "a.go", Line: 3, Rule: "hotprop", Message: "m1"},
+		{File: "a.go", Line: 3, Rule: "hotpath", Message: "m1"},
 		{File: "b.go", Line: 9, Rule: "goleak", Message: "m2"},
 	}
 	b := RefreshBaseline(diags, prev)
@@ -58,8 +58,8 @@ func TestBaselineRefreshAndRoundTrip(t *testing.T) {
 	for _, e := range b.Entries {
 		byKey[e.Rule] = e
 	}
-	if byKey["hotprop"].Why != "hand-written reason" {
-		t.Errorf("surviving entry lost its why: %q", byKey["hotprop"].Why)
+	if byKey["hotpath"].Why != "hand-written reason" {
+		t.Errorf("surviving entry lost its why: %q", byKey["hotpath"].Why)
 	}
 	if !strings.HasPrefix(byKey["goleak"].Why, "TODO") {
 		t.Errorf("new entry should get a TODO placeholder, got %q", byKey["goleak"].Why)

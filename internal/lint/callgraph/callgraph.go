@@ -1,6 +1,6 @@
 // Package callgraph builds a whole-program, CHA-style call graph over a
 // type-checked module, using nothing beyond go/ast and go/types. It is
-// the substrate of internal/lint's whole-program analyzers: hotprop
+// the substrate of internal/lint's whole-program analyzers: hotpath
 // walks it forward from //mklint:hotpath roots, and locks consults the
 // per-node blocking facts it derives.
 //
@@ -11,7 +11,7 @@
 // is assumed callable), which is the right polarity for linting —
 // reachability never under-reports. Calls through plain function values
 // (fields, parameters, variables of function type) are not resolved;
-// analyzers that care (hotprop) tag the functions behind such seams
+// analyzers that care (hotpath) tag the functions behind such seams
 // explicitly instead.
 package callgraph
 

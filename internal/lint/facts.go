@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the whole-program facts the cross-function analyzers
-// (hotprop, goleak, locks) share: the module call graph, the transitive
+// (hotpath, goleak, locks) share: the module call graph, the transitive
 // hot set seeded from //mklint:hotpath tags, and per-function blocking
 // facts. Everything is computed lazily on first use and cached on the
 // Program, so a run restricted to purely syntactic rules never pays for
@@ -65,7 +65,7 @@ func (prog *Program) hotTagged() map[*types.Func]bool {
 
 // HotReach returns the forward reachability sweep of the call graph
 // from every //mklint:hotpath-tagged root: the transitive hot set the
-// hotprop rule enforces, with shortest call chains for diagnostics.
+// hotpath rule enforces, with shortest call chains for diagnostics.
 func (prog *Program) HotReach() *callgraph.ReachResult {
 	if prog.hotReach == nil {
 		g := prog.CallGraph()

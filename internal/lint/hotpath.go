@@ -17,42 +17,59 @@ const ruleHotPath = "hotpath"
 // closures that capture locals. Formatting inside a panic call is exempt:
 // a panic path never executes in a healthy run.
 //
-// The tag is enforced transitively by the companion hotprop rule (see
-// hotprop.go), which walks the call graph from the tagged roots so an
-// untagged helper cannot bypass the checks.
+// A tagged function that calls an untagged helper would move its
+// allocations one frame down, out of sight, so the rule also walks the
+// module call graph forward from every tagged root and applies the same
+// checks to every function reachable but not itself tagged, citing the
+// (shortest) call chain that makes it hot: "engine.step → wheel.scan →
+// helper". Calls spawned with go statements still propagate heat: the
+// engine's budget includes work it fans out. Functions behind plain
+// function values (stored callbacks) are the one blind spot — tag those
+// directly.
 var HotPath = &Analyzer{
 	Name: ruleHotPath,
-	Doc:  "no fmt, reflect, interface-boxing appends or escaping capturing closures in //mklint:hotpath functions",
+	Doc:  "no fmt, reflect, interface-boxing appends or escaping capturing closures in //mklint:hotpath functions and in every function they reach",
 	Run:  runHotPath,
 }
 
+// hotChainMax bounds the reported chain length; longer chains are
+// truncated in the middle ("root → a → … → leaf").
+const hotChainMax = 4
+
 func runHotPath(p *Pass) {
+	reach := p.Prog.HotReach()
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Ast.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !p.Hot(fd) || fd.Body == nil {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			hc := &hotCheck{p: p, rule: ruleHotPath}
+			hc := &hotCheck{p: p}
+			if !p.Hot(fd) {
+				node := p.Prog.CallGraph().Node(p.Pkg.FuncObj(fd))
+				if !reach.Reached(node) {
+					continue
+				}
+				hc.chain = strings.Join(reach.Chain(node, hotChainMax), " → ")
+			}
 			hc.checkFunc(fd)
 		}
 	}
 }
 
-// hotCheck runs the hot-path construct checks over one function body.
-// The hotpath rule uses it on directly tagged functions; hotprop reuses
-// it on functions the call graph proves reachable from a tagged root,
-// with the reaching chain woven into every diagnostic.
+// hotCheck runs the hot-path construct checks over one function body:
+// a tagged function's, or one the call graph proves reachable from a
+// tagged root, with the reaching chain woven into every diagnostic.
 type hotCheck struct {
-	p    *Pass
-	rule string
+	p *Pass
 	// chain, when non-empty, is the call chain that put the function on
 	// the hot path ("engine.step → wheel.scan → helper"); it is appended
 	// to diagnostics so the propagation is auditable at a glance.
 	chain string
 }
 
-// context renders the chain suffix of a diagnostic ("" for hotpath).
+// context renders the chain suffix of a diagnostic ("" for a tagged
+// function).
 func (hc *hotCheck) context() string {
 	if hc.chain == "" {
 		return ""
@@ -91,11 +108,11 @@ func (hc *hotCheck) checkCall(call *ast.CallExpr, stack []ast.Node) {
 	switch fn.Pkg().Path() {
 	case "fmt":
 		if !underPanic(p, stack) {
-			p.Reportf(hc.rule, call.Pos(),
+			p.Reportf(ruleHotPath, call.Pos(),
 				"fmt.%s allocates and reflects inside a hot-path function; precompute the string or move formatting off the hot path%s", fn.Name(), hc.context())
 		}
 	case "reflect":
-		p.Reportf(hc.rule, call.Pos(),
+		p.Reportf(ruleHotPath, call.Pos(),
 			"reflect.%s inside a hot-path function; hot paths must stay monomorphic%s", fn.Name(), hc.context())
 	}
 }
@@ -136,7 +153,7 @@ func (hc *hotCheck) checkBoxingAppend(call *ast.CallExpr) {
 		if _, isIface := t.Underlying().(*types.Interface); isIface {
 			continue
 		}
-		p.Reportf(hc.rule, arg.Pos(),
+		p.Reportf(ruleHotPath, arg.Pos(),
 			"append boxes concrete %s into an interface slice inside a hot-path function%s", t, hc.context())
 	}
 }
@@ -162,7 +179,7 @@ func (hc *hotCheck) checkFuncLit(fl *ast.FuncLit, stack []ast.Node, decl *ast.Fu
 	if len(caps) == 0 {
 		return
 	}
-	p.Reportf(hc.rule, fl.Pos(),
+	p.Reportf(ruleHotPath, fl.Pos(),
 		"escaping closure captures %s inside a hot-path function; it allocates per call — hoist the state or pass it as parameters%s", strings.Join(caps, ", "), hc.context())
 }
 

@@ -118,7 +118,7 @@ func TestCtxFlowFixture(t *testing.T)     { runFixture(t, "ctxflow", []*Analyzer
 func TestHotPathFixture(t *testing.T)     { runFixture(t, "hotpath", []*Analyzer{HotPath}) }
 func TestErrDropFixture(t *testing.T)     { runFixture(t, "errdrop", []*Analyzer{ErrDrop}) }
 func TestPrintDebugFixture(t *testing.T)  { runFixture(t, "printdebug", []*Analyzer{PrintDebug}) }
-func TestHotpropFixture(t *testing.T)     { runFixture(t, "hotprop", []*Analyzer{Hotprop}) }
+func TestHotpropFixture(t *testing.T)     { runFixture(t, "hotprop", []*Analyzer{HotPath}) }
 func TestGoleakFixture(t *testing.T)      { runFixture(t, "goleak", []*Analyzer{Goleak}) }
 func TestLocksFixture(t *testing.T)       { runFixture(t, "locks", []*Analyzer{Locks}) }
 func TestDepdagFixture(t *testing.T)      { runFixture(t, "depdag", []*Analyzer{Depdag}) }

@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		FloatEq,
 		CtxFlow,
 		HotPath,
-		Hotprop,
 		Goleak,
 		Locks,
 		ErrDrop,

@@ -9,7 +9,7 @@ import (
 
 // TestRepoSelfClean asserts the module mklint ships with passes its own
 // ratchet: every analyzer (the full registry, including the
-// whole-program hotprop/goleak/locks/depdag rules) over every package
+// whole-program hotpath/goleak/locks/depdag rules) over every package
 // yields no findings beyond the committed baseline, and no baseline
 // entry is stale. This is the same check CI's lint job runs via
 // `go run ./cmd/mklint -baseline results/lint_baseline.json ./...`,

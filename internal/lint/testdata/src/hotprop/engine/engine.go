@@ -8,18 +8,18 @@ import (
 	"fx/wheel"
 )
 
-// Step is the tagged root. Its own body is the hotpath rule's business;
-// hotprop only cares about what it reaches.
+// Step is the tagged root: its own body is checked as tagged, and what
+// it reaches is checked with the call chain cited.
 //
 //mklint:hotpath
 func Step(n int) int {
 	return helper(n) + wheel.Scan(n)
 }
 
-// helper is NOT tagged, but Step calls it: the old per-function rule
-// missed it, hotprop must not.
+// helper is NOT tagged, but Step calls it: a per-function check would
+// miss it, the call-graph walk must not.
 func helper(n int) int {
-	s := fmt.Sprintf("n=%d", n) // want hotprop "hot call chain"
+	s := fmt.Sprintf("n=%d", n) // want hotpath "hot call chain"
 	return len(s)
 }
 

@@ -14,12 +14,12 @@ type greedy struct{}
 // pick is hot only because Scan dispatches to it through the picker
 // interface — the CHA edge.
 func (greedy) pick(n int) int {
-	return int(reflect.ValueOf(n).Int()) // want hotprop "reflect" hotprop "reflect"
+	return int(reflect.ValueOf(n).Int()) // want hotpath "reflect" hotpath "reflect"
 }
 
 // Scan is reached from engine.Step (cross-package static edge).
 func Scan(n int) int {
 	var p picker = greedy{}
-	s := fmt.Sprint(n) // want hotprop "fmt.Sprint allocates"
+	s := fmt.Sprint(n) // want hotpath "fmt.Sprint allocates"
 	return p.pick(n) + len(s)
 }
