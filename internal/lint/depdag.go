@@ -52,7 +52,7 @@ var depLayers = []depLayer{
 	{"internal/trace", 45, "trace capture"},
 	{"internal/analysis", 45, "cached analysis"},
 	{"internal/sim/policy", 48, "scheduling policies"},
-	{"internal/core", 50, "paper algorithms"},
+	{"internal/core", 50, "benchmark shim"},
 	{"internal/experiment", 60, "experiment harness"},
 	{"", 70, "public repro API"},
 	{"internal/estimate", 75, "analytical estimator"},
