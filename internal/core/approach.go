@@ -12,7 +12,7 @@ import (
 	"repro/internal/sim/policy"
 
 	// The implementation packages register all six approaches, so New
-	// can build any of them, as it always could.
+	// can build any of them whoever imports the shim.
 	_ "repro/internal/sim/policy/dbp"
 	_ "repro/internal/sim/policy/dynamic"
 	_ "repro/internal/sim/policy/static"

@@ -345,11 +345,11 @@ func isCtxErr(ctx context.Context, err error) bool {
 	return cause != nil && errors.Is(err, cause)
 }
 
-// Simulate is the one place a run is put together: it draws approach a's
-// fault plan for scenario sc from faultSeed — with transientRate, when
-// positive, in place of the paper's transient fault rate — builds the
-// policy from opts and the engine from cfg (whose Faults it replaces),
-// and runs the engine under ctx.
+// Simulate is the one place a run is put together: it draws the fault
+// plan of scenario sc from faultSeed (its transient fault rate replaced
+// by transientRate when that is positive), builds approach a's policy
+// from opts and the engine from cfg (whose Faults it replaces), and runs
+// the engine under ctx.
 func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.Options, sc fault.Scenario, transientRate float64, faultSeed uint64, cfg sim.Config) (*sim.Result, error) {
 	cfg.Faults = fault.NewPlan(sc, cfg.Horizon, stats.NewRand(faultSeed))
 	if transientRate > 0 {

@@ -383,7 +383,8 @@ func LoadSetFile(path string) (*Set, error) {
 	return LoadSet(f)
 }
 
-// Approaches lists every implemented approach.
+// Approaches lists the paper's four approaches in presentation order;
+// Extensions lists the rest.
 func Approaches() []Approach { return policy.Approaches() }
 
 // Extensions lists the registered beyond-paper policies (DPBackground,
