@@ -387,3 +387,19 @@ func TestSweepSpecNormalize(t *testing.T) {
 		t.Errorf("keys differ across spellings: %q vs %q", k1, k2)
 	}
 }
+
+// TestCheckpointKeyLiteral pins the checkpoint header key of a fixed
+// sweep byte for byte, so journals written by earlier builds still
+// resume, and checks that approach spellings land on one key.
+func TestCheckpointKeyLiteral(t *testing.T) {
+	sp := SweepSpec{Scenario: "both", SetsPerInterval: 2, MaxCandidates: 300,
+		Lo: 0.3, Hi: 0.6, Approaches: []string{"st", "dp", "selective"}}
+	const want = "permanent+transient|2020|2|300|0.3|0.6|MKSS-ST,MKSS-DP,MKSS-selective"
+	if got := sp.mustNormalize(t).Key(); got != want {
+		t.Errorf("key = %q, want %q", got, want)
+	}
+	sp.Approaches = []string{"MKSS-ST", "MKSS-DP", "MKSS-selective"}
+	if got := sp.mustNormalize(t).Key(); got != want {
+		t.Errorf("canonical spelling: key = %q, want %q", got, want)
+	}
+}

@@ -299,3 +299,30 @@ func TestEstimateRetriesThenHTTPError(t *testing.T) {
 		t.Fatalf("err = %v, want bad_request *HTTPError", err)
 	}
 }
+
+// TestUnavailableSurfacesAfterOneRequest pins that a 503 reaches the
+// caller as a typed *HTTPError after exactly one request: the client
+// sends once, and retry policy belongs to its callers.
+func TestUnavailableSurfacesAfterOneRequest(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		if _, err := w.Write([]byte(`{"error":"starting up","code":"unavailable"}`)); err != nil {
+			t.Error(err)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	cl := New(Config{Addr: ts.URL})
+	_, _, err := cl.Simulate(context.Background(), serve.SimulateRequest{
+		Set: paperSpec(), Approach: "selective", HorizonMS: 20,
+	})
+	var herr *HTTPError
+	if !errors.As(err, &herr) || herr.Status != http.StatusServiceUnavailable || herr.Code != "unavailable" {
+		t.Fatalf("err = %v, want 503/unavailable *HTTPError", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("server saw %d requests, want 1", n)
+	}
+}
