@@ -40,8 +40,19 @@ func (e *ErrUnschedulable) Error() string {
 // *ErrUnschedulable is returned. The sum saturates at the largest Time
 // instead of wrapping, and a saturated iterate is past every deadline.
 func ResponseTime(s *task.Set, i int) (timeu.Time, error) {
-	t := s.Tasks[i]
-	r := t.WCET
+	r, ok := responseTime(s, i)
+	if !ok {
+		return r, &ErrUnschedulable{TaskID: i, Detail: fmt.Sprintf("response time exceeds deadline %v", s.Tasks[i].Deadline)}
+	}
+	return r, nil
+}
+
+// responseTime is ResponseTime's fixed point without the error: ok
+// reports convergence within the deadline, and a diverged r is the first
+// iterate past it.
+func responseTime(s *task.Set, i int) (r timeu.Time, ok bool) {
+	t := &s.Tasks[i]
+	r = t.WCET
 	for {
 		next := t.WCET
 		for j := 0; j < i; j++ {
@@ -49,10 +60,10 @@ func ResponseTime(s *task.Set, i int) (timeu.Time, error) {
 			next = addJobs(next, timeu.CeilDiv(r, hp.Period), hp.WCET)
 		}
 		if next == r {
-			return r, nil
+			return r, true
 		}
 		if next > t.Deadline || next == math.MaxInt64 {
-			return next, &ErrUnschedulable{TaskID: i, Detail: fmt.Sprintf("response time exceeds deadline %v", t.Deadline)}
+			return next, false
 		}
 		r = next
 	}
@@ -97,9 +108,7 @@ func ResponseTimesSafe(s *task.Set) (rs []timeu.Time, converged []bool) {
 	rs = make([]timeu.Time, s.N())
 	converged = make([]bool, s.N())
 	for i := range s.Tasks {
-		r, err := ResponseTime(s, i)
-		rs[i] = r
-		converged[i] = err == nil
+		rs[i], converged[i] = responseTime(s, i)
 	}
 	return rs, converged
 }

@@ -247,3 +247,18 @@ func TestRTAImpliesRPattern(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResponseTimesSafeAllocatesOnlyResults pins that a divergent task
+// costs ResponseTimesSafe no error value: it allocates its two result
+// slices and nothing else.
+func TestResponseTimesSafeAllocatesOnlyResults(t *testing.T) {
+	// R2 iterates 5, 8, 11 > D2 = 10.
+	s := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 5, 1, 2))
+	rs, conv := ResponseTimesSafe(s)
+	if !conv[0] || conv[1] || rs[0] != ms(3) || rs[1] != ms(11) {
+		t.Fatalf("ResponseTimesSafe = %v %v, want [3ms 11ms] [true false]", rs, conv)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ResponseTimesSafe(s) }); allocs > 2 {
+		t.Errorf("ResponseTimesSafe allocates %v times per call, want at most 2", allocs)
+	}
+}

@@ -198,17 +198,24 @@ func (s *Set) MKHyperperiod(cap timeu.Time) timeu.Time {
 
 // MKHyperperiodLevel returns LCM_{q<=level}(k_q · P_q), the level-i
 // (m,k)-hyperperiod of Eq. (5), saturating at cap. level is a task index.
+// It folds one running LCM over the prefix and allocates nothing.
 func (s *Set) MKHyperperiodLevel(level int, cap timeu.Time) timeu.Time {
-	vs := make([]timeu.Time, 0, level+1)
+	var l timeu.Time
 	for q := 0; q <= level && q < len(s.Tasks); q++ {
-		t := s.Tasks[q]
+		t := &s.Tasks[q]
 		kp := timeu.Time(t.K) * t.Period
 		if kp > cap || kp/t.Period != timeu.Time(t.K) {
 			return cap
 		}
-		vs = append(vs, kp)
+		if q == 0 {
+			l = kp
+			continue
+		}
+		if l = timeu.LCM(l, kp, cap); l == cap {
+			return cap
+		}
 	}
-	return timeu.LCMAll(vs, cap)
+	return l
 }
 
 // String renders the set one task per line.

@@ -255,3 +255,22 @@ func TestReleaseMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMKHyperperiodLevelAllocatesNothing pins the level LCM as one
+// running fold: postpone.Compute calls it once per level of every set.
+func TestMKHyperperiodLevelAllocatesNothing(t *testing.T) {
+	const cap = timeu.Time(1 << 50)
+	// k·P = 20, 20, 45 and 280 ms.
+	s := NewSet(New(0, 5, 4, 1, 2, 4), New(1, 10, 10, 1, 1, 2), New(2, 15, 15, 1, 2, 3), New(3, 40, 40, 1, 3, 7))
+	for level, want := range []float64{20, 20, 180, 2520} {
+		if got := s.MKHyperperiodLevel(level, cap); got != timeu.FromMillis(want) {
+			t.Errorf("MKHyperperiodLevel(%d) = %v, want %vms", level, got, want)
+		}
+	}
+	if got := s.MKHyperperiodLevel(3, timeu.FromMillis(1000)); got != timeu.FromMillis(1000) {
+		t.Errorf("MKHyperperiodLevel(3) under a 1 s cap = %v, want the cap", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.MKHyperperiodLevel(3, cap) }); allocs != 0 {
+		t.Errorf("MKHyperperiodLevel allocates %v times per call, want 0", allocs)
+	}
+}
