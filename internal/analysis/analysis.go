@@ -112,10 +112,6 @@ type Products struct {
 
 	profOnce sync.Once
 	prof     rta.Profile
-
-	dbpOnce sync.Once
-	dbpV    rta.DBPVerdict
-	dbpErr  error
 }
 
 // New builds the Products for s without caching. The set is retained by
@@ -126,9 +122,6 @@ func New(s *task.Set, opts Options) *Products {
 
 // Set returns the task set the products were derived from.
 func (p *Products) Set() *task.Set { return p.set }
-
-// Options returns the analysis options the products were derived with.
-func (p *Products) Options() Options { return p.opts }
 
 // ResponseTimes returns the memoized RTA response times (with the
 // divergence fallback of rta.ResponseTimesSafe) and per-task convergence
@@ -222,25 +215,4 @@ func (p *Products) MandatoryProfile() rta.Profile {
 		p.prof = rta.MandatoryProfile(p.set, p.opts.Pattern, p.opts.cap())
 	})
 	return p.prof
-}
-
-// DBPExact returns the memoized exact DBP schedulability verdict
-// (rta.DBPExact): the fault-free standby-sparing DBP walk from the fresh
-// all-effective start, with backups postponed by the θ analysis. The θ
-// computation can fail (divergent RTA, unschedulable mandatory set), in
-// which case the error is returned exactly as the MKSS-DBP policy's Init
-// would report it. Like the other products the verdict depends only on
-// the set and options, so a sweep evaluating the same set under several
-// initial k-sequences should call rta.DBPExact directly with its own
-// DBPConfig.Init instead.
-func (p *Products) DBPExact() (rta.DBPVerdict, error) {
-	p.dbpOnce.Do(func() {
-		an, err := p.Postponement()
-		if err != nil {
-			p.dbpErr = err
-			return
-		}
-		p.dbpV = rta.DBPExact(p.set, rta.DBPConfig{Theta: an.Theta, Cap: p.opts.cap()})
-	})
-	return p.dbpV, p.dbpErr
 }

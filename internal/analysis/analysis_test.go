@@ -177,27 +177,3 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("entries = %d, want 2 (%+v)", st.Entries, st)
 	}
 }
-
-func TestProductsDBPExact(t *testing.T) {
-	s := paperSet()
-	p := New(s, Options{})
-	got, err := p.DBPExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := postpone.Compute(s, postpone.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rta.DBPExact(s, rta.DBPConfig{Theta: an.Theta, Cap: postpone.DefaultHyperperiodCap})
-	if got != want {
-		t.Errorf("DBPExact = %+v, want %+v", got, want)
-	}
-	if !got.Schedulable || !got.Exact {
-		t.Errorf("paper set should be exactly DBP-schedulable: %+v", got)
-	}
-	// Memoized: the second call returns the identical verdict.
-	if again, _ := p.DBPExact(); again != got {
-		t.Errorf("second DBPExact call drifted: %+v vs %+v", again, got)
-	}
-}

@@ -29,8 +29,7 @@ func NewHistory(m, k int) *History {
 	return h
 }
 
-// M and K expose the constraint.
-func (h *History) M() int { return h.m }
+// K exposes the constraint's window length.
 func (h *History) K() int { return h.k }
 
 // Record appends one job outcome (true = effective).

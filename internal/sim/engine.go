@@ -86,12 +86,6 @@ type Config struct {
 	// MaxEvents guards against runaway simulations; zero means a
 	// generous default derived from the horizon.
 	MaxEvents int
-	// PreemptionOverhead models cache-related preemption delay: every
-	// time a partially executed copy is preempted, this much execution
-	// demand is added to it (charged on resumption). The paper folds all
-	// overheads into the WCET (zero here reproduces it); the knob exists
-	// for sensitivity studies.
-	PreemptionOverhead timeu.Time
 	// Sink, when non-nil, receives a structured event at every release,
 	// admission, dispatch, preemption, completion, cancellation,
 	// settlement, power-state transition and permanent fault. The nil
@@ -783,7 +777,6 @@ func (e *Engine) dispatch() {
 				// canceled — those paths clear cur before dispatch runs).
 				e.counters.Preemptions++
 				e.emitJob(metrics.EvPreempt, p.id, p.cur, "")
-				p.cur.Remaining += e.cfg.PreemptionOverhead
 			}
 			p.cur = pick
 			if pick != nil {

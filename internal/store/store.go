@@ -80,9 +80,6 @@ type Options struct {
 	MaxSegmentBytes int64
 	// Log receives recovery and maintenance lines; nil discards them.
 	Log io.Writer
-	// Counters receives hit/miss/write/corrupt-recovered accounting;
-	// nil allocates a private set (readable via Counters()).
-	Counters *metrics.StoreCounters
 }
 
 // record is one frame's JSON payload.
@@ -134,13 +131,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	if opts.Counters == nil {
-		opts.Counters = &metrics.StoreCounters{}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, counters: opts.Counters, index: map[string]entry{}}
+	s := &Store{dir: dir, opts: opts, counters: &metrics.StoreCounters{}, index: map[string]entry{}}
 
 	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
@@ -506,9 +500,6 @@ func (s *Store) closeFiles() {
 		}
 	}
 }
-
-// Counters exposes the hit/miss/write/recovery accounting.
-func (s *Store) Counters() *metrics.StoreCounters { return s.counters }
 
 // Stats is a point-in-time store summary for /healthz and artifacts.
 type Stats struct {

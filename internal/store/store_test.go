@@ -84,7 +84,7 @@ func TestGetMissAndCounters(t *testing.T) {
 	}
 	mustPut(t, s, "k", []byte("v"))
 	mustGet(t, s, "k", []byte("v"))
-	snap := s.Counters().Snapshot()
+	snap := s.Stats()
 	if snap.Hits != 1 || snap.Misses != 1 || snap.Writes != 1 {
 		t.Fatalf("counters = %+v, want 1 hit / 1 miss / 1 write", snap)
 	}
@@ -121,7 +121,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if _, ok := s2.Get("torn"); ok {
 		t.Fatal("torn record served after recovery")
 	}
-	if snap := s2.Counters().Snapshot(); snap.CorruptRecovered != 1 {
+	if snap := s2.Stats(); snap.CorruptRecovered != 1 {
 		t.Fatalf("CorruptRecovered = %d, want 1", snap.CorruptRecovered)
 	}
 	if !bytes.Contains(log.Bytes(), []byte("recovered")) {
@@ -138,7 +138,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	s3 := openT(t, dir, Options{})
 	defer s3.Close() //mklint:allow errdrop — test cleanup
 	mustGet(t, s3, "torn", []byte("rewritten"))
-	if snap := s3.Counters().Snapshot(); snap.CorruptRecovered != 0 {
+	if snap := s3.Stats(); snap.CorruptRecovered != 0 {
 		t.Fatalf("clean reopen reported %d recoveries", snap.CorruptRecovered)
 	}
 }
@@ -189,7 +189,7 @@ func TestCrashRecoveryFlippedByte(t *testing.T) {
 			t.Fatalf("Get(%s) hit after mid-file corruption", k)
 		}
 	}
-	if snap := s2.Counters().Snapshot(); snap.CorruptRecovered != 1 {
+	if snap := s2.Stats(); snap.CorruptRecovered != 1 {
 		t.Fatalf("CorruptRecovered = %d, want 1", snap.CorruptRecovered)
 	}
 }

@@ -85,22 +85,6 @@ func ApproxEq(a, b float64) bool {
 // inputs.
 func ApproxZero(x float64) bool { return math.Abs(x) <= FloatTol }
 
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // GCD returns the greatest common divisor of a and b. GCD(0, x) = x.
 func GCD(a, b Time) Time {
 	if a < 0 {

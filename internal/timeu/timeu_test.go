@@ -53,15 +53,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min broken")
-	}
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max broken")
-	}
-}
-
 func TestGCD(t *testing.T) {
 	cases := []struct{ a, b, want Time }{
 		{12, 8, 4},
@@ -178,7 +169,7 @@ func TestLCMProperties(t *testing.T) {
 	f := func(a, b uint16) bool {
 		x, y := Time(a)+1, Time(b)+1
 		l := LCM(x, y, cap)
-		return l%x == 0 && l%y == 0 && l >= Max(x, y) && l <= x*y
+		return l%x == 0 && l%y == 0 && l >= max(x, y) && l <= x*y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -37,10 +37,6 @@ type Config struct {
 	Pattern pattern.Kind
 	// SchedCap bounds the R-pattern schedulability simulation horizon.
 	SchedCap timeu.Time
-	// RequireFullRTA additionally demands full FP schedulability (every
-	// job, not just mandatory ones) — OFF by default; the paper's premise
-	// is R-pattern schedulability.
-	RequireFullRTA bool
 	// HarmonicPeriods restricts periods to a divisor-friendly menu
 	// ({5,10,20,25,40,50} ms) and k to {2,4,5,8,10}, keeping the
 	// (m,k)-hyperperiods small enough that the θ analysis of Defs. 2–5
@@ -189,9 +185,6 @@ func (g *Generator) draw(targetU float64) bool {
 
 // Schedulable reports whether s passes the evaluation's filter.
 func (g *Generator) Schedulable(s *task.Set) bool {
-	if g.cfg.RequireFullRTA && !rta.SchedulableRTA(s) {
-		return false
-	}
 	return rta.SchedulableRPattern(s, g.cfg.Pattern, g.cfg.SchedCap)
 }
 
