@@ -57,6 +57,7 @@ import (
 	"repro"
 	"repro/internal/fleet"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 	"repro/internal/store"
 )
 
@@ -147,7 +148,10 @@ func run(ctx context.Context, o options) error {
 	if o.pool {
 		return runPool(ctx, o)
 	}
-	spec := fleet.SweepSpec{
+	// The sweep is settled once, by the normalizer the workers' /v1/sweep
+	// handler applies, and the same value drives -local and the
+	// coordinator.
+	sw, err := serve.NormalizeSweep(wire.SweepRequest{
 		Scenario:        o.scenario,
 		Seed:            o.seed,
 		SetsPerInterval: o.sets,
@@ -155,6 +159,10 @@ func run(ctx context.Context, o options) error {
 		Lo:              o.lo,
 		Hi:              o.hi,
 		Approaches:      splitList(o.approaches),
+		TimeoutMS:       float64(o.unitTimeout) / float64(time.Millisecond),
+	})
+	if err != nil {
+		return err
 	}
 
 	var w *bufio.Writer
@@ -183,9 +191,9 @@ func run(ctx context.Context, o options) error {
 
 	var runErr error
 	if o.local {
-		runErr = runLocal(ctx, spec, emit)
+		runErr = runLocal(ctx, sw, emit)
 	} else {
-		runErr = runFleet(ctx, o, spec, emit)
+		runErr = runFleet(ctx, o, sw, emit)
 	}
 	if err := w.Flush(); err != nil && runErr == nil {
 		runErr = err
@@ -252,7 +260,7 @@ func newPool(o options, st *store.Store) (*fleet.Pool, error) {
 
 // runFleet drives the coordinator against the -workers pool, or an
 // elastic in-process pool with -elastic.
-func runFleet(ctx context.Context, o options, spec fleet.SweepSpec, emit func([]byte) error) error {
+func runFleet(ctx context.Context, o options, sw serve.Sweep, emit func([]byte) error) error {
 	st, err := openStore(o)
 	if err != nil {
 		return err
@@ -267,9 +275,8 @@ func runFleet(ctx context.Context, o options, spec fleet.SweepSpec, emit func([]
 	workers := splitList(o.workers)
 	cfg := fleet.Config{
 		Workers:           workers,
-		Spec:              spec,
+		Sweep:             sw,
 		PerWorkerInFlight: o.inflight,
-		UnitTimeout:       o.unitTimeout,
 		MaxUnitFailures:   o.maxFailures,
 		Hedge:             o.hedge,
 		ProbeBackoff:      o.probe,
@@ -301,7 +308,7 @@ func runFleet(ctx context.Context, o options, spec fleet.SweepSpec, emit func([]
 	sum, runErr := c.Run(ctx, emit)
 	if sum != nil {
 		if o.bench != "" {
-			if err := writeBench(o.bench, c.Spec(), len(sum.Workers), sum); err != nil {
+			if err := writeBench(o.bench, sw.Req, len(sum.Workers), sum); err != nil {
 				if runErr == nil {
 					runErr = err
 				} else {
@@ -387,11 +394,7 @@ func writeStatusFile(path string, st fleet.PoolStats) error {
 // runLocal computes the reference stream in-process: one batch sweep
 // over the full range, emitted through the same serve.RowLine path the
 // workers use — the byte-identity baseline for a distributed run.
-func runLocal(ctx context.Context, spec fleet.SweepSpec, emit func([]byte) error) error {
-	sw, err := spec.Sweep()
-	if err != nil {
-		return err
-	}
+func runLocal(ctx context.Context, sw serve.Sweep, emit func([]byte) error) error {
 	intervals := sw.Intervals()
 	start := time.Now() //mklint:allow determinism — CLI wall clock for the done line's elapsed_ms
 	if err := emit(sw.StartLine(len(intervals))); err != nil {
@@ -412,14 +415,14 @@ func runLocal(ctx context.Context, spec fleet.SweepSpec, emit func([]byte) error
 
 // benchDoc is the versioned fleet-benchmark artifact.
 type benchDoc struct {
-	Schema  string          `json:"schema"` // "mkss-bench/v1"
-	Bench   string          `json:"bench"`  // "fleet"
-	Workers int             `json:"workers"`
-	Spec    fleet.SweepSpec `json:"spec"`
-	Summary *fleet.Summary  `json:"summary"`
+	Schema  string            `json:"schema"` // "mkss-bench/v1"
+	Bench   string            `json:"bench"`  // "fleet"
+	Workers int               `json:"workers"`
+	Spec    wire.SweepRequest `json:"spec"`
+	Summary *fleet.Summary    `json:"summary"`
 }
 
-func writeBench(path string, spec fleet.SweepSpec, workers int, sum *fleet.Summary) error {
+func writeBench(path string, spec wire.SweepRequest, workers int, sum *fleet.Summary) error {
 	data, err := json.MarshalIndent(benchDoc{
 		Schema: "mkss-bench/v1", Bench: "fleet",
 		Workers: workers, Spec: spec, Summary: sum,

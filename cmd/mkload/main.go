@@ -42,8 +42,8 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/serve/wire"
 	"repro/internal/stats"
 )
 
@@ -293,7 +293,7 @@ func buildSpecs(o options, mix map[string]float64) (map[string]requestSpec, erro
 	}
 	specs := map[string]requestSpec{}
 	if mix["simulate"] > 0 {
-		req := serve.SimulateRequest{Set: spec, Approach: o.approach, HorizonMS: o.horizon}
+		req := wire.SimulateRequest{Set: spec, Approach: o.approach, HorizonMS: o.horizon}
 		// With -distinct each request draws a fresh seed, so no two
 		// requests share a coalescing flight or a store key: every one is
 		// real work, which is what builds the queue depth an autoscaler
@@ -309,7 +309,7 @@ func buildSpecs(o options, mix map[string]float64) (map[string]requestSpec, erro
 		}}
 	}
 	if mix["estimate"] > 0 {
-		req := serve.EstimateRequest{Set: spec, Approach: o.approach, HorizonMS: o.horizon}
+		req := wire.EstimateRequest{Set: spec, Approach: o.approach, HorizonMS: o.horizon}
 		specs["estimate"] = requestSpec{name: "estimate", do: func(ctx context.Context, cl *client.Client) (client.Info, error) {
 			_, _, info, err := cl.Estimate(ctx, req)
 			return info, err
@@ -323,7 +323,7 @@ func buildSpecs(o options, mix map[string]float64) (map[string]requestSpec, erro
 		}}
 	}
 	if mix["sweep"] > 0 {
-		req := serve.SweepRequest{SetsPerInterval: 1, MaxCandidates: 100, Lo: 0.3, Hi: 0.5}
+		req := wire.SweepRequest{SetsPerInterval: 1, MaxCandidates: 100, Lo: 0.3, Hi: 0.5}
 		specs["sweep"] = requestSpec{name: "sweep", do: func(ctx context.Context, cl *client.Client) (client.Info, error) {
 			return cl.SweepStream(ctx, req, nil) // drain the JSONL stream
 		}}

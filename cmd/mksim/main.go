@@ -26,9 +26,8 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/estimate"
-	"repro/internal/serve/wire"
+	"repro/internal/serve"
 )
 
 // options collects the parsed flags.
@@ -148,7 +147,7 @@ func run(ctx context.Context, o options) error {
 	}
 
 	if o.jsonOut {
-		return writeJSON(res, sc, o.seed, schedulable)
+		return printIndented(serve.RunDocOf(s, sc, o.seed, schedulable, res))
 	}
 
 	fmt.Printf("\n%s over %v (%s):\n", res.Policy, res.Horizon, sc)
@@ -208,26 +207,7 @@ func runEstimate(ctx context.Context, s *repro.Set, a repro.Approach, sc repro.S
 		return err
 	}
 	if o.jsonOut {
-		doc := wire.EstimateDoc{
-			Schema:       wire.EstimateSchema,
-			Fingerprint:  analysis.Fingerprint(s),
-			Backend:      ans.Backend,
-			Policy:       ans.Policy,
-			Scenario:     sc.String(),
-			Seed:         o.seed,
-			HorizonUS:    int64(ans.Horizon),
-			Schedulable:  ans.Schedulable,
-			ActiveEnergy: ans.ActiveEnergy,
-			TotalEnergy:  ans.TotalEnergy,
-			MKPredicted:  ans.MKPredicted,
-			Exact:        ans.Exact,
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Println(string(data))
-		return err
+		return printIndented(serve.EstimateDocOf(s, sc, o.seed, ans, 0))
 	}
 	kind := "estimated (closed-form twin)"
 	if ans.Exact {
@@ -241,42 +221,8 @@ func runEstimate(ctx context.Context, s *repro.Set, a repro.Approach, sc repro.S
 	return nil
 }
 
-// runJSON is the -json report: one simulation, machine-readable. Version
-// the schema string on any incompatible change.
-type runJSON struct {
-	Schema        string         `json:"schema"`
-	Policy        string         `json:"policy"`
-	Scenario      string         `json:"scenario"`
-	Seed          uint64         `json:"seed"`
-	HorizonUS     int64          `json:"horizon_us"`
-	Schedulable   bool           `json:"r_pattern_schedulable"`
-	ActiveEnergy  float64        `json:"active_energy"`
-	TotalEnergy   float64        `json:"total_energy"`
-	MKSatisfied   bool           `json:"mk_satisfied"`
-	ViolationAt   []int          `json:"violation_at"`
-	Counters      repro.Counters `json:"counters"`
-	PermanentAtUS int64          `json:"permanent_fault_at_us,omitempty"`
-	PermanentProc int            `json:"permanent_fault_proc,omitempty"`
-}
-
-func writeJSON(res *repro.Result, sc repro.Scenario, seed uint64, schedulable bool) error {
-	doc := runJSON{
-		Schema:       "mkss-run/v1",
-		Policy:       res.Policy,
-		Scenario:     sc.String(),
-		Seed:         seed,
-		HorizonUS:    int64(res.Horizon),
-		Schedulable:  schedulable,
-		ActiveEnergy: res.ActiveEnergy(),
-		TotalEnergy:  res.TotalEnergy(),
-		MKSatisfied:  res.MKSatisfied(),
-		ViolationAt:  res.ViolationAt,
-		Counters:     res.Counters,
-	}
-	if pf := res.PermanentFault; pf != nil {
-		doc.PermanentAtUS = int64(pf.At)
-		doc.PermanentProc = pf.Proc
-	}
+// printIndented prints doc as indented JSON on stdout.
+func printIndented(doc any) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

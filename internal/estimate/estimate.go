@@ -1,7 +1,7 @@
 // Package estimate answers the paper's two production questions — "is
 // this task set (m,k)-schedulable under R-pattern enforcement, and
 // roughly what energy does each approach spend?" — behind one Estimator
-// interface with two registered backends:
+// interface with two backends, chosen by name in New:
 //
 //   - "twin": the analytical twin. Closed-form answers composed from the
 //     memoized offline products (Theorem-1 schedulability, the
@@ -23,9 +23,6 @@ package estimate
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro"
 	"repro/internal/timeu"
@@ -48,8 +45,6 @@ type Request struct {
 	HorizonMS float64
 	// TransientRate overrides the transient fault rate when non-zero.
 	TransientRate float64
-	// Power overrides the energy model; the zero value is the paper's.
-	Power repro.PowerModel
 }
 
 // Answer is one backend's verdict.
@@ -93,7 +88,7 @@ func (e *UnsupportedError) Error() string {
 // Estimator is one backend. Implementations must be safe for concurrent
 // use; serving fans estimate traffic out over one shared instance.
 type Estimator interface {
-	// Name is the registry name the backend answers to.
+	// Name is the backend name New accepts.
 	Name() string
 	// Exact reports whether Estimate's answers are simulation-exact.
 	Exact() bool
@@ -104,50 +99,17 @@ type Estimator interface {
 // DefaultBackend is the backend used when a request names none.
 const DefaultBackend = "twin"
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func(*repro.Runner) Estimator{}
-)
-
-// Register installs a backend constructor under name. Backends register
-// themselves from init; a duplicate name panics (it is a programming
-// error, not a runtime condition).
-func Register(name string, build func(*repro.Runner) Estimator) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("estimate: duplicate backend " + name)
-	}
-	registry[name] = build
-}
-
 // New constructs the named backend ("" means DefaultBackend) around the
 // given session. The runner's analysis LRU memoizes the twin's per-set
 // products and the simulation's offline analyses alike.
 func New(name string, r *repro.Runner) (Estimator, error) {
-	if name == "" {
-		name = DefaultBackend
+	switch name {
+	case "", DefaultBackend:
+		return &Twin{runner: r}, nil
+	case "sim":
+		return &SimBackend{runner: r}, nil
 	}
-	regMu.RLock()
-	build, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("estimate: unknown backend %q (want one of %s)",
-			name, strings.Join(Backends(), ", "))
-	}
-	return build(r), nil
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return nil, fmt.Errorf("estimate: unknown backend %q (want one of sim, twin)", name)
 }
 
 // horizon resolves a request's effective window with the exact
@@ -159,12 +121,4 @@ func (req Request) horizon() timeu.Time {
 		h = req.Set.MKHyperperiod(2000 * timeu.Millisecond)
 	}
 	return h
-}
-
-// power resolves the effective energy model (zero value → the paper's).
-func (req Request) power() repro.PowerModel {
-	if req.Power == (repro.PowerModel{}) {
-		return defaultPower()
-	}
-	return req.Power
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro"
@@ -15,18 +14,9 @@ func paperSet() *repro.Set {
 	return repro.NewSet(repro.NewTask(5, 4, 3, 2, 4), repro.NewTask(10, 10, 3, 1, 2))
 }
 
+// TestRegistry pins the backends New builds: the default, both names,
+// and the unknown-name error that serving returns as a 400 body.
 func TestRegistry(t *testing.T) {
-	got := Backends()
-	want := []string{"sim", "twin"}
-	if len(got) != len(want) {
-		t.Fatalf("Backends() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Backends() = %v, want %v", got, want)
-		}
-	}
-
 	r := repro.NewRunner(repro.RunnerConfig{})
 	def, err := New("", r)
 	if err != nil {
@@ -35,10 +25,18 @@ func TestRegistry(t *testing.T) {
 	if def.Name() != DefaultBackend {
 		t.Errorf("New(\"\") built %q, want default %q", def.Name(), DefaultBackend)
 	}
-	if _, err := New("oracle", r); err == nil {
-		t.Error("New(oracle) must fail")
-	} else if !strings.Contains(err.Error(), "twin") || !strings.Contains(err.Error(), "sim") {
-		t.Errorf("unknown-backend error should list the registry, got %v", err)
+	for _, name := range []string{"twin", "sim"} {
+		est, err := New(name, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Name() != name || est.Exact() != (name == "sim") {
+			t.Errorf("New(%q) built %q (exact %v)", name, est.Name(), est.Exact())
+		}
+	}
+	const want = `estimate: unknown backend "oracle" (want one of sim, twin)`
+	if _, err := New("oracle", r); err == nil || err.Error() != want {
+		t.Errorf("New(oracle) error = %v, want %s", err, want)
 	}
 }
 

@@ -6,10 +6,6 @@ import (
 	"repro"
 )
 
-func init() {
-	Register("sim", func(r *repro.Runner) Estimator { return &SimBackend{runner: r} })
-}
-
 // SimBackend is the empirical estimator: an adapter that runs the real
 // discrete-event simulation through the shared session and repackages
 // its result as an Answer. It exists so callers can swap exactness for
@@ -29,7 +25,6 @@ func (b *SimBackend) Estimate(ctx context.Context, req Request) (*Answer, error)
 		Scenario:      req.Scenario,
 		Seed:          req.Seed,
 		TransientRate: req.TransientRate,
-		Power:         req.Power,
 	})
 	if err != nil {
 		return nil, err

@@ -14,12 +14,6 @@ import (
 	"repro/internal/timeu"
 )
 
-func init() {
-	Register("twin", func(r *repro.Runner) Estimator { return &Twin{runner: r} })
-}
-
-func defaultPower() repro.PowerModel { return sim.DefaultPower() }
-
 // Twin is the analytical twin: a closed-form model of the simulator
 // built from the memoized offline products of the session's analysis
 // LRU. One estimate costs a cache lookup plus O(n) arithmetic; the walk
@@ -125,7 +119,7 @@ func (t *Twin) Estimate(_ context.Context, req Request) (*Answer, error) {
 		return nil, errUnschedulable
 	}
 	prof := prods.MandatoryProfile()
-	power := req.power()
+	power := sim.DefaultPower()
 	H := req.horizon()
 	hMS := H.Millis()
 	hmMS := prof.Horizon.Millis()

@@ -77,15 +77,10 @@ func (r *Report) BenchDoc(figure string, cfg Config, wall time.Duration) BenchDo
 			Sets:           len(row.Sets),
 			Candidates:     row.Candidates,
 			HorizonTotalUS: int64(row.HorizonTotal),
-			NormMean:       map[string]float64{},
-			NormCI95:       map[string]float64{},
-			Violations:     map[string]int{},
 			Counters:       map[string]metrics.Counters{},
 		}
+		br.NormMean, br.NormCI95, br.Violations = row.Series(r.Approaches)
 		for _, a := range r.Approaches {
-			br.NormMean[a.String()] = row.NormMean[a]
-			br.NormCI95[a.String()] = row.NormCI[a]
-			br.Violations[a.String()] = row.Violations[a]
 			br.Counters[a.String()] = row.Counters[a]
 		}
 		doc.Rows = append(doc.Rows, br)

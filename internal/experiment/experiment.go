@@ -9,7 +9,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -135,6 +134,23 @@ type Row struct {
 	// the aggregate.
 	Counters     map[policy.Approach]metrics.Counters
 	HorizonTotal timeu.Time
+}
+
+// Series returns the row's plotted series for approaches, keyed by
+// approach name: the mean normalized energy, its 95% half-width and the
+// violation count. Every machine-readable row (mkss-bench/v1,
+// mkss-sweep/v1) carries these three maps.
+func (row Row) Series(approaches []policy.Approach) (mean, ci95 map[string]float64, violations map[string]int) {
+	mean = make(map[string]float64, len(approaches))
+	ci95 = make(map[string]float64, len(approaches))
+	violations = make(map[string]int, len(approaches))
+	for _, a := range approaches {
+		name := a.String()
+		mean[name] = row.NormMean[a]
+		ci95[name] = row.NormCI[a]
+		violations[name] = row.Violations[a]
+	}
+	return mean, ci95, violations
 }
 
 // Report is a full sweep.
@@ -544,48 +560,4 @@ func (r *Report) CSV() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// jsonReport mirrors Report with plain-JSON-friendly fields.
-type jsonReport struct {
-	Scenario   string    `json:"scenario"`
-	Approaches []string  `json:"approaches"`
-	Rows       []jsonRow `json:"rows"`
-}
-
-type jsonRow struct {
-	UtilLo     float64            `json:"util_lo"`
-	UtilHi     float64            `json:"util_hi"`
-	Sets       int                `json:"sets"`
-	Candidates int                `json:"candidates"`
-	NormMean   map[string]float64 `json:"norm_mean"`
-	NormCI95   map[string]float64 `json:"norm_ci95"`
-	Violations map[string]int     `json:"violations"`
-}
-
-// JSON renders the per-interval aggregates as a machine-readable
-// document (for external plotting/tooling).
-func (r *Report) JSON() ([]byte, error) {
-	out := jsonReport{Scenario: r.Scenario.String()}
-	for _, a := range r.Approaches {
-		out.Approaches = append(out.Approaches, a.String())
-	}
-	for _, row := range r.Rows {
-		jr := jsonRow{
-			UtilLo:     row.Interval.Lo,
-			UtilHi:     row.Interval.Hi,
-			Sets:       len(row.Sets),
-			Candidates: row.Candidates,
-			NormMean:   map[string]float64{},
-			NormCI95:   map[string]float64{},
-			Violations: map[string]int{},
-		}
-		for _, a := range r.Approaches {
-			jr.NormMean[a.String()] = row.NormMean[a]
-			jr.NormCI95[a.String()] = row.NormCI[a]
-			jr.Violations[a.String()] = row.Violations[a]
-		}
-		out.Rows = append(out.Rows, jr)
-	}
-	return json.MarshalIndent(out, "", "  ")
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
@@ -133,7 +132,7 @@ func TestWorkersInvariance(t *testing.T) {
 
 func mustJSON(t *testing.T, r *Report) string {
 	t.Helper()
-	data, err := r.JSON()
+	data, err := r.BenchJSON("", Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,33 +257,6 @@ func TestRunSetSharesPermanentFault(t *testing.T) {
 		if a.Active[ap] != b.Active[ap] {
 			t.Errorf("%v: %v != %v", ap, a.Active[ap], b.Active[ap])
 		}
-	}
-}
-
-func TestReportJSON(t *testing.T) {
-	rep, err := Run(smallConfig(fault.NoFault))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if decoded["scenario"] != "no-fault" {
-		t.Errorf("scenario = %v", decoded["scenario"])
-	}
-	rows, ok := decoded["rows"].([]any)
-	if !ok || len(rows) != 2 {
-		t.Fatalf("rows = %v", decoded["rows"])
-	}
-	row0 := rows[0].(map[string]any)
-	nm := row0["norm_mean"].(map[string]any)
-	if v, ok := nm["MKSS-ST"].(float64); !ok || math.Abs(v-1) > 1e-9 {
-		t.Errorf("ST norm mean in JSON = %v", nm["MKSS-ST"])
 	}
 }
 

@@ -199,7 +199,7 @@ func TestFleetElasticPoolRunsSweep(t *testing.T) {
 	defer p.Stop()
 
 	spec := testSpec()
-	cfg := fastConfig(nil, spec)
+	cfg := fastConfig(t, nil, spec)
 	cfg.Pool = p
 	lines, sum, err := runFleet(t, cfg)
 	if err != nil {

@@ -35,77 +35,24 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/serve/wire"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// SweepSpec identifies one logical sweep — the same parameters a batch
-// /v1/sweep request carries, minus the per-request plumbing.
-type SweepSpec struct {
-	Scenario        string   `json:"scenario"`
-	Seed            uint64   `json:"seed"`
-	SetsPerInterval int      `json:"sets_per_interval"`
-	MaxCandidates   int      `json:"max_candidates"`
-	Lo              float64  `json:"lo"`
-	Hi              float64  `json:"hi"`
-	Approaches      []string `json:"approaches"`
-}
-
-// Sweep settles the spec through serve.NormalizeSweep, the normalizer
-// the /v1/sweep handler itself uses, so the coordinator and its workers
-// agree on the defaults, the bounds and the canonical names.
-func (sp SweepSpec) Sweep() (serve.Sweep, error) {
-	sw, err := serve.NormalizeSweep(serve.SweepRequest{
-		Scenario:        sp.Scenario,
-		Seed:            sp.Seed,
-		SetsPerInterval: sp.SetsPerInterval,
-		MaxCandidates:   sp.MaxCandidates,
-		Lo:              sp.Lo,
-		Hi:              sp.Hi,
-		Approaches:      sp.Approaches,
-	})
-	if err != nil {
-		return sw, fmt.Errorf("fleet: %w", err)
-	}
-	return sw, nil
-}
-
-// Normalized returns the spec with /v1/sweep's defaults applied and its
-// scenario and approach names canonicalized, so the checkpoint key and
-// the worker requests are stable across spellings ("st" vs "MKSS-ST").
-func (sp SweepSpec) Normalized() (SweepSpec, error) {
-	sw, err := sp.Sweep()
-	if err != nil {
-		return sp, err
-	}
-	return specOf(sw), nil
-}
-
-// specOf is the spec of a normalized sweep.
-func specOf(sw serve.Sweep) SweepSpec {
+// checkpointKey canonicalizes the sweep identity for the checkpoint
+// header: two sweeps with the same key produce the same rows. The sweep
+// is normalized, so spellings of one approach or scenario share a key.
+func checkpointKey(sw serve.Sweep) string {
 	r := sw.Req
-	return SweepSpec{
-		Scenario:        r.Scenario,
-		Seed:            r.Seed,
-		SetsPerInterval: r.SetsPerInterval,
-		MaxCandidates:   r.MaxCandidates,
-		Lo:              r.Lo,
-		Hi:              r.Hi,
-		Approaches:      r.Approaches,
-	}
-}
-
-// Key canonicalizes the sweep identity for the checkpoint header: two
-// sweeps with the same key produce the same rows.
-func (sp SweepSpec) Key() string {
 	return strings.Join([]string{
-		sp.Scenario,
-		strconv.FormatUint(sp.Seed, 10),
-		strconv.Itoa(sp.SetsPerInterval),
-		strconv.Itoa(sp.MaxCandidates),
-		strconv.FormatFloat(sp.Lo, 'g', -1, 64),
-		strconv.FormatFloat(sp.Hi, 'g', -1, 64),
-		strings.Join(sp.Approaches, ","),
+		r.Scenario,
+		strconv.FormatUint(r.Seed, 10),
+		strconv.Itoa(r.SetsPerInterval),
+		strconv.Itoa(r.MaxCandidates),
+		strconv.FormatFloat(r.Lo, 'g', -1, 64),
+		strconv.FormatFloat(r.Hi, 'g', -1, 64),
+		strings.Join(r.Approaches, ","),
 	}, "|")
 }
 
@@ -113,15 +60,17 @@ func (sp SweepSpec) Key() string {
 type Config struct {
 	// Workers is the static worker pool (host:port or http:// URLs).
 	Workers []string
-	// Spec is the sweep to distribute.
-	Spec SweepSpec
+	// Sweep is the sweep to distribute, settled by serve.NormalizeSweep
+	// — the normalizer the workers' /v1/sweep handler applies — so the
+	// coordinator and its workers agree on defaults and names. Its
+	// timeout_ms bounds one unit attempt end to end and is sent as each
+	// unit's timeout_ms (zero: 2 min). Its interval_offset must be zero:
+	// the coordinator gives every unit its own.
+	Sweep serve.Sweep
 	// PerWorkerInFlight bounds concurrently dispatched units per worker
 	// (default 2 — mkservd parallelizes internally, so a couple of
 	// units saturate a worker without queue pile-up).
 	PerWorkerInFlight int
-	// UnitTimeout bounds one unit attempt end to end and is forwarded
-	// as the request's timeout_ms (default 2m).
-	UnitTimeout time.Duration
 	// MaxUnitFailures is a unit's failure budget across all workers
 	// before the sweep aborts (default 6). Cancelled hedge losers do
 	// not count.
@@ -166,16 +115,17 @@ type Config struct {
 	// Now is the wall clock (tests inject a fake); nil means time.Now.
 	Now func() time.Time
 	// NewClient builds the per-worker API client (test seam); nil uses
-	// a default client with no client-level retries — the coordinator
-	// owns retry policy.
+	// a default client. The client sends each request once; the
+	// coordinator owns retry policy.
 	NewClient func(addr string) *client.Client
 }
 
 // Coordinator runs one distributed sweep. Create with New, run with Run.
 type Coordinator struct {
-	cfg   Config
-	sweep serve.Sweep
-	now   func() time.Time
+	cfg         Config
+	sweep       serve.Sweep
+	unitTimeout time.Duration
+	now         func() time.Time
 }
 
 // New validates cfg and builds a Coordinator.
@@ -183,15 +133,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 && cfg.Pool == nil {
 		return nil, errors.New("fleet: no workers configured")
 	}
-	sw, err := cfg.Spec.Sweep()
-	if err != nil {
-		return nil, err
+	sw := cfg.Sweep
+	if sw.Req.IntervalOffset != 0 {
+		return nil, errors.New("fleet: interval_offset must be zero: the coordinator gives every unit its own")
+	}
+	if sw.Req.TimeoutMS <= 0 {
+		sw.Req.TimeoutMS = float64(2 * time.Minute / time.Millisecond)
 	}
 	if cfg.PerWorkerInFlight <= 0 {
 		cfg.PerWorkerInFlight = 2
-	}
-	if cfg.UnitTimeout <= 0 {
-		cfg.UnitTimeout = 2 * time.Minute
 	}
 	if cfg.MaxUnitFailures <= 0 {
 		cfg.MaxUnitFailures = 6
@@ -222,11 +172,9 @@ func New(cfg Config) (*Coordinator, error) {
 			return client.New(client.Config{Addr: addr})
 		}
 	}
-	return &Coordinator{cfg: cfg, sweep: sw, now: cfg.Now}, nil
+	unitTimeout := time.Duration(sw.Req.TimeoutMS * float64(time.Millisecond))
+	return &Coordinator{cfg: cfg, sweep: sw, unitTimeout: unitTimeout, now: cfg.Now}, nil
 }
-
-// Spec returns the normalized sweep the coordinator will run.
-func (c *Coordinator) Spec() SweepSpec { return specOf(c.sweep) }
 
 // unit lifecycle states.
 const (
@@ -289,7 +237,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	fromCkpt := 0
 	if c.cfg.CheckpointPath != "" {
 		if c.cfg.Resume {
-			j, prev, oerr := OpenJournal(c.cfg.CheckpointPath, c.Spec().Key(), n)
+			j, prev, oerr := OpenJournal(c.cfg.CheckpointPath, checkpointKey(c.sweep), n)
 			if oerr != nil {
 				return nil, oerr
 			}
@@ -300,7 +248,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 				fromCkpt++
 			}
 		} else {
-			j, cerr := CreateJournal(c.cfg.CheckpointPath, c.Spec().Key(), n)
+			j, cerr := CreateJournal(c.cfg.CheckpointPath, checkpointKey(c.sweep), n)
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -392,7 +340,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 
 	dispatch := func(u int, w *worker, hedge bool) {
 		ui := &units[u]
-		actx, cancel := context.WithTimeout(runCtx, c.cfg.UnitTimeout)
+		actx, cancel := context.WithTimeout(runCtx, c.unitTimeout)
 		at := &attempt{unit: u, w: w, hedge: hedge, started: c.now(), cancel: cancel}
 		ui.attempts = append(ui.attempts, at)
 		ui.state = unitInflight
@@ -654,9 +602,8 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 func (c *Coordinator) runUnit(ctx context.Context, cl *client.Client, unit int, iv workload.Interval) ([]byte, error) {
 	req := c.sweep.Req
 	req.Lo, req.Hi, req.IntervalOffset = iv.Lo, iv.Hi, unit
-	req.TimeoutMS = float64(c.cfg.UnitTimeout) / float64(time.Millisecond)
 	var row []byte
-	_, err := cl.SweepStream(ctx, req, func(raw []byte, line serve.SweepLine) error {
+	_, err := cl.SweepStream(ctx, req, func(raw []byte, line wire.SweepLine) error {
 		if line.Type == "row" {
 			if row != nil {
 				return fmt.Errorf("unit %d produced more than one row", unit)

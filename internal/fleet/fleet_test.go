@@ -16,26 +16,34 @@ import (
 
 	"repro"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
 // testSpec is the small sweep the failure-mode tests distribute: three
 // intervals, cheap enough to run many times per test binary.
-func testSpec() SweepSpec {
-	return SweepSpec{
+func testSpec() wire.SweepRequest {
+	return wire.SweepRequest{
 		Seed: 7, SetsPerInterval: 2, MaxCandidates: 40,
 		Lo: 0.3, Hi: 0.6, Approaches: []string{"st", "dp"},
 	}
 }
 
-// referenceRows computes the batch-run row lines the distributed sweep
-// must reproduce byte for byte.
-func referenceRows(t *testing.T, spec SweepSpec) [][]byte {
+// mustSweep settles a sweep request as mkfleet does.
+func mustSweep(t *testing.T, req wire.SweepRequest) serve.Sweep {
 	t.Helper()
-	sw, err := spec.Sweep()
+	sw, err := serve.NormalizeSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sw
+}
+
+// referenceRows computes the batch-run row lines the distributed sweep
+// must reproduce byte for byte.
+func referenceRows(t *testing.T, spec wire.SweepRequest) [][]byte {
+	t.Helper()
+	sw := mustSweep(t, spec)
 	rep, err := repro.NewRunner(repro.RunnerConfig{}).Sweep(context.Background(), sw.Config(sw.Intervals(), 0))
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +108,10 @@ func newWorker(t *testing.T) (string, *chaos) {
 }
 
 // fastConfig returns a Config tuned for test latencies.
-func fastConfig(workers []string, spec SweepSpec) Config {
+func fastConfig(t *testing.T, workers []string, spec wire.SweepRequest) Config {
 	return Config{
 		Workers:      workers,
-		Spec:         spec,
+		Sweep:        mustSweep(t, spec),
 		Tick:         10 * time.Millisecond,
 		ProbeBackoff: 10 * time.Millisecond,
 		ProbeMax:     50 * time.Millisecond,
@@ -154,7 +162,7 @@ func TestFleetMatchesBatch(t *testing.T) {
 	a, _ := newWorker(t)
 	b, _ := newWorker(t)
 	spec := testSpec()
-	lines, sum, err := runFleet(t, fastConfig([]string{a, b}, spec))
+	lines, sum, err := runFleet(t, fastConfig(t, []string{a, b}, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +180,7 @@ func TestFleetWorkerKilledMidUnit(t *testing.T) {
 	b, _ := newWorker(t)
 	ca.killStreams.Store(1) // first sweep unit sent to a dies mid-stream
 	spec := testSpec()
-	lines, sum, err := runFleet(t, fastConfig([]string{a, b}, spec))
+	lines, sum, err := runFleet(t, fastConfig(t, []string{a, b}, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestFleetAllWorkersDown(t *testing.T) {
 	}
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := fastConfig([]string{dead(), dead()}, spec)
+	cfg := fastConfig(t, []string{dead(), dead()}, spec)
 	cfg.AllDownGrace = 100 * time.Millisecond
 	cfg.MaxUnitFailures = 1000 // the grace window, not the budget, must fire
 	cfg.CheckpointPath = ckpt
@@ -211,7 +219,7 @@ func TestFleetAllWorkersDown(t *testing.T) {
 		t.Errorf("summary = %+v, want recorded failures", sum)
 	}
 	// The checkpoint must still open cleanly for the same sweep.
-	j, rows, err := OpenJournal(ckpt, spec.mustNormalize(t).Key(), 3)
+	j, rows, err := OpenJournal(ckpt, checkpointKey(mustSweep(t, spec)), 3)
 	if err != nil {
 		t.Fatalf("checkpoint corrupted by the failure: %v", err)
 	}
@@ -221,15 +229,6 @@ func TestFleetAllWorkersDown(t *testing.T) {
 	}
 }
 
-func (sp SweepSpec) mustNormalize(t *testing.T) SweepSpec {
-	t.Helper()
-	n, err := sp.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // TestFleetResume pins checkpoint/resume: a journal holding two of the
 // three units makes the resumed run dispatch exactly the missing one,
 // with the merged stream still byte-identical to the batch run.
@@ -237,7 +236,7 @@ func TestFleetResume(t *testing.T) {
 	a, _ := newWorker(t)
 	spec := testSpec()
 	want := referenceRows(t, spec)
-	key := spec.mustNormalize(t).Key()
+	key := checkpointKey(mustSweep(t, spec))
 
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	j, err := CreateJournal(ckpt, key, 3)
@@ -254,7 +253,7 @@ func TestFleetResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := fastConfig([]string{a}, spec)
+	cfg := fastConfig(t, []string{a}, spec)
 	cfg.CheckpointPath = ckpt
 	cfg.Resume = true
 	lines, sum, err := runFleet(t, cfg)
@@ -290,14 +289,14 @@ func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	other := spec
 	other.Seed = 999
-	j, err := CreateJournal(ckpt, other.mustNormalize(t).Key(), 3)
+	j, err := CreateJournal(ckpt, checkpointKey(mustSweep(t, other)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastConfig([]string{a}, spec)
+	cfg := fastConfig(t, []string{a}, spec)
 	cfg.CheckpointPath = ckpt
 	cfg.Resume = true
 	_, _, err = runFleet(t, cfg)
@@ -315,7 +314,7 @@ func TestFleetHedgedStraggler(t *testing.T) {
 	ca.stallNS.Store(int64(10 * time.Second)) // far beyond the test's life
 	spec := testSpec()
 	spec.Hi = 0.4 // one unit: deterministic dispatch to worker a
-	cfg := fastConfig([]string{a, b}, spec)
+	cfg := fastConfig(t, []string{a, b}, spec)
 	cfg.Hedge = 50 * time.Millisecond
 	lines, sum, err := runFleet(t, cfg)
 	if err != nil {
@@ -338,7 +337,7 @@ func TestFleetInterrupted(t *testing.T) {
 	ca.stallNS.Store(int64(10 * time.Second))
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	cfg := fastConfig([]string{a}, spec)
+	cfg := fastConfig(t, []string{a}, spec)
 	cfg.CheckpointPath = ckpt
 	c, err := New(cfg)
 	if err != nil {
@@ -358,33 +357,44 @@ func TestFleetInterrupted(t *testing.T) {
 	}
 }
 
-// TestSweepSpecNormalize pins defaulting and canonicalization.
+// TestSweepSpecNormalize pins how the coordinator's sweep is settled:
+// serve.NormalizeSweep's defaults, refusals and canonical names, New's
+// refusal of an interval offset, and the default unit timeout.
 func TestSweepSpecNormalize(t *testing.T) {
-	sp, err := SweepSpec{}.Normalized()
-	if err != nil {
-		t.Fatal(err)
+	sw := mustSweep(t, wire.SweepRequest{})
+	if r := sw.Req; r.Seed != 2020 || r.SetsPerInterval != 3 || r.MaxCandidates != 500 ||
+		r.Lo != 0.1 || r.Hi != 1.0 {
+		t.Errorf("defaults = %+v", r)
 	}
-	if sp.Seed != 2020 || sp.SetsPerInterval != 3 || sp.MaxCandidates != 500 ||
-		sp.Lo != 0.1 || sp.Hi != 1.0 {
-		t.Errorf("defaults = %+v", sp)
+	if len(sw.Req.Approaches) != 3 || sw.Req.Approaches[0] != "MKSS-ST" {
+		t.Errorf("approaches = %v, want canonical names", sw.Req.Approaches)
 	}
-	if len(sp.Approaches) != 3 || sp.Approaches[0] != "MKSS-ST" {
-		t.Errorf("approaches = %v, want canonical names", sp.Approaches)
-	}
-	if _, err := (SweepSpec{Lo: 0.5, Hi: 0.4}).Normalized(); err == nil {
+	if _, err := serve.NormalizeSweep(wire.SweepRequest{Lo: 0.5, Hi: 0.4}); err == nil {
 		t.Error("hi <= lo accepted")
 	}
-	if _, err := (SweepSpec{Lo: 2.5e15, Hi: 2500000000000000.5}).Normalized(); !errors.Is(err, workload.ErrHiAboveOne) {
+	if _, err := serve.NormalizeSweep(wire.SweepRequest{Lo: 2.5e15, Hi: 2500000000000000.5}); !errors.Is(err, workload.ErrHiAboveOne) {
 		t.Errorf("hi past 1: err = %v, want %v", err, workload.ErrHiAboveOne)
 	}
-	if _, err := (SweepSpec{Approaches: []string{"bogus"}}).Normalized(); err == nil {
+	if _, err := serve.NormalizeSweep(wire.SweepRequest{Approaches: []string{"bogus"}}); err == nil {
 		t.Error("unknown approach accepted")
 	}
 	// Spelling variants land on the same checkpoint key.
-	k1 := SweepSpec{Approaches: []string{"st"}}.mustNormalize(t).Key()
-	k2 := SweepSpec{Approaches: []string{"MKSS-ST"}}.mustNormalize(t).Key()
+	k1 := checkpointKey(mustSweep(t, wire.SweepRequest{Approaches: []string{"st"}}))
+	k2 := checkpointKey(mustSweep(t, wire.SweepRequest{Approaches: []string{"MKSS-ST"}}))
 	if k1 != k2 {
 		t.Errorf("keys differ across spellings: %q vs %q", k1, k2)
+	}
+
+	c, err := New(Config{Workers: []string{"127.0.0.1:1"}, Sweep: sw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.unitTimeout != 2*time.Minute || c.sweep.Req.TimeoutMS != 120000 {
+		t.Errorf("unit timeout = %v (timeout_ms %v), want the 2 min default", c.unitTimeout, c.sweep.Req.TimeoutMS)
+	}
+	sw.Req.IntervalOffset = 1
+	if _, err := New(Config{Workers: []string{"127.0.0.1:1"}, Sweep: sw}); err == nil {
+		t.Error("New accepted a non-zero interval_offset")
 	}
 }
 
@@ -392,14 +402,14 @@ func TestSweepSpecNormalize(t *testing.T) {
 // sweep byte for byte, so journals written by earlier builds still
 // resume, and checks that approach spellings land on one key.
 func TestCheckpointKeyLiteral(t *testing.T) {
-	sp := SweepSpec{Scenario: "both", SetsPerInterval: 2, MaxCandidates: 300,
+	sp := wire.SweepRequest{Scenario: "both", SetsPerInterval: 2, MaxCandidates: 300,
 		Lo: 0.3, Hi: 0.6, Approaches: []string{"st", "dp", "selective"}}
 	const want = "permanent+transient|2020|2|300|0.3|0.6|MKSS-ST,MKSS-DP,MKSS-selective"
-	if got := sp.mustNormalize(t).Key(); got != want {
+	if got := checkpointKey(mustSweep(t, sp)); got != want {
 		t.Errorf("key = %q, want %q", got, want)
 	}
 	sp.Approaches = []string{"MKSS-ST", "MKSS-DP", "MKSS-selective"}
-	if got := sp.mustNormalize(t).Key(); got != want {
+	if got := checkpointKey(mustSweep(t, sp)); got != want {
 		t.Errorf("canonical spelling: key = %q, want %q", got, want)
 	}
 }

@@ -28,7 +28,7 @@ func TestFleetStoreWarmRun(t *testing.T) {
 	// Cold run: a real worker computes every unit; the coordinator
 	// writes each row back.
 	a, _ := newWorker(t)
-	cfg := fastConfig([]string{a}, spec)
+	cfg := fastConfig(t, []string{a}, spec)
 	cfg.Store = openStore(t, dir)
 	cold, sum, err := runFleet(t, cfg)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestFleetStoreWarmRun(t *testing.T) {
 	// Warm run, fresh store handle (a different process in real life):
 	// the configured worker address is unroutable on purpose — a warm
 	// sweep must never touch the network.
-	cfg2 := fastConfig([]string{"127.0.0.1:1"}, spec)
+	cfg2 := fastConfig(t, []string{"127.0.0.1:1"}, spec)
 	cfg2.Store = openStore(t, dir)
 	defer cfg2.Store.Close() //mklint:allow errdrop — test cleanup
 	warm, sum2, err := runFleet(t, cfg2)
@@ -74,7 +74,7 @@ func TestFleetStoreFillsResumeJournal(t *testing.T) {
 	spec := testSpec()
 
 	a, _ := newWorker(t)
-	cfg := fastConfig([]string{a}, spec)
+	cfg := fastConfig(t, []string{a}, spec)
 	cfg.Store = openStore(t, filepath.Join(dir, "store"))
 	if _, _, err := runFleet(t, cfg); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFleetStoreFillsResumeJournal(t *testing.T) {
 	// Warm run with a checkpoint: every unit comes from the store and
 	// lands in the journal.
 	ckpt := filepath.Join(dir, "ckpt.jsonl")
-	cfg2 := fastConfig([]string{"127.0.0.1:1"}, spec)
+	cfg2 := fastConfig(t, []string{"127.0.0.1:1"}, spec)
 	cfg2.Store = cfg.Store
 	cfg2.CheckpointPath = ckpt
 	if _, sum, err := runFleet(t, cfg2); err != nil || sum.FromStore != 3 {
@@ -92,7 +92,7 @@ func TestFleetStoreFillsResumeJournal(t *testing.T) {
 
 	// Resume from that journal with no store at all: still zero
 	// dispatches.
-	cfg3 := fastConfig([]string{"127.0.0.1:1"}, spec)
+	cfg3 := fastConfig(t, []string{"127.0.0.1:1"}, spec)
 	cfg3.CheckpointPath = ckpt
 	cfg3.Resume = true
 	lines, sum, err := runFleet(t, cfg3)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve/wire"
 )
 
 // admitError is a rejection by the admission layer, carrying the HTTP
@@ -100,7 +102,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 		return nil, &admitError{
 			status:     429,
 			retryAfter: time.Second,
-			code:       CodeQueueFull,
+			code:       wire.CodeQueueFull,
 			msg:        fmt.Sprintf("job queue full (%d waiting on %d slots)", a.queueDepth, cap(a.sem)),
 		}
 	}

@@ -1,7 +1,9 @@
 // Package client is the stdlib HTTP client for the mkss serving API
 // (internal/serve): one typed wrapper per endpoint, context deadlines on
-// every call, optional transport-level retries with exponential backoff,
-// and incremental JSONL decoding of the streaming /v1/sweep endpoint.
+// every call, and incremental JSONL decoding of the streaming /v1/sweep
+// endpoint. Every call sends its request once; retrying is the caller's
+// policy (the fleet coordinator owns one, mkload measures raw
+// behaviour).
 //
 // It exists so every consumer of the API — the mkload load generator,
 // the mkfleet coordinator, scripts — shares one request/decode path and
@@ -22,7 +24,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/serve/wire"
@@ -37,14 +38,6 @@ type Config struct {
 	// HTTPClient is the underlying transport; nil builds one without a
 	// client-level timeout (deadlines come from the per-call context).
 	HTTPClient *http.Client
-	// Retries is how many times a failed request is retried beyond the
-	// first attempt. Only transport errors and retryable statuses
-	// (429/502/503/504) are retried, and streaming requests only retry
-	// while no stream line has been consumed. Zero disables retries.
-	Retries int
-	// Backoff is the first retry's delay, doubling per retry (default
-	// 100ms). The per-call context keeps the total bounded.
-	Backoff time.Duration
 	// Tenant, when non-empty, is sent as the X-MK-Tenant header on every
 	// request — the identity the server's per-tenant quotas account
 	// against. Empty means the server's default tenant.
@@ -68,9 +61,6 @@ func New(cfg Config) *Client {
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
 	}
 	return &Client{base: base, hc: hc, cfg: cfg}
 }
@@ -111,7 +101,7 @@ var ErrTruncated = errors.New("sweep stream truncated before its terminal line")
 
 // Info is per-request metadata alongside a decoded response.
 type Info struct {
-	// Status is the HTTP status code of the (final) attempt.
+	// Status is the HTTP status code of the response.
 	Status int
 	// Coalesced reports the X-Mkss-Coalesced marker: the response was
 	// shared with a concurrent identical request.
@@ -119,8 +109,6 @@ type Info struct {
 	// StoreHit reports the X-Mkss-Store marker: the response came from
 	// the server's persistent result store, not a live run.
 	StoreHit bool
-	// Attempts counts the requests actually sent (1 = no retry needed).
-	Attempts int
 }
 
 // Simulate runs POST /v1/simulate.
@@ -149,7 +137,7 @@ func (c *Client) Estimate(ctx context.Context, req wire.EstimateRequest) (*wire.
 		return nil, nil, Info{}, err
 	}
 	var info Info
-	resp, err := c.doRetry(ctx, &info, http.MethodPost, "/v1/estimate", body)
+	resp, err := c.do(ctx, &info, http.MethodPost, "/v1/estimate", body)
 	if err != nil {
 		return nil, nil, info, err
 	}
@@ -253,15 +241,14 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 // with its raw bytes, exactly as the server wrote them — to fn as it
 // arrives. It returns after the terminal line: nil on "done", the
 // server's message on "error", ErrTruncated if the stream ends without
-// either, or fn's error if fn aborts the stream. Retries only apply
-// before the first line is consumed, so fn never sees a line twice.
+// either, or fn's error if fn aborts the stream.
 func (c *Client) SweepStream(ctx context.Context, req wire.SweepRequest, fn func(raw []byte, line wire.SweepLine) error) (Info, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return Info{}, err
 	}
 	var info Info
-	resp, err := c.doRetry(ctx, &info, http.MethodPost, "/v1/sweep", body)
+	resp, err := c.do(ctx, &info, http.MethodPost, "/v1/sweep", body)
 	if err != nil {
 		return info, err
 	}
@@ -296,10 +283,10 @@ func (c *Client) SweepStream(ctx context.Context, req wire.SweepRequest, fn func
 	return info, ErrTruncated
 }
 
-// doJSON sends one request with retries and decodes the 2xx body into v.
+// doJSON sends one request and decodes the 2xx body into v.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, v any) (Info, error) {
 	var info Info
-	resp, err := c.doRetry(ctx, &info, method, path, body)
+	resp, err := c.do(ctx, &info, method, path, body)
 	if err != nil {
 		return info, err
 	}
@@ -310,49 +297,26 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, v
 	return info, nil
 }
 
-// doRetry sends the request, retrying transport errors and retryable
-// statuses with exponential backoff up to cfg.Retries times. On success
-// the caller owns the response body.
-func (c *Client) doRetry(ctx context.Context, info *Info, method, path string, body []byte) (*http.Response, error) {
-	backoff := c.cfg.Backoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(backoff):
-				backoff *= 2
-			case <-ctx.Done():
-				return nil, fmt.Errorf("%w (last attempt: %v)", ctx.Err(), lastErr)
-			}
-		}
-		info.Attempts = attempt + 1
-		resp, err := c.send(ctx, method, path, body, "application/json")
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil || attempt >= c.cfg.Retries {
-				return nil, err
-			}
-			continue
-		}
-		info.Status = resp.StatusCode
-		info.Coalesced = resp.Header.Get("X-Mkss-Coalesced") != ""
-		info.StoreHit = resp.Header.Get("X-Mkss-Store") == "hit"
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			return resp, nil
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // status carries the failure; body is best-effort detail
-		if cerr := resp.Body.Close(); cerr != nil {
-			lastErr = cerr
-		}
-		herr := httpError(resp.StatusCode, data)
-		lastErr = herr
-		if attempt >= c.cfg.Retries || !herr.Retryable() {
-			return nil, herr
-		}
+// do sends the JSON request once and records its metadata in info. A
+// non-2xx status comes back as an *HTTPError; on success the caller owns
+// the response body.
+func (c *Client) do(ctx context.Context, info *Info, method, path string, body []byte) (*http.Response, error) {
+	resp, err := c.send(ctx, method, path, body, "application/json")
+	if err != nil {
+		return nil, err
 	}
+	info.Status = resp.StatusCode
+	info.Coalesced = resp.Header.Get("X-Mkss-Coalesced") != ""
+	info.StoreHit = resp.Header.Get("X-Mkss-Store") == "hit"
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		return resp, nil
+	}
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // status carries the failure; body is best-effort detail
+	resp.Body.Close()                                       //mklint:allow errdrop — read-only response body; the status is the error
+	return nil, httpError(resp.StatusCode, data)
 }
 
-// send issues one request attempt.
+// send issues one request.
 func (c *Client) send(ctx context.Context, method, path string, body []byte, contentType string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {

@@ -8,10 +8,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 )
 
 func paperSpec() repro.SetSpec {
@@ -31,16 +31,16 @@ func newServer(t *testing.T, cfg serve.Config) *Client {
 
 func TestSimulate(t *testing.T) {
 	cl := newServer(t, serve.Config{})
-	doc, info, err := cl.Simulate(context.Background(), serve.SimulateRequest{
+	doc, info, err := cl.Simulate(context.Background(), wire.SimulateRequest{
 		Set: paperSpec(), Approach: "selective", HorizonMS: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != serve.RunSchema || !doc.MKSatisfied {
+	if doc.Schema != wire.RunSchema || !doc.MKSatisfied {
 		t.Errorf("doc = %+v", doc)
 	}
-	if info.Status != http.StatusOK || info.Attempts != 1 {
+	if info.Status != http.StatusOK {
 		t.Errorf("info = %+v", info)
 	}
 }
@@ -51,7 +51,7 @@ func TestAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != serve.AnalyzeSchema || len(doc.Tasks) != 2 {
+	if doc.Schema != wire.AnalyzeSchema || len(doc.Tasks) != 2 {
 		t.Errorf("doc = %+v", doc)
 	}
 }
@@ -60,13 +60,13 @@ func TestHTTPErrorCarriesServerCode(t *testing.T) {
 	cl := newServer(t, serve.Config{})
 	// An empty task set is a content error: rejected up front with the
 	// machine-readable code, and not worth retrying anywhere.
-	_, _, err := cl.Simulate(context.Background(), serve.SimulateRequest{Approach: "selective"})
+	_, _, err := cl.Simulate(context.Background(), wire.SimulateRequest{Approach: "selective"})
 	var herr *HTTPError
 	if !errors.As(err, &herr) {
 		t.Fatalf("err = %v, want *HTTPError", err)
 	}
-	if herr.Status != http.StatusBadRequest || herr.Code != serve.CodeBadRequest {
-		t.Errorf("herr = %+v, want 400/%s", herr, serve.CodeBadRequest)
+	if herr.Status != http.StatusBadRequest || herr.Code != wire.CodeBadRequest {
+		t.Errorf("herr = %+v, want 400/%s", herr, wire.CodeBadRequest)
 	}
 	if herr.Retryable() {
 		t.Error("content error marked retryable")
@@ -107,33 +107,6 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-func TestRetryOnRetryableStatus(t *testing.T) {
-	var calls atomic.Int64
-	inner := serve.NewServer(serve.Config{}).Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			if _, err := w.Write([]byte(`{"error":"starting up","code":"unavailable"}`)); err != nil {
-				t.Error(err)
-			}
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	cl := New(Config{Addr: ts.URL, Retries: 3, Backoff: time.Millisecond})
-	_, info, err := cl.Simulate(context.Background(), serve.SimulateRequest{
-		Set: paperSpec(), Approach: "selective", HorizonMS: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (two 503s then success)", info.Attempts)
-	}
-}
-
 func TestNoRetryOnContentError(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,24 +118,24 @@ func TestNoRetryOnContentError(t *testing.T) {
 		}
 	}))
 	t.Cleanup(ts.Close)
-	cl := New(Config{Addr: ts.URL, Retries: 5, Backoff: time.Millisecond})
-	_, _, err := cl.Simulate(context.Background(), serve.SimulateRequest{})
+	cl := New(Config{Addr: ts.URL})
+	_, _, err := cl.Simulate(context.Background(), wire.SimulateRequest{})
 	var herr *HTTPError
 	if !errors.As(err, &herr) || herr.Code != "bad_request" {
 		t.Fatalf("err = %v, want bad_request *HTTPError", err)
 	}
 	if calls.Load() != 1 {
-		t.Errorf("calls = %d, want 1 (4xx must not retry)", calls.Load())
+		t.Errorf("calls = %d, want 1", calls.Load())
 	}
 }
 
 func TestSweepStream(t *testing.T) {
 	cl := newServer(t, serve.Config{})
 	var types []string
-	info, err := cl.SweepStream(context.Background(), serve.SweepRequest{
+	info, err := cl.SweepStream(context.Background(), wire.SweepRequest{
 		Seed: 7, SetsPerInterval: 1, MaxCandidates: 30, Lo: 0.3, Hi: 0.5,
 		Approaches: []string{"st"},
-	}, func(raw []byte, line serve.SweepLine) error {
+	}, func(raw []byte, line wire.SweepLine) error {
 		types = append(types, line.Type)
 		return nil
 	})
@@ -191,7 +164,7 @@ func TestSweepStreamTruncated(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	cl := New(Config{Addr: ts.URL})
-	_, err := cl.SweepStream(context.Background(), serve.SweepRequest{Lo: 0.3, Hi: 0.4}, nil)
+	_, err := cl.SweepStream(context.Background(), wire.SweepRequest{Lo: 0.3, Hi: 0.4}, nil)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
@@ -208,7 +181,7 @@ func TestSweepStreamServerError(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	cl := New(Config{Addr: ts.URL})
-	_, err := cl.SweepStream(context.Background(), serve.SweepRequest{Lo: 0.3, Hi: 0.4}, nil)
+	_, err := cl.SweepStream(context.Background(), wire.SweepRequest{Lo: 0.3, Hi: 0.4}, nil)
 	if err == nil || !strings.Contains(err.Error(), "engine exploded") {
 		t.Fatalf("err = %v, want the server's error message", err)
 	}
@@ -228,7 +201,7 @@ func TestAddrNormalization(t *testing.T) {
 
 func TestEstimate(t *testing.T) {
 	cl := newServer(t, serve.Config{})
-	doc, run, info, err := cl.Estimate(context.Background(), serve.EstimateRequest{
+	doc, run, info, err := cl.Estimate(context.Background(), wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dp", HorizonMS: 100,
 	})
 	if err != nil {
@@ -237,11 +210,20 @@ func TestEstimate(t *testing.T) {
 	if run != nil {
 		t.Errorf("unrefined estimate returned a run doc: %+v", run)
 	}
-	if doc == nil || doc.Schema != serve.EstimateSchema || doc.Backend != "twin" || doc.Exact {
+	if doc == nil || doc.Schema != wire.EstimateSchema || doc.Backend != "twin" || doc.Exact {
 		t.Errorf("doc = %+v", doc)
 	}
-	if info.Status != http.StatusOK || info.Attempts != 1 {
+	if info.Status != http.StatusOK {
 		t.Errorf("info = %+v", info)
+	}
+
+	// A 400 surfaces as a typed *HTTPError.
+	_, _, _, err = cl.Estimate(context.Background(), wire.EstimateRequest{
+		Set: paperSpec(), Approach: "st", Backend: "oracle",
+	})
+	var herr *HTTPError
+	if !errors.As(err, &herr) || herr.Status != http.StatusBadRequest || herr.Code != wire.CodeBadRequest {
+		t.Fatalf("err = %v, want bad_request *HTTPError", err)
 	}
 }
 
@@ -249,7 +231,7 @@ func TestEstimate(t *testing.T) {
 // body, not the request flag, decides which pointer is populated.
 func TestEstimateRefine(t *testing.T) {
 	cl := newServer(t, serve.Config{})
-	doc, run, _, err := cl.Estimate(context.Background(), serve.EstimateRequest{
+	doc, run, _, err := cl.Estimate(context.Background(), wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dp", HorizonMS: 100, Refine: true,
 	})
 	if err != nil {
@@ -258,45 +240,8 @@ func TestEstimateRefine(t *testing.T) {
 	if doc != nil {
 		t.Errorf("refined estimate returned an estimate doc: %+v", doc)
 	}
-	if run == nil || run.Schema != serve.RunSchema || !run.MKSatisfied {
+	if run == nil || run.Schema != wire.RunSchema || !run.MKSatisfied {
 		t.Errorf("run = %+v", run)
-	}
-}
-
-func TestEstimateRetriesThenHTTPError(t *testing.T) {
-	var calls atomic.Int64
-	inner := serve.NewServer(serve.Config{}).Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			if _, err := w.Write([]byte(`{"error":"starting up","code":"unavailable"}`)); err != nil {
-				t.Error(err)
-			}
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	cl := New(Config{Addr: ts.URL, Retries: 3, Backoff: time.Millisecond})
-	doc, _, info, err := cl.Estimate(context.Background(), serve.EstimateRequest{
-		Set: paperSpec(), Approach: "st", HorizonMS: 100,
-	})
-	if err != nil || doc == nil {
-		t.Fatalf("doc %v err %v", doc, err)
-	}
-	if info.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (two 503s then success)", info.Attempts)
-	}
-
-	// A 400 must surface as a typed *HTTPError without retrying.
-	calls.Store(100)
-	_, _, _, err = cl.Estimate(context.Background(), serve.EstimateRequest{
-		Set: paperSpec(), Approach: "st", Backend: "oracle",
-	})
-	var herr *HTTPError
-	if !errors.As(err, &herr) || herr.Status != http.StatusBadRequest || herr.Code != "bad_request" {
-		t.Fatalf("err = %v, want bad_request *HTTPError", err)
 	}
 }
 
@@ -315,7 +260,7 @@ func TestUnavailableSurfacesAfterOneRequest(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	cl := New(Config{Addr: ts.URL})
-	_, _, err := cl.Simulate(context.Background(), serve.SimulateRequest{
+	_, _, err := cl.Simulate(context.Background(), wire.SimulateRequest{
 		Set: paperSpec(), Approach: "selective", HorizonMS: 20,
 	})
 	var herr *HTTPError

@@ -8,16 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
 // decodeError reads a structured error body off a response.
-func decodeError(t *testing.T, resp *http.Response) ErrorDoc {
+func decodeError(t *testing.T, resp *http.Response) wire.ErrorDoc {
 	t.Helper()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("error Content-Type = %q, want application/json", ct)
 	}
-	var doc ErrorDoc
+	var doc wire.ErrorDoc
 	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
 		t.Fatalf("error body is not JSON: %v", err)
 	}
@@ -41,8 +42,8 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		if doc := decodeError(t, resp); doc.Code != CodeMethodNotAllowed {
-			t.Errorf("code = %q, want %q", doc.Code, CodeMethodNotAllowed)
+		if doc := decodeError(t, resp); doc.Code != wire.CodeMethodNotAllowed {
+			t.Errorf("code = %q, want %q", doc.Code, wire.CodeMethodNotAllowed)
 		}
 	})
 
@@ -54,8 +55,8 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		if doc := decodeError(t, resp); doc.Code != CodeBadRequest {
-			t.Errorf("code = %q, want %q", doc.Code, CodeBadRequest)
+		if doc := decodeError(t, resp); doc.Code != wire.CodeBadRequest {
+			t.Errorf("code = %q, want %q", doc.Code, wire.CodeBadRequest)
 		}
 	})
 
@@ -71,7 +72,7 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 	})
 
 	t.Run("negative interval offset", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Lo: 0.3, Hi: 0.4, IntervalOffset: -1})
+		resp := postJSON(t, ts.URL+"/v1/sweep", wire.SweepRequest{Lo: 0.3, Hi: 0.4, IntervalOffset: -1})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
@@ -85,10 +86,10 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 	// upward x += 0.1 no longer moves x, so the second never ends.
 	for _, tc := range []struct {
 		name string
-		req  SweepRequest
+		req  wire.SweepRequest
 	}{
-		{"hi far above 1", SweepRequest{Hi: 1e9}},
-		{"hi where x+0.1 stalls", SweepRequest{Lo: 2.5e15, Hi: 2500000000000000.5}},
+		{"hi far above 1", wire.SweepRequest{Hi: 1e9}},
+		{"hi where x+0.1 stalls", wire.SweepRequest{Lo: 2.5e15, Hi: 2500000000000000.5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := postJSON(t, ts.URL+"/v1/sweep", tc.req)
@@ -96,8 +97,8 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
 			doc := decodeError(t, resp)
-			if doc.Code != CodeBadRequest || !strings.HasPrefix(doc.Error, "hi ") {
-				t.Errorf("error %+v does not name the offending field with code %q", doc, CodeBadRequest)
+			if doc.Code != wire.CodeBadRequest || !strings.HasPrefix(doc.Error, "hi ") {
+				t.Errorf("error %+v does not name the offending field with code %q", doc, wire.CodeBadRequest)
 			}
 		})
 	}
@@ -111,15 +112,15 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		body   any
 	}{
 		{"simulate timeout_ms 1e13", http.MethodPost, "/v1/simulate",
-			SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e13}},
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e13}},
 		{"simulate timeout_ms 1e300", http.MethodPost, "/v1/simulate",
-			SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e300}},
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e300}},
 		{"refine timeout_ms 1e13", http.MethodPost, "/v1/estimate",
-			EstimateRequest{Set: paperSpec(), HorizonMS: 20, Refine: true, TimeoutMS: 1e13}},
+			wire.EstimateRequest{Set: paperSpec(), HorizonMS: 20, Refine: true, TimeoutMS: 1e13}},
 		{"estimate timeout_ms Inf", http.MethodGet,
 			estimateURL("", map[string]string{"timeout_ms": "Inf", "refine": "true"}), nil},
 		{"sweep timeout_ms 1e13", http.MethodPost, "/v1/sweep",
-			SweepRequest{Lo: 0.3, Hi: 0.4, TimeoutMS: 1e13}},
+			wire.SweepRequest{Lo: 0.3, Hi: 0.4, TimeoutMS: 1e13}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp *http.Response
@@ -135,14 +136,14 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 				t.Fatalf("status = %d, want 400: %s", resp.StatusCode, readAll(t, resp))
 			}
 			doc := decodeError(t, resp)
-			if doc.Code != CodeBadRequest || !strings.HasPrefix(doc.Error, "timeout_ms ") {
-				t.Errorf("error %+v does not name timeout_ms with code %q", doc, CodeBadRequest)
+			if doc.Code != wire.CodeBadRequest || !strings.HasPrefix(doc.Error, "timeout_ms ") {
+				t.Errorf("error %+v does not name timeout_ms with code %q", doc, wire.CodeBadRequest)
 			}
 		})
 	}
 
 	t.Run("bad approach", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "bogus"})
+		resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), Approach: "bogus"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
@@ -155,17 +156,17 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 func TestRateLimitErrorCode(t *testing.T) {
 	_, ts := newTestServer(t, Config{RatePerSec: 0.001, Burst: 1})
 	// Burn the single token, then the next request must be limited.
-	resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20})
+	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20})
 	readAll(t, resp)
-	resp = postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20})
+	resp = postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if doc := decodeError(t, resp); doc.Code != CodeRateLimited {
-		t.Errorf("code = %q, want %q", doc.Code, CodeRateLimited)
+	if doc := decodeError(t, resp); doc.Code != wire.CodeRateLimited {
+		t.Errorf("code = %q, want %q", doc.Code, wire.CodeRateLimited)
 	}
 }
 
@@ -175,7 +176,7 @@ func TestRateLimitErrorCode(t *testing.T) {
 // request over the full range.
 func TestSweepShardsMatchBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := SweepRequest{
+	req := wire.SweepRequest{
 		Seed: 7, SetsPerInterval: 2, MaxCandidates: 60,
 		Lo: 0.3, Hi: 0.6, Approaches: []string{"st", "dp"},
 	}

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/analysis"
 	"repro/internal/estimate"
+	"repro/internal/serve/wire"
 )
 
 // handleEstimate serves GET/POST /v1/estimate: the two-tier query path.
@@ -36,7 +38,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !s.admitRate(w, r) {
 		return
 	}
-	var req EstimateRequest
+	var req wire.EstimateRequest
 	if r.Method == http.MethodGet {
 		if err := decodeEstimateQuery(r, &req); err != nil {
 			s.reject(w, http.StatusBadRequest, 0, "parse query: "+err.Error())
@@ -46,7 +48,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
 	}
-	run, err := parseRun(SimulateRequest{
+	run, err := parseRun(wire.SimulateRequest{
 		Set:           req.Set,
 		Approach:      req.Approach,
 		Scenario:      req.Scenario,
@@ -93,34 +95,42 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			// Structured 501: the backend has no model for this policy.
 			// Permanent for the pair — the client should refine (the
 			// simulator handles every registered policy) rather than retry.
-			s.rejectCode(w, http.StatusNotImplemented, 0, CodeUnsupportedBackend, err.Error())
+			s.rejectCode(w, http.StatusNotImplemented, 0, wire.CodeUnsupportedBackend, err.Error())
 			return
 		}
 		s.fail(w, classifyCtx(err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, EstimateDoc{
-		Schema:       EstimateSchema,
-		Fingerprint:  analysis.Fingerprint(run.set),
+	s.writeJSON(w, http.StatusOK, EstimateDocOf(run.set, run.sc, req.Seed, ans, s.now().Sub(start)))
+}
+
+// EstimateDocOf is the mkss-estimate/v1 document of one estimator answer
+// for set under scenario and fault seed seed, produced in elapsed. It is
+// the document's one builder: /v1/estimate and mksim -estimate -json
+// print what it returns.
+func EstimateDocOf(set *repro.Set, scenario repro.Scenario, seed uint64, ans *estimate.Answer, elapsed time.Duration) wire.EstimateDoc {
+	return wire.EstimateDoc{
+		Schema:       wire.EstimateSchema,
+		Fingerprint:  analysis.Fingerprint(set),
 		Backend:      ans.Backend,
 		Policy:       ans.Policy,
-		Scenario:     run.sc.String(),
-		Seed:         req.Seed,
+		Scenario:     scenario.String(),
+		Seed:         seed,
 		HorizonUS:    int64(ans.Horizon),
 		Schedulable:  ans.Schedulable,
 		ActiveEnergy: ans.ActiveEnergy,
 		TotalEnergy:  ans.TotalEnergy,
 		MKPredicted:  ans.MKPredicted,
 		Exact:        ans.Exact,
-		ElapsedUS:    int64(s.now().Sub(start) / time.Microsecond),
-	})
+		ElapsedUS:    int64(elapsed / time.Microsecond),
+	}
 }
 
 // decodeEstimateQuery maps GET query parameters onto an EstimateRequest:
 // set (the JSON task-set spec), approach, scenario, seed, horizon_ms,
 // transient_rate, backend, refine, timeout_ms. Unknown set fields are
 // rejected exactly as in a POST body.
-func decodeEstimateQuery(r *http.Request, req *EstimateRequest) error {
+func decodeEstimateQuery(r *http.Request, req *wire.EstimateRequest) error {
 	q := r.URL.Query()
 	dec := json.NewDecoder(strings.NewReader(q.Get("set")))
 	dec.DisallowUnknownFields()

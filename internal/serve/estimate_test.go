@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/serve/wire"
 )
 
 // estimateURL builds the GET form of an estimate query.
@@ -24,12 +25,12 @@ func estimateURL(base string, params map[string]string) string {
 	return base + "/v1/estimate?" + q.Encode()
 }
 
-func decodeEstimate(t *testing.T, resp *http.Response) EstimateDoc {
+func decodeEstimate(t *testing.T, resp *http.Response) wire.EstimateDoc {
 	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, readAll(t, resp))
 	}
-	var doc EstimateDoc
+	var doc wire.EstimateDoc
 	dec := json.NewDecoder(resp.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
@@ -43,7 +44,7 @@ func decodeEstimate(t *testing.T, resp *http.Response) EstimateDoc {
 // sub-millisecond service time once the per-set products are memoized.
 func TestEstimateGET(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	get := func() EstimateDoc {
+	get := func() wire.EstimateDoc {
 		resp, err := http.Get(estimateURL(ts.URL, map[string]string{
 			"approach": "dp", "horizon_ms": "100", "seed": "7",
 		}))
@@ -53,8 +54,8 @@ func TestEstimateGET(t *testing.T) {
 		return decodeEstimate(t, resp)
 	}
 	doc := get()
-	if doc.Schema != EstimateSchema {
-		t.Errorf("schema %q, want %q", doc.Schema, EstimateSchema)
+	if doc.Schema != wire.EstimateSchema {
+		t.Errorf("schema %q, want %q", doc.Schema, wire.EstimateSchema)
 	}
 	if doc.Backend != "twin" || doc.Exact {
 		t.Errorf("backend %q exact %v, want default twin/inexact", doc.Backend, doc.Exact)
@@ -92,7 +93,7 @@ func TestEstimatePOSTMatchesGET(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decodeEstimate(t, resp)
-	want := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	want := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "st", HorizonMS: 100,
 	}))
 	got.ElapsedUS, want.ElapsedUS = 0, 0
@@ -106,11 +107,11 @@ func TestEstimatePOSTMatchesGET(t *testing.T) {
 func TestEstimateRefineByteIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, scenario := range []string{"none", "permanent"} {
-		refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+		refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 			Set: paperSpec(), Approach: "selective", Scenario: scenario,
 			Seed: 42, HorizonMS: 100, Refine: true,
 		}))
-		direct := readAll(t, postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+		direct := readAll(t, postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{
 			Set: paperSpec(), Approach: "selective", Scenario: scenario,
 			Seed: 42, HorizonMS: 100,
 		}))
@@ -118,12 +119,12 @@ func TestEstimateRefineByteIdentical(t *testing.T) {
 			t.Errorf("%s: refine=true diverged from /v1/simulate:\n%s\nvs\n%s",
 				scenario, refined, direct)
 		}
-		var doc RunDoc
+		var doc wire.RunDoc
 		if err := json.Unmarshal(refined, &doc); err != nil {
 			t.Fatal(err)
 		}
-		if doc.Schema != RunSchema {
-			t.Errorf("refined schema %q, want %q", doc.Schema, RunSchema)
+		if doc.Schema != wire.RunSchema {
+			t.Errorf("refined schema %q, want %q", doc.Schema, wire.RunSchema)
 		}
 	}
 }
@@ -138,7 +139,7 @@ func TestEstimateNeedsNoExecutionSlot(t *testing.T) {
 	}
 	defer release()
 
-	resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 100})
+	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 100})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated simulate status %d, want 429", resp.StatusCode)
 	}
@@ -154,7 +155,7 @@ func TestEstimateNeedsNoExecutionSlot(t *testing.T) {
 
 	// An exact backend runs real simulation work, so it DOES wait for a
 	// slot — with none available and no queue, it is rejected.
-	resp = postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	resp = postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "st", HorizonMS: 100, Backend: "sim", TimeoutMS: 50,
 	})
 	if resp.StatusCode == http.StatusOK {
@@ -167,16 +168,16 @@ func TestEstimateNeedsNoExecutionSlot(t *testing.T) {
 // EstimateDoc whose energies equal the refined run document's.
 func TestEstimateSimBackend(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dp", HorizonMS: 100, Backend: "sim",
 	}))
 	if !doc.Exact || doc.Backend != "sim" {
 		t.Fatalf("backend %q exact %v, want sim/exact", doc.Backend, doc.Exact)
 	}
-	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dp", HorizonMS: 100, Refine: true,
 	}))
-	var run RunDoc
+	var run wire.RunDoc
 	if err := json.Unmarshal(refined, &run); err != nil {
 		t.Fatal(err)
 	}
@@ -193,44 +194,44 @@ func TestEstimateSimBackend(t *testing.T) {
 func TestEstimateTwinUnsupportedDBP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, backend := range []string{"", "twin"} {
-		resp := postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+		resp := postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 			Set: paperSpec(), Approach: "dbp", HorizonMS: 100, Backend: backend,
 		})
 		body := readAll(t, resp)
 		if resp.StatusCode != http.StatusNotImplemented {
 			t.Fatalf("backend %q: status %d, want 501 (%s)", backend, resp.StatusCode, body)
 		}
-		var doc ErrorDoc
+		var doc wire.ErrorDoc
 		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("backend %q: body %q not an ErrorDoc: %v", backend, body, err)
+			t.Fatalf("backend %q: body %q not an wire.ErrorDoc: %v", backend, body, err)
 		}
-		if doc.Code != CodeUnsupportedBackend || doc.Error == "" {
-			t.Errorf("backend %q: error doc %+v, want code %q", backend, doc, CodeUnsupportedBackend)
+		if doc.Code != wire.CodeUnsupportedBackend || doc.Error == "" {
+			t.Errorf("backend %q: error doc %+v, want code %q", backend, doc, wire.CodeUnsupportedBackend)
 		}
 	}
 
 	// refine=true short-circuits to the simulation core before any backend
 	// is constructed: a full mkss-run/v1 document, byte-identical to
 	// /v1/simulate.
-	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dbp", HorizonMS: 100, Refine: true,
 	}))
-	direct := readAll(t, postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+	direct := readAll(t, postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{
 		Set: paperSpec(), Approach: "dbp", HorizonMS: 100,
 	}))
 	if string(refined) != string(direct) {
 		t.Errorf("refine=true for dbp diverged from /v1/simulate:\n%s\nvs\n%s", refined, direct)
 	}
-	var run RunDoc
+	var run wire.RunDoc
 	if err := json.Unmarshal(refined, &run); err != nil {
 		t.Fatal(err)
 	}
-	if run.Schema != RunSchema || run.Policy != "MKSS-DBP" {
-		t.Errorf("refined doc schema %q policy %q, want %q/MKSS-DBP", run.Schema, run.Policy, RunSchema)
+	if run.Schema != wire.RunSchema || run.Policy != "MKSS-DBP" {
+		t.Errorf("refined doc schema %q policy %q, want %q/MKSS-DBP", run.Schema, run.Policy, wire.RunSchema)
 	}
 
 	// The sim backend models every policy; DBP answers exactly.
-	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dbp", HorizonMS: 100, Backend: "sim",
 	}))
 	if !doc.Exact || doc.Policy != "MKSS-DBP" {
@@ -250,7 +251,7 @@ func TestEstimateUnschedulableRefusedPromptly(t *testing.T) {
 		{PeriodMS: 0.003, WCETMS: 0.001, M: 1, K: 1},
 		{PeriodMS: 999.983, WCETMS: 0.001, M: 1, K: 2},
 	}}
-	body, err := json.Marshal(EstimateRequest{Set: backlog, Approach: "selective", TimeoutMS: 2000})
+	body, err := json.Marshal(wire.EstimateRequest{Set: backlog, Approach: "selective", TimeoutMS: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,30 +261,30 @@ func TestEstimateUnschedulableRefusedPromptly(t *testing.T) {
 		t.Fatalf("twin estimate of a backlogging set: %v", err)
 	}
 	got := readAll(t, resp)
-	var doc ErrorDoc
+	var doc wire.ErrorDoc
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422 (%s)", resp.StatusCode, got)
 	}
-	if err := json.Unmarshal(got, &doc); err != nil || doc.Code != CodeUnprocessable || doc.Error == "" {
-		t.Errorf("error doc %s (err %v), want code %q", got, err, CodeUnprocessable)
+	if err := json.Unmarshal(got, &doc); err != nil || doc.Code != wire.CodeUnprocessable || doc.Error == "" {
+		t.Errorf("error doc %s (err %v), want code %q", got, err, wire.CodeUnprocessable)
 	}
 
-	refined := postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{
+	refined := postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: backlog, Approach: "st", HorizonMS: 10, Refine: true,
 	})
-	var run RunDoc
+	var run wire.RunDoc
 	if err := json.Unmarshal(readAll(t, refined), &run); err != nil || refined.StatusCode != http.StatusOK {
 		t.Fatalf("refine=true: status %d, err %v", refined.StatusCode, err)
 	}
-	if run.Schema != RunSchema || run.Schedulable {
-		t.Errorf("refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, RunSchema)
+	if run.Schema != wire.RunSchema || run.Schedulable {
+		t.Errorf("refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, wire.RunSchema)
 	}
 
 	// selective runs the θ analysis in its Init, outside any context: on
 	// this set each window of τ3 holds about 830,000 higher-priority
 	// backup jobs, which a quadratic Eq. (4) took about an hour over. The
 	// client bound leaves room for the race detector, not for that.
-	body, err = json.Marshal(EstimateRequest{Set: backlog, Approach: "selective", HorizonMS: 10, Refine: true})
+	body, err = json.Marshal(wire.EstimateRequest{Set: backlog, Approach: "selective", HorizonMS: 10, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +294,12 @@ func TestEstimateUnschedulableRefusedPromptly(t *testing.T) {
 		t.Fatalf("selective refine=true on a backlogging set: %v", err)
 	}
 	got = readAll(t, resp)
-	run = RunDoc{}
+	run = wire.RunDoc{}
 	if err := json.Unmarshal(got, &run); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("selective refine=true: status %d, err %v (%s)", resp.StatusCode, err, got)
 	}
-	if run.Schema != RunSchema || run.Schedulable {
-		t.Errorf("selective refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, RunSchema)
+	if run.Schema != wire.RunSchema || run.Schedulable {
+		t.Errorf("selective refined doc schema %q schedulable %v, want %q and false", run.Schema, run.Schedulable, wire.RunSchema)
 	}
 }
 
@@ -309,7 +310,7 @@ func TestEstimateBadRequests(t *testing.T) {
 		do   func() (*http.Response, error)
 	}{
 		{"unknown backend", func() (*http.Response, error) {
-			return post(ts.URL+"/v1/estimate", EstimateRequest{Set: paperSpec(), Approach: "st", Backend: "oracle"})
+			return post(ts.URL+"/v1/estimate", wire.EstimateRequest{Set: paperSpec(), Approach: "st", Backend: "oracle"})
 		}},
 		{"bad set query", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/estimate?set=notjson")
@@ -318,7 +319,7 @@ func TestEstimateBadRequests(t *testing.T) {
 			return http.Get(estimateURL(ts.URL, map[string]string{"refine": "perhaps"}))
 		}},
 		{"bad approach", func() (*http.Response, error) {
-			return post(ts.URL+"/v1/estimate", EstimateRequest{Set: paperSpec(), Approach: "edf"})
+			return post(ts.URL+"/v1/estimate", wire.EstimateRequest{Set: paperSpec(), Approach: "edf"})
 		}},
 	}
 	for _, c := range cases {
@@ -326,13 +327,13 @@ func TestEstimateBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc ErrorDoc
+		var doc wire.ErrorDoc
 		body := readAll(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
 			continue
 		}
-		if err := json.Unmarshal(body, &doc); err != nil || doc.Code != CodeBadRequest || doc.Error == "" {
+		if err := json.Unmarshal(body, &doc); err != nil || doc.Code != wire.CodeBadRequest || doc.Error == "" {
 			t.Errorf("%s: error doc %s (err %v)", c.name, body, err)
 		}
 	}
@@ -370,12 +371,12 @@ func TestWrongMethodAllRoutes(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s %s: Content-Type %q, want application/json", rt.method, rt.path, ct)
 		}
-		var doc ErrorDoc
+		var doc wire.ErrorDoc
 		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Errorf("%s %s: body %q not an ErrorDoc: %v", rt.method, rt.path, body, err)
+			t.Errorf("%s %s: body %q not an wire.ErrorDoc: %v", rt.method, rt.path, body, err)
 			continue
 		}
-		if doc.Code != CodeMethodNotAllowed || doc.Error == "" {
+		if doc.Code != wire.CodeMethodNotAllowed || doc.Error == "" {
 			t.Errorf("%s %s: error doc %+v", rt.method, rt.path, doc)
 		}
 	}

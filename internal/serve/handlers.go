@@ -18,63 +18,24 @@ import (
 	"repro/internal/timeu"
 )
 
-// The request/response documents of every endpoint live in the shared
-// internal/serve/wire package — the one schema both this server and
-// internal/serve/client compile against. The aliases below keep the
-// serve-qualified names (serve.RunDoc, serve.SweepLine, ...) that
-// internal/fleet, cmd/mkfleet and existing tests already use.
-const (
-	RunSchema      = wire.RunSchema
-	SweepSchema    = wire.SweepSchema
-	AnalyzeSchema  = wire.AnalyzeSchema
-	EstimateSchema = wire.EstimateSchema
-)
-
-type (
-	SimulateRequest = wire.SimulateRequest
-	RunDoc          = wire.RunDoc
-	EstimateRequest = wire.EstimateRequest
-	EstimateDoc     = wire.EstimateDoc
-	SweepRequest    = wire.SweepRequest
-	SweepLine       = wire.SweepLine
-	AnalyzeTask     = wire.AnalyzeTask
-	AnalyzeDoc      = wire.AnalyzeDoc
-	ErrorDoc        = wire.ErrorDoc
-	HealthDoc       = wire.HealthDoc
-)
-
-// Error codes carried by ErrorDoc.Code (see wire for the vocabulary).
-const (
-	CodeBadRequest         = wire.CodeBadRequest
-	CodeMethodNotAllowed   = wire.CodeMethodNotAllowed
-	CodeRateLimited        = wire.CodeRateLimited
-	CodeQueueFull          = wire.CodeQueueFull
-	CodeQuotaExceeded      = wire.CodeQuotaExceeded
-	CodeUnprocessable      = wire.CodeUnprocessable
-	CodeUnavailable        = wire.CodeUnavailable
-	CodeDeadline           = wire.CodeDeadline
-	CodeInternal           = wire.CodeInternal
-	CodeUnsupportedBackend = wire.CodeUnsupportedBackend
-)
-
 // codeForStatus maps an HTTP status onto the default error code; paths
 // that know better (queue full) pass an explicit code to rejectCode.
 func codeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
-		return CodeBadRequest
+		return wire.CodeBadRequest
 	case http.StatusMethodNotAllowed:
-		return CodeMethodNotAllowed
+		return wire.CodeMethodNotAllowed
 	case http.StatusTooManyRequests:
-		return CodeRateLimited
+		return wire.CodeRateLimited
 	case http.StatusUnprocessableEntity:
-		return CodeUnprocessable
+		return wire.CodeUnprocessable
 	case http.StatusServiceUnavailable:
-		return CodeUnavailable
+		return wire.CodeUnavailable
 	case http.StatusGatewayTimeout:
-		return CodeDeadline
+		return wire.CodeDeadline
 	}
-	return CodeInternal
+	return wire.CodeInternal
 }
 
 // decodeBody strictly decodes the request body into v, bounding its
@@ -101,7 +62,7 @@ func (s *Server) rejectCode(w http.ResponseWriter, status int, retryAfter int, c
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(ErrorDoc{Error: msg, Code: code}); err != nil {
+	if err := json.NewEncoder(w).Encode(wire.ErrorDoc{Error: msg, Code: code}); err != nil {
 		fmt.Fprintf(s.cfg.Log, "mkservd: write error response: %v\n", err)
 	}
 }
@@ -172,7 +133,7 @@ func (s *Server) admitRate(w http.ResponseWriter, r *http.Request) bool {
 		if ok, retry := s.tenants.take(tenant); !ok {
 			s.rejected.Add(1)
 			s.events.emit(eventQuotaReject, "", tenant)
-			s.rejectCode(w, http.StatusTooManyRequests, ceilSeconds(retry), CodeQuotaExceeded,
+			s.rejectCode(w, http.StatusTooManyRequests, ceilSeconds(retry), wire.CodeQuotaExceeded,
 				fmt.Sprintf("tenant %q quota exceeded", tenant))
 			return false
 		}
@@ -190,7 +151,7 @@ func ceilSeconds(d time.Duration) int {
 // plus its task set, approach and scenario. /v1/estimate parses its
 // mirrored fields into the same shape.
 type runRequest struct {
-	SimulateRequest
+	wire.SimulateRequest
 	set *repro.Set
 	a   repro.Approach
 	sc  repro.Scenario
@@ -199,7 +160,7 @@ type runRequest struct {
 // parseRun is the one parse of a run request, shared by /v1/simulate
 // and /v1/estimate: the set spec, the approach (default selective), the
 // scenario (default none) and the timeout_ms bound, in that order.
-func parseRun(req SimulateRequest) (runRequest, error) {
+func parseRun(req wire.SimulateRequest) (runRequest, error) {
 	run := runRequest{SimulateRequest: req}
 	var err error
 	if run.set, err = req.Set.Set(); err != nil {
@@ -238,7 +199,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.admitRate(w, r) {
 		return
 	}
-	var req SimulateRequest
+	var req wire.SimulateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
@@ -286,25 +247,7 @@ func (s *Server) serveSimulate(w http.ResponseWriter, r *http.Request, run runRe
 			return nil, err
 		}
 		s.recordRuns(1, res.Counters)
-		doc := RunDoc{
-			Schema:       RunSchema,
-			Fingerprint:  analysis.Fingerprint(run.set),
-			Policy:       res.Policy,
-			Scenario:     run.sc.String(),
-			Seed:         run.Seed,
-			HorizonUS:    int64(res.Horizon),
-			Schedulable:  s.runner.Analysis(run.set).Schedulable(),
-			ActiveEnergy: res.ActiveEnergy(),
-			TotalEnergy:  res.TotalEnergy(),
-			MKSatisfied:  res.MKSatisfied(),
-			ViolationAt:  res.ViolationAt,
-			Counters:     res.Counters,
-		}
-		if pf := res.PermanentFault; pf != nil {
-			doc.PermanentAtUS = int64(pf.At)
-			doc.PermanentProc = pf.Proc
-		}
-		data, err := json.Marshal(doc)
+		data, err := json.Marshal(RunDocOf(run.set, run.sc, run.Seed, s.runner.Analysis(run.set).Schedulable(), res))
 		if err != nil {
 			return nil, err
 		}
@@ -314,6 +257,32 @@ func (s *Server) serveSimulate(w http.ResponseWriter, r *http.Request, run runRe
 		s.writeRaw(w, doc)
 		return nil
 	})
+}
+
+// RunDocOf is the mkss-run/v1 document of one run of set under scenario
+// and fault seed seed; schedulable is the set's Theorem-1 verdict. It is
+// the document's one builder: /v1/simulate, refine=true and mksim -json
+// all print what it returns.
+func RunDocOf(set *repro.Set, scenario repro.Scenario, seed uint64, schedulable bool, res *repro.Result) wire.RunDoc {
+	doc := wire.RunDoc{
+		Schema:       wire.RunSchema,
+		Fingerprint:  analysis.Fingerprint(set),
+		Policy:       res.Policy,
+		Scenario:     scenario.String(),
+		Seed:         seed,
+		HorizonUS:    int64(res.Horizon),
+		Schedulable:  schedulable,
+		ActiveEnergy: res.ActiveEnergy(),
+		TotalEnergy:  res.TotalEnergy(),
+		MKSatisfied:  res.MKSatisfied(),
+		ViolationAt:  res.ViolationAt,
+		Counters:     res.Counters,
+	}
+	if pf := res.PermanentFault; pf != nil {
+		doc.PermanentAtUS = int64(pf.At)
+		doc.PermanentProc = pf.Proc
+	}
+	return doc
 }
 
 // serveFlight attaches a request to the flight for key, starting run as
@@ -393,8 +362,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	prods := s.runner.Analysis(set)
 	resp, conv := prods.ResponseTimes()
 	promo := prods.PromotionTimes()
-	doc := AnalyzeDoc{
-		Schema:      AnalyzeSchema,
+	doc := wire.AnalyzeDoc{
+		Schema:      wire.AnalyzeSchema,
 		Fingerprint: analysis.Fingerprint(set),
 		Utilization: set.Utilization(),
 		MKUtil:      set.MKUtilization(),
@@ -407,7 +376,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range set.Tasks {
 		t := &set.Tasks[i]
-		at := AnalyzeTask{
+		at := wire.AnalyzeTask{
 			Name:         t.Name,
 			PeriodUS:     int64(t.Period),
 			DeadlineUS:   int64(t.Deadline),
@@ -433,7 +402,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusMethodNotAllowed, 0, "GET required")
 		return
 	}
-	doc := HealthDoc{
+	doc := wire.HealthDoc{
 		Status:        "ok",
 		InFlight:      s.inflight.Load() - 1,
 		Queued:        s.queued.Load(),

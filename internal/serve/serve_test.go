@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
@@ -117,14 +118,14 @@ func waitSubscribers(t *testing.T, f *flight, n int) {
 // identical numbers the library produces for the paper's Figure 2 run.
 func TestSimulateMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{
 		Set: paperSpec(), Approach: "selective", HorizonMS: 20,
 	})
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var doc RunDoc
+	var doc wire.RunDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -132,8 +133,8 @@ func TestSimulateMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != RunSchema {
-		t.Errorf("schema = %q, want %q", doc.Schema, RunSchema)
+	if doc.Schema != wire.RunSchema {
+		t.Errorf("schema = %q, want %q", doc.Schema, wire.RunSchema)
 	}
 	if doc.Fingerprint == "" {
 		t.Error("empty fingerprint")
@@ -192,7 +193,7 @@ func TestSimulateCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20}
+	req := wire.SimulateRequest{Set: paperSpec(), Approach: "selective", HorizonMS: 20}
 	type result struct {
 		body      []byte
 		coalesced bool
@@ -266,9 +267,9 @@ func TestSimulateAndRefineShareOneLeader(t *testing.T) {
 		}
 		results <- result{data, resp.Header.Get("X-Mkss-Coalesced") != "", resp.StatusCode, rerr}
 	}
-	go do("/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40})
+	go do("/v1/simulate", wire.SimulateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40})
 	f := waitFlight(t, s)
-	go do("/v1/estimate", EstimateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40, Refine: true})
+	go do("/v1/estimate", wire.EstimateRequest{Set: paperSpec(), Approach: "dp", Seed: 9, HorizonMS: 40, Refine: true})
 	waitSubscribers(t, f, 2)
 	release()
 	a, b := <-results, <-results
@@ -309,12 +310,12 @@ func TestAnalyze(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var doc AnalyzeDoc
+	var doc wire.AnalyzeDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != AnalyzeSchema {
-		t.Errorf("schema = %q, want %q", doc.Schema, AnalyzeSchema)
+	if doc.Schema != wire.AnalyzeSchema {
+		t.Errorf("schema = %q, want %q", doc.Schema, wire.AnalyzeSchema)
 	}
 	if len(doc.Tasks) != 2 {
 		t.Fatalf("tasks = %d, want 2", len(doc.Tasks))
@@ -345,7 +346,7 @@ func TestAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	body2 := readAll(t, resp2)
-	var doc2 AnalyzeDoc
+	var doc2 wire.AnalyzeDoc
 	if err := json.Unmarshal(body2, &doc2); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestAnalyzeOverflowSet(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var doc AnalyzeDoc
+	var doc wire.AnalyzeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestHealthzAndDrainGate(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "draining") {
 		t.Fatalf("draining healthz = %d %s", resp.StatusCode, body)
 	}
-	resp = postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec()})
+	resp = postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec()})
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining simulate = %d, want 503", resp.StatusCode)
@@ -421,7 +422,7 @@ func TestHealthzAndDrainGate(t *testing.T) {
 // counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	readAll(t, postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20}))
+	readAll(t, postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20}))
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +451,7 @@ func TestRateLimit(t *testing.T) {
 	clk := &fakeClock{}
 	_, ts := newTestServer(t, Config{RatePerSec: 1, Burst: 1, Now: clk.now})
 	get := func() *http.Response {
-		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+		resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
 		readAll(t, resp)
 		return resp
 	}
@@ -479,7 +480,7 @@ func TestQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
@@ -500,7 +501,7 @@ func TestQueueFull(t *testing.T) {
 // handler must answer 504.
 func TestSimulateDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{
 		Set: paperSpec(), HorizonMS: 1e8, TimeoutMS: 1,
 	})
 	body := readAll(t, resp)
@@ -514,7 +515,7 @@ func TestSimulateDeadline(t *testing.T) {
 func TestNonPositiveTimeoutMeansDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, ms := range []float64{0, -1, -1e300} {
-		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: ms})
+		resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: ms})
 		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
 			t.Errorf("timeout_ms %v: status %d, want 200: %s", ms, resp.StatusCode, body)
 		}
@@ -528,7 +529,7 @@ func TestNonPositiveTimeoutMeansDefault(t *testing.T) {
 // right after it is admitted.
 func TestSweepDeadlineFreesSlot(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
-	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+	resp := postJSON(t, ts.URL+"/v1/sweep", wire.SweepRequest{
 		Lo: 0.9, SetsPerInterval: 1e6, MaxCandidates: 1 << 40, TimeoutMS: 100,
 	})
 	if resp.StatusCode == http.StatusGatewayTimeout {
@@ -543,7 +544,7 @@ func TestSweepDeadlineFreesSlot(t *testing.T) {
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+		resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
 		body := readAll(t, resp)
 		if resp.StatusCode == http.StatusOK {
 			return
@@ -557,12 +558,12 @@ func TestSweepDeadlineFreesSlot(t *testing.T) {
 
 // sweepLines collects the JSONL lines of one /v1/sweep response
 // (goroutine-safe).
-func sweepLines(resp *http.Response) ([]SweepLine, error) {
+func sweepLines(resp *http.Response) ([]wire.SweepLine, error) {
 	defer resp.Body.Close() //mklint:allow errdrop — test helper, read-only body
-	var lines []SweepLine
+	var lines []wire.SweepLine
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var l SweepLine
+		var l wire.SweepLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, fmt.Errorf("parse line %q: %v", sc.Text(), err)
 		}
@@ -576,7 +577,7 @@ func sweepLines(resp *http.Response) ([]SweepLine, error) {
 // batch Runner.Sweep over the same range produces.
 func TestSweepStreamMatchesBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := SweepRequest{
+	req := wire.SweepRequest{
 		Seed: 7, SetsPerInterval: 2, MaxCandidates: 100,
 		Lo: 0.3, Hi: 0.5, Approaches: []string{"st", "dp"},
 	}
@@ -594,7 +595,7 @@ func TestSweepStreamMatchesBatch(t *testing.T) {
 	if len(lines) != 4 { // start + 2 rows + done
 		t.Fatalf("got %d lines, want 4: %+v", len(lines), lines)
 	}
-	if lines[0].Type != "start" || lines[0].Schema != SweepSchema || lines[0].Intervals != 2 {
+	if lines[0].Type != "start" || lines[0].Schema != wire.SweepSchema || lines[0].Intervals != 2 {
 		t.Fatalf("start line = %+v", lines[0])
 	}
 	if lines[3].Type != "done" {
@@ -642,9 +643,9 @@ func TestSweepCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := SweepRequest{Seed: 7, SetsPerInterval: 1, MaxCandidates: 50, Lo: 0.3, Hi: 0.4, Approaches: []string{"st"}}
+	req := wire.SweepRequest{Seed: 7, SetsPerInterval: 1, MaxCandidates: 50, Lo: 0.3, Hi: 0.4, Approaches: []string{"st"}}
 	type result struct {
-		lines     []SweepLine
+		lines     []wire.SweepLine
 		coalesced bool
 		err       error
 	}
@@ -693,7 +694,7 @@ func TestRunGracefulDrain(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx, l) }()
 	base := "http://" + l.Addr().String()
-	resp := postJSON(t, base+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+	resp := postJSON(t, base+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate before drain = %d", resp.StatusCode)
@@ -738,7 +739,7 @@ func TestRunDrainAbortsStragglers(t *testing.T) {
 	resps := make(chan result, 1)
 	go func() {
 		// A simulation far larger than the drain window.
-		resp, err := post(base+"/v1/simulate", SimulateRequest{Set: paperSpec(), HorizonMS: 1e8})
+		resp, err := post(base+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 1e8})
 		if err != nil {
 			resps <- result{err: err}
 			return

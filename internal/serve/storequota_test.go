@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/serve/wire"
 	"repro/internal/store"
 )
 
@@ -46,13 +47,13 @@ func postTenant(t *testing.T, url string, body any, tenant string) *http.Respons
 }
 
 // healthDoc fetches and decodes /healthz.
-func healthDoc(t *testing.T, baseURL string) HealthDoc {
+func healthDoc(t *testing.T, baseURL string) wire.HealthDoc {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc HealthDoc
+	var doc wire.HealthDoc
 	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func healthDoc(t *testing.T, baseURL string) HealthDoc {
 // slot.
 func TestSimulateStoreCrossRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	req := SimulateRequest{Set: paperSpec(), Approach: "selective", Scenario: "permanent", HorizonMS: 50, Seed: 11}
+	req := wire.SimulateRequest{Set: paperSpec(), Approach: "selective", Scenario: "permanent", HorizonMS: 50, Seed: 11}
 
 	st1 := openStore(t, dir)
 	_, ts1 := newTestServer(t, Config{Store: st1})
@@ -127,7 +128,7 @@ func TestSimulateStoreCrossRestart(t *testing.T) {
 // zero execution slots.
 func TestSweepWarmStoreNeedsNoSlot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	req := SweepRequest{
+	req := wire.SweepRequest{
 		Seed: 7, SetsPerInterval: 2, MaxCandidates: 40,
 		Lo: 0.3, Hi: 0.5, Approaches: []string{"st"},
 	}
@@ -192,7 +193,7 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	// A refill rate of ~0 makes the test deterministic: each tenant has
 	// exactly its burst of 2 requests.
 	_, ts := newTestServer(t, Config{TenantRatePerSec: 0.001, TenantBurst: 2})
-	req := SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
+	req := wire.SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
 
 	for i := 0; i < 2; i++ {
 		resp := postTenant(t, ts.URL+"/v1/simulate", req, "hot")
@@ -208,8 +209,8 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	if sec, err := strconv.Atoi(retry); err != nil || sec < 1 {
 		t.Errorf("Retry-After = %q, want a whole second count >= 1", retry)
 	}
-	if doc := decodeError(t, resp); doc.Code != CodeQuotaExceeded || !strings.Contains(doc.Error, `"hot"`) {
-		t.Errorf("error doc = %+v, want code %q naming the tenant", doc, CodeQuotaExceeded)
+	if doc := decodeError(t, resp); doc.Code != wire.CodeQuotaExceeded || !strings.Contains(doc.Error, `"hot"`) {
+		t.Errorf("error doc = %+v, want code %q naming the tenant", doc, wire.CodeQuotaExceeded)
 	}
 
 	// The default tenant has its own untouched bucket.
@@ -233,7 +234,7 @@ func TestTenantQuotaIsolation(t *testing.T) {
 func TestQuotaRetryAfterFromRefill(t *testing.T) {
 	// 0.5 tokens/s, burst 1: after one request the next token is ~2s out.
 	_, ts := newTestServer(t, Config{TenantRatePerSec: 0.5, TenantBurst: 1})
-	req := SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
+	req := wire.SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
 	resp := postTenant(t, ts.URL+"/v1/simulate", req, "x")
 	if readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request status %d", resp.StatusCode)
@@ -259,7 +260,7 @@ func TestServeEventStream(t *testing.T) {
 		Store: st, Events: &events,
 		TenantRatePerSec: 0.001, TenantBurst: 2,
 	})
-	req := SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
+	req := wire.SimulateRequest{Set: paperSpec(), Approach: "st", HorizonMS: 20}
 	for _, tenant := range []string{"", "", "greedy", "greedy", "greedy"} {
 		resp := postTenant(t, ts.URL+"/v1/simulate", req, tenant)
 		readAll(t, resp)

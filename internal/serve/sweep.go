@@ -9,18 +9,21 @@ import (
 
 	"repro"
 	"repro/internal/experiment"
+	"repro/internal/serve/wire"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // Sweep is a /v1/sweep request settled against the server's defaults:
-// the one definition of a sweep that the /v1/sweep handler, the fleet
-// coordinator (fleet.SweepSpec) and mkfleet -local share, so a
-// coordinator and its workers agree on what a sweep unit is.
+// the one definition of a sweep. The /v1/sweep handler runs it, mkfleet
+// settles its flags into one and hands that value to -local and to the
+// fleet coordinator, and the coordinator sends each unit as its request
+// with the interval narrowed, so a coordinator and its workers agree on
+// what a sweep unit is.
 type Sweep struct {
 	// Req is the request with its defaults applied and its scenario and
 	// approaches rewritten to canonical names.
-	Req        SweepRequest
+	Req        wire.SweepRequest
 	Scenario   repro.Scenario
 	Approaches []repro.Approach
 }
@@ -30,7 +33,7 @@ type Sweep struct {
 // st, dp and selective), checks the bounds and timeout_ms, and parses
 // the scenario and approaches. Its errors are the handler's 400
 // messages.
-func NormalizeSweep(req SweepRequest) (Sweep, error) {
+func NormalizeSweep(req wire.SweepRequest) (Sweep, error) {
 	if req.Seed == 0 {
 		req.Seed = 2020
 	}
@@ -109,46 +112,39 @@ func (sw Sweep) UnitKey(iv workload.Interval, offset int) string {
 
 // StartLine encodes the opening line of a stream over n intervals.
 func (sw Sweep) StartLine(n int) []byte {
-	return marshalLine(SweepLine{
-		Type: "start", Schema: SweepSchema, Scenario: sw.Req.Scenario,
+	return marshalLine(wire.SweepLine{
+		Type: "start", Schema: wire.SweepSchema, Scenario: sw.Req.Scenario,
 		Seed: sw.Req.Seed, Intervals: n,
 	})
 }
 
 // RowLine encodes the line of one completed sweep interval.
 func RowLine(approaches []repro.Approach, row experiment.Row) []byte {
-	line := SweepLine{
+	line := wire.SweepLine{
 		Type:       "row",
 		UtilLo:     row.Interval.Lo,
 		UtilHi:     row.Interval.Hi,
 		Sets:       len(row.Sets),
 		Candidates: row.Candidates,
-		NormMean:   map[string]float64{},
-		NormCI95:   map[string]float64{},
-		Violations: map[string]int{},
 	}
-	for _, a := range approaches {
-		line.NormMean[a.String()] = row.NormMean[a]
-		line.NormCI95[a.String()] = row.NormCI[a]
-		line.Violations[a.String()] = row.Violations[a]
-	}
+	line.NormMean, line.NormCI95, line.Violations = row.Series(approaches)
 	return marshalLine(line)
 }
 
 // DoneLine encodes the terminal line of a stream over n intervals that
 // took elapsedMS.
 func DoneLine(n int, elapsedMS float64) []byte {
-	return marshalLine(SweepLine{Type: "done", Intervals: n, ElapsedMS: elapsedMS})
+	return marshalLine(wire.SweepLine{Type: "done", Intervals: n, ElapsedMS: elapsedMS})
 }
 
 // ErrorLine encodes the terminal line of a stream that failed with err.
 func ErrorLine(err error) []byte {
-	return marshalLine(SweepLine{Type: "error", Error: err.Error()})
+	return marshalLine(wire.SweepLine{Type: "error", Error: err.Error()})
 }
 
 // marshalLine marshals a stream line; the line types contain nothing
 // that can fail to marshal.
-func marshalLine(v SweepLine) []byte {
+func marshalLine(v wire.SweepLine) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
@@ -164,7 +160,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.admitRate(w, r) {
 		return
 	}
-	var req SweepRequest
+	var req wire.SweepRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
