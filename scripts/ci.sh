@@ -13,7 +13,8 @@
 # with -nocache, vs results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
 # k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
-# schedulability test against the hyperperiod walk, bench smoke (one
+# schedulability test against the hyperperiod walk, a 10 s fuzz of the
+# /v1/sweep normalizer, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -22,7 +23,8 @@
 # whose mkss-bench/v1 document feeds the cross-PR trajectory log via
 # scripts/trajectory.sh), the serve smoke
 # (mkservd on an ephemeral port driven by an mkload burst, with a
-# graceful-drain shutdown check), the estimate smoke (the analytical
+# graceful-drain shutdown check and mksim -json compared with the
+# /v1/simulate document of the same run), the estimate smoke (the analytical
 # twin's GET /v1/estimate fast path under load, p99 asserted
 # sub-25ms, and refine=true checked byte-identical to /v1/simulate), the
 # fleet smoke (a distributed mkfleet sweep over two workers, one
@@ -107,6 +109,9 @@ if [ "$fast" = 0 ]; then
   step "fuzz (first-job test vs the walk, 15 s)"
   go test -run '^$' -fuzz '^FuzzCriticalInstantMatchesWalk$' -fuzztime 15s ./internal/rta
 
+  step "fuzz (the /v1/sweep normalizer, 10 s)"
+  go test -run '^$' -fuzz '^FuzzNormalizeSweep$' -fuzztime 10s ./internal/serve
+
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
   go run ./cmd/mkbench -fig 6a -sets 3 -candidates 800 -q -json -jsonout "$tmp/BENCH_ci.json"
@@ -122,6 +127,7 @@ if [ "$fast" = 0 ]; then
   step "serve smoke (mkservd + mkload)"
   go build -o "$tmp/mkservd" ./cmd/mkservd
   go build -o "$tmp/mkload" ./cmd/mkload
+  go build -o "$tmp/mksim" ./cmd/mksim
   "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/mkservd.addr" -drain 10s \
     > "$tmp/mkservd.log" 2>&1 &
   servd=$!
@@ -130,7 +136,13 @@ if [ "$fast" = 0 ]; then
   curl -sf "http://$addr/healthz" | grep -q '"ok"'
   curl -sf -X POST "http://$addr/v1/simulate" -H 'Content-Type: application/json' \
     -d '{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4},{"period_ms":10,"deadline_ms":10,"wcet_ms":3,"m":1,"k":2}]},"approach":"selective","horizon_ms":20}' \
-    | grep -q '"active_energy":12'
+    > "$tmp/served_run.json"
+  grep -q '"active_energy":12' "$tmp/served_run.json"
+  # mksim -json prints the mkss-run/v1 document /v1/simulate serves for
+  # the same run; only the layout differs.
+  "$tmp/mksim" -demo -json -seed 0 -horizon 20 | tr -d ' \n' > "$tmp/mksim_run.min"
+  tr -d ' \n' < "$tmp/served_run.json" > "$tmp/served_run.min"
+  cmp "$tmp/mksim_run.min" "$tmp/served_run.min"
   "$tmp/mkload" -addr "$addr" -duration 2s -c 8 \
     -mix simulate=0.9,analyze=0.08,sweep=0.02 -out "$tmp/BENCH_serve.json" -q
   curl -sf "http://$addr/metrics" | grep -q '^mkservd_requests_total '
