@@ -191,8 +191,9 @@ func run(ctx context.Context, o options) error {
 		}()
 	}
 
-	// No client-level retries: a load test measures the server's raw
-	// behavior, so every rejection and error must surface as itself.
+	// The client sends each request once: a load test measures the
+	// server's raw behavior, so every rejection and error surfaces as
+	// itself.
 	cl := client.New(client.Config{Addr: o.addr, HTTPClient: &http.Client{Timeout: 60 * time.Second}, Tenant: o.tenant})
 	results := make([]workerResult, o.workers)
 	var wg sync.WaitGroup

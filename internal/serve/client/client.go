@@ -312,7 +312,7 @@ func (c *Client) do(ctx context.Context, info *Info, method, path string, body [
 		return resp, nil
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // status carries the failure; body is best-effort detail
-	resp.Body.Close()                                       //mklint:allow errdrop — read-only response body; the status is the error
+	_ = resp.Body.Close()                                   // read-only body; the status is the error
 	return nil, httpError(resp.StatusCode, data)
 }
 

@@ -25,11 +25,11 @@ import (
 // same admission, same coalescing flight, byte-identical mkss-run/v1
 // response.
 //
-// Backend selects among the registered estimators; an exact backend
-// ("sim") runs real simulation work and therefore does pass through the
-// execution-slot admission even without refine (its answer is still
-// packaged as an EstimateDoc, and its run counters are not folded into
-// the /metrics aggregate — use refine for the full document).
+// Backend selects one of the two estimators (estimate.New); the exact
+// one ("sim") runs real simulation work and therefore does pass through
+// the execution-slot admission even without refine (its answer is
+// still packaged as an EstimateDoc, and its run counters are not folded
+// into the /metrics aggregate — use refine for the full document).
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		s.reject(w, http.StatusMethodNotAllowed, 0, "GET or POST required")

@@ -1,16 +1,17 @@
 // Package wire is the versioned request/response schema of the mkss
 // serving API — the one definition of every JSON document that crosses
-// the HTTP boundary, consumed by both the server handlers
-// (internal/serve) and the typed client (internal/serve/client). Before
-// this package existed each side kept its own copy of the structs and
-// they could drift silently; now a field added to a document is added
-// exactly once and both sides compile against it.
+// the HTTP boundary. The server handlers (internal/serve), the typed
+// client (internal/serve/client), the fleet coordinator and the
+// commands all name these types here; no package re-exports them under
+// another name. A field added to a document is one struct field here
+// plus one line in the document's builder (serve.RunDocOf,
+// serve.EstimateDocOf, or the sweep line encoders in internal/serve).
 //
-// Layering rule (enforced by mklint's "imports" rule): wire is a pure
-// schema package. It may import the public repro package for the shared
-// task-set spec and counters vocabulary, but never the simulation
-// internals (repro/internal/sim, core, experiment) — a wire type is data
-// on the wire, not behavior.
+// Layering rule (enforced by mklint's "depdag" deny edges): wire is a
+// pure schema package. It may import the public repro package for the
+// shared task-set spec and counters vocabulary, but never the
+// simulation internals (repro/internal/sim, core, experiment) — a wire
+// type is data on the wire, not behavior.
 //
 // Schema versioning: every top-level document carries its schema tag
 // (mkss-run/v1, mkss-sweep/v1, mkss-analyze/v1, mkss-estimate/v1). Bump
@@ -46,9 +47,9 @@ type SimulateRequest struct {
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 }
 
-// RunDoc is the /v1/simulate response (schema mkss-run/v1): the same
-// shape mksim -json prints, plus the canonical set fingerprint the
-// server coalesces on.
+// RunDoc is the /v1/simulate response (schema mkss-run/v1), which
+// mksim -json prints too. Fingerprint is the canonical set fingerprint
+// the server coalesces on.
 type RunDoc struct {
 	Schema        string         `json:"schema"`
 	Fingerprint   string         `json:"fingerprint"`
