@@ -80,7 +80,9 @@ type Config struct {
 	ScratchPool *sim.ScratchPool
 	// IntervalMemo, when non-nil, keeps generated intervals across
 	// sweeps, so an interval whose generation inputs already ran is not
-	// drawn again; nil means no reuse. A Runner session shares one.
+	// drawn again, and hands each PermanentOnly unit's run outcomes to
+	// the PermanentAndTransient unit of the same key; nil means no
+	// reuse. A Runner session shares one.
 	IntervalMemo *IntervalMemo
 }
 
@@ -170,8 +172,10 @@ func Run(cfg Config) (*Report, error) {
 // per-set simulations out over a semaphore shared by every interval, so
 // the sweep keeps all workers busy across interval boundaries. An
 // interval already kept in cfg.IntervalMemo is not drawn again and takes
-// no worker slot. Per-set offline analyses are memoized in cfg.Cache and
-// derived once per set, not once per approach.
+// no worker slot, and a PermanentAndTransient interval takes the runs it
+// can from the memo's PermanentOnly outcomes (see runSet). Per-set
+// offline analyses are memoized in cfg.Cache and derived once per set,
+// not once per approach.
 //
 // On cancellation RunContext returns the partial Report — the intervals
 // that completed, in interval order — together with a non-nil error
@@ -258,6 +262,18 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				cfg.IntervalMemo.put(key, batch)
 			}
+			// A 6(b) unit keeps its run outcomes for the 6(c) unit of
+			// the same key, which takes them.
+			handoff := cfg.IntervalMemo != nil && cfg.CoreOpts.Offline == nil &&
+				(cfg.Scenario == fault.PermanentOnly || cfg.Scenario == fault.PermanentAndTransient)
+			var ukey unitKey
+			var prior []runOutcome
+			if handoff {
+				ukey = newUnitKey(cfg, key, ivIdx, approaches)
+				if cfg.Scenario == fault.PermanentAndTransient {
+					prior = cfg.IntervalMemo.takeRuns(ukey)
+				}
+			}
 			row := Row{
 				Interval:   iv,
 				Candidates: batch.Candidates,
@@ -270,8 +286,12 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			var iwg sync.WaitGroup
 			failed := false
 			for si, s := range batch.Sets {
+				var setPrior []runOutcome
+				if prior != nil {
+					setPrior = prior[si*len(approaches) : (si+1)*len(approaches)]
+				}
 				iwg.Add(1)
-				go func(si int, s *task.Set) {
+				go func(si int, s *task.Set, prior []runOutcome) {
 					defer iwg.Done()
 					sem <- struct{}{}
 					defer func() { <-sem }()
@@ -279,7 +299,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 						return
 					}
 					faultSeed := stats.DeriveSeed(cfg.Seed, uint64(1_000_000+(cfg.IntervalOffset+ivIdx)*10_000+si))
-					sr, err := runSet(ctx, s, approaches, cfg, faultSeed, scratches)
+					sr, err := runSet(ctx, s, approaches, cfg, faultSeed, scratches, prior)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil && !isCtxErr(ctx, err) {
@@ -289,7 +309,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 						return
 					}
 					results[si] = sr
-				}(si, s)
+				}(si, s, setPrior)
 			}
 			iwg.Wait()
 			if ctx.Err() != nil {
@@ -300,6 +320,9 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			mu.Unlock()
 			if failed {
 				return
+			}
+			if handoff && cfg.Scenario == fault.PermanentOnly {
+				cfg.IntervalMemo.keepRuns(ukey, results, approaches)
 			}
 			row.Sets = results
 			aggregate(&row, approaches)
@@ -385,7 +408,14 @@ func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.O
 // runSet borrows engine working state from scratches (the sweep's
 // per-worker roster) when non-nil, else from cfg.ScratchPool (nil-safe: a
 // nil pool mints a fresh Scratch).
-func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch) (SetResult, error) {
+//
+// prior, when non-nil, holds the set's Figure-6(b) outcomes in approaches
+// order, and the sweep is Figure 6(c). A run takes its 6(b) outcome when
+// replaying its fault plan shows that no transient fault can fire in as
+// many completions as the 6(b) run had: the permanent draws come first
+// and match 6(b)'s, so by induction over completions the 6(c) run takes
+// every decision the 6(b) run took. Otherwise the engine runs it.
+func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch, prior []runOutcome) (SetResult, error) {
 	horizon := simHorizon(s, cfg.MinHorizon, cfg.HorizonCap)
 	sr := SetResult{
 		Set:      s,
@@ -395,24 +425,51 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 		Violated: map[policy.Approach]bool{},
 		Counters: map[policy.Approach]metrics.Counters{},
 	}
+	var wcets []timeu.Time
+	if prior != nil {
+		wcets = make([]timeu.Time, len(s.Tasks))
+		for i, t := range s.Tasks {
+			wcets[i] = t.WCET
+		}
+	}
+	// A run that takes its 6(b) outcome needs neither the offline
+	// analysis nor a scratch, so both are fetched by the first engine run.
 	opts := cfg.CoreOpts
-	if opts.Offline == nil && cfg.Cache != nil {
-		// One offline analysis per set, shared by every approach below
-		// (and by any other run of a fingerprint-identical set).
-		opts.Offline = cfg.Cache.Get(s, analysis.Options{
-			Pattern:        opts.Pattern,
-			HyperperiodCap: opts.HyperperiodCap,
-		})
-	}
 	var scr *sim.Scratch
-	if scratches != nil {
-		scr = <-scratches
-		defer func() { scratches <- scr }()
-	} else {
-		scr = cfg.ScratchPool.Get()
-		defer cfg.ScratchPool.Put(scr)
-	}
-	for _, a := range approaches {
+	defer func() {
+		switch {
+		case scr == nil:
+		case scratches != nil:
+			scratches <- scr
+		default:
+			cfg.ScratchPool.Put(scr)
+		}
+	}()
+	for ai, a := range approaches {
+		if prior != nil {
+			plan := fault.NewPlan(cfg.Scenario, horizon, stats.NewRand(faultSeed))
+			if o := prior[ai]; plan.TransientFree(o.counters.Completions, wcets) {
+				sr.Active[a], sr.Violated[a], sr.Counters[a] = o.active, o.violated, o.counters
+				cfg.IntervalMemo.taken.Add(1)
+				continue
+			}
+		}
+		if scr == nil {
+			if opts.Offline == nil && cfg.Cache != nil {
+				// One offline analysis per set, shared by every approach
+				// below (and by any other run of a fingerprint-identical
+				// set).
+				opts.Offline = cfg.Cache.Get(s, analysis.Options{
+					Pattern:        opts.Pattern,
+					HyperperiodCap: opts.HyperperiodCap,
+				})
+			}
+			if scratches != nil {
+				scr = <-scratches
+			} else {
+				scr = cfg.ScratchPool.Get()
+			}
+		}
 		// Each approach re-draws the same plan from the same seed, so the
 		// permanent fault instant/processor are identical across
 		// approaches (fair comparison); transient draws consume the

@@ -1,17 +1,23 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
+	"repro/internal/metrics"
+	"repro/internal/sim/policy"
+	"repro/internal/timeu"
 	"repro/internal/workload"
 )
 
-// memoIntervals bounds the intervals an IntervalMemo keeps. A full-range
-// Figure-6 sweep has 9, so a session running 6a, 6b and 6c draws each of
-// them once.
+// memoIntervals bounds the intervals an IntervalMemo keeps, and the
+// Figure-6(b) units whose run outcomes wait for their 6(c) twin. A
+// full-range Figure-6 sweep has 9, so a session running 6a, 6b and 6c
+// draws each of them once and hands each 6(b) unit to 6(c).
 const memoIntervals = 16
 
 // IntervalMemo keeps the generated task sets of a session's recent sweep
@@ -22,14 +28,25 @@ const memoIntervals = 16
 // It keeps at most memoIntervals intervals and at most maxSets sets in
 // total, evicting the oldest interval first; an interval with more than
 // maxSets sets is not kept at all. Kept sets are shared read-only with
-// every sweep that hits them. An IntervalMemo is safe for concurrent use.
+// every sweep that hits them.
+//
+// It also hands the run outcomes of each whole Figure-6(b) unit (one
+// interval of a PermanentOnly sweep) to the Figure-6(c) unit with the
+// same unitKey, which takes them once: a 6(c) run whose fault plan
+// provably fires no transient (fault.Plan.TransientFree) is its 6(b) run,
+// so it takes that outcome instead of running the engine. At most
+// memoIntervals units wait, the oldest dropped first. A memo with a
+// negative bound keeps no units either. An IntervalMemo is safe for
+// concurrent use.
 type IntervalMemo struct {
 	mu      sync.Mutex
 	maxSets int
 	kept    []memoEntry // oldest first
 	sets    int         // total sets in kept
+	units   []unitEntry // 6(b) units waiting for their 6(c) twin, oldest first
 	hits    uint64
 	misses  uint64
+	taken   atomic.Uint64 // 6(c) runs that took their 6(b) outcome
 }
 
 // memoKey is everything generate reads: the defaulted workload config,
@@ -57,6 +74,51 @@ func intervalKey(w workload.Config, seed uint64, iv workload.Interval, want, can
 		hi:         math.Float64bits(iv.Hi),
 		want:       want,
 		candidates: candidates,
+	}
+}
+
+// unitKey is everything a sweep unit's runs read besides its sets: the
+// interval's draw, the seed and sweep-wide interval index the fault seeds
+// derive from, the approaches in order, the policy options (never with
+// Offline set: a caller's products are not part of the key), and the
+// defaulted power model — its floats as exact bits — and horizon bounds.
+type unitKey struct {
+	interval               memoKey
+	seed                   uint64
+	index                  int
+	approaches             string
+	opts                   policy.Options
+	power                  [4]uint64
+	minHorizon, horizonCap timeu.Time
+}
+
+// runOutcome is what a sweep keeps of one run: the active energy, whether
+// an (m,k) constraint was violated, and the run's counters.
+type runOutcome struct {
+	active   float64
+	violated bool
+	counters metrics.Counters
+}
+
+type unitEntry struct {
+	key  unitKey
+	runs []runOutcome // set-major: runs[si*len(approaches)+ai]
+}
+
+// newUnitKey keys interval ivIdx of the defaulted sweep cfg, whose draw
+// is keyed by interval.
+func newUnitKey(cfg Config, interval memoKey, ivIdx int, approaches []policy.Approach) unitKey {
+	p := cfg.Power
+	return unitKey{
+		interval:   interval,
+		seed:       cfg.Seed,
+		index:      cfg.IntervalOffset + ivIdx,
+		approaches: fmt.Sprint(approaches),
+		opts:       cfg.CoreOpts,
+		power: [4]uint64{math.Float64bits(p.Active), math.Float64bits(p.Idle),
+			math.Float64bits(p.Sleep), uint64(p.BreakEven)},
+		minHorizon: cfg.MinHorizon,
+		horizonCap: cfg.HorizonCap,
 	}
 }
 
@@ -116,4 +178,55 @@ func (m *IntervalMemo) put(k memoKey, res workload.IntervalResult) {
 		m.sets -= len(m.kept[0].res.Sets)
 		m.kept = slices.Delete(m.kept, 0, 1)
 	}
+}
+
+// keepRuns keeps the outcomes of a whole Figure-6(b) unit — results in
+// set order, each run in approaches order — under k until its 6(c) twin
+// takes them. Two 6(b) sweeps of one unit keep identical outcomes, so
+// one already waiting under k stays.
+func (m *IntervalMemo) keepRuns(k unitKey, results []SetResult, approaches []policy.Approach) {
+	if m == nil || m.maxSets < 0 {
+		return
+	}
+	runs := make([]runOutcome, 0, len(results)*len(approaches))
+	for _, sr := range results {
+		for _, a := range approaches {
+			runs = append(runs, runOutcome{active: sr.Active[a], violated: sr.Violated[a], counters: sr.Counters[a]})
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.units {
+		if e.key == k {
+			return
+		}
+	}
+	m.units = append(m.units, unitEntry{key: k, runs: runs})
+	if len(m.units) > memoIntervals {
+		m.units = slices.Delete(m.units, 0, 1)
+	}
+}
+
+// takeRuns removes and returns the outcomes kept under k, or nil. The
+// handoff happens once: a second 6(c) sweep of the unit runs the engine,
+// and the memo holds no outcome longer than its twin needs it.
+func (m *IntervalMemo) takeRuns(k unitKey) []runOutcome {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.units, func(e unitEntry) bool { return e.key == k })
+	if i < 0 {
+		return nil
+	}
+	runs := m.units[i].runs
+	m.units = slices.Delete(m.units, i, i+1)
+	return runs
+}
+
+// Taken reports how many Figure-6(c) runs took their Figure-6(b) run's
+// outcome instead of running the engine.
+func (m *IntervalMemo) Taken() uint64 {
+	return m.taken.Load()
 }

@@ -9,9 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/sim/policy"
+	"repro/internal/stats"
 	"repro/internal/task"
+	"repro/internal/timeu"
 	"repro/internal/workload"
 )
 
@@ -228,5 +232,202 @@ func TestIntervalMemoBounds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTransientFreeMatchesRealRuns is the handoff rule's oracle. Over
+// the seed-2020 full-fidelity Figure-6(b) sweep it replays, for every
+// (set, approach), the 6(c) plan's draws up to the 6(b) run's
+// completions, as runSet does, at the paper's transient rate and at
+// 10⁻³/ms. Every run the rule takes must equal the real
+// PermanentAndTransient run: counters, active-energy bits and (m,k)
+// verdict. The taken counts are pinned, so a rule that stops taking, or
+// takes more, fails here.
+func TestTransientFreeMatchesRealRuns(t *testing.T) {
+	cfg := DefaultConfig(fault.PermanentOnly)
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := analysis.NewCache(0)
+	for _, c := range []struct {
+		rate                   float64
+		runs, taken, identical int
+	}{
+		{fault.DefaultTransientRate, 363, 360, 361},
+		{1e-3, 363, 40, 146},
+	} {
+		runs, taken, identical := 0, 0, 0
+		for ivIdx, row := range rep.Rows {
+			for si, sr := range row.Sets {
+				faultSeed := stats.DeriveSeed(cfg.Seed, uint64(1_000_000+ivIdx*10_000+si))
+				wcets := make([]timeu.Time, len(sr.Set.Tasks))
+				for i, tk := range sr.Set.Tasks {
+					wcets[i] = tk.WCET
+				}
+				opts := policy.Options{Offline: cache.Get(sr.Set, analysis.Options{})}
+				for _, a := range rep.Approaches {
+					runs++
+					plan := fault.NewPlan(fault.PermanentAndTransient, sr.Horizon, stats.NewRand(faultSeed)).WithTransientRate(c.rate)
+					takes := plan.TransientFree(sr.Counters[a].Completions, wcets)
+					res, err := Simulate(context.Background(), sr.Set, a, opts, fault.PermanentAndTransient, c.rate, faultSeed,
+						sim.Config{Power: sim.DefaultPower(), Horizon: sr.Horizon})
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := res.Counters == sr.Counters[a] &&
+						math.Float64bits(res.ActiveEnergy()) == math.Float64bits(sr.Active[a]) &&
+						res.MKSatisfied() == !sr.Violated[a]
+					if same {
+						identical++
+					}
+					if takes {
+						taken++
+						if !same {
+							t.Errorf("rate %g interval %v set %d %v fault seed %d: the rule takes the 6(b) run, but the 6(c) run differs",
+								c.rate, row.Interval, si, a, faultSeed)
+						}
+					}
+				}
+			}
+		}
+		if runs != c.runs || taken != c.taken || identical != c.identical {
+			t.Errorf("seed %d rate %g: %d runs, %d taken, %d identical to 6(b); want %d, %d, %d",
+				cfg.Seed, c.rate, runs, taken, identical, c.runs, c.taken, c.identical)
+		}
+	}
+}
+
+// handoffBase is memoBase's interval under a permanent fault.
+func handoffBase() Config {
+	cfg := memoBase()
+	cfg.Scenario = fault.PermanentOnly
+	return cfg
+}
+
+// TestHandoffKeyCompleteness runs the base Figure-6(b) unit, then a
+// 6(c) unit with one input changed. A change to anything the unit's runs
+// read besides the sets must miss the 6(b) outcomes, so no run is taken;
+// a change to anything else must take them. Either way the 6(c) sweep
+// must reproduce a fresh one.
+func TestHandoffKeyCompleteness(t *testing.T) {
+	type keyCase struct {
+		name   string
+		change func(*Config)
+		hit    bool
+	}
+	cases := []keyCase{
+		{"nothing", func(*Config) {}, true},
+		{"workers", func(c *Config) { c.Workers = 1 }, true},
+		{"defaults given", func(c *Config) {
+			c.Power, c.MinHorizon, c.HorizonCap = sim.DefaultPower(), 500*timeu.Millisecond, 2*timeu.Second
+		}, true},
+		{"approaches reordered", func(c *Config) { c.Approaches = []policy.Approach{policy.Selective, policy.ST} }, false},
+		{"approach added", func(c *Config) { c.Approaches = append(c.Approaches, policy.DP) }, false},
+		{"seed", func(c *Config) { c.Seed++ }, false},
+		{"interval offset", func(c *Config) { c.IntervalOffset++ }, false},
+		{"lo one ulp lower", func(c *Config) { c.Intervals[0].Lo = math.Nextafter(c.Intervals[0].Lo, 0) }, false},
+		{"hi one ulp higher", func(c *Config) { c.Intervals[0].Hi = math.Nextafter(c.Intervals[0].Hi, 1) }, false},
+		{"sets", func(c *Config) { c.SetsPerInterval++ }, false},
+		{"candidates", func(c *Config) { c.MaxCandidates++ }, false},
+		{"workload", func(c *Config) { c.Workload.NTasksMax++ }, false},
+		{"min horizon", func(c *Config) { c.MinHorizon += timeu.Millisecond }, false},
+		{"horizon cap", func(c *Config) { c.HorizonCap -= timeu.Millisecond }, false},
+	}
+	// change bumps one field of a key struct: a float by one ulp, so the
+	// key must hold its exact bits.
+	change := func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(math.Nextafter(f.Float(), 2))
+		default:
+			panic("no test change for field kind " + f.Kind().String())
+		}
+	}
+	ot := reflect.TypeOf(policy.Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if ot.Field(i).Name == "Offline" {
+			continue // TestHandoffOfflineProducts
+		}
+		cases = append(cases, keyCase{name: "options." + ot.Field(i).Name, change: func(c *Config) {
+			change(reflect.ValueOf(&c.CoreOpts).Elem().Field(i))
+		}})
+	}
+	pt := reflect.TypeOf(sim.PowerModel{})
+	for i := 0; i < pt.NumField(); i++ {
+		cases = append(cases, keyCase{name: "power." + pt.Field(i).Name, change: func(c *Config) {
+			c.Power = sim.DefaultPower()
+			change(reflect.ValueOf(&c.Power).Elem().Field(i))
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			memo := NewIntervalMemo(0)
+			if _, err := Run(withMemo(handoffBase(), memo)); err != nil {
+				t.Fatal(err)
+			}
+			cfg := handoffBase()
+			cfg.Scenario = fault.PermanentAndTransient
+			c.change(&cfg)
+			fresh, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(withMemo(cfg, memo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if taken := memo.Taken(); (taken > 0) != c.hit {
+				t.Errorf("seed %d: %d runs taken after changing %s; want a take: %v", cfg.Seed, taken, c.name, c.hit)
+			}
+			if d := rowsDiff(got.Rows, fresh.Rows); d != "" {
+				t.Errorf("seed %d: the 6(c) sweep differs from a fresh one: %s", cfg.Seed, d)
+			}
+		})
+	}
+}
+
+// TestHandoffOfflineProducts pins that caller-supplied offline products
+// turn the handoff off: they are not part of the key, so a 6(b) unit run
+// with them keeps nothing and a 6(c) unit run with them takes nothing.
+func TestHandoffOfflineProducts(t *testing.T) {
+	cfg := handoffBase()
+	cfg.SetsPerInterval = 1
+	drawn, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CoreOpts.Offline = analysis.NewCache(0).Get(drawn.Rows[0].Sets[0].Set, analysis.Options{})
+	memo := NewIntervalMemo(0)
+	if _, err := Run(withMemo(cfg, memo)); err != nil {
+		t.Fatal(err)
+	}
+	if len(memo.units) != 0 {
+		t.Fatalf("seed %d: a 6(b) unit with caller products kept %d units", cfg.Seed, len(memo.units))
+	}
+	cfg.CoreOpts.Offline = nil
+	if _, err := Run(withMemo(cfg, memo)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = fault.PermanentAndTransient
+	cfg.CoreOpts.Offline = analysis.NewCache(0).Get(drawn.Rows[0].Sets[0].Set, analysis.Options{})
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(withMemo(cfg, memo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memo.Taken() != 0 || len(memo.units) != 1 {
+		t.Errorf("seed %d: a 6(c) unit with caller products took %d runs, left %d units waiting; want 0 and 1",
+			cfg.Seed, memo.Taken(), len(memo.units))
+	}
+	if d := rowsDiff(got.Rows, fresh.Rows); d != "" {
+		t.Errorf("seed %d: %s", cfg.Seed, d)
 	}
 }

@@ -127,8 +127,41 @@ func (p *Plan) TransientDuring(d timeu.Time) bool {
 	if p.TransientRate <= 0 || d <= 0 {
 		return false
 	}
-	prob := 1 - math.Exp(-p.TransientRate*d.Millis())
-	return p.rng.Float64() < prob
+	return p.rng.Float64() < p.transientProb(d)
+}
+
+// transientProb is the probability 1 − e^(−λd) that a transient fault
+// strikes an execution of d.
+func (p *Plan) transientProb(d timeu.Time) float64 {
+	return 1 - math.Exp(-p.TransientRate*d.Millis())
+}
+
+// TransientFree reports whether none of the plan's next n TransientDuring
+// calls can report a fault when each is given one of durations. It draws
+// n uniforms and compares each with the largest probability
+// TransientDuring computes for any of durations — the largest computed
+// value, so the comparison is exactly the one TransientDuring makes. A
+// run that completes at most n jobs, each lasting one of durations, thus
+// sees no transient fault. It consumes the draws it compares.
+func (p *Plan) TransientFree(n int, durations []timeu.Time) bool {
+	if p.TransientRate <= 0 {
+		return true
+	}
+	threshold := 0.0
+	for _, d := range durations {
+		if d <= 0 {
+			continue // TransientDuring draws nothing for it
+		}
+		if prob := p.transientProb(d); prob > threshold {
+			threshold = prob
+		}
+	}
+	for range n {
+		if p.rng.Float64() < threshold {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *Plan) String() string {

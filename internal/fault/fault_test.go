@@ -93,6 +93,46 @@ func TestTransientDuringZeroDuration(t *testing.T) {
 	}
 }
 
+// TestTransientFreeMatchesTransientDuring replays each plan twice from
+// one seed: once through TransientFree, once through n TransientDuring
+// calls. With one duration the two must agree exactly; with several, a
+// free verdict must mean no call faults, whichever durations the calls
+// get. Either way a free plan has consumed exactly the calls' draws.
+func TestTransientFreeMatchesTransientDuring(t *testing.T) {
+	mixed := []timeu.Time{3 * timeu.Millisecond, 50 * timeu.Millisecond, 0, 10 * timeu.Millisecond}
+	frees := 0
+	for seed := uint64(0); seed < 400; seed++ {
+		n := int(seed % 40)
+		for _, ds := range [][]timeu.Time{mixed[1:2], mixed} {
+			replay := NewPlan(PermanentAndTransient, timeu.Second, stats.NewRand(seed)).WithTransientRate(0.002)
+			free := replay.TransientFree(n, ds)
+			run := NewPlan(PermanentAndTransient, timeu.Second, stats.NewRand(seed)).WithTransientRate(0.002)
+			faulted := false
+			for i := 0; i < n; i++ {
+				faulted = run.TransientDuring(ds[i%len(ds)]) || faulted
+			}
+			if free && faulted {
+				t.Fatalf("seed %d n %d durations %v: TransientFree said no call could fault, but one did", seed, n, ds)
+			}
+			if len(ds) == 1 && free == faulted {
+				t.Fatalf("seed %d n %d duration %v: TransientFree = %v, but a call faulted = %v", seed, n, ds[0], free, faulted)
+			}
+			if free {
+				frees++
+				if len(ds) == 1 && math.Float64bits(replay.rng.Float64()) != math.Float64bits(run.rng.Float64()) {
+					t.Fatalf("seed %d n %d: the replay and the run consumed different draws", seed, n)
+				}
+			}
+		}
+	}
+	if frees == 0 || frees == 800 {
+		t.Errorf("%d of 800 replays free; the test needs both verdicts", frees)
+	}
+	if p := NewPlan(PermanentOnly, timeu.Second, stats.NewRand(1)); !p.TransientFree(1000, mixed) {
+		t.Error("a plan without transient faults must be free")
+	}
+}
+
 func TestPlanString(t *testing.T) {
 	p := NewPlan(PermanentAndTransient, timeu.Second, stats.NewRand(3))
 	s := p.String()

@@ -17,10 +17,11 @@ type RunnerConfig struct {
 	// CacheEntries bounds the offline-analysis LRU, and the total sets
 	// the interval memo keeps: 0 means the default capacity
 	// (analysis.DefaultCacheEntries); a negative value disables
-	// memoization entirely (every run re-derives its analyses and every
-	// sweep redraws its intervals — the pre-Runner behavior, useful for
-	// benchmarking the caches themselves). Both disabled caches are
-	// passed down to Sweep, so a -nocache session is uncached end to end.
+	// memoization entirely (every run re-derives its analyses, every
+	// sweep redraws its intervals and every Figure-6(c) run runs the
+	// engine — the pre-Runner behavior, useful for benchmarking the
+	// caches themselves). The disabled cache and memo are passed down to
+	// Sweep, so a -nocache session is uncached end to end.
 	CacheEntries int
 }
 
@@ -31,13 +32,17 @@ type RunnerConfig struct {
 // a scratch pool. Batches of Simulate calls and whole Sweeps thus avoid
 // re-deriving analyses and re-allocating queues run after run, and
 // sweeps of one population under several fault scenarios (Figure 6a, 6b
-// and 6c) draw each interval once.
+// and 6c) draw each interval once. The memo also hands each Figure-6(b)
+// unit's run outcomes to the 6(c) sweep of the same unit, once: a 6(c)
+// run whose fault plan provably fires no transient takes its 6(b)
+// outcome, and only the others run the engine.
 //
 // A Runner is safe for concurrent use; results are bit-for-bit identical
-// to the free-function path (the caches only skip recomputation of pure
-// functions of the task set or of the interval's generation inputs). The
-// zero-configured NewRunner is what the package-level Simulate/Sweep
-// wrappers use.
+// to the free-function path: the session skips only work it has proven
+// identical (pure functions of the task set or of the interval's
+// generation inputs, and 6(c) runs whose replayed fault draws match
+// their 6(b) run's). The zero-configured NewRunner is what the
+// package-level Simulate/Sweep wrappers use.
 type Runner struct {
 	cache *analysis.Cache // in passthrough mode when memoization is disabled
 	pool  *sim.ScratchPool
@@ -70,9 +75,10 @@ func (r *Runner) Simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig
 }
 
 // Sweep runs a utilization sweep through the session's cache, interval
-// memo and scratch pool. On cancellation it returns the partial Report
-// (completed intervals, in order) together with an error wrapping
-// ctx.Err().
+// memo and scratch pool; a Figure-6(c) sweep takes the runs it can from
+// the session's Figure-6(b) sweep of the same units. On cancellation it
+// returns the partial Report (completed intervals, in order) together
+// with an error wrapping ctx.Err().
 func (r *Runner) Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 	if cfg.Cache == nil {
 		cfg.Cache = r.cache

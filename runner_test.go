@@ -260,16 +260,39 @@ func BenchmarkSweepReducedFig6a(b *testing.B) {
 	})
 }
 
+// checkRunInvariants checks every run of a report — each set's counters
+// per approach — against the run invariants over the set's horizon.
+func checkRunInvariants(t *testing.T, seed uint64, rep *Report) {
+	t.Helper()
+	for _, row := range rep.Rows {
+		for si, sr := range row.Sets {
+			for _, a := range rep.Approaches {
+				if bad := sr.Counters[a].CheckInvariants(sr.Horizon); len(bad) > 0 {
+					t.Errorf("seed %d %v interval %v set %d %v: %s", seed, rep.Scenario, row.Interval, si, a, bad[0])
+				}
+			}
+		}
+	}
+}
+
 // TestSessionFiguresMatchFreshSessions runs Figures 6a, 6b and 6c over
-// the full range on one session. Each report must equal a fresh
-// session's, and the interval memo must serve 6b and 6c without drawing
-// a single candidate.
+// the full range on one session, then 6c again. Each report must equal a
+// fresh session's, and the interval memo must serve 6b and 6c without
+// drawing a single candidate. The first 6c takes all 48 of its runs (16
+// sets, 3 approaches) from 6b; the second takes none, since each 6b unit
+// is handed over once.
 func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 	const seed = 2020
 	ctx := context.Background()
 	session := NewRunner(RunnerConfig{})
-	for fig, sc := range []Scenario{NoFault, PermanentOnly, PermanentAndTransient} {
-		cfg := DefaultSweepConfig(sc)
+	figures := []struct {
+		sc    Scenario
+		taken uint64 // runs taken from 6b so far
+	}{
+		{NoFault, 0}, {PermanentOnly, 0}, {PermanentAndTransient, 48}, {PermanentAndTransient, 48},
+	}
+	for fig, f := range figures {
+		cfg := DefaultSweepConfig(f.sc)
 		cfg.Seed = seed
 		cfg.SetsPerInterval = 3
 		cfg.MaxCandidates = 600
@@ -282,21 +305,26 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("seed %d %v: the session's report differs from a fresh session's", seed, sc)
+			t.Errorf("seed %d sweep %d (%v): the session's report differs from a fresh session's", seed, fig, f.sc)
 		}
+		checkRunInvariants(t, seed, got)
 		n := uint64(len(cfg.Intervals))
 		if hits, misses := session.memo.Counts(); hits != uint64(fig)*n || misses != n {
-			t.Errorf("seed %d after %v: %d memo hits, %d misses; want %d and %d", seed, sc, hits, misses, uint64(fig)*n, n)
+			t.Errorf("seed %d after sweep %d (%v): %d memo hits, %d misses; want %d and %d", seed, fig, f.sc, hits, misses, uint64(fig)*n, n)
+		}
+		if taken := session.memo.Taken(); taken != f.taken {
+			t.Errorf("seed %d after sweep %d (%v): %d runs taken from 6b, want %d", seed, fig, f.sc, taken, f.taken)
 		}
 	}
 }
 
-// TestBenchmarkCycleDrawsOnce names the property the Fig-6 benchmark
+// TestBenchmarkCycleDrawsOnce names the properties the Fig-6 benchmark
 // workloads gain from: a cycle runs each interval as a one-interval
 // sweep under no-fault, permanent and permanent+transient on one
 // session, so only the first scenario's units draw — 5 intervals of 15
-// units on fig6-accept, 3 of 9 on fig6-reject. CacheEntries < 0 turns
-// the memo off, and then every unit draws.
+// units on fig6-accept, 3 of 9 on fig6-reject — and the third
+// scenario's units take their runs from the second's. CacheEntries < 0
+// turns the session state off, and then every unit draws and runs.
 func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 	const seed = 2020
 	all := workload.Intervals(0.1, 1.0, 0.1)
@@ -305,10 +333,11 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 		first, last int
 		entries     int
 		draws       uint64
+		taken       uint64 // permanent+transient runs taken from permanent ones
 	}{
-		{"fig6-accept", 0, 5, 0, 5},
-		{"fig6-reject", 6, 9, 0, 3},
-		{"fig6-reject uncached", 6, 9, -1, 9},
+		{"fig6-accept", 0, 5, 0, 5, 297}, // of 300 runs
+		{"fig6-reject", 6, 9, 0, 3, 6},   // of 6
+		{"fig6-reject uncached", 6, 9, -1, 9, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -320,14 +349,19 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 					cfg.Intervals = all[off : off+1]
 					cfg.IntervalOffset = off
 					cfg.Workers = 1
-					if _, err := r.Sweep(context.Background(), cfg); err != nil {
+					rep, err := r.Sweep(context.Background(), cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
+					checkRunInvariants(t, seed, rep)
 				}
 			}
 			units := uint64(3 * (c.last - c.first))
 			if hits, misses := r.memo.Counts(); misses != c.draws || hits != units-c.draws {
 				t.Errorf("seed %d: %d of %d units drew (%d hits), want %d", seed, misses, units, hits, c.draws)
+			}
+			if taken := r.memo.Taken(); taken != c.taken {
+				t.Errorf("seed %d: %d runs taken from the permanent-fault units, want %d", seed, taken, c.taken)
 			}
 		})
 	}
