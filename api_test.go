@@ -33,6 +33,14 @@ func TestLoadSetFieldPathErrors(t *testing.T) {
 			"tasks[0].m: exceeds k (3 > 2)"},
 		{"second task flagged", `{"tasks":[{"period_ms":5,"wcet_ms":1,"m":1,"k":2},{"period_ms":5,"wcet_ms":1,"m":5,"k":4}]}`,
 			"tasks[1].m: exceeds k (5 > 4)"},
+		{"period beyond int64 microseconds", `{"tasks":[{"period_ms":1e16,"wcet_ms":1,"m":1,"k":2}]}`,
+			"tasks[0].period_ms: is too large (1e+16;"},
+		{"period beyond the never instant", `{"tasks":[{"period_ms":3e15,"wcet_ms":1,"m":1,"k":2}]}`,
+			"tasks[0].period_ms: is too large (3e+15;"},
+		{"wcet below a microsecond", `{"tasks":[{"period_ms":5,"wcet_ms":0.0001,"m":1,"k":2}]}`,
+			"tasks[0].wcet_ms: rounds to zero microseconds (0.0001)"},
+		{"deadline below a microsecond", `{"tasks":[{"period_ms":5,"deadline_ms":0.0004,"wcet_ms":1,"m":1,"k":2}]}`,
+			"tasks[0].deadline_ms: rounds to zero microseconds (0.0004)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -358,15 +358,18 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOverflowSet: two tasks with P = 4.8e15 ms and C = 4.7e15 ms
-// pass SetSpec.Set(), but C₁ + C₂ passes the largest Time, and wrapped
-// sums would spin ResponseTime's fixed point forever. The request must
-// answer 200 within the client's deadline: τ2 cannot finish by its
-// deadline, so its RTA does not converge and the mandatory jobs are not
-// schedulable.
+// TestAnalyzeOverflowSet: five tasks with P = 2.3e15 ms and C = 2.2e15 ms
+// pass SetSpec.Set() — each time lies below the largest Time — but
+// C₁ + … + C₅ passes the largest int64, and wrapped sums would spin
+// ResponseTime's fixed point forever. The request must answer 200 within
+// the client's deadline: the tasks cannot finish by their deadlines, so
+// τ5's RTA does not converge and the mandatory jobs are not schedulable.
+// Times at or beyond the largest Time, as in P = 4.8e15 ms, are refused
+// at the boundary with the field's path.
 func TestAnalyzeOverflowSet(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := `{"tasks":[{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2},{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2}]}`
+	body := `{"tasks":[` + strings.Repeat(`{"period_ms":2.3e15,"wcet_ms":2.2e15,"m":1,"k":2},`, 4) +
+		`{"period_ms":2.3e15,"wcet_ms":2.2e15,"m":1,"k":2}]}`
 	client := &http.Client{Timeout: 20 * time.Second}
 	resp, err := client.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -383,8 +386,18 @@ func TestAnalyzeOverflowSet(t *testing.T) {
 	if doc.Schedulable {
 		t.Error("r_pattern_schedulable = true, want false")
 	}
-	if len(doc.Tasks) != 2 || doc.Tasks[1].RTAConverged {
-		t.Errorf("tasks %+v: want τ2 with rta_converged false", doc.Tasks)
+	if len(doc.Tasks) != 5 || doc.Tasks[4].RTAConverged {
+		t.Errorf("tasks %+v: want τ5 with rta_converged false", doc.Tasks)
+	}
+
+	beyond := `{"tasks":[{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2},{"period_ms":4.8e15,"wcet_ms":4.7e15,"m":1,"k":2}]}`
+	resp, err = client.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(beyond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "tasks[0].period_ms: is too large") {
+		t.Errorf("times beyond the largest Time: status %d: %s; want 400 naming tasks[0].period_ms", resp.StatusCode, data)
 	}
 }
 

@@ -288,7 +288,11 @@ func (sp TaskSpec) validate(i int) error {
 	fail := func(field, msg string) error {
 		return fmt.Errorf("repro: tasks[%d].%s: %s", i, field, msg)
 	}
-	checkMS := func(field string, v float64) error {
+	// checkMS admits exactly the values timeu.FromMillis converts
+	// faithfully: a given value must round to at least 1 µs and stay
+	// below timeu.Infinity, the engine's "never" (past int64 the
+	// conversion is not even defined). A zero optional value is absent.
+	checkMS := func(field string, v float64, optional bool) error {
 		switch {
 		case math.IsNaN(v):
 			return fail(field, "is NaN")
@@ -296,23 +300,27 @@ func (sp TaskSpec) validate(i int) error {
 			return fail(field, "is infinite")
 		case v < 0:
 			return fail(field, fmt.Sprintf("is negative (%v)", v))
+		case timeu.ApproxZero(v) && optional:
+			return nil
+		case timeu.ApproxZero(v):
+			return fail(field, "is missing or zero")
+		}
+		switch us := math.Round(v * float64(timeu.Millisecond)); {
+		case us < 1:
+			return fail(field, fmt.Sprintf("rounds to zero microseconds (%v)", v))
+		case us >= float64(timeu.Infinity):
+			return fail(field, fmt.Sprintf("is too large (%v; the limit is %v)", v, timeu.Infinity.Millis()))
 		}
 		return nil
 	}
-	if err := checkMS("period_ms", sp.PeriodMS); err != nil {
+	if err := checkMS("period_ms", sp.PeriodMS, false); err != nil {
 		return err
 	}
-	if timeu.ApproxZero(sp.PeriodMS) {
-		return fail("period_ms", "is missing or zero")
-	}
-	if err := checkMS("deadline_ms", sp.DeadlineMS); err != nil {
+	if err := checkMS("deadline_ms", sp.DeadlineMS, true); err != nil {
 		return err
 	}
-	if err := checkMS("wcet_ms", sp.WCETMS); err != nil {
+	if err := checkMS("wcet_ms", sp.WCETMS, false); err != nil {
 		return err
-	}
-	if timeu.ApproxZero(sp.WCETMS) {
-		return fail("wcet_ms", "is missing or zero")
 	}
 	if sp.K <= 0 {
 		return fail("k", fmt.Sprintf("must be positive, got %d", sp.K))
