@@ -10,11 +10,11 @@
 # policy-layering gate), go test, the benchmark module (go vet + go test
 # in _perfbench/, which ./... skips), go test -race, golden-figure diff
 # (Figures 1-5 vs results/golden/, the full Figure-6 sweep, memoized and
-# with -nocache, vs results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
-# k-sequence sweep diffed byte-for-byte against
+# with -nocache, and Figure 6c alone, vs results/fig6{a,b,c}.csv), policy
+# smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
-# schedulability test against the hyperperiod walk, a 10 s fuzz of the
-# /v1/sweep normalizer, bench smoke (one
+# schedulability test against the hyperperiod walk, 10 s fuzzes of the
+# /v1/sweep normalizer and of the task-set JSON decoder, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -84,9 +84,10 @@ for fig in 1 2 3 4 5; do
 done
 [ "$status" = 0 ]
 
-step "golden Figure-6 CSVs (full sweep, memoized and -nocache, vs results/fig6{a,b,c}.csv)"
+step "golden Figure-6 CSVs (full sweep, memoized and -nocache, and 6c alone, vs results/fig6{a,b,c}.csv)"
 go run ./cmd/mkbench -fig all -q -csv "$tmp/cached"
 go run ./cmd/mkbench -fig all -nocache -q -csv "$tmp/nocache"
+go run ./cmd/mkbench -fig 6c -q -csv "$tmp/alone"
 for mode in cached nocache; do
   for fig in 6a 6b 6c; do
     if ! diff -u "results/fig$fig.csv" "$tmp/$mode/fig$fig.csv"; then
@@ -95,6 +96,10 @@ for mode in cached nocache; do
     fi
   done
 done
+if ! diff -u results/fig6c.csv "$tmp/alone/fig6c.csv"; then
+  echo "figure 6c CSV regressed (6c alone, nothing to take from 6b)" >&2
+  status=1
+fi
 [ "$status" = 0 ]
 
 step "policy smoke (DBP ksweep vs results/golden/fig7_ksweep.csv)"
@@ -111,6 +116,9 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (the /v1/sweep normalizer, 10 s)"
   go test -run '^$' -fuzz '^FuzzNormalizeSweep$' -fuzztime 10s ./internal/serve
+
+  step "fuzz (the task-set JSON decoder, 10 s)"
+  go test -run '^$' -fuzz '^FuzzLoadSet$' -fuzztime 10s .
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
