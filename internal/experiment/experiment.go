@@ -217,7 +217,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	approaches := ensureST(cfg.Approaches)
 
 	// A fixed roster of scratches — one per worker slot — lives for the
-	// whole sweep: the arenas, pair-table rows and wheel buckets warm up
+	// whole sweep: the arenas, pair-table rows and live lists warm up
 	// during the first runs and then amortize across every interval,
 	// immune to sync.Pool's GC-cycle clearing. The roster is borrowed from
 	// (and returned to) cfg.ScratchPool so a caller-held pool still reuses

@@ -83,9 +83,6 @@ type Config struct {
 	Faults *fault.Plan
 	// RecordTrace enables segment recording for Gantt output.
 	RecordTrace bool
-	// MaxEvents guards against runaway simulations; zero means a
-	// generous default derived from the horizon.
-	MaxEvents int
 	// Sink, when non-nil, receives a structured event at every release,
 	// admission, dispatch, preemption, completion, cancellation,
 	// settlement, power-state transition and permanent fault. The nil
@@ -199,9 +196,12 @@ type Engine struct {
 	// timeu.Infinity when the plan has no permanent fault or once it fired.
 	permAt timeu.Time
 	events int
+	// maxEvents guards against runaway simulations: 64 events per released
+	// job copy is far beyond any legitimate schedule.
+	maxEvents int
 
 	// checkNext, when non-nil, is called with every nextEventTime result
-	// before the engine advances. Tests use it to cross-check the wheel
+	// before the engine advances. Tests use it to cross-check the stop scan
 	// against a reference scan; the nil check is the hot path's only cost.
 	checkNext func(next timeu.Time)
 }
@@ -220,21 +220,15 @@ func New(set *task.Set, policy Policy, cfg Config) (*Engine, error) {
 	if cfg.Faults == nil {
 		cfg.Faults = fault.NoFaults()
 	}
-	if cfg.MaxEvents == 0 {
-		// Each job contributes a bounded number of events; 64 per
-		// released job copy is far beyond any legitimate schedule.
-		jobs := 0
-		for _, t := range set.Tasks {
-			jobs += int(cfg.Horizon/t.Period) + 2
-		}
-		cfg.MaxEvents = 64 * (jobs + 16) * NumProcs
+	jobs := 0
+	for _, t := range set.Tasks {
+		jobs += int(cfg.Horizon/t.Period) + 2
 	}
 	scr := cfg.Scratch
 	if scr == nil {
 		scr = NewScratch()
 	}
 	scr.prepare(set.N())
-	scr.wheel.sizeFor(set)
 	for i := range set.Tasks {
 		r := set.Tasks[i].Release(1)
 		scr.nextRel[i] = r
@@ -242,15 +236,13 @@ func New(set *task.Set, policy Policy, cfg Config) (*Engine, error) {
 			scr.minRel = r
 		}
 	}
-	if scr.minRel > 0 && scr.minRel < cfg.Horizon {
-		scr.wheel.schedule(scr.minRel)
-	}
 	e := &Engine{
-		set:    set,
-		policy: policy,
-		cfg:    cfg,
-		scr:    scr,
-		sink:   cfg.Sink,
+		set:       set,
+		policy:    policy,
+		cfg:       cfg,
+		scr:       scr,
+		sink:      cfg.Sink,
+		maxEvents: 64 * (jobs + 16) * NumProcs,
 	}
 	for p := 0; p < NumProcs; p++ {
 		e.procs[p] = processor{id: p}
@@ -368,22 +360,11 @@ func (e *Engine) Admit(j *task.Job, proc int) {
 		*p = jobPair{key: pairKey{j.TaskID, j.Index}, class: j.Class, dl: j.Deadline}
 		*slot = p
 		e.scr.open = append(e.scr.open, p)
-		// The pair settles at its deadline at the latest: make that
-		// instant a scheduled stop and keep the due-scan lower bound
-		// current.
-		e.scr.wheel.schedule(p.dl)
+		// The pair settles at its deadline at the latest: keep the
+		// due-scan lower bound current.
 		if p.dl < e.scr.dueAt {
 			e.scr.dueAt = p.dl
 		}
-	}
-	// Postponed activations (backup r̃ = r + θ) and dual-priority
-	// promotions are the two future instants at which this copy changes
-	// the schedule without any other event firing.
-	if j.Release > e.now {
-		e.scr.wheel.schedule(j.Release)
-	}
-	if j.Promote > e.now && j.Promote < j.Deadline {
-		e.scr.wheel.schedule(j.Promote)
 	}
 	if p.ncopies == len(p.copies) {
 		panic(fmt.Sprintf("sim: more than %d copies admitted for task %d job %d", len(p.copies), j.TaskID+1, j.Index))
@@ -491,8 +472,8 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		}
 		e.advance(next)
 		e.events++
-		if e.events > e.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: event budget exceeded (%d) — runaway simulation", e.cfg.MaxEvents)
+		if e.events > e.maxEvents {
+			return nil, fmt.Errorf("sim: event budget exceeded (%d) — runaway simulation", e.maxEvents)
 		}
 		if done != nil && e.events%ctxCheckStride == 0 {
 			select {
@@ -515,9 +496,10 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // The scan is guarded by the cached minimum next release: between release
 // instants it costs one comparison. One firing drains every task
 // releasing at this instant (in priority order — same-instant batching),
-// then re-arms the wheel with the single next release instant. The
-// per-task release calendar (nextRel, kept equal to Release(nextIdx))
-// makes the drain a comparison per task and an addition per release.
+// then recomputes minRel, the single next release instant the stop scan
+// reads. The per-task release calendar (nextRel, kept equal to
+// Release(nextIdx)) makes the drain a comparison per task and an addition
+// per release.
 //
 //mklint:hotpath
 func (e *Engine) processReleases() {
@@ -546,9 +528,6 @@ func (e *Engine) processReleases() {
 		minRel = min(minRel, rel[i])
 	}
 	e.scr.minRel = minRel
-	if minRel < e.cfg.Horizon {
-		e.scr.wheel.schedule(minRel)
-	}
 }
 
 // processCompletions finishes job copies whose demand reached zero.
@@ -576,7 +555,6 @@ func (e *Engine) processCompletions() {
 		}
 		e.emitJob(metrics.EvComplete, p.id, j, note)
 		e.removeLive(p.id, j)
-		e.unschedJob(j)
 		if j.Completed() {
 			e.settleEffective(j)
 		} else {
@@ -596,9 +574,6 @@ func (e *Engine) settleEffective(j *task.Job) {
 	}
 	p.settled = true
 	e.dropOpen(p)
-	if p.dl > e.now {
-		e.scr.wheel.unschedule(p.dl)
-	}
 	if j.Copy == task.Backup {
 		// The spare carried the job after the main copy was lost or
 		// faulty — the standby-sparing recovery actually paying off.
@@ -629,25 +604,7 @@ func (e *Engine) copyFailed(j *task.Job) {
 	}
 	p.settled = true
 	e.dropOpen(p)
-	if p.dl > e.now {
-		e.scr.wheel.unschedule(p.dl)
-	}
 	e.recordOutcome(j.TaskID, j.Index, false)
-}
-
-// unschedJob drops a copy's still-pending future instants (postponed
-// activation, dual-priority promotion) from the wheel once the copy can
-// no longer change the schedule. Instants already reached were consumed
-// by the wheel itself and need no removal.
-//
-//mklint:hotpath
-func (e *Engine) unschedJob(j *task.Job) {
-	if j.Release > e.now {
-		e.scr.wheel.unschedule(j.Release)
-	}
-	if j.Promote > e.now && j.Promote < j.Deadline {
-		e.scr.wheel.unschedule(j.Promote)
-	}
 }
 
 // cancelCopy removes a pending/running copy from the system; reason is a
@@ -658,7 +615,6 @@ func (e *Engine) unschedJob(j *task.Job) {
 func (e *Engine) cancelCopy(c *task.Job, reason string) {
 	c.Canceled = true
 	c.FinishTime = e.now
-	e.unschedJob(c)
 	proc := -1
 	for pid := 0; pid < NumProcs; pid++ {
 		p := &e.procs[pid]
@@ -740,7 +696,6 @@ func (e *Engine) processPermanentFault() {
 	for _, c := range e.scr.live[pf.Proc] {
 		c.Canceled = true
 		c.FinishTime = e.now
-		e.unschedJob(c)
 		if c.Copy == task.Backup {
 			if c.Started {
 				e.counters.BackupsCanceledPartial++
@@ -845,31 +800,51 @@ func (e *Engine) nextWork(proc int) timeu.Time {
 	return next
 }
 
-// nextEventTime computes the next instant anything can change. The wheel
-// holds every time-triggered instant (the next task release, open-pair
-// deadlines, postponed activations, promotions); only state-dependent
-// instants — the completion of whatever runs now and the permanent fault
-// — are computed directly.
+// nextEventTime computes the next instant anything can change by scanning
+// the state the engine already keeps: the cached next task release, the
+// deadlines of the open pairs, each live copy's postponed activation
+// (backup r̃ = r + θ) and dual-priority promotion while still future, the
+// completion of whatever runs now, and the permanent fault. Every stop
+// re-decides DPD (Algorithm 1 lines 10–15), so the stop set is part of
+// the energy result; read from live state, it holds no entry that could
+// go stale and split a sleep with a spurious stop.
 //
 //mklint:hotpath
 func (e *Engine) nextEventTime() (timeu.Time, error) {
+	now := e.now
 	next := e.cfg.Horizon
-	if w := e.scr.wheel.nextAfter(e.now); w < next {
-		next = w
+	// processReleases has run at this instant, so minRel is in the future.
+	if e.scr.minRel < next {
+		next = e.scr.minRel
+	}
+	for _, p := range e.scr.open {
+		if p.dl > now && p.dl < next {
+			next = p.dl
+		}
 	}
 	for pid := range e.procs {
+		// Live copies are neither done nor canceled: completion,
+		// cancellation and the permanent fault take them off the list.
+		for _, j := range e.scr.live[pid] {
+			if j.Release > now && j.Release < next {
+				next = j.Release
+			}
+			if j.Promote > now && j.Promote < j.Deadline && j.Promote < next {
+				next = j.Promote
+			}
+		}
 		if cur := e.procs[pid].cur; cur != nil {
-			if t := e.now + cur.Remaining; t > e.now && t < next {
+			if t := now + cur.Remaining; t > now && t < next {
 				next = t
 			}
 		}
 	}
-	if e.permAt > e.now && e.permAt < next {
+	if e.permAt > now && e.permAt < next {
 		next = e.permAt
 	}
-	if next <= e.now && e.now < e.cfg.Horizon {
+	if next <= now && now < e.cfg.Horizon {
 		//mklint:allow hotpath — stall diagnostic on a should-never-happen error path
-		return 0, fmt.Errorf("sim: stalled at %v (no future event)", e.now)
+		return 0, fmt.Errorf("sim: stalled at %v (no future event)", now)
 	}
 	if e.checkNext != nil {
 		e.checkNext(next)

@@ -400,12 +400,13 @@ func TestPreemptionCounterAndOverhead(t *testing.T) {
 }
 
 func TestMaxEventsGuard(t *testing.T) {
-	e, err := New(oneTask(), &fpPolicy{single: true}, Config{Horizon: ms(1000), MaxEvents: 3})
+	e, err := New(oneTask(), &fpPolicy{single: true}, Config{Horizon: ms(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err == nil {
-		t.Error("tiny MaxEvents must trip the runaway guard")
+	e.maxEvents = 3
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "event budget exceeded") {
+		t.Errorf("a tiny event budget must trip the runaway guard, got %v", err)
 	}
 }
 

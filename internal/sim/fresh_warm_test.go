@@ -1,10 +1,10 @@
 package sim_test
 
-// External-package test: drives the wheel-based engine through the real
-// policies of internal/sim/policy and verifies, via internal/trace, that the
-// same seed yields an identical execution trace whether the scratch (and
-// its wheel) is fresh or warm from previous runs, and that the traces
-// pass the trace-level invariants.
+// External-package test: drives the engine through the real policies of
+// internal/sim/policy and verifies, via internal/trace, that the same seed
+// yields an identical execution trace whether the scratch is fresh or warm
+// from previous runs, and that the traces and counters pass their
+// invariants.
 
 import (
 	"context"
@@ -20,20 +20,26 @@ import (
 	"repro/internal/workload"
 )
 
+// runTraced runs one traced simulation and checks its counters against
+// their invariants; a failure names the set and the fault seed.
 func runTraced(t *testing.T, s *task.Set, a policy.Approach, scenario fault.Scenario, seed uint64, scr *sim.Scratch) *sim.Result {
 	t.Helper()
+	const horizon = 100 * timeu.Millisecond
 	res, err := experiment.Simulate(context.Background(), s, a, policy.Options{}, scenario, 0, seed, sim.Config{
-		Horizon:     100 * timeu.Millisecond,
+		Horizon:     horizon,
 		RecordTrace: true,
 		Scratch:     scr,
 	})
 	if err != nil {
 		t.Fatalf("Simulate(%v): %v", a, err)
 	}
+	if bad := res.Counters.CheckInvariants(horizon); len(bad) > 0 {
+		t.Fatalf("set %v, %v %v, fault seed %d: counter invariants violated: %v", s, a, scenario, seed, bad)
+	}
 	return res
 }
 
-func TestWheelTraceIdenticalFreshVsWarm(t *testing.T) {
+func TestTraceIdenticalFreshVsWarm(t *testing.T) {
 	paperSet := task.NewSet(
 		task.New(0, 5, 4, 3, 2, 4),
 		task.New(1, 10, 10, 3, 1, 2),

@@ -37,16 +37,16 @@ func (a *arena[T]) get() *T {
 func (a *arena[T]) reset() { a.n = 0 }
 
 // Scratch is the reusable working state of one engine run: job and pair
-// records, per-processor ready queues, the settlement table, the timing
-// wheel, outcome rows and the trace buffer. A fresh engine with a warm
+// records, per-processor ready queues, the settlement table, the release
+// calendar, outcome rows and the trace buffer. A fresh engine with a warm
 // Scratch allocates (almost) nothing; Result values copy out of it, so
 // reusing a Scratch never corrupts previously returned results.
 //
 // A Scratch serves one engine at a time — share across concurrent runs
 // through a ScratchPool, never directly. A sweep hands one Scratch to
 // each worker for its whole lifetime (see experiment.RunContext), so the
-// arenas, the pair table rows and the wheel buckets amortize across every
-// interval of the sweep, not just across the approaches of one set.
+// arenas and the pair table rows amortize across every interval of the
+// sweep, not just across the approaches of one set.
 type Scratch struct {
 	// nextIdx[i] is the index of task i's next release and nextRel[i] its
 	// instant, Release(nextIdx[i]): the release calendar processReleases
@@ -65,11 +65,10 @@ type Scratch struct {
 	trace    []Segment
 	jobs     arena[task.Job]
 	jobPairs arena[jobPair]
-	// wheel holds every scheduled future instant (releases, deadlines,
-	// postponed activations, promotions); minRel caches the next task
-	// release and dueAt a lower bound on the earliest open deadline, so
-	// the per-event release and settlement scans run only when due.
-	wheel  timeWheel
+	// minRel caches the next task release and dueAt a lower bound on the
+	// earliest open deadline, so the per-event release and settlement
+	// scans run only when due, and the stop scan reads the next release
+	// without visiting every task.
 	minRel timeu.Time
 	dueAt  timeu.Time
 }
@@ -115,7 +114,6 @@ func (s *Scratch) prepare(n int) {
 	s.trace = s.trace[:0]
 	s.jobs.reset()
 	s.jobPairs.reset()
-	s.wheel.reset()
 	s.minRel = timeu.Infinity
 	s.dueAt = timeu.Infinity
 }
