@@ -14,7 +14,8 @@
 # smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
-# /v1/sweep normalizer and of the task-set JSON decoder, bench smoke (one
+# /v1/sweep normalizer, of the task-set JSON decoder and of the engine's
+# stops against the linear scan, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -119,6 +120,9 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (the task-set JSON decoder, 10 s)"
   go test -run '^$' -fuzz '^FuzzLoadSet$' -fuzztime 10s .
+
+  step "fuzz (engine stops vs the linear scan, 10 s)"
+  go test -run '^$' -fuzz '^FuzzStopsMatchLinearScan$' -fuzztime 10s ./internal/sim
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
