@@ -48,8 +48,8 @@ func main() {
 		loU        = flag.Float64("lo", 0.1, "lowest utilization bound")
 		hiU        = flag.Float64("hi", 1.0, "highest utilization bound")
 		quiet      = flag.Bool("q", false, "suppress per-interval progress")
-		noCache    = flag.Bool("nocache", false, "disable the offline-analysis cache and the interval memo, with its 6b-to-6c handoff (benchmarking the caches themselves)")
-		cacheStats = flag.Bool("cachestats", false, "print analysis-cache hit/miss statistics after each figure")
+		noCache    = flag.Bool("nocache", false, "disable the offline-analysis cache and the interval memo, with its 6a-to-6b and 6b-to-6c handoffs (benchmarking the caches themselves)")
+		cacheStats = flag.Bool("cachestats", false, "print analysis-cache and interval-memo statistics after each figure")
 	)
 	flag.Parse()
 
@@ -57,8 +57,9 @@ func main() {
 	// task sets, so the second and third sweeps take each interval's sets
 	// from the session's interval memo instead of drawing them again, and
 	// their analyses from the offline-analysis cache instead of
-	// re-deriving them; 6c takes from 6b every run whose fault draws
-	// provably fire no transient. -nocache turns all of it off. SIGINT or
+	// re-deriving them; 6b resumes each run from 6a's run at its fault
+	// instant, and 6c takes from 6b every run whose fault draws provably
+	// fire no transient. -nocache turns all of it off. SIGINT or
 	// SIGTERM cancels gracefully, printing the partial table.
 	runner := repro.NewRunner(repro.RunnerConfig{CacheEntries: cacheCap(*noCache)})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -127,6 +128,9 @@ func main() {
 			st := runner.CacheStats()
 			fmt.Fprintf(os.Stderr, "analysis cache after figure %s: %d hits, %d misses, %d evictions, %d/%d entries\n",
 				name, st.Hits, st.Misses, st.Evictions, st.Entries, st.Capacity)
+			ms := runner.MemoStats()
+			fmt.Fprintf(os.Stderr, "interval memo after figure %s: %d hits, %d misses, %d runs taken, %d runs resumed\n",
+				name, ms.Hits, ms.Misses, ms.Taken, ms.Resumed)
 		}
 		if *jsonOut {
 			path := *jsonPath

@@ -80,9 +80,10 @@ type Config struct {
 	ScratchPool *sim.ScratchPool
 	// IntervalMemo, when non-nil, keeps generated intervals across
 	// sweeps, so an interval whose generation inputs already ran is not
-	// drawn again, and hands each PermanentOnly unit's run outcomes to
-	// the PermanentAndTransient unit of the same key; nil means no
-	// reuse. A Runner session shares one.
+	// drawn again, hands each NoFault unit's forks to the PermanentOnly
+	// unit of the same key and each PermanentOnly unit's run outcomes to
+	// the PermanentAndTransient unit; nil means no reuse. A Runner
+	// session shares one.
 	IntervalMemo *IntervalMemo
 }
 
@@ -172,8 +173,9 @@ func Run(cfg Config) (*Report, error) {
 // per-set simulations out over a semaphore shared by every interval, so
 // the sweep keeps all workers busy across interval boundaries. An
 // interval already kept in cfg.IntervalMemo is not drawn again and takes
-// no worker slot, and a PermanentAndTransient interval takes the runs it
-// can from the memo's PermanentOnly outcomes (see runSet). Per-set
+// no worker slot, a PermanentOnly interval resumes its runs from the
+// memo's NoFault forks, and a PermanentAndTransient interval takes the
+// runs it can from the memo's PermanentOnly outcomes (see runSet). Per-set
 // offline analyses are memoized in cfg.Cache and derived once per set,
 // not once per approach.
 //
@@ -262,15 +264,24 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				cfg.IntervalMemo.put(key, batch)
 			}
-			// A 6(b) unit keeps its run outcomes for the 6(c) unit of
-			// the same key, which takes them.
-			handoff := cfg.IntervalMemo != nil && cfg.CoreOpts.Offline == nil &&
-				(cfg.Scenario == fault.PermanentOnly || cfg.Scenario == fault.PermanentAndTransient)
+			// Each scenario of a unit hands its runs on to the next one:
+			// a 6(a) unit keeps forks for the 6(b) unit of the same key,
+			// which resumes from them and keeps its run outcomes for the
+			// 6(c) unit, which takes them.
+			handoff := cfg.IntervalMemo != nil && cfg.CoreOpts.Offline == nil
 			var ukey unitKey
 			var prior []runOutcome
+			var forks []*sim.Fork
 			if handoff {
 				ukey = newUnitKey(cfg, key, ivIdx, approaches)
-				if cfg.Scenario == fault.PermanentAndTransient {
+				switch cfg.Scenario {
+				case fault.NoFault:
+					if cfg.IntervalMemo.forking(ukey) {
+						forks = make([]*sim.Fork, len(batch.Sets)*len(approaches))
+					}
+				case fault.PermanentOnly:
+					forks = cfg.IntervalMemo.takeForks(ukey)
+				case fault.PermanentAndTransient:
 					prior = cfg.IntervalMemo.takeRuns(ukey)
 				}
 			}
@@ -290,8 +301,12 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				if prior != nil {
 					setPrior = prior[si*len(approaches) : (si+1)*len(approaches)]
 				}
+				var setForks []*sim.Fork
+				if forks != nil {
+					setForks = forks[si*len(approaches) : (si+1)*len(approaches)]
+				}
 				iwg.Add(1)
-				go func(si int, s *task.Set, prior []runOutcome) {
+				go func(si int, s *task.Set, prior []runOutcome, forks []*sim.Fork) {
 					defer iwg.Done()
 					sem <- struct{}{}
 					defer func() { <-sem }()
@@ -299,7 +314,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 						return
 					}
 					faultSeed := stats.DeriveSeed(cfg.Seed, uint64(1_000_000+(cfg.IntervalOffset+ivIdx)*10_000+si))
-					sr, err := runSet(ctx, s, approaches, cfg, faultSeed, scratches, prior)
+					sr, err := runSet(ctx, s, approaches, cfg, faultSeed, scratches, prior, forks)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil && !isCtxErr(ctx, err) {
@@ -309,7 +324,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 						return
 					}
 					results[si] = sr
-				}(si, s, setPrior)
+				}(si, s, setPrior, setForks)
 			}
 			iwg.Wait()
 			if ctx.Err() != nil {
@@ -321,7 +336,11 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			if failed {
 				return
 			}
-			if handoff && cfg.Scenario == fault.PermanentOnly {
+			switch {
+			case !handoff:
+			case cfg.Scenario == fault.NoFault && forks != nil:
+				cfg.IntervalMemo.keepForks(ukey, forks)
+			case cfg.Scenario == fault.PermanentOnly:
 				cfg.IntervalMemo.keepRuns(ukey, results, approaches)
 			}
 			row.Sets = results
@@ -388,7 +407,8 @@ func isCtxErr(ctx context.Context, err error) bool {
 // plan of scenario sc from faultSeed (its transient fault rate replaced
 // by transientRate when that is positive), builds approach a's policy
 // from opts and the engine from cfg (whose Faults it replaces), and runs
-// the engine under ctx.
+// the engine under ctx. A run that resumes from cfg.Resume continues
+// with the fork's copy of the policy instead.
 func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.Options, sc fault.Scenario, transientRate float64, faultSeed uint64, cfg sim.Config) (*sim.Result, error) {
 	cfg.Faults = fault.NewPlan(sc, cfg.Horizon, stats.NewRand(faultSeed))
 	if transientRate > 0 {
@@ -409,13 +429,19 @@ func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.O
 // per-worker roster) when non-nil, else from cfg.ScratchPool (nil-safe: a
 // nil pool mints a fresh Scratch).
 //
+// forks, when non-nil, holds the set's fork slot per approach, in
+// approaches order. In a Figure-6(a) sweep each run captures its fork
+// into its slot: the state at its last stop before the instant the run's
+// 6(b) fault plan puts the permanent fault. In a 6(b) sweep each run with
+// a fork resumes from it (see sim.Fork for why the prefix is exact).
+//
 // prior, when non-nil, holds the set's Figure-6(b) outcomes in approaches
 // order, and the sweep is Figure 6(c). A run takes its 6(b) outcome when
 // replaying its fault plan shows that no transient fault can fire in as
 // many completions as the 6(b) run had: the permanent draws come first
 // and match 6(b)'s, so by induction over completions the 6(c) run takes
 // every decision the 6(b) run took. Otherwise the engine runs it.
-func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch, prior []runOutcome) (SetResult, error) {
+func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg Config, faultSeed uint64, scratches chan *sim.Scratch, prior []runOutcome, forks []*sim.Fork) (SetResult, error) {
 	horizon := simHorizon(s, cfg.MinHorizon, cfg.HorizonCap)
 	sr := SetResult{
 		Set:      s,
@@ -431,6 +457,11 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 		for i, t := range s.Tasks {
 			wcets[i] = t.WCET
 		}
+	}
+	var forkAt timeu.Time
+	if forks != nil && cfg.Scenario == fault.NoFault {
+		// The fault instant of the set's 6(b) runs, drawn as they draw it.
+		forkAt = fault.NewPlan(fault.PermanentOnly, horizon, stats.NewRand(faultSeed)).Permanent.At
 	}
 	// A run that takes its 6(b) outcome needs neither the offline
 	// analysis nor a scratch, so both are fetched by the first engine run.
@@ -470,14 +501,23 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 				scr = cfg.ScratchPool.Get()
 			}
 		}
+		run := sim.Config{Power: cfg.Power, Horizon: horizon, Scratch: scr, ForkAt: forkAt}
+		if forks != nil && cfg.Scenario == fault.PermanentOnly {
+			run.Resume = forks[ai]
+		}
 		// Each approach re-draws the same plan from the same seed, so the
 		// permanent fault instant/processor are identical across
 		// approaches (fair comparison); transient draws consume the
 		// stream per executed job.
-		res, err := Simulate(ctx, s, a, opts, cfg.Scenario, 0, faultSeed,
-			sim.Config{Power: cfg.Power, Horizon: horizon, Scratch: scr})
+		res, err := Simulate(ctx, s, a, opts, cfg.Scenario, 0, faultSeed, run)
 		if err != nil {
 			return sr, err
+		}
+		if forkAt > 0 {
+			forks[ai] = sim.ForkOf(res)
+		}
+		if run.Resume != nil {
+			cfg.IntervalMemo.resumed.Add(1)
 		}
 		sr.Active[a] = res.ActiveEnergy()
 		sr.Violated[a] = !res.MKSatisfied()

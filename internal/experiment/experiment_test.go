@@ -245,11 +245,11 @@ func TestRunSetSharesPermanentFault(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 4, 1, 2))
 	cfg := smallConfig(fault.PermanentOnly)
 	apps := []policy.Approach{policy.ST, policy.DP, policy.Selective}
-	a, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil)
+	a, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil)
+	b, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

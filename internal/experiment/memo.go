@@ -9,15 +9,16 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/sim/policy"
 	"repro/internal/timeu"
 	"repro/internal/workload"
 )
 
-// memoIntervals bounds the intervals an IntervalMemo keeps, and the
-// Figure-6(b) units whose run outcomes wait for their 6(c) twin. A
-// full-range Figure-6 sweep has 9, so a session running 6a, 6b and 6c
-// draws each of them once and hands each 6(b) unit to 6(c).
+// memoIntervals bounds the intervals an IntervalMemo keeps, and the units
+// waiting in each of its two handoffs. A full-range Figure-6 sweep has 9,
+// so a session running 6a, 6b and 6c draws each of them once and hands
+// every unit on.
 const memoIntervals = 16
 
 // IntervalMemo keeps the generated task sets of a session's recent sweep
@@ -30,23 +31,31 @@ const memoIntervals = 16
 // maxSets sets is not kept at all. Kept sets are shared read-only with
 // every sweep that hits them.
 //
-// It also hands the run outcomes of each whole Figure-6(b) unit (one
-// interval of a PermanentOnly sweep) to the Figure-6(c) unit with the
-// same unitKey, which takes them once: a 6(c) run whose fault plan
-// provably fires no transient (fault.Plan.TransientFree) is its 6(b) run,
-// so it takes that outcome instead of running the engine. At most
-// memoIntervals units wait, the oldest dropped first. A memo with a
-// negative bound keeps no units either. An IntervalMemo is safe for
-// concurrent use.
+// It also hands runs on between the scenarios of one sweep unit (one
+// interval of one sweep), keyed by unitKey, each whole unit once:
+//
+//   - the forks of a Figure-6(a) unit to the 6(b) unit, whose runs resume
+//     from them (sim.Fork) instead of simulating the fault-free prefix
+//     again;
+//   - the run outcomes of a 6(b) unit to the 6(c) unit: a 6(c) run whose
+//     fault plan provably fires no transient (fault.Plan.TransientFree)
+//     is its 6(b) run, so it takes that outcome instead of running the
+//     engine.
+//
+// At most memoIntervals units wait in each handoff, the oldest dropped
+// first. A memo with a negative bound keeps no units either. An
+// IntervalMemo is safe for concurrent use.
 type IntervalMemo struct {
 	mu      sync.Mutex
 	maxSets int
 	kept    []memoEntry // oldest first
 	sets    int         // total sets in kept
-	units   []unitEntry // 6(b) units waiting for their 6(c) twin, oldest first
+	forks   []waiting[*sim.Fork]
+	units   []waiting[runOutcome]
 	hits    uint64
 	misses  uint64
 	taken   atomic.Uint64 // 6(c) runs that took their 6(b) outcome
+	resumed atomic.Uint64 // 6(b) runs resumed from their 6(a) fork
 }
 
 // memoKey is everything generate reads: the defaulted workload config,
@@ -100,9 +109,12 @@ type runOutcome struct {
 	counters metrics.Counters
 }
 
-type unitEntry struct {
+// waiting is one whole unit's handoff, oldest first in its list: for
+// each run, set-major (runs[si*len(approaches)+ai]), what the next
+// scenario of the unit takes.
+type waiting[T any] struct {
 	key  unitKey
-	runs []runOutcome // set-major: runs[si*len(approaches)+ai]
+	runs []T
 }
 
 // newUnitKey keys interval ivIdx of the defaulted sweep cfg, whose draw
@@ -182,8 +194,7 @@ func (m *IntervalMemo) put(k memoKey, res workload.IntervalResult) {
 
 // keepRuns keeps the outcomes of a whole Figure-6(b) unit — results in
 // set order, each run in approaches order — under k until its 6(c) twin
-// takes them. Two 6(b) sweeps of one unit keep identical outcomes, so
-// one already waiting under k stays.
+// takes them.
 func (m *IntervalMemo) keepRuns(k unitKey, results []SetResult, approaches []policy.Approach) {
 	if m == nil || m.maxSets < 0 {
 		return
@@ -196,15 +207,7 @@ func (m *IntervalMemo) keepRuns(k unitKey, results []SetResult, approaches []pol
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.units {
-		if e.key == k {
-			return
-		}
-	}
-	m.units = append(m.units, unitEntry{key: k, runs: runs})
-	if len(m.units) > memoIntervals {
-		m.units = slices.Delete(m.units, 0, 1)
-	}
+	keep(&m.units, k, runs)
 }
 
 // takeRuns removes and returns the outcomes kept under k, or nil. The
@@ -216,12 +219,67 @@ func (m *IntervalMemo) takeRuns(k unitKey) []runOutcome {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := slices.IndexFunc(m.units, func(e unitEntry) bool { return e.key == k })
+	return take(&m.units, k)
+}
+
+// forking reports whether a Figure-6(a) unit keyed k should capture
+// forks: the memo keeps units and none are already waiting under k, so a
+// repeated 6(a) sweep of a unit captures nothing.
+func (m *IntervalMemo) forking(k unitKey) bool {
+	if m == nil || m.maxSets < 0 {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !slices.ContainsFunc(m.forks, func(w waiting[*sim.Fork]) bool { return w.key == k })
+}
+
+// keepForks keeps the forks of a whole Figure-6(a) unit, set-major,
+// under k until its 6(b) twin takes them.
+func (m *IntervalMemo) keepForks(k unitKey, forks []*sim.Fork) {
+	if m == nil || m.maxSets < 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keep(&m.forks, k, forks)
+}
+
+// takeForks removes and returns the forks kept under k, or nil: the
+// 6(b) unit takes them once, and a second 6(b) sweep of the unit runs
+// from 0.
+func (m *IntervalMemo) takeForks(k unitKey) []*sim.Fork {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return take(&m.forks, k)
+}
+
+// keep appends runs under k to list, dropping the oldest unit beyond
+// memoIntervals. Two sweeps of one unit keep identical runs, so one
+// already waiting under k stays. The caller holds the memo's lock.
+func keep[T any](list *[]waiting[T], k unitKey, runs []T) {
+	if slices.ContainsFunc(*list, func(w waiting[T]) bool { return w.key == k }) {
+		return
+	}
+	*list = append(*list, waiting[T]{key: k, runs: runs})
+	if len(*list) > memoIntervals {
+		*list = slices.Delete(*list, 0, 1)
+	}
+}
+
+// take removes and returns the runs kept under k in list, or nil.
+// slices.Delete clears the vacated slot, so the backing array pins
+// nothing taken. The caller holds the memo's lock.
+func take[T any](list *[]waiting[T], k unitKey) []T {
+	i := slices.IndexFunc(*list, func(w waiting[T]) bool { return w.key == k })
 	if i < 0 {
 		return nil
 	}
-	runs := m.units[i].runs
-	m.units = slices.Delete(m.units, i, i+1)
+	runs := (*list)[i].runs
+	*list = slices.Delete(*list, i, i+1)
 	return runs
 }
 
@@ -229,4 +287,10 @@ func (m *IntervalMemo) takeRuns(k unitKey) []runOutcome {
 // outcome instead of running the engine.
 func (m *IntervalMemo) Taken() uint64 {
 	return m.taken.Load()
+}
+
+// Resumed reports how many Figure-6(b) runs resumed from their
+// Figure-6(a) run's fork instead of simulating from 0.
+func (m *IntervalMemo) Resumed() uint64 {
+	return m.resumed.Load()
 }

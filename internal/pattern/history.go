@@ -112,6 +112,26 @@ func (h *History) Clone() *History {
 	return c
 }
 
+// CloneAll returns independent copies of hs, in three allocations
+// whatever the number of windows.
+func CloneAll(hs []*History) []*History {
+	slots := 0
+	for _, h := range hs {
+		slots += h.k
+	}
+	vals := make([]History, len(hs))
+	rings := make([]bool, slots)
+	out := make([]*History, len(hs))
+	for i, h := range hs {
+		ring := rings[:h.k:h.k]
+		rings = rings[h.k:]
+		copy(ring, h.ring)
+		vals[i] = History{m: h.m, k: h.k, ring: ring, head: h.head}
+		out[i] = &vals[i]
+	}
+	return out
+}
+
 // String renders the window oldest->newest as 1/0 digits plus the FD, e.g.
 // "1101 (m=2,k=4, FD=1)".
 func (h *History) String() string {

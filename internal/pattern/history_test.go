@@ -124,15 +124,28 @@ func TestSnapshotAndString(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent checks Clone and CloneAll: a copy starts equal to
+// its original, and recording into either leaves the other as it was.
 func TestCloneIndependent(t *testing.T) {
-	h := NewHistory(1, 3)
-	c := h.Clone()
-	c.Record(false)
-	if got := fmt.Sprint(h.Snapshot()); got != "[true true true]" {
-		t.Errorf("clone mutated original: %s", got)
+	clones := map[string]func(h, other *History) *History{
+		"Clone":    func(h, _ *History) *History { return h.Clone() },
+		"CloneAll": func(h, other *History) *History { return CloneAll([]*History{other, h, other})[1] },
 	}
-	if got := fmt.Sprint(c.Snapshot()); got != "[true true false]" {
-		t.Errorf("clone lost its record: %s", got)
+	for name, clone := range clones {
+		h, other := NewHistory(1, 3), NewHistory(2, 5)
+		h.Record(false)
+		c := clone(h, other)
+		c.Record(false)
+		h.Record(true)
+		if got := fmt.Sprint(h.Snapshot()); got != "[true false true]" {
+			t.Errorf("%s: the copy's record reached the original: %s", name, got)
+		}
+		if got := fmt.Sprint(c.Snapshot()); got != "[true false false]" {
+			t.Errorf("%s: the copy did not start from the original or took its later record: %s", name, got)
+		}
+		if c.FlexibilityDegree() != 0 || c.K() != 3 {
+			t.Errorf("%s: the copy has FD %d and k %d, want 0 and 3", name, c.FlexibilityDegree(), c.K())
+		}
 	}
 }
 

@@ -93,6 +93,17 @@ type Config struct {
 	// a private fresh Scratch. A Scratch must not be shared by two engines
 	// at once.
 	Scratch *Scratch
+	// ForkAt, when positive, asks a fault-free run to capture a Fork for
+	// runs whose permanent fault strikes at ForkAt; ForkOf returns it.
+	// Runs with a fault, a Sink, RecordTrace or a policy that is not a
+	// Forker capture nothing.
+	ForkAt timeu.Time
+	// Resume, when non-nil, starts the run from a fork of a fault-free run
+	// of the same set, policy, power model and horizon instead of from 0.
+	// The run's plan must put its permanent fault at the fork's instant
+	// and draw no transients; the policy given to New is then only checked
+	// for its name, and the run continues with a copy of the fork's.
+	Resume *Fork
 }
 
 // Segment is one contiguous execution interval of a job copy on a
@@ -131,6 +142,8 @@ type Result struct {
 	Trace []Segment
 	// PermanentFault echoes the injected permanent fault, if any fired.
 	PermanentFault *fault.Permanent
+
+	fork *Fork // captured for Config.ForkAt; see ForkOf
 }
 
 // ActiveEnergy returns the total active energy — the paper's metric.
@@ -199,6 +212,10 @@ type Engine struct {
 	// maxEvents guards against runaway simulations: 64 events per released
 	// job copy is far beyond any legitimate schedule.
 	maxEvents int
+	// forkAt is Config.ForkAt while the run still has a fork to capture,
+	// else timeu.Infinity; fork is the captured one.
+	forkAt timeu.Time
+	fork   *Fork
 
 	// checkNext, when non-nil, is called with every nextEventTime result
 	// before the engine advances. Tests use it to cross-check the stop scan
@@ -434,8 +451,18 @@ const ctxCheckStride = 64
 // granularity: a canceled context aborts the run within ctxCheckStride
 // events and returns ctx.Err() (wrapped), so batch drivers can tear down
 // promptly on SIGINT or deadline.
+//
+// A fresh run initializes its policy and makes its first pass at 0; a run
+// resumed from a fork (Config.Resume) starts where the fork's run stood
+// after that pass's dispatch, with its loop-pass count, so the event
+// budget and the context stride count as in a run from 0. Both then go
+// through the same loop.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	if err := e.policy.Init(e); err != nil {
+	if f := e.cfg.Resume; f != nil {
+		if err := e.resume(f); err != nil {
+			return nil, err
+		}
+	} else if err := e.policy.Init(e); err != nil {
 		return nil, fmt.Errorf("sim: policy init: %w", err)
 	}
 	// Read the fault plan here, not in New: the plan is part of the
@@ -443,6 +470,10 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	e.permAt = timeu.Infinity
 	if pf := e.cfg.Faults.Permanent; pf != nil {
 		e.permAt = pf.At
+	}
+	e.forkAt = timeu.Infinity
+	if e.cfg.ForkAt > 0 && e.canFork() {
+		e.forkAt = e.cfg.ForkAt
 	}
 	done := ctx.Done()
 	if done != nil {
@@ -454,21 +485,23 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		default:
 		}
 	}
-	for {
-		e.processCompletions()
-		e.processDeadlines()
-		e.processPermanentFault()
-		if e.now >= e.cfg.Horizon {
-			break
-		}
-		e.processReleases()
-		e.dispatch()
+	// The horizon is positive, so a fresh run's pass at 0 never ends it.
+	end := false
+	if e.cfg.Resume == nil {
+		end = e.pass()
+	}
+	for !end {
 		next, err := e.nextEventTime()
 		if err != nil {
 			return nil, err
 		}
 		if next > e.cfg.Horizon {
 			next = e.cfg.Horizon
+		}
+		// The first stop whose successor reaches forkAt is the last one
+		// before it: a run faulting at forkAt resumes from here.
+		if next >= e.forkAt {
+			e.capture()
 		}
 		e.advance(next)
 		e.events++
@@ -482,9 +515,27 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
+		end = e.pass()
 	}
 	e.finish()
 	return e.result(), nil
+}
+
+// pass makes the state changes of the stop at now: completions,
+// deadlines and the permanent fault, then, unless now is the horizon
+// (which it reports), releases and dispatch.
+//
+//mklint:hotpath
+func (e *Engine) pass() bool {
+	e.processCompletions()
+	e.processDeadlines()
+	e.processPermanentFault()
+	if e.now >= e.cfg.Horizon {
+		return true
+	}
+	e.processReleases()
+	e.dispatch()
+	return false
 }
 
 // processReleases fires Policy.Release for every job releasing now. Jobs
@@ -977,6 +1028,7 @@ func (e *Engine) result() *Result {
 		Counters:       e.counters,
 		Trace:          append([]Segment(nil), e.scr.trace...),
 		PermanentFault: e.permHit,
+		fork:           e.fork,
 	}
 	for p := 0; p < NumProcs; p++ {
 		r.PerProc[p] = e.procs[p].energy

@@ -134,3 +134,11 @@ func (p *dbpPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) 
 }
 
 func (p *dbpPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
+
+// Fork copies the policy with its outcome windows; the postponement
+// analysis is shared.
+func (p *dbpPolicy) Fork() sim.Policy {
+	c := *p
+	c.hist = pattern.CloneAll(p.hist)
+	return &c
+}

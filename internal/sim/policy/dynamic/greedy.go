@@ -105,3 +105,10 @@ func (p *greedyPolicy) OnSettled(e *sim.Engine, taskID, index int, effective boo
 }
 
 func (p *greedyPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
+
+// Fork copies the policy with its outcome windows.
+func (p *greedyPolicy) Fork() sim.Policy {
+	c := *p
+	c.hist = pattern.CloneAll(p.hist)
+	return &c
+}

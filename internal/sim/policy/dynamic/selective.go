@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 	"repro/internal/postpone"
@@ -128,3 +129,12 @@ func (p *selectivePolicy) OnSettled(e *sim.Engine, taskID, index int, effective 
 }
 
 func (p *selectivePolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
+
+// Fork copies the policy with its outcome windows and alternation
+// counters; the postponement analysis is shared.
+func (p *selectivePolicy) Fork() sim.Policy {
+	c := *p
+	c.hist = pattern.CloneAll(p.hist)
+	c.alt = slices.Clone(p.alt)
+	return &c
+}

@@ -64,6 +64,12 @@ func (p *stPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {
 
 func (p *stPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
 
+// Fork copies the policy; its only mutable state is the dead flags.
+func (p *stPolicy) Fork() sim.Policy {
+	c := *p
+	return &c
+}
+
 // dpPolicy is MKSS_DP: the preference-oriented dual-priority baseline
 // reconstructed from Figure 1. Main copies alternate across the two
 // processors by task index (τ1 main on the primary, τ2 main on the spare,
@@ -148,3 +154,10 @@ func (p *dpPolicy) Runnable(now timeu.Time, j *task.Job) bool { return true }
 func (p *dpPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {}
 
 func (p *dpPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
+
+// Fork copies the policy; its only mutable state is the dead flags, and
+// the promotion intervals are shared.
+func (p *dpPolicy) Fork() sim.Policy {
+	c := *p
+	return &c
+}

@@ -36,6 +36,9 @@ func (a *arena[T]) get() *T {
 
 func (a *arena[T]) reset() { a.n = 0 }
 
+// at returns the record the i-th get since the last reset handed out.
+func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
+
 // Scratch is the reusable working state of one engine run: job and pair
 // records, per-processor ready queues, the settlement table, the release
 // calendar, outcome rows and the trace buffer. A fresh engine with a warm

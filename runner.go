@@ -12,15 +12,23 @@ import (
 // CacheStats snapshots a Runner's analysis-cache counters.
 type CacheStats = analysis.CacheStats
 
+// MemoStats snapshots a Runner's interval-memo counters: interval lookups
+// that found a kept draw (Hits) or drew (Misses), Figure-6(c) runs that
+// took their 6(b) run's outcome (Taken), and Figure-6(b) runs that
+// resumed from their 6(a) run's fork (Resumed).
+type MemoStats struct {
+	Hits, Misses, Taken, Resumed uint64
+}
+
 // RunnerConfig tunes a Runner. The zero value is the recommended setup.
 type RunnerConfig struct {
 	// CacheEntries bounds the offline-analysis LRU, and the total sets
 	// the interval memo keeps: 0 means the default capacity
 	// (analysis.DefaultCacheEntries); a negative value disables
 	// memoization entirely (every run re-derives its analyses, every
-	// sweep redraws its intervals and every Figure-6(c) run runs the
-	// engine — the pre-Runner behavior, useful for benchmarking the
-	// caches themselves). The disabled cache and memo are passed down to
+	// sweep redraws its intervals, every Figure-6(b) run simulates from 0
+	// and every Figure-6(c) run runs the engine — the pre-Runner
+	// behavior, useful for benchmarking the caches themselves). The disabled cache and memo are passed down to
 	// Sweep, so a -nocache session is uncached end to end.
 	CacheEntries int
 }
@@ -32,16 +40,19 @@ type RunnerConfig struct {
 // a scratch pool. Batches of Simulate calls and whole Sweeps thus avoid
 // re-deriving analyses and re-allocating queues run after run, and
 // sweeps of one population under several fault scenarios (Figure 6a, 6b
-// and 6c) draw each interval once. The memo also hands each Figure-6(b)
-// unit's run outcomes to the 6(c) sweep of the same unit, once: a 6(c)
-// run whose fault plan provably fires no transient takes its 6(b)
-// outcome, and only the others run the engine.
+// and 6c) draw each interval once. The memo also hands each unit on to
+// the next scenario of the same unit, once: a Figure-6(b) run resumes
+// from its 6(a) run's fork at its fault instant instead of simulating
+// the fault-free prefix again, and a 6(c) run whose fault plan provably
+// fires no transient takes its 6(b) outcome, so only the others run the
+// engine.
 //
 // A Runner is safe for concurrent use; results are bit-for-bit identical
 // to the free-function path: the session skips only work it has proven
 // identical (pure functions of the task set or of the interval's
-// generation inputs, and 6(c) runs whose replayed fault draws match
-// their 6(b) run's). The zero-configured NewRunner is what the
+// generation inputs, 6(b) prefixes that take the fault-free run's
+// decisions, and 6(c) runs whose replayed fault draws match their 6(b)
+// run's). The zero-configured NewRunner is what the
 // package-level Simulate/Sweep wrappers use.
 type Runner struct {
 	cache *analysis.Cache // in passthrough mode when memoization is disabled
@@ -75,8 +86,9 @@ func (r *Runner) Simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig
 }
 
 // Sweep runs a utilization sweep through the session's cache, interval
-// memo and scratch pool; a Figure-6(c) sweep takes the runs it can from
-// the session's Figure-6(b) sweep of the same units. On cancellation it
+// memo and scratch pool; a Figure-6(b) sweep resumes its runs from the
+// session's Figure-6(a) sweep of the same units, and a Figure-6(c) sweep
+// takes the runs it can from the 6(b) sweep. On cancellation it
 // returns the partial Report (completed intervals, in order) together
 // with an error wrapping ctx.Err().
 func (r *Runner) Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
@@ -97,6 +109,14 @@ func (r *Runner) Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 // and Hits stays zero).
 func (r *Runner) CacheStats() CacheStats {
 	return r.cache.Stats()
+}
+
+// MemoStats reports the session's interval-memo effectiveness; with
+// memoization disabled every lookup misses and nothing is taken or
+// resumed.
+func (r *Runner) MemoStats() MemoStats {
+	hits, misses := r.memo.Counts()
+	return MemoStats{Hits: hits, Misses: misses, Taken: r.memo.Taken(), Resumed: r.memo.Resumed()}
 }
 
 // OfflineAnalysis is the lazily-computed, memoized bundle of offline

@@ -276,20 +276,23 @@ func checkRunInvariants(t *testing.T, seed uint64, rep *Report) {
 }
 
 // TestSessionFiguresMatchFreshSessions runs Figures 6a, 6b and 6c over
-// the full range on one session, then 6c again. Each report must equal a
-// fresh session's, and the interval memo must serve 6b and 6c without
-// drawing a single candidate. The first 6c takes all 48 of its runs (16
-// sets, 3 approaches) from 6b; the second takes none, since each 6b unit
-// is handed over once.
+// the full range on one session, then 6c and 6b again. Each report must
+// equal a fresh session's, and the interval memo must serve every sweep
+// after 6a without drawing a single candidate. The first 6b resumes all
+// 48 of its runs (16 sets, 3 approaches) from 6a's forks, and the first
+// 6c takes all 48 of its runs from 6b; the second 6c takes none and the
+// second 6b resumes none, since each unit is handed on once. A fresh
+// session, with no 6a before its 6b, resumes nothing.
 func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 	const seed = 2020
 	ctx := context.Background()
 	session := NewRunner(RunnerConfig{})
 	figures := []struct {
-		sc    Scenario
-		taken uint64 // runs taken from 6b so far
+		sc             Scenario
+		taken, resumed uint64 // runs taken from 6b, and resumed from 6a, so far
 	}{
-		{NoFault, 0}, {PermanentOnly, 0}, {PermanentAndTransient, 48}, {PermanentAndTransient, 48},
+		{NoFault, 0, 0}, {PermanentOnly, 0, 48}, {PermanentAndTransient, 48, 48},
+		{PermanentAndTransient, 48, 48}, {PermanentOnly, 48, 48},
 	}
 	for fig, f := range figures {
 		cfg := DefaultSweepConfig(f.sc)
@@ -300,7 +303,8 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewRunner(RunnerConfig{}).Sweep(ctx, cfg)
+		fresh := NewRunner(RunnerConfig{})
+		want, err := fresh.Sweep(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,6 +319,12 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 		if taken := session.memo.Taken(); taken != f.taken {
 			t.Errorf("seed %d after sweep %d (%v): %d runs taken from 6b, want %d", seed, fig, f.sc, taken, f.taken)
 		}
+		if resumed := session.memo.Resumed(); resumed != f.resumed {
+			t.Errorf("seed %d after sweep %d (%v): %d runs resumed from 6a, want %d", seed, fig, f.sc, resumed, f.resumed)
+		}
+		if st := fresh.MemoStats(); st.Taken != 0 || st.Resumed != 0 {
+			t.Errorf("seed %d sweep %d (%v) on a fresh session: %d runs taken, %d resumed; want none", seed, fig, f.sc, st.Taken, st.Resumed)
+		}
 	}
 }
 
@@ -322,9 +332,11 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 // workloads gain from: a cycle runs each interval as a one-interval
 // sweep under no-fault, permanent and permanent+transient on one
 // session, so only the first scenario's units draw — 5 intervals of 15
-// units on fig6-accept, 3 of 9 on fig6-reject — and the third
-// scenario's units take their runs from the second's. CacheEntries < 0
-// turns the session state off, and then every unit draws and runs.
+// units on fig6-accept, 3 of 9 on fig6-reject — the second scenario's
+// runs all resume from the first's forks, and the third scenario's
+// units take their runs from the second's. CacheEntries < 0 turns the
+// session state off, and then every unit draws and every run runs from
+// 0.
 func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 	const seed = 2020
 	all := workload.Intervals(0.1, 1.0, 0.1)
@@ -334,10 +346,11 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 		entries     int
 		draws       uint64
 		taken       uint64 // permanent+transient runs taken from permanent ones
+		resumed     uint64 // permanent runs resumed from no-fault ones
 	}{
-		{"fig6-accept", 0, 5, 0, 5, 297}, // of 300 runs
-		{"fig6-reject", 6, 9, 0, 3, 6},   // of 6
-		{"fig6-reject uncached", 6, 9, -1, 9, 0},
+		{"fig6-accept", 0, 5, 0, 5, 297, 300}, // of 300 runs
+		{"fig6-reject", 6, 9, 0, 3, 6, 6},     // of 6
+		{"fig6-reject uncached", 6, 9, -1, 9, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -357,11 +370,15 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 				}
 			}
 			units := uint64(3 * (c.last - c.first))
-			if hits, misses := r.memo.Counts(); misses != c.draws || hits != units-c.draws {
-				t.Errorf("seed %d: %d of %d units drew (%d hits), want %d", seed, misses, units, hits, c.draws)
+			st := r.MemoStats()
+			if st.Misses != c.draws || st.Hits != units-c.draws {
+				t.Errorf("seed %d: %d of %d units drew (%d hits), want %d", seed, st.Misses, units, st.Hits, c.draws)
 			}
-			if taken := r.memo.Taken(); taken != c.taken {
-				t.Errorf("seed %d: %d runs taken from the permanent-fault units, want %d", seed, taken, c.taken)
+			if st.Taken != c.taken {
+				t.Errorf("seed %d: %d runs taken from the permanent-fault units, want %d", seed, st.Taken, c.taken)
+			}
+			if st.Resumed != c.resumed {
+				t.Errorf("seed %d: %d runs resumed from the no-fault units, want %d", seed, st.Resumed, c.resumed)
 			}
 		})
 	}
