@@ -14,8 +14,9 @@
 # smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
-# /v1/sweep normalizer, of the task-set JSON decoder and of the engine's
-# stops against the linear scan, bench smoke (one
+# /v1/sweep normalizer, of the task-set JSON decoder, of the engine's
+# stops against the linear scan and of a resumed run against the full
+# run, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -123,6 +124,9 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (engine stops vs the linear scan, 10 s)"
   go test -run '^$' -fuzz '^FuzzStopsMatchLinearScan$' -fuzztime 10s ./internal/sim
+
+  step "fuzz (a run resumed from a fork vs the full run, 10 s)"
+  go test -run '^$' -fuzz '^FuzzResumeMatchesFullRun$' -fuzztime 10s ./internal/experiment
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
