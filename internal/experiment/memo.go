@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -125,13 +124,24 @@ func newUnitKey(cfg Config, interval memoKey, ivIdx int, approaches []policy.App
 		interval:   interval,
 		seed:       cfg.Seed,
 		index:      cfg.IntervalOffset + ivIdx,
-		approaches: fmt.Sprint(approaches),
+		approaches: approachesKey(approaches),
 		opts:       cfg.CoreOpts,
 		power: [4]uint64{math.Float64bits(p.Active), math.Float64bits(p.Idle),
 			math.Float64bits(p.Sleep), uint64(p.BreakEven)},
 		minHorizon: cfg.MinHorizon,
 		horizonCap: cfg.HorizonCap,
 	}
+}
+
+// approachesKey encodes approaches in order, one byte each, in a single
+// allocation: every unit of every handoff scenario builds its key.
+func approachesKey(approaches []policy.Approach) string {
+	var buf [16]byte
+	b := buf[:0]
+	for _, a := range approaches {
+		b = append(b, byte(a))
+	}
+	return string(b)
 }
 
 // NewIntervalMemo builds a memo keeping at most maxSets sets in total —

@@ -89,8 +89,8 @@ func checkResume(t *testing.T, c resumeCase, opts policy.Options, warm *sim.Scra
 	}
 	full := run(sim.Config{Horizon: c.horizon, Faults: plan(), Scratch: warm})
 	fork := sim.ForkOf(run(sim.Config{Horizon: c.horizon, ForkAt: c.at, Scratch: warm}))
-	if fork == nil || fork.At() != c.at {
-		t.Fatalf("%v: the fault-free run captured no fork for the instant", c)
+	if fork == nil {
+		t.Fatalf("%v: the fault-free run captured no fork", c)
 	}
 	for _, scr := range []*sim.Scratch{nil, warm} {
 		got := run(sim.Config{Horizon: c.horizon, Faults: plan(), Resume: fork, Scratch: scr})

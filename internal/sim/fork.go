@@ -63,13 +63,6 @@ type forkTask struct {
 	rowEnd  int
 }
 
-// At returns the instant the fork was captured for.
-func (f *Fork) At() timeu.Time { return f.at }
-
-// Passes returns the loop passes the fault-free run had made when it
-// forked: the ones a resumed run skips.
-func (f *Fork) Passes() int { return f.events }
-
 // ForkOf returns the fork r's run captured (Config.ForkAt), or nil.
 func ForkOf(r *Result) *Fork { return r.fork }
 
@@ -79,8 +72,7 @@ func ForkOf(r *Result) *Fork { return r.fork }
 func (e *Engine) canFork() bool {
 	_, ok := e.policy.(Forker)
 	f := e.cfg.Faults
-	return ok && e.cfg.Resume == nil && f.Permanent == nil && f.TransientRate <= 0 &&
-		e.sink == nil && !e.cfg.RecordTrace
+	return ok && f.Permanent == nil && f.TransientRate <= 0 && e.sink == nil && !e.cfg.RecordTrace
 }
 
 // capture records the run's state as a fork for a run whose fault acts
