@@ -10,7 +10,7 @@
 # policy-layering gate), go test, the benchmark module (go vet + go test
 # in _perfbench/, which ./... skips), go test -race, golden-figure diff
 # (Figures 1-5 vs results/golden/, the full Figure-6 sweep, memoized and
-# with -nocache, and Figure 6c alone, vs results/fig6{a,b,c}.csv), policy
+# with -nocache, and Figures 6b and 6c alone, vs results/fig6{a,b,c}.csv), policy
 # smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
@@ -86,9 +86,10 @@ for fig in 1 2 3 4 5; do
 done
 [ "$status" = 0 ]
 
-step "golden Figure-6 CSVs (full sweep, memoized and -nocache, and 6c alone, vs results/fig6{a,b,c}.csv)"
+step "golden Figure-6 CSVs (full sweep, memoized and -nocache, and 6b and 6c alone, vs results/fig6{a,b,c}.csv)"
 go run ./cmd/mkbench -fig all -q -csv "$tmp/cached"
 go run ./cmd/mkbench -fig all -nocache -q -csv "$tmp/nocache"
+go run ./cmd/mkbench -fig 6b -q -csv "$tmp/alone"
 go run ./cmd/mkbench -fig 6c -q -csv "$tmp/alone"
 for mode in cached nocache; do
   for fig in 6a 6b 6c; do
@@ -98,6 +99,10 @@ for mode in cached nocache; do
     fi
   done
 done
+if ! diff -u results/fig6b.csv "$tmp/alone/fig6b.csv"; then
+  echo "figure 6b CSV regressed (6b alone, no 6a fork to resume from)" >&2
+  status=1
+fi
 if ! diff -u results/fig6c.csv "$tmp/alone/fig6c.csv"; then
   echo "figure 6c CSV regressed (6c alone, nothing to take from 6b)" >&2
   status=1
