@@ -276,7 +276,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				ukey = newUnitKey(cfg, key, ivIdx, approaches)
 				switch cfg.Scenario {
 				case fault.NoFault:
-					if cfg.IntervalMemo.forking(ukey) {
+					if cfg.IntervalMemo.forking(ukey, len(batch.Sets)) {
 						forks = make([]*sim.Fork, len(batch.Sets)*len(approaches))
 					}
 				case fault.PermanentOnly:

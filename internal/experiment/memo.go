@@ -134,7 +134,8 @@ func newUnitKey(cfg Config, interval memoKey, ivIdx int, approaches []policy.App
 }
 
 // approachesKey encodes approaches in order, one byte each, in a single
-// allocation: every unit of every handoff scenario builds its key.
+// allocation: every unit of every handoff scenario builds its key. Its
+// length is the approach count, which keepForks divides by.
 func approachesKey(approaches []policy.Approach) string {
 	var buf [16]byte
 	b := buf[:0]
@@ -232,11 +233,12 @@ func (m *IntervalMemo) takeRuns(k unitKey) []runOutcome {
 	return take(&m.units, k)
 }
 
-// forking reports whether a Figure-6(a) unit keyed k should capture
-// forks: the memo keeps units and none are already waiting under k, so a
-// repeated 6(a) sweep of a unit captures nothing.
-func (m *IntervalMemo) forking(k unitKey) bool {
-	if m == nil || m.maxSets < 0 {
+// forking reports whether a Figure-6(a) unit keyed k with the given
+// number of sets should capture forks: the unit fits the memo's set
+// bound and no forks are already waiting under k, so a repeated 6(a)
+// sweep of a unit captures nothing.
+func (m *IntervalMemo) forking(k unitKey, sets int) bool {
+	if m == nil || sets > m.maxSets {
 		return false
 	}
 	m.mu.Lock()
@@ -245,7 +247,10 @@ func (m *IntervalMemo) forking(k unitKey) bool {
 }
 
 // keepForks keeps the forks of a whole Figure-6(a) unit, set-major,
-// under k until its 6(b) twin takes them.
+// under k until its 6(b) twin takes them. A fork holds a run's state
+// (about 1.6 KB at the paper's settings), so like the kept intervals the
+// waiting forks cover at most maxSets sets, the oldest unit dropped
+// first: /v1/sweep puts no bound on a unit's sets.
 func (m *IntervalMemo) keepForks(k unitKey, forks []*sim.Fork) {
 	if m == nil || m.maxSets < 0 {
 		return
@@ -253,6 +258,16 @@ func (m *IntervalMemo) keepForks(k unitKey, forks []*sim.Fork) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keep(&m.forks, k, forks)
+	for {
+		sets := 0
+		for _, w := range m.forks {
+			sets += len(w.runs) / len(w.key.approaches)
+		}
+		if sets <= m.maxSets {
+			return
+		}
+		m.forks = slices.Delete(m.forks, 0, 1)
+	}
 }
 
 // takeForks removes and returns the forks kept under k, or nil: the

@@ -235,6 +235,40 @@ func TestIntervalMemoBounds(t *testing.T) {
 	}
 }
 
+// TestForkBounds pins the fork handoff's set budget: a unit with more
+// sets than the memo keeps captures nothing, waiting forks cover at most
+// the memo's sets, the oldest unit dropped first, a unit whose forks
+// wait captures nothing more, and a memo with a negative bound captures
+// nothing at all.
+func TestForkBounds(t *testing.T) {
+	m := NewIntervalMemo(5)
+	key := func(seed uint64) unitKey {
+		return unitKey{seed: seed, approaches: approachesKey([]policy.Approach{policy.ST, policy.DP})}
+	}
+	if m.forking(key(9), 6) {
+		t.Error("a 6-set unit captures forks under a 5-set bound")
+	}
+	for seed := uint64(0); seed < 3; seed++ {
+		if !m.forking(key(seed), 2) {
+			t.Fatalf("unit %d: a 2-set unit captures no forks", seed)
+		}
+		m.keepForks(key(seed), make([]*sim.Fork, 2*2))
+	}
+	var kept []uint64
+	for _, w := range m.forks {
+		kept = append(kept, w.key.seed)
+	}
+	if !slices.Equal(kept, []uint64{1, 2}) {
+		t.Errorf("units %v wait after three 2-set units under a 5-set bound, want [1 2]", kept)
+	}
+	if m.forking(key(2), 2) {
+		t.Error("a unit whose forks wait captures again")
+	}
+	if NewIntervalMemo(-1).forking(key(0), 0) {
+		t.Error("a memo with a negative bound captures forks")
+	}
+}
+
 // TestTransientFreeMatchesRealRuns is the handoff rule's oracle. Over
 // the seed-2020 full-fidelity Figure-6(b) sweep it replays, for every
 // (set, approach), the 6(c) plan's draws up to the 6(b) run's
