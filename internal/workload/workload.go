@@ -97,12 +97,32 @@ func (g *Generator) uunifast(n int, total float64) []float64 {
 	us := g.us[:n]
 	sum := total
 	for i := 0; i < n-1; i++ {
-		next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
+		next := sum * rootPow(g.rng.Float64(), n-1-i)
 		us[i] = sum - next
 		sum = next
 	}
 	us[n-1] = sum
 	return us
+}
+
+// rootPow returns r^(1/d) for r in [0, 1) and d ≥ 1, bit for bit what
+// math.Pow(r, 1/float64(d)) returns where Pow is Go's portable pow
+// (every GOARCH but s390x). For y = 1 and y = ½ pow takes its own
+// identity and Sqrt cases. For y = 1/d ≤ ⅓, Modf gives pow an integer
+// part of 0, so it returns Ldexp(Exp(y·Log(r)), 0), which is the identity
+// since the result is normal: r is 0 or at least 2⁻⁵³, so the root is 0
+// or at least 2⁻¹⁸. What is left is the Exp and Log that pow would
+// call, without its special cases, Modf, Frexp and Ldexp.
+//
+//mklint:hotpath
+func rootPow(r float64, d int) float64 {
+	switch d {
+	case 1:
+		return r
+	case 2:
+		return math.Sqrt(r)
+	}
+	return math.Exp((1 / float64(d)) * math.Log(r))
 }
 
 // infeasibleError reports a drawn task whose WCET exceeds its deadline.
@@ -118,9 +138,10 @@ func (e *infeasibleError) Error() string {
 }
 
 // Candidate draws one random task set with total (m,k)-utilization
-// targetU (no schedulability filtering). It errors only when the target
-// is infeasible for the drawn structure (some Ci would exceed its
-// deadline even after clamping, or fall below MinWCET).
+// targetU (no schedulability filtering). Each Ci is floored at MinWCET.
+// It errors when targetU is not positive (drawing nothing), when some Ci
+// exceeds its deadline after the floor, or when the set fails Validate
+// (a Ci that rounds to 0 under a MinWCET of 0).
 func (g *Generator) Candidate(targetU float64) (*task.Set, error) {
 	if targetU <= 0 {
 		return nil, errors.New("workload: non-positive utilization target")
@@ -149,7 +170,13 @@ func (g *Generator) draw(targetU float64) bool {
 		n += g.rng.Intn(g.cfg.NTasksMax - g.cfg.NTasksMin + 1)
 	}
 	us := g.uunifast(n, targetU)
-	g.cand.Tasks = g.cand.Tasks[:0]
+	if cap(g.cand.Tasks) < n {
+		g.cand.Tasks = make([]task.Task, n)
+	}
+	// Each task is written field by field into its slot: Name and Offset
+	// stay zero in the scratch, and a composite literal would be built in
+	// a temporary and copied in behind a write barrier for Name.
+	tasks := g.cand.Tasks[:n]
 	for i := 0; i < n; i++ {
 		var period timeu.Time
 		var k int
@@ -168,18 +195,14 @@ func (g *Generator) draw(targetU float64) bool {
 		if wcet < g.cfg.MinWCET {
 			wcet = g.cfg.MinWCET
 		}
-		g.cand.Tasks = append(g.cand.Tasks, task.Task{
-			ID:       i,
-			Period:   period,
-			Deadline: period,
-			WCET:     wcet,
-			M:        m,
-			K:        k,
-		})
+		t := &tasks[i]
+		t.ID, t.Period, t.Deadline, t.WCET, t.M, t.K = i, period, period, wcet, m, k
 		if wcet > period {
+			g.cand.Tasks = tasks[:i+1]
 			return false
 		}
 	}
+	g.cand.Tasks = tasks
 	return true
 }
 
@@ -223,7 +246,10 @@ type IntervalResult struct {
 // attempts (paper: 20 and 5000). Each candidate is drawn, checked and
 // filtered in the generator's scratch; only a kept set is copied out.
 // The stream is consumed exactly as a loop of Candidate, bucket check
-// and Schedulable would consume it.
+// and Schedulable would consume it. The bucket check and the filter
+// draw nothing, so their order cannot change which sets are kept; the
+// filter goes first because at high utilization its O(n) first-job test
+// rejects nearly every set before the bucket's n divisions.
 func (g *Generator) GenerateInterval(iv Interval, want, maxCandidates int) IntervalResult {
 	res := IntervalResult{Interval: iv}
 	for res.Candidates < maxCandidates && len(res.Sets) < want {
@@ -232,12 +258,12 @@ func (g *Generator) GenerateInterval(iv Interval, want, maxCandidates int) Inter
 		if target <= 0 || !g.draw(target) || g.cand.Validate() != nil {
 			continue
 		}
+		if !g.Schedulable(&g.cand) {
+			continue
+		}
 		// The WCET floor can push the realized utilization out of the
 		// bucket; keep the buckets honest.
 		if u := g.cand.MKUtilization(); u < iv.Lo || u >= iv.Hi {
-			continue
-		}
-		if !g.Schedulable(&g.cand) {
 			continue
 		}
 		res.Sets = append(res.Sets, task.NewSet(g.cand.Tasks...))

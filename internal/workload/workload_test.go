@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
@@ -330,4 +333,100 @@ func TestGenerateIntervalRejectAllocs(t *testing.T) {
 		t.Errorf("GenerateInterval over %v allocates %v times, want < 100", iv, allocs)
 	}
 	t.Logf("%v allocations for 5000 rejected candidates", allocs)
+}
+
+// TestRootPowMatchesPow pins rootPow to math.Pow(x, 1/d) bit for bit for
+// every d in 1…64: at 0, at every power of two from 2⁻⁵³ to ½ and at
+// 1 − 2⁻⁵³ for each d, and at 10⁶ draws of the stream UUniFast draws
+// from, d cycling through 1…64 so each d meets 15,625 of them. It holds
+// wherever math.Pow is Go's portable pow, every GOARCH but s390x; on
+// s390x this test is where a difference would show.
+func TestRootPowMatchesPow(t *testing.T) {
+	check := func(x float64, d int) {
+		got, want := rootPow(x, d), math.Pow(x, 1/float64(d))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rootPow(%v, %d) = %v, math.Pow = %v", x, d, got, want)
+		}
+	}
+	xs := []float64{0, 1 - 0x1p-53}
+	for e := -53; e <= -1; e++ {
+		xs = append(xs, math.Ldexp(1, e))
+	}
+	for _, x := range xs {
+		for d := 1; d <= 64; d++ {
+			check(x, d)
+		}
+	}
+	rng := stats.NewRand(1)
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Float64(), 1+i%64)
+	}
+}
+
+// FuzzDrawMatchesReference runs one decoded generator config through
+// Candidate and GenerateInterval and through refCandidate and
+// refGenerateInterval: the sets, errors, candidate counts and the next
+// stream value must all match.
+func FuzzDrawMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fuzzDrawCase(data)
+		got, want := NewGenerator(c.cfg, c.seed), NewGenerator(c.cfg, c.seed)
+		for _, target := range c.targets {
+			gs, gerr := got.Candidate(target)
+			ws, werr := refCandidate(want, target)
+			switch {
+			case fmt.Sprint(gerr) != fmt.Sprint(werr):
+				t.Fatalf("%+v Candidate(%v): error %v, reference %v", c, target, gerr, werr)
+			case gerr == nil && !reflect.DeepEqual(gs, ws):
+				t.Fatalf("%+v Candidate(%v):\n%v\nreference:\n%v", c, target, gs, ws)
+			}
+		}
+		g := got.GenerateInterval(c.iv, 4, 60)
+		w := refGenerateInterval(want, c.iv, 4, 60)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%+v GenerateInterval: %d sets from %d candidates, reference %d from %d",
+				c, len(g.Sets), g.Candidates, len(w.Sets), w.Candidates)
+		}
+		if a, b := got.rng.Uint64(), want.rng.Uint64(); a != b {
+			t.Fatalf("%+v: streams diverged", c)
+		}
+	})
+}
+
+type drawCase struct {
+	seed    uint64
+	cfg     Config
+	targets []float64
+	iv      Interval
+}
+
+// fuzzDrawCase decodes data into a draw case (missing bytes read as
+// zero). Bytes 0–7 are the seed. Then one byte each: NTasksMin in
+// [1, 12], the span to NTasksMax in [0, 8] (so UUniFast roots reach
+// d = 19), KMin in [2, 20], the span to KMax in [0, 20], PeriodMin in
+// [1, 50] ms, the span to PeriodMax in [0, 100] ms, HarmonicPeriods
+// (low bit) and MinWCET in [0, 100] µs. Two bytes give u in (0, 1], and
+// the Candidate targets are −u, 0, u and 1 + u. Two more give the
+// interval's low end in [−0.2, 1.1] and two its width in [0.0001, 0.2].
+func fuzzDrawCase(data []byte) drawCase {
+	next := func(n int) uint64 {
+		var b [8]byte
+		copy(b[:n], data)
+		data = data[min(n, len(data)):]
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	c := drawCase{seed: next(8), cfg: DefaultConfig()}
+	c.cfg.NTasksMin = 1 + int(next(1)%12)
+	c.cfg.NTasksMax = c.cfg.NTasksMin + int(next(1)%9)
+	c.cfg.KMin = 2 + int(next(1)%19)
+	c.cfg.KMax = c.cfg.KMin + int(next(1)%21)
+	c.cfg.PeriodMin = timeu.Time(1+next(1)%50) * timeu.Millisecond
+	c.cfg.PeriodMax = c.cfg.PeriodMin + timeu.Time(next(1)%101)*timeu.Millisecond
+	c.cfg.HarmonicPeriods = next(1)&1 == 1
+	c.cfg.MinWCET = timeu.Time(next(1) % 101)
+	u := float64(1+next(2)%1000) / 1000
+	c.targets = []float64{-u, 0, u, 1 + u}
+	lo := float64(int(next(2)%1301)-200) / 1000
+	c.iv = Interval{Lo: lo, Hi: lo + float64(1+next(2)%2000)/10000}
+	return c
 }
