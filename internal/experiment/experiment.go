@@ -464,7 +464,9 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 		forkAt = fault.NewPlan(fault.PermanentOnly, horizon, stats.NewRand(faultSeed)).Permanent.At
 	}
 	// A run that takes its 6(b) outcome needs neither the offline
-	// analysis nor a scratch, so both are fetched by the first engine run.
+	// analysis nor a scratch, so the first engine run fetches the scratch.
+	// A run resumed from a fork continues with the fork's policy and never
+	// calls Init, so the first run from 0 fetches the analysis.
 	opts := cfg.CoreOpts
 	var scr *sim.Scratch
 	defer func() {
@@ -485,26 +487,27 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 				continue
 			}
 		}
+		run := sim.Config{Power: cfg.Power, Horizon: horizon, ForkAt: forkAt}
+		if forks != nil && cfg.Scenario == fault.PermanentOnly {
+			run.Resume = forks[ai]
+		}
+		if run.Resume == nil && opts.Offline == nil && cfg.Cache != nil {
+			// One offline analysis per set, shared by every approach
+			// below (and by any other run of a fingerprint-identical
+			// set).
+			opts.Offline = cfg.Cache.Get(s, analysis.Options{
+				Pattern:        opts.Pattern,
+				HyperperiodCap: opts.HyperperiodCap,
+			})
+		}
 		if scr == nil {
-			if opts.Offline == nil && cfg.Cache != nil {
-				// One offline analysis per set, shared by every approach
-				// below (and by any other run of a fingerprint-identical
-				// set).
-				opts.Offline = cfg.Cache.Get(s, analysis.Options{
-					Pattern:        opts.Pattern,
-					HyperperiodCap: opts.HyperperiodCap,
-				})
-			}
 			if scratches != nil {
 				scr = <-scratches
 			} else {
 				scr = cfg.ScratchPool.Get()
 			}
 		}
-		run := sim.Config{Power: cfg.Power, Horizon: horizon, Scratch: scr, ForkAt: forkAt}
-		if forks != nil && cfg.Scenario == fault.PermanentOnly {
-			run.Resume = forks[ai]
-		}
+		run.Scratch = scr
 		// Each approach re-draws the same plan from the same seed, so the
 		// permanent fault instant/processor are identical across
 		// approaches (fair comparison); transient draws consume the

@@ -275,6 +275,12 @@ func checkRunInvariants(t *testing.T, seed uint64, rep *Report) {
 	}
 }
 
+// lookups counts the analysis-cache lookups, hits plus misses, between
+// two snapshots of one session's cache.
+func lookups(before, after CacheStats) uint64 {
+	return after.Hits + after.Misses - before.Hits - before.Misses
+}
+
 // TestSessionFiguresMatchFreshSessions runs Figures 6a, 6b and 6c over
 // the full range on one session, then 6c and 6b again. Each report must
 // equal a fresh session's, and the interval memo must serve every sweep
@@ -282,7 +288,9 @@ func checkRunInvariants(t *testing.T, seed uint64, rep *Report) {
 // 48 of its runs (16 sets, 3 approaches) from 6a's forks, and the first
 // 6c takes all 48 of its runs from 6b; the second 6c takes none and the
 // second 6b resumes none, since each unit is handed on once. A fresh
-// session, with no 6a before its 6b, resumes nothing.
+// session, with no 6a before its 6b, resumes nothing. Only a set with a
+// run from 0 looks up its offline analysis: a resumed run continues with
+// its fork's policy, and a taken run does not run at all.
 func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 	const seed = 2020
 	ctx := context.Background()
@@ -290,23 +298,31 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 	figures := []struct {
 		sc             Scenario
 		taken, resumed uint64 // runs taken from 6b, and resumed from 6a, so far
+		lookups        uint64 // analysis-cache lookups of this sweep
 	}{
-		{NoFault, 0, 0}, {PermanentOnly, 0, 48}, {PermanentAndTransient, 48, 48},
-		{PermanentAndTransient, 48, 48}, {PermanentOnly, 48, 48},
+		{NoFault, 0, 0, 16}, {PermanentOnly, 0, 48, 0}, {PermanentAndTransient, 48, 48, 0},
+		{PermanentAndTransient, 48, 48, 16}, {PermanentOnly, 48, 48, 16},
 	}
 	for fig, f := range figures {
 		cfg := DefaultSweepConfig(f.sc)
 		cfg.Seed = seed
 		cfg.SetsPerInterval = 3
 		cfg.MaxCandidates = 600
+		before := session.CacheStats()
 		got, err := session.Sweep(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := lookups(before, session.CacheStats()); n != f.lookups {
+			t.Errorf("seed %d sweep %d (%v): %d analysis lookups, want %d", seed, fig, f.sc, n, f.lookups)
 		}
 		fresh := NewRunner(RunnerConfig{})
 		want, err := fresh.Sweep(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := lookups(CacheStats{}, fresh.CacheStats()); n != 16 {
+			t.Errorf("seed %d sweep %d (%v) on a fresh session: %d analysis lookups, want one per set, 16", seed, fig, f.sc, n)
 		}
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Errorf("seed %d sweep %d (%v): the session's report differs from a fresh session's", seed, fig, f.sc)
@@ -333,10 +349,10 @@ func TestSessionFiguresMatchFreshSessions(t *testing.T) {
 // sweep under no-fault, permanent and permanent+transient on one
 // session, so only the first scenario's units draw — 5 intervals of 15
 // units on fig6-accept, 3 of 9 on fig6-reject — the second scenario's
-// runs all resume from the first's forks, and the third scenario's
-// units take their runs from the second's. CacheEntries < 0 turns the
-// session state off, and then every unit draws and every run runs from
-// 0.
+// runs all resume from the first's forks without looking up an offline
+// analysis, and the third scenario's units take their runs from the
+// second's. CacheEntries < 0 turns the session state off, and then every
+// unit draws and every run runs from 0, each set after an analysis.
 func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 	const seed = 2020
 	all := workload.Intervals(0.1, 1.0, 0.1)
@@ -347,15 +363,17 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 		draws       uint64
 		taken       uint64 // permanent+transient runs taken from permanent ones
 		resumed     uint64 // permanent runs resumed from no-fault ones
+		lookups     uint64 // analysis lookups of the permanent scenario
 	}{
-		{"fig6-accept", 0, 5, 0, 5, 297, 300}, // of 300 runs
-		{"fig6-reject", 6, 9, 0, 3, 6, 6},     // of 6
-		{"fig6-reject uncached", 6, 9, -1, 9, 0, 0},
+		{"fig6-accept", 0, 5, 0, 5, 297, 300, 0}, // of 300 runs, 100 sets
+		{"fig6-reject", 6, 9, 0, 3, 6, 6, 0},     // of 6 runs, 2 sets
+		{"fig6-reject uncached", 6, 9, -1, 9, 0, 0, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := NewRunner(RunnerConfig{CacheEntries: c.entries})
 			for _, sc := range []Scenario{NoFault, PermanentOnly, PermanentAndTransient} {
+				before := r.CacheStats()
 				for off := c.first; off < c.last; off++ {
 					cfg := DefaultSweepConfig(sc)
 					cfg.Seed = seed
@@ -367,6 +385,9 @@ func TestBenchmarkCycleDrawsOnce(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkRunInvariants(t, seed, rep)
+				}
+				if n := lookups(before, r.CacheStats()); sc == PermanentOnly && n != c.lookups {
+					t.Errorf("seed %d: %d analysis lookups in the permanent-fault units, want %d", seed, n, c.lookups)
 				}
 			}
 			units := uint64(3 * (c.last - c.first))
