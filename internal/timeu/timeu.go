@@ -140,8 +140,9 @@ func LCMAll(vs []Time, cap Time) Time {
 }
 
 // CeilDiv returns ⌈a / b⌉ for positive b, the workhorse of response-time
-// analysis interference terms. It never overflows: a + b − 1 would wrap
-// once a and b together pass the largest Time.
+// analysis interference terms, and 0 for a negative a (no window, no
+// interference). It never overflows: a + b − 1 would wrap once a and b
+// together pass the largest Time.
 func CeilDiv(a, b Time) Time {
 	if b <= 0 {
 		panic("timeu: CeilDiv by non-positive divisor")

@@ -1,7 +1,9 @@
 package timeu
 
 import (
+	"encoding/binary"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -221,4 +223,62 @@ func TestApproxZero(t *testing.T) {
 			t.Errorf("ApproxZero(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
+}
+
+// FuzzLCMMatchesBig checks the saturating arithmetic against math/big on
+// one decoded case (missing bytes read as zero). Bytes 0–7 give the cap
+// and byte 8 the count n in [1, 8]; each value then reads 8 bytes. Cap
+// and values are 1 + raw mod MaxInt64, so positive and never above
+// MaxInt64. LCM of the first two values and LCMAll of all n must equal
+// their exact least common multiple, capped at the cap. CeilDiv of the
+// first value's raw bytes, read as a signed a, by the second value must
+// equal ⌈a/b⌉ for a ≥ 0 and 0 for a < 0.
+func FuzzLCMMatchesBig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) uint64 {
+			var b [8]byte
+			copy(b[:n], data)
+			data = data[min(n, len(data)):]
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		pos := func(raw uint64) Time { return 1 + Time(raw%math.MaxInt64) }
+		limit := pos(next(8))
+		raws := make([]uint64, 1+next(1)%8)
+		vs := make([]Time, len(raws))
+		for i := range raws {
+			raws[i] = next(8)
+			vs[i] = pos(raws[i])
+		}
+		a, b := vs[0], vs[1%len(vs)]
+		if got, want := LCM(a, b, limit), bigLCM([]Time{a, b}, limit); got != want {
+			t.Fatalf("LCM(%d, %d, %d) = %d, math/big %d", a, b, limit, got, want)
+		}
+		if got, want := LCMAll(vs, limit), bigLCM(vs, limit); got != want {
+			t.Fatalf("LCMAll(%d, %d) = %d, math/big %d", vs, limit, got, want)
+		}
+		num := Time(raws[0])
+		want := Time(0)
+		if num > 0 {
+			q := new(big.Int).Add(big.NewInt(int64(num)), big.NewInt(int64(b)-1))
+			want = Time(q.Quo(q, big.NewInt(int64(b))).Int64())
+		}
+		if got := CeilDiv(num, b); got != want {
+			t.Fatalf("CeilDiv(%d, %d) = %d, math/big %d", num, b, got, want)
+		}
+	})
+}
+
+// bigLCM is the least common multiple of positive vs, computed exactly
+// and then capped at limit.
+func bigLCM(vs []Time, limit Time) Time {
+	l := big.NewInt(int64(vs[0]))
+	for _, v := range vs[1:] {
+		bv := big.NewInt(int64(v))
+		g := new(big.Int).GCD(nil, nil, l, bv)
+		l.Mul(l.Quo(l, g), bv)
+	}
+	if l.Cmp(big.NewInt(int64(limit))) >= 0 {
+		return limit
+	}
+	return Time(l.Int64())
 }
