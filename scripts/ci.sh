@@ -15,8 +15,9 @@
 # results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
 # /v1/sweep normalizer, of the task-set JSON decoder, of the engine's
-# stops against the linear scan and of a resumed run against the full
-# run, bench smoke (one
+# stops against the linear scan, of a resumed run against the full run,
+# of the candidate draw against its reference and of the saturating
+# time arithmetic against math/big, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -132,6 +133,12 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (a run resumed from a fork vs the full run, 10 s)"
   go test -run '^$' -fuzz '^FuzzResumeMatchesFullRun$' -fuzztime 10s ./internal/experiment
+
+  step "fuzz (the candidate draw vs the reference draw, 10 s)"
+  go test -run '^$' -fuzz '^FuzzDrawMatchesReference$' -fuzztime 10s ./internal/workload
+
+  step "fuzz (saturating time arithmetic vs math/big, 10 s)"
+  go test -run '^$' -fuzz '^FuzzLCMMatchesBig$' -fuzztime 10s ./internal/timeu
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
