@@ -12,7 +12,7 @@
 //     (backups also run before promotion)
 //
 // A second mode, -ksweep, produces the Fig-7 family instead: Goossens'
-// exact DBP schedulability test (rta.DBPExact) evaluated per utilization
+// exact DBP schedulability test (dbp.Exact) evaluated per utilization
 // bucket under four initial k-sequence seeds — fresh (all-effective),
 // single-miss, E-pattern-shaped, and worst (every window one miss from
 // violation) — quantifying how much of DBP's schedulability is owed to
@@ -37,8 +37,8 @@ import (
 	"repro"
 	"repro/internal/analysis"
 	"repro/internal/pattern"
-	"repro/internal/rta"
 	"repro/internal/sim/policy"
+	"repro/internal/sim/policy/dbp"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -175,7 +175,7 @@ var kseeds = []kseed{
 // guarantees survival of the synchronous all-mandatory start, which
 // dominates every hostile seed and would flatten the figure — the whole
 // point is to see where DBP holds beyond the static-pattern regime.
-// Harmonic periods keep the hyperperiods small so the state-space walk
+// Harmonic periods keep the hyperperiods small so the exact test
 // closes its cycle (exact verdicts); the rare inexact verdict is counted
 // by its bounded-horizon answer.
 func runKSweep(sets, candidates int, seed uint64, lo, hi float64, quiet bool) {
@@ -206,9 +206,10 @@ func runKSweep(sets, candidates int, seed uint64, lo, hi float64, quiet bool) {
 				continue
 			}
 			// θ always computes for a valid set (divergent tasks fall
-			// back to the safe promotion interval).
-			an, err := analysis.New(s, analysis.Options{}).Postponement()
-			if err != nil {
+			// back to the safe promotion interval). The products hand it
+			// to every seed's run.
+			prod := analysis.New(s, analysis.Options{})
+			if _, err := prod.Postponement(); err != nil {
 				continue
 			}
 			used++
@@ -220,7 +221,11 @@ func runKSweep(sets, candidates int, seed uint64, lo, hi float64, quiet bool) {
 						init[ti] = ks.row(s.Tasks[ti].M, s.Tasks[ti].K)
 					}
 				}
-				v := rta.DBPExact(s, rta.DBPConfig{Theta: an.Theta, Init: init})
+				v, err := dbp.Exact(s, policy.Options{Offline: prod}, init)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "mkablate: ksweep: %v\n", err)
+					os.Exit(1)
+				}
 				if v.Schedulable {
 					pass[ki]++
 				}

@@ -1,10 +1,10 @@
 // Package dbp implements DBP (distance-based priority), the canonical
 // dynamic (m,k) scheduling policy of Hamdaoui & Ramanathan, adapted to
 // the paper's two-processor standby-sparing system. Goossens
-// (arXiv:0805.0200) gives the matching exact schedulability test, ported
-// in internal/rta as DBPExact; the test and this policy are deliberately
-// mirror images of one another, pinned together by the agreement tests in
-// this package.
+// (arXiv:0805.0200) gives the matching exact schedulability test, Exact
+// (exact.go), which reads its verdict off one fault-free engine run of
+// this policy. The tests check Exact against a hand-written walk of the
+// same schedule (walk_test.go) that shares no code with the engine.
 package dbp
 
 import (

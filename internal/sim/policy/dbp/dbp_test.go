@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/pattern"
-	"repro/internal/postpone"
-	"repro/internal/rta"
 	"repro/internal/sim"
 	"repro/internal/sim/policy"
 	"repro/internal/stats"
@@ -16,7 +14,7 @@ import (
 )
 
 // randomSet draws a small task set from a harmonic-ish period pool so the
-// hyperperiod stays tiny (≤ 40ms) and the exact walk closes its cycle
+// hyperperiod stays tiny (≤ 40ms) and the exact test closes its cycle
 // fast. WCETs are kept light enough that θ analysis usually converges;
 // sets it rejects are simply skipped by the callers.
 func randomSet(rng *stats.Rand) *task.Set {
@@ -129,59 +127,6 @@ func heavySet(rng *stats.Rand) *task.Set {
 		tasks[i] = task.New(i, p, p, c, m, k)
 	}
 	return task.NewSet(tasks...)
-}
-
-// TestExactAgreesWithSimulation pins the acceptance criterion: whenever
-// rta.DBPExact returns an exact verdict, a fault-free engine run of the
-// MKSS-DBP policy over the proven transient+cycle horizon agrees on
-// (m,k)-violation-freedom. Walker and policy are mirror images; any drift
-// in dispatch order, θ application or settlement shows up here.
-func TestExactAgreesWithSimulation(t *testing.T) {
-	rng := stats.NewRand(0x90055)
-	exactCount, refuted := 0, 0
-	for trial := 0; trial < 120; trial++ {
-		s := randomSet(rng)
-		if trial%3 == 2 {
-			s = heavySet(rng)
-		}
-		an, err := postpone.Compute(s, postpone.Options{})
-		if err != nil {
-			continue
-		}
-		v := rta.DBPExact(s, rta.DBPConfig{Theta: an.Theta})
-		if !v.Exact {
-			continue
-		}
-		exactCount++
-		if !v.Schedulable {
-			refuted++
-		}
-		h := s.Hyperperiod(rta.DefaultDBPCap)
-		spans := v.Transient + v.Cycle
-		if spans == 0 {
-			// Refutations carry no cycle; cover the walk's full budget.
-			spans = rta.DefaultDBPMaxHyperperiods
-		}
-		horizon := timeu.Time(spans+1) * h
-		eng, err := sim.New(s, &dbpPolicy{opts: policy.Options{FDThreshold: 1}}, sim.Config{
-			Horizon: horizon,
-			Faults:  fault.NoFaults(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := eng.Run()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := r.MKSatisfied(); got != v.Schedulable {
-			t.Errorf("trial %d: exact test says schedulable=%v but simulation MKSatisfied=%v\nset: %v\nverdict: %+v\nviolations: %v",
-				trial, v.Schedulable, got, s, v, r.ViolationAt)
-		}
-	}
-	if exactCount < 60 || refuted < 5 {
-		t.Fatalf("corpus too weak to pin agreement: %d/120 exact verdicts, %d refutations", exactCount, refuted)
-	}
 }
 
 // TestReleaseClassification pins the two tiers on the paper's Fig. 1 set:

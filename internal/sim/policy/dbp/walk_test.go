@@ -1,37 +1,29 @@
-package rta
+package dbp
 
 import (
 	"strings"
 
 	"repro/internal/pattern"
+	"repro/internal/postpone"
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
 
-// This file implements Goossens' exact schedulability test for DBP
-// (distance-based priority) scheduling of (m,k)-firm task sets
-// (arXiv:0805.0200), extended to the paper's two-processor
-// standby-sparing arrangement: a deterministic fault-free walk of the
-// DBP schedule whose state — the concatenation of every task's sliding
-// k-window of outcomes — is sampled at hyperperiod boundaries. Because
-// the walk is deterministic and the per-boundary state space is finite
-// (∏ 2^ki), the trajectory must eventually revisit a state; if no (m,k)
-// violation occurred before the cycle closes, none ever will, and the
-// verdict is exact. Goossens' key observation carries over unchanged:
-// the verdict depends on the *initial* k-sequences, not just the task
-// parameters, which is what `mkablate -ksweep` measures.
+// walkExact is the reference Exact is checked against: the same exact
+// test as a hand-written deterministic fault-free walk of the DBP
+// schedule, sampled at hyperperiod boundaries like Exact's engine run.
 //
 // The walk is a deliberate mirror of the engine running the MKSS-DBP
-// policy (internal/sim/policy/dbp) with no faults injected: the same
-// same-instant ordering (completions, then deadlines, then releases,
-// then dispatch), the same distance rule (FlexibilityDegree + 1 at
-// release), the same promoted distance-1 tier running as main+θ-postponed
-// backup pairs, and the same rule that an optional copy unable to finish
-// by its deadline is never dispatched. The agreement is pinned by
-// randomized tests in the dbp policy package.
+// policy with no faults injected: the same same-instant ordering
+// (completions, then deadlines, then releases, then dispatch), the same
+// distance rule (FlexibilityDegree + 1 at release), the same promoted
+// distance-1 tier running as main+θ-postponed backup pairs, and the same
+// rule that an optional copy unable to finish by its deadline is never
+// dispatched. It shares no code with the engine, so an agreement is
+// evidence about both.
 
-// DBPConfig parameterizes DBPExact.
-type DBPConfig struct {
+// walkConfig parameterizes walkExact.
+type walkConfig struct {
 	// Theta postpones task i's backup copies by Theta[i] (Eq. 3), as the
 	// MKSS-DBP policy does. Nil runs without backup copies — plain
 	// uniprocessor DBP, Goossens' original setting.
@@ -42,44 +34,13 @@ type DBPConfig struct {
 	// mean the all-effective fresh start the simulator uses.
 	Init [][]bool
 	// Cap saturates the hyperperiod (see task.Set.Hyperperiod); zero
-	// means DefaultDBPCap. A saturated hyperperiod disables cycle
-	// detection: the verdict degrades to a bounded-horizon check.
+	// means postpone.DefaultHyperperiodCap. A saturated hyperperiod
+	// disables cycle detection: the verdict degrades to a bounded-horizon
+	// check.
 	Cap timeu.Time
 	// MaxHyperperiods bounds the walk when no cycle closes earlier; zero
-	// means DefaultDBPMaxHyperperiods.
+	// means maxHyperperiods.
 	MaxHyperperiods int
-}
-
-// DefaultDBPCap bounds the hyperperiod of the exact DBP walk; it matches
-// the θ analysis cap (postpone.DefaultHyperperiodCap).
-const DefaultDBPCap = 10 * timeu.Second
-
-// DefaultDBPMaxHyperperiods bounds the walk length. The reachable
-// k-window states of real task sets are a tiny fraction of the 2^Σki
-// worst case; across the randomized corpus cycles close within a handful
-// of hyperperiods.
-const DefaultDBPMaxHyperperiods = 64
-
-// DBPVerdict is the outcome of the exact test.
-type DBPVerdict struct {
-	// Schedulable reports that no task violates its (m,k) constraint —
-	// ever, when Exact; within the walked horizon otherwise.
-	Schedulable bool
-	// ViolationTask is the task whose window broke first, or -1.
-	ViolationTask int
-	// ViolationIndex is the 1-based job index whose outcome broke the
-	// window, or 0.
-	ViolationIndex int
-	// Transient and Cycle describe the reached orbit in hyperperiods:
-	// the walk enters a cycle of length Cycle after Transient boundary
-	// states. Zero when no cycle closed (violation found first, or the
-	// walk was inexact).
-	Transient, Cycle int
-	// Exact reports whether the verdict is a proof (a violation was
-	// found, or a violation-free cycle closed) rather than a
-	// bounded-horizon check (saturated hyperperiod, nonzero offsets, or
-	// exhausted walk budget).
-	Exact bool
 }
 
 // dbpJob is one job copy inside the walk.
@@ -121,17 +82,17 @@ type dbpWalk struct {
 	violIndex int
 }
 
-// DBPExact runs the exact DBP schedulability test. See the file comment
-// for semantics.
-func DBPExact(s *task.Set, cfg DBPConfig) DBPVerdict {
+// walkExact runs the exact DBP schedulability test as a walk. See the
+// comment above for semantics.
+func walkExact(s *task.Set, cfg walkConfig) Verdict {
 	if cfg.Cap <= 0 {
-		cfg.Cap = DefaultDBPCap
+		cfg.Cap = postpone.DefaultHyperperiodCap
 	}
 	if cfg.MaxHyperperiods <= 0 {
-		cfg.MaxHyperperiods = DefaultDBPMaxHyperperiods
+		cfg.MaxHyperperiods = maxHyperperiods
 	}
 	h := s.Hyperperiod(cfg.Cap)
-	verdict := DBPVerdict{ViolationTask: -1}
+	verdict := Verdict{ViolationTask: -1}
 	if h <= 0 {
 		return verdict
 	}
@@ -294,10 +255,12 @@ func (w *dbpWalk) deadlines() {
 }
 
 // record mirrors the engine's settlement notification: the outcome enters
-// the task's window, and a broken window ends the walk.
+// the task's window, and a broken window ends the walk. Every window that
+// breaks does so in the pass that ends the walk, so they all break at one
+// instant; the verdict names the lowest task ID among them.
 func (w *dbpWalk) record(taskID, index int, effective bool) {
 	w.hist[taskID].Record(effective)
-	if !effective && w.hist[taskID].Violated() && !w.violated {
+	if !effective && w.hist[taskID].Violated() && (!w.violated || taskID < w.violTask) {
 		w.violated = true
 		w.violTask = taskID
 		w.violIndex = index
