@@ -12,12 +12,15 @@
 # (Figures 1-5 vs results/golden/, the full Figure-6 sweep, memoized and
 # with -nocache, and Figures 6b and 6c alone, vs results/fig6{a,b,c}.csv), policy
 # smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
-# results/golden/fig7_ksweep.csv), a 15 s fuzz of the first-job
+# results/golden/fig7_ksweep.csv), the ablation tables (mkablate's three
+# recorded runs diffed against results/ablation*.txt, wall-clock column
+# stripped), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
 # /v1/sweep normalizer, of the task-set JSON decoder, of the engine's
 # stops against the linear scan, of a resumed run against the full run,
-# of the candidate draw against its reference and of the saturating
-# time arithmetic against math/big, bench smoke (one
+# of the candidate draw against its reference, of the saturating
+# time arithmetic against math/big and of the exact DBP test against
+# its reference walk, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -118,6 +121,24 @@ if ! diff -u results/golden/fig7_ksweep.csv "$tmp/fig7_ksweep.csv"; then
   exit 1
 fi
 
+step "ablation tables (mkablate vs results/ablation*.txt, timing stripped)"
+# Each table line ends in its variant's wall-clock time, "(53ms)": the
+# only column that may differ.
+go build -o "$tmp/mkablate" ./cmd/mkablate
+abl="-sets 12 -candidates 3000 -lo 0.2 -hi 0.8 -q"
+"$tmp/mkablate" $abl > "$tmp/ablation.txt"
+"$tmp/mkablate" $abl -harmonic > "$tmp/ablation_harmonic.txt"
+"$tmp/mkablate" $abl -harmonic -scenario permanent > "$tmp/ablation_harmonic_permanent.txt"
+for table in ablation ablation_harmonic ablation_harmonic_permanent; do
+  sed -E 's/[[:space:]]+\([^)]*\)$//' "results/$table.txt" > "$tmp/$table.want"
+  sed -E 's/[[:space:]]+\([^)]*\)$//' "$tmp/$table.txt" > "$tmp/$table.got"
+  if ! diff -u "$tmp/$table.want" "$tmp/$table.got"; then
+    echo "results/$table.txt regressed (regenerate it only if the change is intended)" >&2
+    status=1
+  fi
+done
+[ "$status" = 0 ]
+
 if [ "$fast" = 0 ]; then
   step "fuzz (first-job test vs the walk, 15 s)"
   go test -run '^$' -fuzz '^FuzzCriticalInstantMatchesWalk$' -fuzztime 15s ./internal/rta
@@ -139,6 +160,9 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (saturating time arithmetic vs math/big, 10 s)"
   go test -run '^$' -fuzz '^FuzzLCMMatchesBig$' -fuzztime 10s ./internal/timeu
+
+  step "fuzz (the exact DBP test vs the reference walk, 10 s)"
+  go test -run '^$' -fuzz '^FuzzExactMatchesWalk$' -fuzztime 10s ./internal/sim/policy/dbp
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
