@@ -181,6 +181,9 @@ type jobPair struct {
 	settled bool
 }
 
+// open reports whether the pair holds an admitted job not yet settled.
+func (p *jobPair) open() bool { return p.ncopies > 0 && !p.settled }
+
 type processor struct {
 	id       int
 	dead     bool
@@ -188,6 +191,11 @@ type processor struct {
 	cur      *task.Job
 	curStart timeu.Time
 	energy   Energy
+	// nextAct and nextProm are the earliest future activation and
+	// dual-priority promotion among the copies on the processor's live
+	// list, as pick's walk found them at the last dispatch (timeu.Infinity
+	// when none): the DPD gap and the stop scan read them.
+	nextAct, nextProm timeu.Time
 }
 
 // Engine runs one simulation. Construct with New, run with Run. All
@@ -262,28 +270,32 @@ func New(set *task.Set, policy Policy, cfg Config) (*Engine, error) {
 		maxEvents: 64 * (jobs + 16) * NumProcs,
 	}
 	for p := 0; p < NumProcs; p++ {
-		e.procs[p] = processor{id: p}
+		e.procs[p] = processor{id: p, nextAct: timeu.Infinity, nextProm: timeu.Infinity}
 	}
 	return e, nil
 }
 
-// NewJob allocates the main copy of J_ij from the run's scratch arena.
-// Policies must build copies through NewJob/NewBackup (not task.NewJob)
-// so batch runs reuse job records.
+// NewJob returns the main copy of J_ij: task t's own main record in the
+// run's scratch, initialized. Policies must build copies through
+// NewJob/NewBackup (not task.NewJob) so batch runs reuse job records. A
+// task has one open job at a time, so the record is free once the task's
+// previous job settled; NewJob panics while that job is still open.
 //
 //mklint:hotpath
 func (e *Engine) NewJob(t *task.Task, index int, class task.Class) *task.Job {
-	j := e.scr.jobs.get()
+	e.scr.slot(t.ID, index)
+	j := &e.scr.jobs[t.ID][task.Main]
 	task.InitJob(j, t, index, class)
 	return j
 }
 
-// NewBackup allocates the backup copy of a mandatory job from the run's
-// scratch arena, postponed by theta (Eq. 3).
+// NewBackup returns the backup copy of a mandatory job, postponed by theta
+// (Eq. 3): task t's own backup record, as for NewJob.
 //
 //mklint:hotpath
 func (e *Engine) NewBackup(t *task.Task, index int, theta timeu.Time) *task.Job {
-	j := e.scr.jobs.get()
+	e.scr.slot(t.ID, index)
+	j := &e.scr.jobs[t.ID][task.Backup]
 	task.InitBackup(j, t, index, theta)
 	return j
 }
@@ -361,21 +373,20 @@ func (e *Engine) setSleep(p *processor, asleep bool) {
 }
 
 // Admit registers a job copy for scheduling on processor proc. Copies of
-// the same logical job (same task and index) are paired automatically:
-// the first successful completion settles the job effective and cancels
-// the other copies. If proc is dead the copy is routed to the survivor.
+// the same logical job (same task and index) are paired automatically in
+// the task's pair slot: the first successful completion settles the job
+// effective and cancels the other copies. If proc is dead the copy is
+// routed to the survivor. Admit panics while the task's previous job is
+// still open.
 //
 //mklint:hotpath
 func (e *Engine) Admit(j *task.Job, proc int) {
 	if e.procs[proc].dead {
 		proc = e.Survivor()
 	}
-	slot := e.scr.pairSlot(j.TaskID, j.Index)
-	p := *slot
-	if p == nil {
-		p = e.scr.jobPairs.get()
+	p := e.scr.slot(j.TaskID, j.Index)
+	if !p.open() {
 		*p = jobPair{key: pairKey{j.TaskID, j.Index}, class: j.Class, dl: j.Deadline}
-		*slot = p
 		e.scr.open = append(e.scr.open, p)
 		// The pair settles at its deadline at the latest: keep the
 		// due-scan lower bound current.
@@ -399,17 +410,14 @@ func (e *Engine) Admit(j *task.Job, proc int) {
 }
 
 // SettleSkip records a skipped optional job (never admitted) as a miss in
-// the (m,k) history. Policies call it at release time.
+// the (m,k) history. Policies call it at release time. It builds no pair:
+// the job has no copies to settle.
 //
 //mklint:hotpath
 func (e *Engine) SettleSkip(taskID, index int) {
-	slot := e.scr.pairSlot(taskID, index)
-	if *slot != nil {
+	if e.scr.slot(taskID, index).open() {
 		panic("sim: SettleSkip on an admitted job")
 	}
-	p := e.scr.jobPairs.get()
-	*p = jobPair{key: pairKey{taskID, index}, class: task.Optional, settled: true}
-	*slot = p
 	e.counters.OptionalSkipped++
 	if e.sink != nil {
 		e.sink.Emit(metrics.Event{T: e.now, Kind: metrics.EvSkip, Proc: -1, TaskID: taskID, Index: index, Copy: metrics.CopyNone})
@@ -619,7 +627,7 @@ func (e *Engine) processCompletions() {
 //
 //mklint:hotpath
 func (e *Engine) settleEffective(j *task.Job) {
-	p := e.scr.pairAt(j.TaskID, j.Index)
+	p := &e.scr.pairs[j.TaskID]
 	if p.settled {
 		return
 	}
@@ -644,7 +652,7 @@ func (e *Engine) settleEffective(j *task.Job) {
 //
 //mklint:hotpath
 func (e *Engine) copyFailed(j *task.Job) {
-	p := e.scr.pairAt(j.TaskID, j.Index)
+	p := &e.scr.pairs[j.TaskID]
 	if p.settled {
 		return
 	}
@@ -759,6 +767,7 @@ func (e *Engine) processPermanentFault() {
 	e.scr.live[pf.Proc] = e.scr.live[pf.Proc][:0]
 	p.cur = nil
 	p.dead = true
+	p.nextAct, p.nextProm = timeu.Infinity, timeu.Infinity
 	// The dead processor leaves the power-state machine entirely; this is
 	// not a DPD wake-up, so clear the flag without counting a transition.
 	p.asleep = false
@@ -775,7 +784,7 @@ func (e *Engine) dispatch() {
 		if p.dead {
 			continue
 		}
-		pick := e.pick(p.id)
+		pick := e.pick(p)
 		if pick != p.cur {
 			if p.cur != nil {
 				e.closeSegment(p, false)
@@ -798,67 +807,62 @@ func (e *Engine) dispatch() {
 		}
 		if p.cur == nil {
 			// DPD decision (Algorithm 1 lines 10–15): sleep through the
-			// gap to the next known activation if it exceeds T_be.
-			gap := e.nextWork(p.id) - e.now
-			e.setSleep(p, gap > e.cfg.Power.BreakEven)
+			// gap to the next known activation if it exceeds T_be. That is
+			// the earliest pending activation among copies already assigned
+			// here (Algorithm 1's wake timer consults the earliest arrival
+			// among queued jobs) or the next release of any task (a release
+			// may route a new copy here — the scheduler knows periodic
+			// release times in advance). Should work still arrive earlier
+			// (e.g. a job migrated after a permanent fault), the processor
+			// wakes at assignment.
+			next := p.nextAct
+			if r := e.scr.minRel; r < e.cfg.Horizon {
+				next = min(next, r)
+			}
+			e.setSleep(p, next-e.now > e.cfg.Power.BreakEven)
 		}
 	}
 }
 
-// pick returns the policy's highest-priority runnable copy on proc.
+// pick returns the policy's highest-priority runnable copy on p. Its walk
+// of p's live list also records p's earliest future activation and
+// promotion, which the DPD gap and the stop scan read. Live copies are
+// neither done nor canceled: completion, cancellation and the permanent
+// fault take them off the list.
 //
 //mklint:hotpath
-func (e *Engine) pick(proc int) *task.Job {
+func (e *Engine) pick(p *processor) *task.Job {
+	now := e.now
 	var best *task.Job
-	for _, j := range e.scr.live[proc] {
-		if j.Done || j.Canceled || j.Release > e.now {
+	act, prom := timeu.Infinity, timeu.Infinity
+	for _, j := range e.scr.live[p.id] {
+		if j.Promote > now && j.Promote < j.Deadline {
+			prom = min(prom, j.Promote)
+		}
+		if j.Release > now {
+			act = min(act, j.Release)
 			continue
 		}
-		if !e.policy.Runnable(e.now, j) {
+		if !e.policy.Runnable(now, j) {
 			continue
 		}
-		if best == nil || e.policy.Less(e.now, j, best) {
+		if best == nil || e.policy.Less(now, j, best) {
 			best = j
 		}
 	}
+	p.nextAct, p.nextProm = act, prom
 	return best
-}
-
-// nextWork returns the earliest future instant at which proc could get
-// work: the earliest pending activation among copies already assigned to
-// it (Algorithm 1's wake timer consults the earliest arrival among queued
-// jobs) or the next release of any task (a release may route a new copy
-// here — the scheduler knows periodic release times in advance). Should
-// work still arrive earlier (e.g. a job migrated after a permanent
-// fault), the processor wakes at assignment.
-//
-//mklint:hotpath
-func (e *Engine) nextWork(proc int) timeu.Time {
-	next := timeu.Infinity
-	for _, j := range e.scr.live[proc] {
-		if j.Done || j.Canceled {
-			continue
-		}
-		if j.Release > e.now && j.Release < next {
-			next = j.Release
-		}
-	}
-	// The cached minimum next release stands in for the per-task scan: the
-	// processReleases guard keeps it exact between release instants.
-	if r := e.scr.minRel; r < e.cfg.Horizon && r < next {
-		next = r
-	}
-	return next
 }
 
 // nextEventTime computes the next instant anything can change by scanning
 // the state the engine already keeps: the cached next task release, the
-// deadlines of the open pairs, each live copy's postponed activation
-// (backup r̃ = r + θ) and dual-priority promotion while still future, the
-// completion of whatever runs now, and the permanent fault. Every stop
-// re-decides DPD (Algorithm 1 lines 10–15), so the stop set is part of
-// the energy result; read from live state, it holds no entry that could
-// go stale and split a sleep with a spurious stop.
+// deadlines of the open pairs, each processor's earliest future
+// activation (backup r̃ = r + θ) and dual-priority promotion as this
+// stop's dispatch recorded them, the completion of whatever runs now, and
+// the permanent fault. Every stop re-decides DPD (Algorithm 1 lines
+// 10–15), so the stop set is part of the energy result; read from live
+// state, it holds no entry that could go stale and split a sleep with a
+// spurious stop.
 //
 //mklint:hotpath
 func (e *Engine) nextEventTime() (timeu.Time, error) {
@@ -874,16 +878,10 @@ func (e *Engine) nextEventTime() (timeu.Time, error) {
 		}
 	}
 	for pid := range e.procs {
-		// Live copies are neither done nor canceled: completion,
-		// cancellation and the permanent fault take them off the list.
-		for _, j := range e.scr.live[pid] {
-			if j.Release > now && j.Release < next {
-				next = j.Release
-			}
-			if j.Promote > now && j.Promote < j.Deadline && j.Promote < next {
-				next = j.Promote
-			}
-		}
+		// Nothing changes the live lists between dispatch and here, and a
+		// resumed run carries the minima over in its fork's processors; a
+		// dead processor's read Infinity since the fault emptied its list.
+		next = min(next, e.procs[pid].nextAct, e.procs[pid].nextProm)
 		if cur := e.procs[pid].cur; cur != nil {
 			if t := now + cur.Remaining; t > now && t < next {
 				next = t

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -535,11 +536,100 @@ func TestSettleSkipPanicsOnAdmittedJob(t *testing.T) {
 	tk := e.Set().Tasks[0]
 	e.Admit(task.NewJob(tk, 1, task.Mandatory), Primary)
 	defer func() {
-		if recover() == nil {
-			t.Error("SettleSkip on an admitted job must panic")
+		if got := recover(); got != "sim: SettleSkip on an admitted job" {
+			t.Errorf("SettleSkip on an admitted job panicked with %v", got)
 		}
 	}()
 	e.SettleSkip(0, 1)
+}
+
+// TestSlotReusedAtDeadlineRelease runs a D = P task, τ2, whose main and
+// backup both still run at the deadline, where its next job is released
+// into the same pair slot and job records. At every multiple of 10 ms
+// the deadline settles job j a miss and cancels both copies, then job
+// j+1 is released. τ1's main ends at 7 ms and cancels τ1's backup, which
+// started at 3 ms. Outcomes, counters and trace are pinned on a fresh
+// scratch and on one warmed by another run.
+func TestSlotReusedAtDeadlineRelease(t *testing.T) {
+	r := stopRun{
+		set:     task.NewSet(task.New(0, 10, 10, 7, 1, 2), task.New(1, 10, 10, 4, 1, 2)),
+		theta:   []timeu.Time{ms(3), ms(7)},
+		horizon: ms(30),
+	}
+	var want []Segment
+	for k := 0; k < 3; k++ {
+		at := ms(10 * float64(k))
+		want = append(want,
+			Segment{Proc: Primary, TaskID: 0, Index: k + 1, Copy: task.Main, Start: at, End: at + ms(7)},
+			Segment{Proc: Spare, TaskID: 0, Index: k + 1, Copy: task.Backup, Start: at + ms(3), End: at + ms(7), Canceled: true},
+			Segment{Proc: Primary, TaskID: 1, Index: k + 1, Copy: task.Main, Start: at + ms(7), End: at + ms(10), Canceled: true},
+			Segment{Proc: Spare, TaskID: 1, Index: k + 1, Copy: task.Backup, Start: at + ms(7), End: at + ms(10), Canceled: true})
+	}
+	wantCounters := Counters{
+		Released: 6, MandatoryJobs: 6, Effective: 3, Misses: 3,
+		BackupsCreated: 6, BackupsCanceledPartial: 6,
+		Dispatches: 12, Completions: 3, SleepEntries: 3, Wakeups: 3,
+	}
+	wantCounters.Proc[Primary].Busy = ms(30)
+	wantCounters.Proc[Spare].Busy, wantCounters.Proc[Spare].Sleep = ms(21), ms(9)
+	scr := NewScratch()
+	runCrossChecked(t, coincidenceRun(), scr)
+	for _, c := range []struct {
+		name string
+		scr  *Scratch
+	}{{"fresh", nil}, {"warm", scr}} {
+		res := runCrossChecked(t, r, c.scr)
+		if !slices.Equal(res.Outcomes[0], []bool{true, true, true}) || !slices.Equal(res.Outcomes[1], []bool{false, false, false}) {
+			t.Errorf("%s: outcomes %v, want τ1 all effective and τ2 all missed", c.name, res.Outcomes)
+		}
+		if res.Counters != wantCounters {
+			t.Errorf("%s: counters\n%+v, want\n%+v", c.name, res.Counters, wantCounters)
+		}
+		if !slices.Equal(res.Trace, want) {
+			t.Errorf("%s: trace\n%+v, want\n%+v", c.name, res.Trace, want)
+		}
+	}
+}
+
+// lookaheadPolicy is stopPolicy that also builds or admits the next job
+// of each task at its release, through one engine call, while the job
+// just admitted is still open.
+type lookaheadPolicy struct {
+	stopPolicy
+	call string
+}
+
+func (p *lookaheadPolicy) Release(e *Engine, t *task.Task, index int) {
+	p.stopPolicy.Release(e, t, index)
+	switch p.call {
+	case "Admit":
+		e.Admit(task.NewJob(*t, index+1, task.Mandatory), Primary)
+	case "NewJob":
+		e.NewJob(t, index+1, task.Mandatory)
+	case "NewBackup":
+		e.NewBackup(t, index+1, 0)
+	}
+}
+
+// TestSecondOpenJobPanics checks that a task never has two open jobs:
+// Admit, NewJob and NewBackup panic, naming the task and both indices,
+// when the task's earlier job is still open.
+func TestSecondOpenJobPanics(t *testing.T) {
+	for _, call := range []string{"Admit", "NewJob", "NewBackup"} {
+		e, err := New(oneTask(), &lookaheadPolicy{call: call}, Config{Horizon: ms(30)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if got := recover(); got != "sim: task 1 job 2 while job 1 is still open" {
+					t.Errorf("%s of job 2 while job 1 is open panicked with %v", call, got)
+				}
+			}()
+			_, err := e.Run()
+			t.Errorf("%s of job 2 while job 1 is open: no panic (err %v)", call, err)
+		}()
+	}
 }
 
 func TestOutcomeOrderInvariantPanics(t *testing.T) {

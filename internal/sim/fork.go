@@ -20,10 +20,10 @@ type Forker interface {
 }
 
 // Fork is a fault-free run's state right after dispatch at its last stop
-// before an instant at: the clock, the processors with their energy, the
-// counters and loop-pass count, the release calendar, the outcome rows,
-// the open pairs with their copies, the live lists and a copy of the
-// policy.
+// before an instant at: the clock, the processors with their energy and
+// the activation and promotion minima that dispatch recorded, the counters
+// and loop-pass count, the release calendar, the outcome rows, the open
+// pairs with their copies, the live lists and a copy of the policy.
 //
 // A run of the same set, policy and configuration whose fault plan acts
 // first at at — a permanent fault at at, no transient rate — takes the
@@ -41,7 +41,7 @@ type Fork struct {
 	now      timeu.Time
 	events   int
 	procs    [NumProcs]processor // cur cleared: see cur
-	cur      [NumProcs]int       // index into jobs of the running copy, or -1
+	cur      [NumProcs]int       // copy code (see copyCode) of the running copy, or -1
 	counters Counters
 	policy   Forker
 	minRel   timeu.Time
@@ -52,7 +52,7 @@ type Fork struct {
 	// copies are the next ncopies records of jobs.
 	pairs []jobPair
 	jobs  []task.Job
-	live  [NumProcs][]int // indices into jobs, in live-list order
+	live  [NumProcs][]int // copy codes, in live-list order
 }
 
 // forkTask is one task's release calendar entry and the end of its
@@ -113,27 +113,26 @@ func (e *Engine) capture() {
 		f.procs[pid].cur = nil
 		f.cur[pid] = -1
 		if cur := e.procs[pid].cur; cur != nil {
-			f.cur[pid] = copyIndex(s.open, cur)
+			f.cur[pid] = copyCode(s.open, cur)
 		}
 		for _, j := range s.live[pid] {
-			f.live[pid] = append(f.live[pid], copyIndex(s.open, j))
+			f.live[pid] = append(f.live[pid], copyCode(s.open, j))
 		}
 	}
 	e.fork = f
 	e.forkAt = timeu.Infinity
 }
 
-// copyIndex returns j's position among the copies of the open pairs, in
-// the order capture lays them out. Every live copy belongs to an open
-// pair: a pair settles only once none of its copies is live.
-func copyIndex(open []*jobPair, j *task.Job) int {
-	k := 0
-	for _, p := range open {
-		for _, c := range p.copies[:p.ncopies] {
-			if c == j {
-				return k
+// copyCode names j as i·NumProcs + c when j is copy c of the i-th open
+// pair, so a resumed run finds it as open[i].copies[c]. Every live copy
+// belongs to an open pair: a pair settles only once none of its copies is
+// live.
+func copyCode(open []*jobPair, j *task.Job) int {
+	for i, p := range open {
+		for c, x := range p.copies[:p.ncopies] {
+			if x == j {
+				return i*NumProcs + c
 			}
-			k++
 		}
 	}
 	panic(fmt.Sprintf("sim: live copy of task %d job %d belongs to no open pair", j.TaskID+1, j.Index))
@@ -163,29 +162,30 @@ func (e *Engine) resume(f *Fork) error {
 		start = t.rowEnd
 	}
 	s.minRel, s.dueAt = f.minRel, f.dueAt
-	for i := range f.jobs {
-		*s.jobs.get() = f.jobs[i]
-	}
+	// Each open pair goes back into its task's slot, and its copies into
+	// the task's job records in copy order: no two open pairs share a task.
 	k := 0
 	for i := range f.pairs {
-		p := s.jobPairs.get()
+		id := f.pairs[i].key.taskID
+		p := &s.pairs[id]
 		*p = f.pairs[i]
 		for c := range p.ncopies {
-			p.copies[c] = s.jobs.at(k)
+			s.jobs[id][c] = f.jobs[k]
+			p.copies[c] = &s.jobs[id][c]
 			k++
 		}
-		*s.pairSlot(p.key.taskID, p.key.index) = p
 		s.open = append(s.open, p)
 	}
+	at := func(code int) *task.Job { return s.open[code/NumProcs].copies[code%NumProcs] }
 	for pid := range f.live {
-		for _, k := range f.live[pid] {
-			s.live[pid] = append(s.live[pid], s.jobs.at(k))
+		for _, code := range f.live[pid] {
+			s.live[pid] = append(s.live[pid], at(code))
 		}
 	}
 	e.now, e.events, e.counters, e.procs = f.now, f.events, f.counters, f.procs
-	for pid, k := range f.cur {
-		if k >= 0 {
-			e.procs[pid].cur = s.jobs.at(k)
+	for pid, code := range f.cur {
+		if code >= 0 {
+			e.procs[pid].cur = at(code)
 		}
 	}
 	e.policy = f.policy.Fork()

@@ -5,42 +5,15 @@ package sim
 //mklint:hotpath file
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
 
-// arenaChunk is the allocation granularity of an arena. Chunking keeps
-// pointers stable (no reallocation moves a handed-out record) while a
-// batch of simulations amortizes each make to 64 records.
-const arenaChunk = 64
-
-// arena is a reusable bump allocator for per-run records. get hands out a
-// pointer into a chunk; the record may hold stale data from a previous
-// run, so callers must fully overwrite it. reset recycles every record
-// while retaining the chunks.
-type arena[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-func (a *arena[T]) get() *T {
-	ci, off := a.n/arenaChunk, a.n%arenaChunk
-	if ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]T, arenaChunk))
-	}
-	a.n++
-	return &a.chunks[ci][off]
-}
-
-func (a *arena[T]) reset() { a.n = 0 }
-
-// at returns the record the i-th get since the last reset handed out.
-func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
-
-// Scratch is the reusable working state of one engine run: job and pair
-// records, per-processor ready queues, the settlement table, the release
+// Scratch is the reusable working state of one engine run: each task's
+// pair slot and job records, the per-processor ready queues, the release
 // calendar, outcome rows and the trace buffer. A fresh engine with a warm
 // Scratch allocates (almost) nothing; Result values copy out of it, so
 // reusing a Scratch never corrupts previously returned results.
@@ -48,26 +21,26 @@ func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
 // A Scratch serves one engine at a time — share across concurrent runs
 // through a ScratchPool, never directly. A sweep hands one Scratch to
 // each worker for its whole lifetime (see experiment.RunContext), so the
-// arenas and the pair table rows amortize across every interval of the
-// sweep, not just across the approaches of one set.
+// slots and queues amortize across every interval of the sweep, not just
+// across the approaches of one set.
 type Scratch struct {
 	// nextIdx[i] is the index of task i's next release and nextRel[i] its
 	// instant, Release(nextIdx[i]): the release calendar processReleases
 	// drains and advances by one period per release.
 	nextIdx []int
 	nextRel []timeu.Time
-	// pairTab is the settlement table: pairTab[taskID][index-1] is the
-	// jobPair of J_(taskID,index), nil until the job is admitted or
-	// skipped. Job indices are dense and released in order, so a slice
-	// row beats a map: no hashing on the admit/settle path.
-	pairTab  [][]*jobPair
+	// pairs[i] is task i's pair slot: the pair of its open job, or of its
+	// last settled one. A task has at most one open job (see slot), so one
+	// slot per task is the whole settlement table. jobs[i] holds task i's
+	// two job records, the ones NewJob and NewBackup hand out, indexed by
+	// task.Copy; a pair has at most NumProcs copies.
+	pairs    []jobPair
+	jobs     [][NumProcs]task.Job
 	open     []*jobPair
 	due      []*jobPair
 	live     [NumProcs][]*task.Job
 	outcomes [][]bool
 	trace    []Segment
-	jobs     arena[task.Job]
-	jobPairs arena[jobPair]
 	// minRel caches the next task release and dueAt a lower bound on the
 	// earliest open deadline, so the per-event release and settlement
 	// scans run only when due, and the stop scan reads the next release
@@ -82,7 +55,8 @@ func NewScratch() *Scratch {
 }
 
 // prepare readies the scratch for a run over n tasks: every container is
-// emptied (capacity retained) and the arenas are rewound.
+// emptied (capacity retained) and every pair slot cleared. Job records
+// keep stale data; NewJob, NewBackup and resume overwrite them whole.
 func (s *Scratch) prepare(n int) {
 	if cap(s.nextIdx) < n {
 		s.nextIdx = make([]int, n)
@@ -95,13 +69,13 @@ func (s *Scratch) prepare(n int) {
 		s.nextRel = make([]timeu.Time, n)
 	}
 	s.nextRel = s.nextRel[:n]
-	if cap(s.pairTab) < n {
-		s.pairTab = make([][]*jobPair, n)
+	if cap(s.pairs) < n {
+		s.pairs = make([]jobPair, n)
+		s.jobs = make([][NumProcs]task.Job, n)
 	}
-	s.pairTab = s.pairTab[:n]
-	for i := range s.pairTab {
-		s.pairTab[i] = s.pairTab[i][:0]
-	}
+	s.pairs = s.pairs[:n]
+	clear(s.pairs)
+	s.jobs = s.jobs[:n]
 	s.open = s.open[:0]
 	s.due = s.due[:0]
 	for p := 0; p < NumProcs; p++ {
@@ -115,29 +89,21 @@ func (s *Scratch) prepare(n int) {
 		s.outcomes[i] = s.outcomes[i][:0]
 	}
 	s.trace = s.trace[:0]
-	s.jobs.reset()
-	s.jobPairs.reset()
 	s.minRel = timeu.Infinity
 	s.dueAt = timeu.Infinity
 }
 
-// pairSlot returns the settlement-table slot of J_(taskID,index), growing
-// the task's row on first touch. Rows grow by at most one live window per
-// admit (indices arrive in release order), so growth is amortized O(1)
-// and the capacity is retained across runs.
-func (s *Scratch) pairSlot(taskID, index int) **jobPair {
-	row := s.pairTab[taskID]
-	for len(row) < index {
-		row = append(row, nil)
+// slot returns task taskID's pair slot on behalf of its job index. The
+// task model has D ≤ P and every stop settles deadlines before it
+// releases, so a task's job settles by the next one's release: slot
+// panics, naming the task and both indices, when the slot still holds an
+// earlier job that is open.
+func (s *Scratch) slot(taskID, index int) *jobPair {
+	p := &s.pairs[taskID]
+	if p.open() && p.key.index != index {
+		panic(fmt.Sprintf("sim: task %d job %d while job %d is still open", taskID+1, index, p.key.index))
 	}
-	s.pairTab[taskID] = row
-	return &row[index-1]
-}
-
-// pairAt returns the jobPair of an admitted or skipped job; the job must
-// have a slot (callers only look up jobs that went through Admit).
-func (s *Scratch) pairAt(taskID, index int) *jobPair {
-	return s.pairTab[taskID][index-1]
+	return p
 }
 
 // ScratchPool shares Scratch values between concurrent workers via a

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -53,6 +54,35 @@ func linearNextEvent(e *Engine) timeu.Time {
 	return next
 }
 
+// checkStop fails t unless next equals linearNextEvent and every
+// processor's activation and promotion minima, which dispatch's walk
+// recorded and the DPD gap and the stop scan read, equal a fresh walk of
+// its live list; run names the run in the message.
+func checkStop(t *testing.T, e *Engine, next timeu.Time, run string) {
+	t.Helper()
+	if ref := linearNextEvent(e); next != ref {
+		t.Fatalf("stop scan next %v != linear-scan next %v at now=%v (%s)", next, ref, e.now, run)
+	}
+	for pid := range e.procs {
+		act, prom := timeu.Infinity, timeu.Infinity
+		for _, j := range e.scr.live[pid] {
+			if j.Done || j.Canceled {
+				continue
+			}
+			if j.Release > e.now {
+				act = min(act, j.Release)
+			}
+			if j.Promote > e.now && j.Promote < j.Deadline {
+				prom = min(prom, j.Promote)
+			}
+		}
+		if p := e.procs[pid]; p.nextAct != act || p.nextProm != prom {
+			t.Fatalf("proc %d at now=%v recorded activation %v and promotion %v, a fresh walk finds %v and %v (%s)",
+				pid, e.now, p.nextAct, p.nextProm, act, prom, run)
+		}
+	}
+}
+
 // stopPolicy stresses every class of stop the scan reads: postponed
 // backup activations (theta), dual-priority-style promotions, and
 // settle-skips, with single-processor routing after a permanent fault.
@@ -96,7 +126,11 @@ func (p *stopPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.theta != nil {
 		th = p.theta[t.ID]
 	}
-	e.Admit(e.NewBackup(t, index, th), Spare)
+	// The backup shares the main's promotion instant, so a copy can hold
+	// a future activation and a future promotion at once.
+	backup := e.NewBackup(t, index, th)
+	backup.Promote = main.Promote
+	e.Admit(backup, Spare)
 }
 
 // stopRun is everything that reproduces one cross-checked run: the set,
@@ -111,10 +145,9 @@ type stopRun struct {
 	horizon   timeu.Time
 }
 
-// runCrossChecked runs r on scr (nil means a fresh scratch), comparing
-// the engine's nextEventTime against linearNextEvent at every stop and
-// the run's counters against their invariants. A failure names the set
-// and the fault seed.
+// runCrossChecked runs r on scr (nil means a fresh scratch), checking
+// every stop with checkStop and the run's counters against their
+// invariants. A failure names the set and the fault seed.
 func runCrossChecked(t *testing.T, r stopRun, scr *Scratch) *Result {
 	t.Helper()
 	pol := &stopPolicy{theta: r.theta, promote: r.promote, skipEvery: r.skipEvery}
@@ -123,12 +156,8 @@ func runCrossChecked(t *testing.T, r stopRun, scr *Scratch) *Result {
 	if err != nil {
 		t.Fatalf("New (set %v, fault seed %#x): %v", r.set, r.faultSeed, err)
 	}
-	eng.checkNext = func(next timeu.Time) {
-		if ref := linearNextEvent(eng); next != ref {
-			t.Fatalf("stop scan next %v != linear-scan next %v at now=%v (set %v, %v, fault seed %#x)",
-				next, ref, eng.now, r.set, r.scenario, r.faultSeed)
-		}
-	}
+	run := fmt.Sprintf("set %v, %v, fault seed %#x", r.set, r.scenario, r.faultSeed)
+	eng.checkNext = func(next timeu.Time) { checkStop(t, eng, next, run) }
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("Run (set %v, fault seed %#x): %v", r.set, r.faultSeed, err)
@@ -155,7 +184,8 @@ func sameTrace(t *testing.T, r stopRun, fresh, warm *Result) {
 
 // TestStopsMatchLinearScanProperty is the randomized dispatch-order
 // property: across random task sets, thetas, promotions, skips and fault
-// plans, every stop the engine takes equals the old linear scan's.
+// plans, every stop the engine takes equals the old linear scan's, and
+// every recorded activation and promotion minimum a fresh walk's.
 func TestStopsMatchLinearScanProperty(t *testing.T) {
 	gen := workload.NewGenerator(workload.DefaultConfig(), 0xCA1E)
 	rng := stats.NewRand(0x0DD5)
@@ -230,9 +260,7 @@ func TestSameInstantBatching(t *testing.T) {
 	}
 	var stops []timeu.Time
 	eng.checkNext = func(next timeu.Time) {
-		if ref := linearNextEvent(eng); next != ref {
-			t.Fatalf("stop scan next %v != linear-scan next %v at now=%v (set %v)", next, ref, eng.now, r.set)
-		}
+		checkStop(t, eng, next, fmt.Sprintf("set %v", r.set))
 		stops = append(stops, next)
 	}
 	res, err := eng.Run()
@@ -267,9 +295,9 @@ func TestSameInstantBatching(t *testing.T) {
 	}
 }
 
-// FuzzStopsMatchLinearScan checks every stop of a decoded run against
-// linearNextEvent, on a fresh scratch and on one warmed by
-// coincidenceRun, and that the two runs record the same trace.
+// FuzzStopsMatchLinearScan checks every stop of a decoded run with
+// checkStop, on a fresh scratch and on one warmed by coincidenceRun, and
+// that the two runs record the same trace.
 func FuzzStopsMatchLinearScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := fuzzStopRun(data)
