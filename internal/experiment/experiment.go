@@ -595,20 +595,20 @@ func ensureST(as []policy.Approach) []policy.Approach {
 }
 
 // MaxGain returns the largest interval-mean energy reduction of approach
-// a over approach b (1 − mean_a/mean_b) and the interval where it occurs
-// — the paper's "maximal energy reduction by MKSS_selective over MKSS_DP"
-// headline.
+// a over approach b (1 − mean_a/mean_b) among the populated intervals,
+// and the interval where it occurs — the paper's "maximal energy
+// reduction by MKSS_selective over MKSS_DP" headline. The reduction is
+// negative when a spends more than b in every populated interval; only a
+// report with no populated interval returns (0, Interval{}).
 func (r *Report) MaxGain(a, b policy.Approach) (float64, workload.Interval) {
-	best := 0.0
+	best, found := 0.0, false
 	var at workload.Interval
 	for _, row := range r.Rows {
 		if len(row.Sets) == 0 || timeu.ApproxZero(row.NormMean[b]) {
 			continue
 		}
-		g := 1 - row.NormMean[a]/row.NormMean[b]
-		if g > best {
-			best = g
-			at = row.Interval
+		if g := 1 - row.NormMean[a]/row.NormMean[b]; !found || g > best {
+			best, found, at = g, true, row.Interval
 		}
 	}
 	return best, at
@@ -634,6 +634,8 @@ func (r *Report) Table() string {
 		}
 		b.WriteString("\n")
 	}
+	// The headline states a gain only: a negative reduction means
+	// selective trails DP everywhere.
 	if gain, at := r.MaxGain(policy.Selective, policy.DP); gain > 0 {
 		fmt.Fprintf(&b, "max energy reduction of %s over %s: %.1f%% (at %v)\n",
 			policy.Selective, policy.DP, 100*gain, at)

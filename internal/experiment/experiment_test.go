@@ -196,6 +196,23 @@ func TestMaxGain(t *testing.T) {
 	if at.Lo != 0.2 {
 		t.Errorf("at = %v", at)
 	}
+
+	// Selective behind DP in every populated interval: the gain is the
+	// smallest deficit, at its interval, and the table prints no headline.
+	// An empty interval counts for nothing.
+	rep.Rows = append(rep.Rows, Row{Interval: workload.Interval{Lo: 0.4, Hi: 0.5}})
+	rep.Rows[0].NormMean = map[policy.Approach]float64{policy.ST: 1, policy.DP: 0.5, policy.Selective: 0.6}
+	rep.Rows[1].NormMean = map[policy.Approach]float64{policy.ST: 1, policy.DP: 0.8, policy.Selective: 0.84}
+	gain, at = rep.MaxGain(policy.Selective, policy.DP)
+	if math.Abs(gain-(-0.05)) > 1e-12 || at.Lo != 0.3 {
+		t.Errorf("all-negative: gain %v at %v, want -0.05 at [0.30,0.40)", gain, at)
+	}
+	if strings.Contains(rep.Table(), "max energy reduction") {
+		t.Errorf("all-negative table prints a headline:\n%s", rep.Table())
+	}
+	if gain, at := (&Report{}).MaxGain(policy.Selective, policy.DP); gain != 0 || at != (workload.Interval{}) {
+		t.Errorf("no populated interval: gain %v at %v, want 0 at the zero interval", gain, at)
+	}
 }
 
 func TestTableAndCSVFormat(t *testing.T) {
