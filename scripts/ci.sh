@@ -19,8 +19,8 @@
 # /v1/sweep normalizer, of the task-set JSON decoder, of the engine's
 # stops against the linear scan, of a resumed run against the full run,
 # of the candidate draw against its reference, of the saturating
-# time arithmetic against math/big and of the exact DBP test against
-# its reference walk, bench smoke (one
+# time arithmetic against math/big, of the exact DBP test against
+# its reference walk and of store segment recovery, bench smoke (one
 # iteration of every benchmark + a reduced mkbench sweep emitting
 # BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -163,6 +163,9 @@ if [ "$fast" = 0 ]; then
 
   step "fuzz (the exact DBP test vs the reference walk, 10 s)"
   go test -run '^$' -fuzz '^FuzzExactMatchesWalk$' -fuzztime 10s ./internal/sim/policy/dbp
+
+  step "fuzz (store segment recovery, 10 s)"
+  go test -run '^$' -fuzz '^FuzzStoreRecovery$' -fuzztime 10s ./internal/store
 
   step "bench smoke"
   go test -bench . -benchtime 1x ./...
