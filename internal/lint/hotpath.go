@@ -10,7 +10,7 @@ const ruleHotPath = "hotpath"
 
 // HotPath guards the allocation-free event loop. Functions (or whole
 // files) tagged //mklint:hotpath — the sim engine's per-event machinery,
-// the Scratch arenas, the rta k-way merge — bought Simulate down to a
+// the Scratch helpers, the rta k-way merge — bought Simulate down to a
 // handful of allocs/op; this rule flags the constructs that silently undo
 // that: fmt formatting (allocates and reflects), any reflect use,
 // appends that box concrete values into interface slices, and escaping
