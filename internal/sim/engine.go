@@ -174,7 +174,6 @@ type pairKey struct {
 // no per-pair slice allocation.
 type jobPair struct {
 	key     pairKey
-	class   task.Class
 	copies  [NumProcs]*task.Job
 	ncopies int
 	dl      timeu.Time
@@ -386,7 +385,7 @@ func (e *Engine) Admit(j *task.Job, proc int) {
 	}
 	p := e.scr.slot(j.TaskID, j.Index)
 	if !p.open() {
-		*p = jobPair{key: pairKey{j.TaskID, j.Index}, class: j.Class, dl: j.Deadline}
+		*p = jobPair{key: pairKey{j.TaskID, j.Index}, dl: j.Deadline}
 		e.scr.open = append(e.scr.open, p)
 		// The pair settles at its deadline at the latest: keep the
 		// due-scan lower bound current.

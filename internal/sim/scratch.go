@@ -32,8 +32,9 @@ type Scratch struct {
 	// pairs[i] is task i's pair slot: the pair of its open job, or of its
 	// last settled one. A task has at most one open job (see slot), so one
 	// slot per task is the whole settlement table. jobs[i] holds task i's
-	// two job records, the ones NewJob and NewBackup hand out, indexed by
-	// task.Copy; a pair has at most NumProcs copies.
+	// job records: NewJob hands out jobs[i][task.Main] and NewBackup
+	// jobs[i][task.Backup], and a resumed run fills them in its pair's
+	// copy order (a pair has at most NumProcs copies).
 	pairs    []jobPair
 	jobs     [][NumProcs]task.Job
 	open     []*jobPair
