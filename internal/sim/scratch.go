@@ -97,8 +97,8 @@ func (s *Scratch) prepare(n int) {
 // slot returns task taskID's pair slot on behalf of its job index. The
 // task model has D ≤ P and every stop settles deadlines before it
 // releases, so a task's job settles by the next one's release: slot
-// panics, naming the task and both indices, when the slot still holds an
-// earlier job that is open.
+// panics, naming the task and both indices, when the slot still holds
+// another job that is open.
 func (s *Scratch) slot(taskID, index int) *jobPair {
 	p := &s.pairs[taskID]
 	if p.open() && p.key.index != index {

@@ -29,8 +29,9 @@ import (
 //	2  length: set frame k's length prefix to l (k: one byte, l: 4 bytes little-endian)
 //	3  garbage: append n bytes (n: one byte, mod 32), taken from the input
 //
-// Frames count from 0, the segment's header frame, and are located in
-// the undamaged segment.
+// Frames count from 0, the segment's header frame, modulo the frame
+// count, and are located in the undamaged segment; pos is taken modulo
+// the frame's length.
 func FuzzStoreRecovery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
