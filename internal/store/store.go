@@ -27,8 +27,9 @@
 // loaded only when its recorded size matches the segment (otherwise the
 // segment is rescanned), and rebuildable from the segment at any time.
 //
-// A re-Put of an existing key appends a new record and supersedes the
-// old one (last write wins); Compact rewrites the live records into a
+// A re-Put of an existing key with a different value appends a new
+// record and supersedes the old one (last write wins); a re-Put of the
+// same value writes nothing. Compact rewrites the live records into a
 // single fresh segment — sorted by key, written tmp-then-rename — and
 // deletes the superseded ones.
 //
@@ -41,6 +42,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -98,6 +100,7 @@ type segment struct {
 	read *os.File
 	size int64 // verified-valid length
 	live int   // index entries pointing into this segment
+	puts int   // put records in the file, live or superseded
 }
 
 // entry locates one live record.
@@ -212,9 +215,14 @@ func (s *Store) openSegment(id int) (*segment, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	seg := &segment{id: id, path: path}
-	if ents, ok := s.loadIndexSidecar(id, int64(len(buf))); ok {
+	if doc, ok := s.loadIndexSidecar(id, int64(len(buf))); ok {
 		seg.size = int64(len(buf))
-		for _, e := range ents {
+		// The sidecar lists only the records live when it was written;
+		// the rest of its puts were superseded by then. A sidecar
+		// without the count adds none.
+		seg.puts = max(doc.Puts, len(doc.Entries))
+		s.superseded += seg.puts - len(doc.Entries)
+		for _, e := range doc.Entries {
 			s.link(seg, e.Key, e.Off, e.N)
 		}
 	} else {
@@ -231,6 +239,7 @@ func (s *Store) openSegment(id int) (*segment, error) {
 				path, int64(len(buf))-valid, valid)
 		}
 		seg.size = valid
+		seg.puts = len(ents)
 		for _, e := range ents {
 			s.link(seg, e.Key, e.Off, e.N)
 		}
@@ -293,8 +302,10 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// Put appends one result under key. An existing key is superseded (the
-// new record wins; compaction reclaims the old bytes).
+// Put appends one result under key and hands it to the OS before it
+// returns; it does not sync. An existing key with a different value is
+// superseded (the new record wins; compaction reclaims the old bytes);
+// one whose live record already holds this value is left as it is.
 func (s *Store) Put(key string, val []byte) error {
 	if key == "" {
 		return errors.New("store: empty key")
@@ -307,6 +318,12 @@ func (s *Store) Put(key string, val []byte) error {
 	defer s.mu.Unlock()
 	if s.w == nil {
 		return ErrClosed
+	}
+	if e, ok := s.index[key]; ok && e.n == len(frame) {
+		old := make([]byte, e.n)
+		if _, rerr := e.seg.read.ReadAt(old, e.off); rerr == nil && bytes.Equal(old, frame) {
+			return nil
+		}
 	}
 	active := s.segs[len(s.segs)-1]
 	if active.size+int64(len(frame)) > s.opts.MaxSegmentBytes && active.size > 0 {
@@ -321,6 +338,7 @@ func (s *Store) Put(key string, val []byte) error {
 		return fmt.Errorf("store: append: %w", werr)
 	}
 	active.size += int64(len(frame))
+	active.puts++
 	s.link(active, key, off, len(frame))
 	s.counters.Write()
 	return nil
@@ -436,7 +454,7 @@ func (s *Store) Compact() error {
 	if cerr := s.w.Close(); cerr != nil {
 		fmt.Fprintf(s.opts.Log, "store: close superseded append handle: %v\n", cerr)
 	}
-	seg := &segment{id: id, path: path, read: read, size: int64(len(data)), live: len(rewritten)}
+	seg := &segment{id: id, path: path, read: read, size: int64(len(data)), live: len(rewritten), puts: len(rewritten)}
 	s.index = make(map[string]entry, len(rewritten))
 	for _, p := range rewritten {
 		s.index[p.key] = entry{seg: seg, off: p.off, n: p.n}
@@ -602,25 +620,27 @@ func scanFrames(buf []byte) ([]scanEntry, int64, error) {
 // ---- index sidecars ----
 
 // indexDoc is the NNNNNN.idx sidecar: the segment's live records sorted
-// by key, valid only while the segment is exactly Size bytes.
+// by key and its count of put records, live or superseded, valid only
+// while the segment is exactly Size bytes.
 type indexDoc struct {
 	Schema  string      `json:"schema"`
 	Segment int         `json:"segment"`
 	Size    int64       `json:"size"`
+	Puts    int         `json:"puts"`
 	Entries []scanEntry `json:"entries"`
 }
 
 // loadIndexSidecar loads NNNNNN.idx when it matches the segment size.
-func (s *Store) loadIndexSidecar(id int, size int64) ([]scanEntry, bool) {
+func (s *Store) loadIndexSidecar(id int, size int64) (indexDoc, bool) {
+	var doc indexDoc
 	buf, err := os.ReadFile(indexPath(s.dir, id))
 	if err != nil {
-		return nil, false
+		return doc, false
 	}
-	var doc indexDoc
 	if jerr := json.Unmarshal(buf, &doc); jerr != nil || doc.Schema != IndexSchema || doc.Segment != id || doc.Size != size {
-		return nil, false
+		return doc, false
 	}
-	return doc.Entries, true
+	return doc, true
 }
 
 // writeIndexSidecarLocked writes seg's sorted key→offset sidecar via
@@ -633,7 +653,7 @@ func (s *Store) writeIndexSidecarLocked(seg *segment) error {
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].Key < ents[j].Key })
-	buf, err := json.Marshal(indexDoc{Schema: IndexSchema, Segment: seg.id, Size: seg.size, Entries: ents})
+	buf, err := json.Marshal(indexDoc{Schema: IndexSchema, Segment: seg.id, Size: seg.size, Puts: seg.puts, Entries: ents})
 	if err != nil {
 		return err
 	}

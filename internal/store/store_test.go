@@ -292,3 +292,79 @@ func TestClosedStore(t *testing.T) {
 		t.Fatalf("double Close: %v", err)
 	}
 }
+
+// TestPutSameValueWritesNothing: a re-Put of the value a key's live
+// record already holds leaves the store as it was, while a different
+// value still supersedes it.
+func TestPutSameValueWritesNothing(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{})
+	defer s.Close() //mklint:allow errdrop — test cleanup
+	mustPut(t, s, "k", []byte("v1"))
+	before := s.Stats()
+	mustPut(t, s, "k", []byte("v1"))
+	if after := s.Stats(); after.Writes != before.Writes || after.Superseded != before.Superseded ||
+		after.DiskBytes != before.DiskBytes {
+		t.Fatalf("identical re-Put changed the store: %+v -> %+v", before, after)
+	}
+	mustPut(t, s, "k", []byte("v2"))
+	if st := s.Stats(); st.Writes != 2 || st.Superseded != 1 || st.DiskBytes <= before.DiskBytes {
+		t.Fatalf("re-Put of a new value: %+v, want 2 writes, 1 superseded, more bytes", st)
+	}
+	mustGet(t, s, "k", []byte("v2"))
+}
+
+// TestSupersededSurvivesReopen: the superseded count reads the same
+// before Close, after a reopen from the index sidecars and after a
+// reopen that rescans every segment, for one segment and for a store
+// rolled across several.
+func TestSupersededSurvivesReopen(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+	}{{"one segment", 0}, {"rolled", 256}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{MaxSegmentBytes: tc.maxBytes}
+			s := openT(t, dir, opts)
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 6; i++ {
+					mustPut(t, s, fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("value-%02d-round-%d-padding", i, round)))
+				}
+			}
+			want := s.Stats()
+			if want.Superseded != 12 {
+				t.Fatalf("Superseded = %d before Close, want 12", want.Superseded)
+			}
+			if tc.maxBytes > 0 && want.Segments < 2 {
+				t.Fatalf("Segments = %d, want a store rolled across several", want.Segments)
+			}
+			reopen := func(how string) {
+				t.Helper()
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				s = openT(t, dir, opts)
+				if st := s.Stats(); st.Superseded != want.Superseded || st.Segments != want.Segments {
+					t.Fatalf("%s: Superseded %d over %d segments, want %d over %d",
+						how, st.Superseded, st.Segments, want.Superseded, want.Segments)
+				}
+			}
+			reopen("reopen from sidecars")
+			reopen("second reopen from sidecars")
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			idxs, _ := filepath.Glob(filepath.Join(dir, "*.idx"))
+			for _, idx := range idxs {
+				if err := os.Remove(idx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s = openT(t, dir, opts)
+			defer s.Close() //mklint:allow errdrop — test cleanup
+			if st := s.Stats(); st.Superseded != want.Superseded {
+				t.Fatalf("rescan: Superseded = %d, want %d", st.Superseded, want.Superseded)
+			}
+		})
+	}
+}
