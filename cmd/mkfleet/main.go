@@ -6,18 +6,20 @@
 // Usage:
 //
 //	mkfleet -workers 127.0.0.1:8080,127.0.0.1:8081 -scenario both
-//	mkfleet -workers $A,$B -checkpoint ckpt.jsonl -out rows.jsonl
-//	mkfleet -workers $A,$B -checkpoint ckpt.jsonl -resume   # only missing intervals
-//	mkfleet -local -scenario both                           # in-process reference run
-//	mkfleet -workers $A -store /var/lib/mkss                # cross-run result cache
-//	mkfleet -elastic -min 1 -max 4 -store dir               # self-managed worker pool
+//	mkfleet -workers $A,$B -store dir -out rows.jsonl
+//	mkfleet -workers $A,$B -store dir -out rows.jsonl  # again: only missing intervals
+//	mkfleet -local -scenario both                      # in-process reference run
+//	mkfleet -elastic -min 1 -max 4 -store dir          # self-managed worker pool
 //	mkfleet -pool -min 1 -max 3 -pool-addrfile a -pool-status s.json
 //
-// -store points at a persistent content-addressed result store (shared
-// format with mkservd -store): before dispatching, every unit is probed
-// against it — a warm store satisfies a whole re-run without touching a
-// worker — and completed units are written back, so the cache survives
-// worker churn and process restarts.
+// -store is the sweep's checkpoint: a persistent content-addressed
+// result store (shared format with mkservd -store). Every unit is
+// probed against it before dispatch — a warm store satisfies a whole
+// re-run without touching a worker — and a completed unit is put there
+// before it counts, so an interrupted run re-run with the same -store
+// dispatches only the missing intervals. A unit's key carries the whole
+// sweep identity, so rows of a different sweep in the same store are
+// never merged.
 //
 // -elastic replaces -workers with a self-managed pool of in-process
 // workers, autoscaled between -min and -max from observed queue depth
@@ -34,9 +36,8 @@
 //	cmp want.jsonl got.jsonl
 //
 // A worker dying mid-unit is retried on another worker; stragglers can
-// be hedged (-hedge); completed units are journaled to -checkpoint so an
-// interrupted run resumes without recomputing. SIGINT/SIGTERM abort
-// cleanly with the checkpoint intact.
+// be hedged (-hedge). SIGINT/SIGTERM abort cleanly, every completed unit
+// already in the -store.
 package main
 
 import (
@@ -79,11 +80,9 @@ type options struct {
 	probeMax    time.Duration
 	grace       time.Duration
 
-	checkpoint string
-	resume     bool
-	out        string
-	bench      string
-	quiet      bool
+	out   string
+	bench string
+	quiet bool
 
 	storeDir string
 
@@ -117,12 +116,10 @@ func main() {
 	flag.DurationVar(&o.probe, "probe", 250*time.Millisecond, "first re-probe delay for a down worker (doubles per failure)")
 	flag.DurationVar(&o.probeMax, "probe-max", 5*time.Second, "probe backoff cap")
 	flag.DurationVar(&o.grace, "grace", 15*time.Second, "how long all workers may be down before the sweep fails")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "journal completed units to this JSONL file")
-	flag.BoolVar(&o.resume, "resume", false, "load the checkpoint and run only the missing intervals")
 	flag.StringVar(&o.out, "out", "", "write the merged JSONL stream here (default: stdout)")
 	flag.StringVar(&o.bench, "bench", "", "write an mkss-bench/v1 fleet summary JSON here")
 	flag.BoolVar(&o.quiet, "q", false, "suppress the human-readable summary")
-	flag.StringVar(&o.storeDir, "store", "", "persistent result store directory (shared format with mkservd -store)")
+	flag.StringVar(&o.storeDir, "store", "", "persistent result store directory, the sweep's checkpoint (shared format with mkservd -store)")
 	flag.BoolVar(&o.elastic, "elastic", false, "autoscale an in-process worker pool instead of using -workers")
 	flag.BoolVar(&o.pool, "pool", false, "run a standalone autoscaling worker pool (no sweep) until SIGTERM")
 	flag.IntVar(&o.min, "min", 1, "elastic pool lower bound")
@@ -135,7 +132,7 @@ func main() {
 	flag.DurationVar(&o.scaleCooldown, "scale-cooldown", 0, "minimum gap between scaling operations (0 = default 30s)")
 	flag.Int64Var(&o.scaleQueue, "scale-queue", 0, "queued-jobs threshold that counts a tick as busy (0 = default 4)")
 	flag.Parse()
-	// SIGTERM behaves like SIGINT: abort the sweep, keep the checkpoint.
+	// SIGTERM behaves like SIGINT: abort the sweep, keep the stored units.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, o); err != nil {
@@ -282,8 +279,6 @@ func runFleet(ctx context.Context, o options, sw serve.Sweep, emit func([]byte) 
 		ProbeBackoff:      o.probe,
 		ProbeMax:          o.probeMax,
 		AllDownGrace:      o.grace,
-		CheckpointPath:    o.checkpoint,
-		Resume:            o.resume,
 		Store:             st,
 		Log:               os.Stderr,
 	}
@@ -438,8 +433,8 @@ func printSummary(w io.Writer, sum *fleet.Summary, runErr error) {
 	if runErr != nil {
 		status = "FAILED"
 	}
-	fmt.Fprintf(w, "mkfleet: sweep %s: %d units (%d from checkpoint, %d from store), %d dispatched, %d retried, %d hedged, %d cancelled, %d failed in %.0f ms\n",
-		status, sum.Units, sum.FromCheckpoint, sum.FromStore, sum.Dispatched, sum.Retried, sum.Hedged, sum.Cancelled, sum.Failed, sum.ElapsedMS)
+	fmt.Fprintf(w, "mkfleet: sweep %s: %d units (%d from store), %d dispatched, %d retried, %d hedged, %d cancelled, %d failed in %.0f ms\n",
+		status, sum.Units, sum.FromStore, sum.Dispatched, sum.Retried, sum.Hedged, sum.Cancelled, sum.Failed, sum.ElapsedMS)
 	for _, ws := range sum.Workers {
 		fmt.Fprintf(w, "         %-24s dispatched %-3d completed %-3d failed %-3d won %-3d markdowns %-3d probes %d\n",
 			ws.Addr, ws.Dispatched, ws.Completed, ws.Failed, ws.Won, ws.Markdowns, ws.Probes)

@@ -11,10 +11,13 @@
 // worker computes exactly the row the batch run would. Units are
 // dispatched with bounded in-flight per worker; a unit lost to a worker
 // death is retried on another worker; straggler units are hedged
-// (duplicated, first result wins, loser cancelled); and every completed
-// unit is journaled to a JSONL checkpoint before it counts, so a
+// (duplicated, first result wins, loser cancelled). The checkpoint is
+// the persistent result store (Config.Store): every completed unit is
+// put there before it counts, under its serve.Sweep.UnitKey, and every
+// unit already there is taken from it before any dispatch, so a
 // coordinator crash or a clean failure (all workers down) never loses
-// finished work — -resume re-runs only the missing intervals.
+// finished work — a re-run with the same store dispatches only the
+// missing intervals.
 //
 // Determinism argument: a unit's row depends only on (seed, interval
 // offset, interval bounds, sets, candidates, approaches, scenario) —
@@ -29,8 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/serve"
@@ -39,22 +40,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/workload"
 )
-
-// checkpointKey canonicalizes the sweep identity for the checkpoint
-// header: two sweeps with the same key produce the same rows. The sweep
-// is normalized, so spellings of one approach or scenario share a key.
-func checkpointKey(sw serve.Sweep) string {
-	r := sw.Req
-	return strings.Join([]string{
-		r.Scenario,
-		strconv.FormatUint(r.Seed, 10),
-		strconv.Itoa(r.SetsPerInterval),
-		strconv.Itoa(r.MaxCandidates),
-		strconv.FormatFloat(r.Lo, 'g', -1, 64),
-		strconv.FormatFloat(r.Hi, 'g', -1, 64),
-		strings.Join(r.Approaches, ","),
-	}, "|")
-}
 
 // Config tunes a Coordinator. Zero values pick the documented defaults.
 type Config struct {
@@ -90,20 +75,17 @@ type Config struct {
 	// ProbeTimeout bounds one health probe (default 2s).
 	ProbeTimeout time.Duration
 	// AllDownGrace is how long the coordinator keeps probing with every
-	// worker down before failing the sweep cleanly (default 15s). The
-	// checkpoint stays intact either way.
+	// worker down before failing the sweep cleanly (default 15s). Units
+	// already stored stay stored either way.
 	AllDownGrace time.Duration
-	// CheckpointPath, when set, journals completed units to this JSONL
-	// file; with Resume, previously completed units are loaded from it
-	// and only missing intervals run.
-	CheckpointPath string
-	Resume         bool
-	// Store, when non-nil, is the persistent cross-run result cache:
-	// before dispatching, every pending unit's key is probed and a hit
-	// satisfies the unit without any worker traffic; completed units are
-	// written back so the next run (or a restarted coordinator) starts
-	// warm. The key space is shared with mkservd's own store, so a fleet
-	// run can warm a serving store and vice versa.
+	// Store, when non-nil, is the sweep's checkpoint and cross-run
+	// result cache: before dispatching, every unit's key is probed and a
+	// hit satisfies the unit without any worker traffic; a completed
+	// unit is put before it counts, so a re-run (or a restarted
+	// coordinator) dispatches only the units still missing. A unit key
+	// carries the whole sweep identity, so another sweep's rows never
+	// match. The key space is shared with mkservd's own store, so a
+	// fleet run can warm a serving store and vice versa.
 	Store *store.Store
 	// Pool, when non-nil, is an elastic worker pool: the coordinator
 	// syncs its registry with Pool.Addrs() every tick, adopting workers
@@ -217,8 +199,8 @@ type probeResult struct {
 // Run executes the distributed sweep, feeding the merged JSONL stream —
 // one "start" line, the interval rows in order, a terminal "done" (or
 // "error") line, each without the trailing newline — to out. It returns
-// the run's accounting alongside any error; on error the checkpoint
-// (when configured) retains every unit completed before the failure.
+// the run's accounting alongside any error; on error the store (when
+// configured) holds every unit completed before the failure.
 func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Summary, error) {
 	start := c.now()
 	intervals := c.sweep.Intervals()
@@ -226,77 +208,42 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	if n == 0 {
 		return nil, fmt.Errorf("fleet: sweep [%v, %v) contains no intervals", c.sweep.Req.Lo, c.sweep.Req.Hi)
 	}
-
-	// Checkpoint: fresh journal, or resume from a previous run's.
-	var journal *Journal
 	rows := make([][]byte, n)
 	units := make([]unitInfo, n)
 	for i := range units {
 		units[i].excluded = map[int]bool{}
 	}
-	fromCkpt := 0
-	if c.cfg.CheckpointPath != "" {
-		if c.cfg.Resume {
-			j, prev, oerr := OpenJournal(c.cfg.CheckpointPath, checkpointKey(c.sweep), n)
-			if oerr != nil {
-				return nil, oerr
-			}
-			journal = j
-			for u, raw := range prev {
-				rows[u] = append([]byte(nil), raw...)
-				units[u].state = unitDone
-				fromCkpt++
-			}
-		} else {
-			j, cerr := CreateJournal(c.cfg.CheckpointPath, checkpointKey(c.sweep), n)
-			if cerr != nil {
-				return nil, cerr
-			}
-			journal = j
-		}
-		defer func() {
-			if cerr := journal.Close(); cerr != nil {
-				fmt.Fprintf(c.cfg.Log, "fleet: close checkpoint: %v\n", cerr)
-			}
-		}()
-	}
 
-	// Cross-run store: a pending unit whose row is already stored needs
-	// no worker at all — it is journaled like a freshly computed unit so
-	// a later -resume run is warm even without the store. A unit's key is
-	// the one its worker derives for the single-interval request runUnit
-	// sends (serve.Sweep.UnitKey on both sides), so a row cached by a
-	// worker's own store and one cached here are interchangeable.
+	// The store is the checkpoint: a unit whose row is already stored
+	// needs no worker at all. A unit's key is the one its worker derives
+	// for the single-interval request runUnit sends (serve.Sweep.UnitKey
+	// on both sides), so a row cached by a worker's own store and one
+	// cached here are interchangeable.
 	fromStore := 0
 	if c.cfg.Store != nil {
 		for u := 0; u < n; u++ {
-			if units[u].state == unitDone {
-				continue
-			}
 			raw, ok := c.cfg.Store.Get(c.sweep.UnitKey(intervals[u], u))
 			if !ok {
 				continue
 			}
 			rows[u] = raw
 			units[u].state = unitDone
-			if err := journal.Append(u, raw); err != nil {
-				return nil, err
-			}
 			fromStore++
 		}
 		if fromStore > 0 {
 			fmt.Fprintf(c.cfg.Log, "fleet: %d/%d units satisfied by the result store\n", fromStore, n)
 		}
 	}
-	// storePut writes one completed unit back to the store; a write
-	// failure costs only warmth, never the run.
-	storePut := func(u int, row []byte) {
+	// storePut makes one completed unit durable: Put has handed the row
+	// to the OS when it returns.
+	storePut := func(u int, row []byte) error {
 		if c.cfg.Store == nil {
-			return
+			return nil
 		}
 		if err := c.cfg.Store.Put(c.sweep.UnitKey(intervals[u], u), row); err != nil {
-			fmt.Fprintf(c.cfg.Log, "fleet: store write-back for unit %d: %v\n", u, err)
+			return fmt.Errorf("fleet: store unit %d: %w", u, err)
 		}
+		return nil
 	}
 
 	maxWorkers := len(c.cfg.Workers)
@@ -313,7 +260,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	doneCount := fromCkpt + fromStore
+	doneCount := fromStore
 	emitted := 0
 	activeAttempts, activeProbes := 0, 0
 	var fatal error
@@ -334,7 +281,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 		}
 		return nil
 	}
-	if err := flush(); err != nil { // resumed prefix, if any
+	if err := flush(); err != nil { // stored prefix, if any
 		return nil, err
 	}
 
@@ -403,11 +350,15 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 		ui := &units[at.unit]
 		if ui.state == unitDone {
 			// The unit finished elsewhere first: this is a cancelled
-			// hedge loser (or a duplicate racing a checkpoint).
+			// hedge loser.
 			at.w.stats.Cancelled++
 			return nil
 		}
 		if r.err == nil {
+			// The unit is durable before it counts or is emitted.
+			if err := storePut(at.unit, r.row); err != nil {
+				return err
+			}
 			at.w.stats.Completed++
 			if ui.hedged {
 				at.w.stats.Won++
@@ -415,17 +366,10 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 			ui.state = unitDone
 			doneCount++
 			rows[at.unit] = r.row
-			if err := journal.Append(at.unit, r.row); err != nil {
-				return err
-			}
-			storePut(at.unit, r.row)
 			for _, other := range ui.attempts {
 				other.cancel()
 			}
-			if fatal == nil {
-				return flush()
-			}
-			return nil
+			return flush()
 		}
 		if runCtx.Err() != nil {
 			// The run is shutting down; the attempt died of our own
@@ -535,7 +479,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 				if allDownSince.IsZero() {
 					allDownSince = t
 				} else if t.Sub(allDownSince) >= c.cfg.AllDownGrace {
-					fatal = fmt.Errorf("fleet: all %d workers down for %v with %d/%d units incomplete (checkpoint intact)",
+					fatal = fmt.Errorf("fleet: all %d workers down for %v with %d/%d units incomplete",
 						len(reg.workers), c.cfg.AllDownGrace, n-doneCount, n)
 				}
 			} else {
@@ -560,16 +504,13 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 			ui := &units[r.at.unit]
 			if r.err == nil && ui.state != unitDone {
 				// A row that completed during shutdown is durable
-				// progress: journal it so -resume skips the unit, even
+				// progress: store it so a re-run skips the unit, even
 				// though the merged stream already carries the error.
-				ui.state = unitDone
-				rows[r.at.unit] = r.row
-				r.at.w.stats.Completed++
-				doneCount++
-				if err := journal.Append(r.at.unit, r.row); err != nil {
-					fmt.Fprintf(c.cfg.Log, "fleet: checkpoint during shutdown: %v\n", err)
+				if err := storePut(r.at.unit, r.row); err != nil {
+					fmt.Fprintf(c.cfg.Log, "%v (during shutdown)\n", err)
 				}
-				storePut(r.at.unit, r.row)
+				ui.state = unitDone
+				r.at.w.stats.Completed++
 			} else {
 				r.at.w.stats.Cancelled++
 			}
@@ -579,7 +520,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	}
 
 	elapsedMS := float64(c.now().Sub(start)) / 1e6
-	sum := summarize(reg, n, fromCkpt, fromStore, elapsedMS)
+	sum := summarize(reg, n, fromStore, elapsedMS)
 	if fatal != nil {
 		// Best-effort terminal error line, mirroring the serving
 		// layer's mid-stream error convention.
@@ -591,8 +532,8 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	if err := out(serve.DoneLine(n, elapsedMS)); err != nil {
 		return sum, fmt.Errorf("fleet: write done line: %w", err)
 	}
-	fmt.Fprintf(c.cfg.Log, "fleet: sweep complete: %d units (%d from checkpoint, %d from store, %d dispatched, %d retried, %d hedged) in %.0f ms\n",
-		n, fromCkpt, fromStore, sum.Dispatched, sum.Retried, sum.Hedged, elapsedMS)
+	fmt.Fprintf(c.cfg.Log, "fleet: sweep complete: %d units (%d from store, %d dispatched, %d retried, %d hedged) in %.0f ms\n",
+		n, fromStore, sum.Dispatched, sum.Retried, sum.Hedged, elapsedMS)
 	return sum, nil
 }
 

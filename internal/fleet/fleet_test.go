@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"repro"
 	"repro/internal/serve"
 	"repro/internal/serve/wire"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -195,7 +195,7 @@ func TestFleetWorkerKilledMidUnit(t *testing.T) {
 
 // TestFleetAllWorkersDown pins the clean-failure path: with every worker
 // unreachable the sweep fails after the grace window with a loud error,
-// and the checkpoint survives for -resume.
+// and the store reopens with nothing to recover.
 func TestFleetAllWorkersDown(t *testing.T) {
 	// Real listeners, immediately closed: dispatches fail fast with
 	// connection-refused, the way a dead machine looks.
@@ -206,11 +206,11 @@ func TestFleetAllWorkersDown(t *testing.T) {
 		return addr
 	}
 	spec := testSpec()
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	dir := filepath.Join(t.TempDir(), "store")
 	cfg := fastConfig(t, []string{dead(), dead()}, spec)
 	cfg.AllDownGrace = 100 * time.Millisecond
 	cfg.MaxUnitFailures = 1000 // the grace window, not the budget, must fire
-	cfg.CheckpointPath = ckpt
+	cfg.Store = openStore(t, dir)
 	_, sum, err := runFleet(t, cfg)
 	if err == nil || !strings.Contains(err.Error(), "all 2 workers down") {
 		t.Fatalf("err = %v, want all-workers-down failure", err)
@@ -218,90 +218,83 @@ func TestFleetAllWorkersDown(t *testing.T) {
 	if sum == nil || sum.Failed == 0 {
 		t.Errorf("summary = %+v, want recorded failures", sum)
 	}
-	// The checkpoint must still open cleanly for the same sweep.
-	j, rows, err := OpenJournal(ckpt, checkpointKey(mustSweep(t, spec)), 3)
-	if err != nil {
-		t.Fatalf("checkpoint corrupted by the failure: %v", err)
+	checkReopens(t, cfg.Store, dir)
+}
+
+// checkReopens closes st and reopens its directory: a sweep that failed
+// before any unit completed must leave a store with no torn tail to
+// recover and no key.
+func checkReopens(t *testing.T, st *store.Store, dir string) {
+	t.Helper()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	defer j.Close() //mklint:allow errdrop — test cleanup
-	if len(rows) != 0 {
-		t.Errorf("checkpoint has %d rows, want 0 (nothing completed)", len(rows))
+	re := openStore(t, dir)
+	defer re.Close() //mklint:allow errdrop — test cleanup
+	if s := re.Stats(); s.CorruptRecovered != 0 || s.Keys != 0 {
+		t.Errorf("reopened store = %+v, want no recovery and no keys (nothing completed)", s)
 	}
 }
 
-// TestFleetResume pins checkpoint/resume: a journal holding two of the
-// three units makes the resumed run dispatch exactly the missing one,
-// with the merged stream still byte-identical to the batch run.
+// TestFleetResume pins resuming through the store: a store holding two
+// of the three units makes the run dispatch exactly the missing one,
+// with the merged stream still byte-identical to the batch run, and
+// leaves all three stored.
 func TestFleetResume(t *testing.T) {
 	a, _ := newWorker(t)
 	spec := testSpec()
 	want := referenceRows(t, spec)
-	key := checkpointKey(mustSweep(t, spec))
-
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j, err := CreateJournal(ckpt, key, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(0, want[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(2, want[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sw := mustSweep(t, spec)
+	ivs := sw.Intervals()
 
 	cfg := fastConfig(t, []string{a}, spec)
-	cfg.CheckpointPath = ckpt
-	cfg.Resume = true
+	cfg.Store = openStore(t, filepath.Join(t.TempDir(), "store"))
+	defer cfg.Store.Close() //mklint:allow errdrop — test cleanup
+	for _, u := range []int{0, 2} {
+		if err := cfg.Store.Put(sw.UnitKey(ivs[u], u), want[u]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	lines, sum, err := runFleet(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStream(t, lines, want)
-	if sum.FromCheckpoint != 2 || sum.Dispatched != 1 {
-		t.Errorf("summary = %+v, want 2 from checkpoint and exactly 1 dispatched", sum)
+	if sum.FromStore != 2 || sum.Dispatched != 1 {
+		t.Errorf("summary = %+v, want 2 from store and exactly 1 dispatched", sum)
 	}
-	// After the resumed run the journal holds all three units.
-	j2, rows, err := OpenJournal(ckpt, key, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close() //mklint:allow errdrop — test cleanup
-	if len(rows) != 3 {
-		t.Errorf("journal has %d rows after resume, want 3", len(rows))
-	}
-	for u, raw := range rows {
-		if string(raw) != string(want[u]) {
-			t.Errorf("journal row %d differs from batch run", u)
+	for u := range want {
+		if got, ok := cfg.Store.Get(sw.UnitKey(ivs[u], u)); !ok || string(got) != string(want[u]) {
+			t.Errorf("stored row %d = %q (hit %v), want the batch run's", u, got, ok)
 		}
 	}
 }
 
-// TestFleetResumeRejectsForeignCheckpoint pins the identity check: a
-// checkpoint from a different sweep fails loudly instead of merging
-// incompatible rows.
-func TestFleetResumeRejectsForeignCheckpoint(t *testing.T) {
+// TestFleetResumeIgnoresForeignRows pins the sweep identity of a unit
+// key: a store filled by a different sweep (seed 999) satisfies no unit,
+// so its rows are never merged into this sweep's stream.
+func TestFleetResumeIgnoresForeignRows(t *testing.T) {
 	a, _ := newWorker(t)
 	spec := testSpec()
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	other := spec
 	other.Seed = 999
-	j, err := CreateJournal(ckpt, checkpointKey(mustSweep(t, other)), 3)
+	st := openStore(t, filepath.Join(t.TempDir(), "store"))
+	defer st.Close() //mklint:allow errdrop — test cleanup
+
+	cfg := fastConfig(t, []string{a}, other)
+	cfg.Store = st
+	if _, sum, err := runFleet(t, cfg); err != nil || sum.Dispatched != 3 {
+		t.Fatalf("seed-999 run: err=%v summary=%+v, want 3 dispatched", err, sum)
+	}
+	cfg = fastConfig(t, []string{a}, spec)
+	cfg.Store = st
+	lines, sum, err := runFleet(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig(t, []string{a}, spec)
-	cfg.CheckpointPath = ckpt
-	cfg.Resume = true
-	_, _, err = runFleet(t, cfg)
-	if err == nil || !strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("err = %v, want different-sweep rejection", err)
+	checkStream(t, lines, referenceRows(t, spec))
+	if sum.FromStore != 0 || sum.Dispatched != 3 {
+		t.Errorf("summary = %+v, want 0 from store and 3 dispatched", sum)
 	}
 }
 
@@ -330,15 +323,15 @@ func TestFleetHedgedStraggler(t *testing.T) {
 }
 
 // TestFleetInterrupted pins cancellation: aborting the run context fails
-// the sweep with an "interrupted" error and leaves the checkpoint
-// openable.
+// the sweep with an "interrupted" error, and the store reopens with
+// nothing to recover.
 func TestFleetInterrupted(t *testing.T) {
 	a, ca := newWorker(t)
 	ca.stallNS.Store(int64(10 * time.Second))
 	spec := testSpec()
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	dir := filepath.Join(t.TempDir(), "store")
 	cfg := fastConfig(t, []string{a}, spec)
-	cfg.CheckpointPath = ckpt
+	cfg.Store = openStore(t, dir)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +345,7 @@ func TestFleetInterrupted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("err = %v, want interrupted failure", err)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("checkpoint missing after interrupt: %v", err)
-	}
+	checkReopens(t, cfg.Store, dir)
 }
 
 // TestSweepSpecNormalize pins how the coordinator's sweep is settled:
@@ -378,10 +369,10 @@ func TestSweepSpecNormalize(t *testing.T) {
 	if _, err := serve.NormalizeSweep(wire.SweepRequest{Approaches: []string{"bogus"}}); err == nil {
 		t.Error("unknown approach accepted")
 	}
-	// Spelling variants land on the same checkpoint key.
-	k1 := checkpointKey(mustSweep(t, wire.SweepRequest{Approaches: []string{"st"}}))
-	k2 := checkpointKey(mustSweep(t, wire.SweepRequest{Approaches: []string{"MKSS-ST"}}))
-	if k1 != k2 {
+	// Spelling variants land on the same unit key.
+	s1 := mustSweep(t, wire.SweepRequest{Approaches: []string{"st"}})
+	s2 := mustSweep(t, wire.SweepRequest{Approaches: []string{"MKSS-ST"}})
+	if k1, k2 := s1.UnitKey(s1.Intervals()[0], 0), s2.UnitKey(s2.Intervals()[0], 0); k1 != k2 {
 		t.Errorf("keys differ across spellings: %q vs %q", k1, k2)
 	}
 
@@ -395,21 +386,5 @@ func TestSweepSpecNormalize(t *testing.T) {
 	sw.Req.IntervalOffset = 1
 	if _, err := New(Config{Workers: []string{"127.0.0.1:1"}, Sweep: sw}); err == nil {
 		t.Error("New accepted a non-zero interval_offset")
-	}
-}
-
-// TestCheckpointKeyLiteral pins the checkpoint header key of a fixed
-// sweep byte for byte, so journals written by earlier builds still
-// resume, and checks that approach spellings land on one key.
-func TestCheckpointKeyLiteral(t *testing.T) {
-	sp := wire.SweepRequest{Scenario: "both", SetsPerInterval: 2, MaxCandidates: 300,
-		Lo: 0.3, Hi: 0.6, Approaches: []string{"st", "dp", "selective"}}
-	const want = "permanent+transient|2020|2|300|0.3|0.6|MKSS-ST,MKSS-DP,MKSS-selective"
-	if got := checkpointKey(mustSweep(t, sp)); got != want {
-		t.Errorf("key = %q, want %q", got, want)
-	}
-	sp.Approaches = []string{"MKSS-ST", "MKSS-DP", "MKSS-selective"}
-	if got := checkpointKey(mustSweep(t, sp)); got != want {
-		t.Errorf("canonical spelling: key = %q, want %q", got, want)
 	}
 }

@@ -32,12 +32,10 @@ type WorkerStats struct {
 
 // Summary is a finished (or failed) coordinator run's accounting.
 type Summary struct {
-	// Units is the sweep's interval count; FromCheckpoint of those were
-	// satisfied by the resume journal and FromStore by the persistent
-	// result store, both without any dispatch.
-	Units          int `json:"units"`
-	FromCheckpoint int `json:"from_checkpoint"`
-	FromStore      int `json:"from_store"`
+	// Units is the sweep's interval count; FromStore of those were
+	// satisfied by the persistent result store without any dispatch.
+	Units     int `json:"units"`
+	FromStore int `json:"from_store"`
 	// Dispatched/Retried/Hedged/Cancelled/Failed aggregate the
 	// per-worker counters of the same name.
 	Dispatched int `json:"dispatched"`
@@ -52,8 +50,8 @@ type Summary struct {
 }
 
 // summarize folds the registry's per-worker counters into a Summary.
-func summarize(reg *registry, units, fromCheckpoint, fromStore int, elapsedMS float64) *Summary {
-	sum := &Summary{Units: units, FromCheckpoint: fromCheckpoint, FromStore: fromStore, ElapsedMS: elapsedMS}
+func summarize(reg *registry, units, fromStore int, elapsedMS float64) *Summary {
+	sum := &Summary{Units: units, FromStore: fromStore, ElapsedMS: elapsedMS}
 	for _, w := range reg.workers {
 		sum.Workers = append(sum.Workers, w.stats)
 		sum.Dispatched += w.stats.Dispatched

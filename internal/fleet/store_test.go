@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -66,44 +69,28 @@ func TestFleetStoreWarmRun(t *testing.T) {
 	}
 }
 
-// TestFleetStoreFillsResumeJournal pins the interaction with -resume: a
-// store hit is journaled like a computed unit, so a subsequent resume
-// run is warm even without the store.
-func TestFleetStoreFillsResumeJournal(t *testing.T) {
-	dir := t.TempDir()
+// TestFleetSharedStoreWritesOnce pins the topology of mkfleet -elastic
+// -store: the worker shares the coordinator's store, so it puts each row
+// before the coordinator puts the same bytes under the same key, and
+// that second put writes nothing.
+func TestFleetSharedStoreWritesOnce(t *testing.T) {
+	st := openStore(t, filepath.Join(t.TempDir(), "store"))
+	defer st.Close() //mklint:allow errdrop — test cleanup
+	ts := httptest.NewServer(serve.NewServer(serve.Config{Store: st}).Handler())
+	defer ts.Close()
+
 	spec := testSpec()
-
-	a, _ := newWorker(t)
-	cfg := fastConfig(t, []string{a}, spec)
-	cfg.Store = openStore(t, filepath.Join(dir, "store"))
-	if _, _, err := runFleet(t, cfg); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm run with a checkpoint: every unit comes from the store and
-	// lands in the journal.
-	ckpt := filepath.Join(dir, "ckpt.jsonl")
-	cfg2 := fastConfig(t, []string{"127.0.0.1:1"}, spec)
-	cfg2.Store = cfg.Store
-	cfg2.CheckpointPath = ckpt
-	if _, sum, err := runFleet(t, cfg2); err != nil || sum.FromStore != 3 {
-		t.Fatalf("warm run: err=%v summary=%+v, want 3 from store", err, sum)
-	}
-
-	// Resume from that journal with no store at all: still zero
-	// dispatches.
-	cfg3 := fastConfig(t, []string{"127.0.0.1:1"}, spec)
-	cfg3.CheckpointPath = ckpt
-	cfg3.Resume = true
-	lines, sum, err := runFleet(t, cfg3)
+	cfg := fastConfig(t, []string{strings.TrimPrefix(ts.URL, "http://")}, spec)
+	cfg.Store = st
+	lines, sum, err := runFleet(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStream(t, lines, referenceRows(t, spec))
-	if sum.FromCheckpoint != 3 || sum.Dispatched != 0 {
-		t.Fatalf("resume summary = %+v, want 3 from checkpoint, 0 dispatched", sum)
+	if sum.Dispatched != 3 {
+		t.Fatalf("summary = %+v, want 3 dispatched", sum)
 	}
-	if err := cfg.Store.Close(); err != nil {
-		t.Fatal(err)
+	if s := st.Stats(); s.Writes != 3 || s.Superseded != 0 {
+		t.Errorf("store = %+v, want 3 writes and 0 superseded (one put per unit)", s)
 	}
 }
