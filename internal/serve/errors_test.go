@@ -104,23 +104,45 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 	}
 
 	// A timeout_ms past what a time.Duration holds used to wrap to a
-	// negative, already expired deadline and answer 504 at once.
+	// negative, already expired deadline and answer 504 at once. A
+	// horizon_ms whose µs count does not fit in an int64 converted to a
+	// CPU-dependent horizon, and a NaN, infinite or negative
+	// transient_rate was run as given.
 	for _, tc := range []struct {
 		name   string
 		method string
 		path   string
 		body   any
+		field  string
 	}{
 		{"simulate timeout_ms 1e13", http.MethodPost, "/v1/simulate",
-			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e13}},
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e13}, "timeout_ms"},
 		{"simulate timeout_ms 1e300", http.MethodPost, "/v1/simulate",
-			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e300}},
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TimeoutMS: 1e300}, "timeout_ms"},
 		{"refine timeout_ms 1e13", http.MethodPost, "/v1/estimate",
-			wire.EstimateRequest{Set: paperSpec(), HorizonMS: 20, Refine: true, TimeoutMS: 1e13}},
+			wire.EstimateRequest{Set: paperSpec(), HorizonMS: 20, Refine: true, TimeoutMS: 1e13}, "timeout_ms"},
 		{"estimate timeout_ms Inf", http.MethodGet,
-			estimateURL("", map[string]string{"timeout_ms": "Inf", "refine": "true"}), nil},
+			estimateURL("", map[string]string{"timeout_ms": "Inf", "refine": "true"}), nil, "timeout_ms"},
 		{"sweep timeout_ms 1e13", http.MethodPost, "/v1/sweep",
-			wire.SweepRequest{Lo: 0.3, Hi: 0.4, TimeoutMS: 1e13}},
+			wire.SweepRequest{Lo: 0.3, Hi: 0.4, TimeoutMS: 1e13}, "timeout_ms"},
+		{"simulate horizon_ms 1e300", http.MethodPost, "/v1/simulate",
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 1e300}, "horizon_ms"},
+		{"simulate horizon_ms -1e300", http.MethodPost, "/v1/simulate",
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: -1e300}, "horizon_ms"},
+		{"simulate horizon_ms 2^63 µs", http.MethodPost, "/v1/simulate",
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 9223372036854775.808}, "horizon_ms"},
+		{"estimate horizon_ms NaN", http.MethodGet,
+			estimateURL("", map[string]string{"horizon_ms": "NaN"}), nil, "horizon_ms"},
+		{"estimate horizon_ms Inf", http.MethodGet,
+			estimateURL("", map[string]string{"horizon_ms": "Inf"}), nil, "horizon_ms"},
+		{"refine horizon_ms 1e300", http.MethodGet,
+			estimateURL("", map[string]string{"horizon_ms": "1e300", "refine": "true"}), nil, "horizon_ms"},
+		{"simulate transient_rate -1", http.MethodPost, "/v1/simulate",
+			wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20, TransientRate: -1}, "transient_rate"},
+		{"estimate transient_rate NaN", http.MethodGet,
+			estimateURL("", map[string]string{"horizon_ms": "20", "transient_rate": "NaN"}), nil, "transient_rate"},
+		{"refine transient_rate Inf", http.MethodGet,
+			estimateURL("", map[string]string{"horizon_ms": "20", "transient_rate": "Inf", "refine": "true"}), nil, "transient_rate"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp *http.Response
@@ -136,10 +158,22 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 				t.Fatalf("status = %d, want 400: %s", resp.StatusCode, readAll(t, resp))
 			}
 			doc := decodeError(t, resp)
-			if doc.Code != wire.CodeBadRequest || !strings.HasPrefix(doc.Error, "timeout_ms ") {
-				t.Errorf("error %+v does not name timeout_ms with code %q", doc, wire.CodeBadRequest)
+			if doc.Code != wire.CodeBadRequest || !strings.HasPrefix(doc.Error, tc.field+" ") {
+				t.Errorf("error %+v does not name %s with code %q", doc, tc.field, wire.CodeBadRequest)
 			}
 		})
+	}
+
+	// Zero and negative horizons still mean the set's default, at the
+	// edge of the range too.
+	for _, ms := range []string{"0", "-5", "-9223372036854775.808"} {
+		resp, err := http.Get(ts.URL + estimateURL("", map[string]string{"horizon_ms": ms}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc := decodeEstimate(t, resp); doc.HorizonUS != 20000 {
+			t.Errorf("horizon_ms %s: horizon_us = %d, want the default 20000", ms, doc.HorizonUS)
+		}
 	}
 
 	t.Run("bad approach", func(t *testing.T) {

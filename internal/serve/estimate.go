@@ -48,15 +48,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, 0, "parse request: "+err.Error())
 		return
 	}
-	run, err := parseRun(wire.SimulateRequest{
-		Set:           req.Set,
-		Approach:      req.Approach,
-		Scenario:      req.Scenario,
-		Seed:          req.Seed,
-		HorizonMS:     req.HorizonMS,
-		TransientRate: req.TransientRate,
-		TimeoutMS:     req.TimeoutMS,
-	})
+	run, err := parseEstimate(req)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, 0, err.Error())
 		return
@@ -102,6 +94,20 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, EstimateDocOf(run.set, run.sc, req.Seed, ans, s.now().Sub(start)))
+}
+
+// parseEstimate is parseRun over the run fields an estimate request
+// mirrors from /v1/simulate; refine=true serves the result.
+func parseEstimate(req wire.EstimateRequest) (runRequest, error) {
+	return parseRun(wire.SimulateRequest{
+		Set:           req.Set,
+		Approach:      req.Approach,
+		Scenario:      req.Scenario,
+		Seed:          req.Seed,
+		HorizonMS:     req.HorizonMS,
+		TransientRate: req.TransientRate,
+		TimeoutMS:     req.TimeoutMS,
+	})
 }
 
 // EstimateDocOf is the mkss-estimate/v1 document of one estimator answer

@@ -159,7 +159,8 @@ type runRequest struct {
 
 // parseRun is the one parse of a run request, shared by /v1/simulate
 // and /v1/estimate: the set spec, the approach (default selective), the
-// scenario (default none) and the timeout_ms bound, in that order.
+// scenario (default none) and the horizon_ms, transient_rate and
+// timeout_ms bounds, in that order.
 func parseRun(req wire.SimulateRequest) (runRequest, error) {
 	run := runRequest{SimulateRequest: req}
 	var err error
@@ -170,6 +171,12 @@ func parseRun(req wire.SimulateRequest) (runRequest, error) {
 		return run, err
 	}
 	if run.sc, err = repro.ParseScenario(orDefault(req.Scenario, "none")); err != nil {
+		return run, err
+	}
+	if err = checkHorizon(req.HorizonMS); err != nil {
+		return run, err
+	}
+	if err = checkRate(req.TransientRate); err != nil {
 		return run, err
 	}
 	return run, checkTimeout(req.TimeoutMS)

@@ -38,6 +38,7 @@ import (
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/timeu"
 )
 
 // Config tunes a Server. The zero value of every field picks a sensible
@@ -274,6 +275,31 @@ const maxTimeoutMS = float64(math.MaxInt64 / int64(time.Millisecond))
 func checkTimeout(ms float64) error {
 	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms > maxTimeoutMS {
 		return fmt.Errorf("timeout_ms must be finite and at most %v, got %v", maxTimeoutMS, ms)
+	}
+	return nil
+}
+
+// maxHorizonUS is 2^63, the first µs count past timeu.Time's range.
+const maxHorizonUS = float64(math.MaxInt64)
+
+// checkHorizon bounds a request's horizon_ms: it must be finite and its
+// µs count, rounded as timeu.FromMillis rounds it, must fit in
+// timeu.Time. Go leaves the conversion of a value that does not fit
+// implementation-dependent, so the run it asked for would depend on the
+// CPU. Zero and negative values mean the set's default horizon.
+func checkHorizon(ms float64) error {
+	us := math.Round(ms * float64(timeu.Millisecond))
+	if math.IsNaN(us) || us >= maxHorizonUS || us < -maxHorizonUS {
+		return fmt.Errorf("horizon_ms must be finite and below %v in magnitude, got %v", maxHorizonUS/float64(timeu.Millisecond), ms)
+	}
+	return nil
+}
+
+// checkRate bounds a request's transient_rate: it must be finite and at
+// least zero.
+func checkRate(rate float64) error {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		return fmt.Errorf("transient_rate must be finite and at least 0, got %v", rate)
 	}
 	return nil
 }
