@@ -16,7 +16,8 @@
 # recorded runs diffed against results/ablation*.txt, wall-clock column
 # stripped), a 15 s fuzz of the first-job
 # schedulability test against the hyperperiod walk, 10 s fuzzes of the
-# /v1/sweep normalizer, of the task-set JSON decoder, of the engine's
+# /v1/sweep normalizer, of the run request parser, of the task-set JSON
+# decoder, of the engine's
 # stops against the linear scan, of a resumed run against the full run,
 # of the candidate draw against its reference, of the saturating
 # time arithmetic against math/big, of the exact DBP test against
@@ -33,9 +34,11 @@
 # /v1/simulate document of the same run), the estimate smoke (the analytical
 # twin's GET /v1/estimate fast path under load, p99 asserted
 # sub-25ms, and refine=true checked byte-identical to /v1/simulate), the
-# fleet smoke (a distributed mkfleet sweep over two workers, one
-# killed mid-run, checked byte-identical against the in-process
-# reference), the store smoke (a cold mkservd run fills the persistent
+# fleet smoke (a distributed mkfleet sweep into a result store over two
+# workers, one dead from the start, checked byte-identical against the
+# in-process reference with at least one markdown and one retry, then
+# re-run with both workers dead and served from the store alone), the
+# store smoke (a cold mkservd run fills the persistent
 # result store, a restarted server re-answers the same requests purely
 # from disk — byte-identical, zero misses), and the autoscale smoke (a
 # standalone elastic pool grows above its baseline under an mkload
@@ -146,6 +149,9 @@ if [ "$fast" = 0 ]; then
   step "fuzz (the /v1/sweep normalizer, 10 s)"
   go test -run '^$' -fuzz '^FuzzNormalizeSweep$' -fuzztime 10s ./internal/serve
 
+  step "fuzz (the run request parser, 10 s)"
+  go test -run '^$' -fuzz '^FuzzParseRun$' -fuzztime 10s ./internal/serve
+
   step "fuzz (the task-set JSON decoder, 10 s)"
   go test -run '^$' -fuzz '^FuzzLoadSet$' -fuzztime 10s .
 
@@ -237,7 +243,7 @@ if [ "$fast" = 0 ]; then
   wait "$estd"
   echo "BENCH_estimate.json written to $tmp (estimate p99 ${p99}ms)"
 
-  step "fleet smoke (mkfleet over 2 workers, one killed mid-run)"
+  step "fleet smoke (mkfleet over 2 workers, one dead, then a re-run from the store)"
   go build -o "$tmp/mkfleet" ./cmd/mkfleet
   "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/w1.addr" -q > "$tmp/w1.log" 2>&1 &
   w1=$!
@@ -245,15 +251,14 @@ if [ "$fast" = 0 ]; then
   w2=$!
   for _ in $(seq 1 100); do [ -s "$tmp/w1.addr" ] && [ -s "$tmp/w2.addr" ] && break; sleep 0.1; done
   workers="$(cat "$tmp/w1.addr"),$(cat "$tmp/w2.addr")"
-  # Kill worker 2 the moment the first row is merged: still mid-run, so
-  # the fleet must mark it down and retry its units on the survivor.
-  ( for _ in $(seq 1 600); do
-      grep -q '"type":"row"' "$tmp/fleet.jsonl" 2>/dev/null && break
-      sleep 0.05
-    done
-    kill -9 "$w2" ) &
+  # Kill worker 2 before the sweep starts but keep it in -workers: its
+  # units meet a refused connection, so the fleet must mark it down and
+  # retry them on worker 1. (The 9-unit sweep can finish before a kill
+  # timed on its first row.)
+  kill -9 "$w2"
+  wait "$w2" 2>/dev/null || true
   "$tmp/mkfleet" -workers "$workers" -scenario both -seed 2020 -sets 3 \
-    -candidates 4000 -checkpoint "$tmp/fleet.ckpt" -out "$tmp/fleet.jsonl" \
+    -candidates 4000 -store "$tmp/fleet.store" -out "$tmp/fleet.jsonl" \
     -bench "$tmp/BENCH_fleet.json" 2> "$tmp/fleet.log"
   grep -q 'sweep complete' "$tmp/fleet.log"
   "$tmp/mkfleet" -local -scenario both -seed 2020 -sets 3 \
@@ -261,8 +266,29 @@ if [ "$fast" = 0 ]; then
   grep '"type":"row"' "$tmp/fleet.jsonl" > "$tmp/fleet_rows.jsonl"
   grep '"type":"row"' "$tmp/local.jsonl" > "$tmp/local_rows.jsonl"
   cmp "$tmp/fleet_rows.jsonl" "$tmp/local_rows.jsonl"
+  # first NAME FILE prints the first "NAME": number of a pretty-printed
+  # fleet document: the summary's own fields precede its workers'.
+  first() { grep -m1 "\"$1\"" "$2" | sed -E 's/.*: *([0-9.]+).*/\1/'; }
+  marks=$(grep '"markdowns"' "$tmp/BENCH_fleet.json" | sed -E 's/.*: *([0-9]+).*/\1/' | awk '{ s += $1 } END { print s + 0 }')
+  retried=$(first retried "$tmp/BENCH_fleet.json")
+  if [ "$marks" -lt 1 ] || [ "$retried" -lt 1 ]; then
+    echo "fleet smoke: $marks markdowns and $retried retried, want at least 1 of each" >&2
+    exit 1
+  fi
+  # Both workers dead: the re-run must come from the store alone.
   kill "$w1"
-  echo "BENCH_fleet.json written to $tmp (CI uploads this as an artifact)"
+  wait "$w1" 2>/dev/null || true
+  "$tmp/mkfleet" -workers "$workers" -scenario both -seed 2020 -sets 3 \
+    -candidates 4000 -store "$tmp/fleet.store" -out "$tmp/warm.jsonl" \
+    -bench "$tmp/warm.json" 2> "$tmp/warm.log"
+  grep '"type":"row"' "$tmp/warm.jsonl" > "$tmp/warm_rows.jsonl"
+  cmp "$tmp/warm_rows.jsonl" "$tmp/local_rows.jsonl"
+  if [ "$(first from_store "$tmp/warm.json")" != 9 ] || [ "$(first dispatched "$tmp/warm.json")" != 0 ]; then
+    echo "fleet smoke: the re-run was not served from the store alone" >&2
+    cat "$tmp/warm.log" >&2
+    exit 1
+  fi
+  echo "BENCH_fleet.json written to $tmp ($marks markdowns, $retried retried; re-run 9 from store)"
 
   step "store smoke (persistent result store across a restart)"
   # Cold run fills the store; the restarted server must answer the same
