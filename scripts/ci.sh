@@ -1,373 +1,464 @@
 #!/usr/bin/env bash
-# scripts/ci.sh — run the exact checks .github/workflows/ci.yml runs, so a
-# green local run means a green CI run.
+# scripts/ci.sh — the one definition of what CI checks. Each job below is
+# the job of the same name in .github/workflows/ci.yml, which runs
+# `scripts/ci.sh JOB` on a fresh checkout and uploads what the job leaves
+# in ci-out/JOB/.
 #
-#   scripts/ci.sh            # everything
-#   scripts/ci.sh -fast      # skip the race detector, fuzzing and bench smoke
+#   scripts/ci.sh             # every job, in the order of all_jobs
+#   scripts/ci.sh JOB...      # the named jobs; the quick set is
+#   scripts/ci.sh test lint bench-module golden-figures policy-smoke
 #
-# Steps: gofmt -s, go vet, go build, mklint (the project's own static
-# analysis, see cmd/mklint; its ratcheted depdag findings double as the
-# policy-layering gate), go test, the benchmark module (go vet + go test
-# in _perfbench/, which ./... skips), go test -race, golden-figure diff
-# (Figures 1-5 vs results/golden/, the full Figure-6 sweep, memoized and
-# with -nocache, and Figures 6b and 6c alone, vs results/fig6{a,b,c}.csv), policy
-# smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
-# results/golden/fig7_ksweep.csv), the ablation tables (mkablate's three
-# recorded runs diffed against results/ablation*.txt, wall-clock column
-# stripped), a 15 s fuzz of the first-job
-# schedulability test against the hyperperiod walk, 10 s fuzzes of the
-# /v1/sweep normalizer, of the run request parser, of the task-set JSON
-# decoder, of the engine's
-# stops against the linear scan, of a resumed run against the full run,
-# of the candidate draw against its reference, of the saturating
-# time arithmetic against math/big, of the exact DBP test against
-# its reference walk and of store segment recovery, bench smoke (one
-# iteration of every benchmark + a reduced mkbench sweep emitting
-# BENCH_ci.json), the perf
-# gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
-# BenchmarkSimulateSweep* wall clock, >40% fails, both vs the committed
-# results/bench_baseline.txt at count=6, then a reduced mkbench sweep
-# whose mkss-bench/v1 document feeds the cross-PR trajectory log via
-# scripts/trajectory.sh), the serve smoke
-# (mkservd on an ephemeral port driven by an mkload burst, with a
-# graceful-drain shutdown check and mksim -json compared with the
-# /v1/simulate document of the same run), the estimate smoke (the analytical
-# twin's GET /v1/estimate fast path under load, p99 asserted
-# sub-25ms, and refine=true checked byte-identical to /v1/simulate), the
-# fleet smoke (a distributed mkfleet sweep into a result store over two
-# workers, one dead from the start, checked byte-identical against the
-# in-process reference with at least one markdown and one retry, then
-# re-run with both workers dead and served from the store alone), the
-# store smoke (a cold mkservd run fills the persistent
-# result store, a restarted server re-answers the same requests purely
-# from disk — byte-identical, zero misses), and the autoscale smoke (a
-# standalone elastic pool grows above its baseline under an mkload
-# -distinct burst and drains back to min afterwards). mklint runs even
-# in -fast mode: the lint pass is cheap.
+# A job starts from an empty ci-out/JOB/ and writes there alone: nothing
+# under results/ changes. ci-out/ is gitignored and kept after the run,
+# so a failed check's documents and logs stay readable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fast=0
-[ "${1:-}" = "-fast" ] && fast=1
+all_jobs=(test lint race golden-figures fuzz bench-module policy-smoke bench-smoke
+  serve-smoke estimate-smoke fleet-smoke store-smoke autoscale-smoke perf)
+
+# The paper's §III task set: the worked examples' two tasks.
+pset='{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4},{"period_ms":10,"deadline_ms":10,"wcet_ms":3,"m":1,"k":2}]}'
+runreq="{\"set\":$pset,\"approach\":\"selective\",\"horizon_ms\":20}"
+
+# A failed check leaves no server behind, and no fuzz directory in memory.
+trap 's=$?; pids=$(jobs -p); [ -z "$pids" ] || kill $pids 2>/dev/null; [ -z "${shm:-}" ] || rm -rf "$shm"; exit $s' EXIT
 
 step() { printf '\n== %s ==\n' "$1"; }
 
-step gofmt
-unformatted=$(gofmt -s -l .)
-if [ -n "$unformatted" ]; then
-  echo "gofmt needed on:" >&2
-  echo "$unformatted" >&2
-  exit 1
-fi
+# build CMD... builds each ./cmd/CMD into $out.
+build() { for c in "$@"; do go build -o "$out/$c" "./cmd/$c"; done; }
 
-step "go vet"
-go vet ./...
+# same WANT GOT [NAME] fails, with a diff, unless GOT equals WANT: the
+# committed file NAME (default WANT) or a copy of it.
+same() {
+  diff -u "$1" "$2" && return
+  echo "$2 differs from ${3:-$1} (regenerate ${3:-$1} only if the change is intended)" >&2
+  return 1
+}
 
-step "go build"
-go build ./...
+# check FILE EXPR... fails unless each Python expression EXPR holds for
+# the JSON document d in FILE.
+check() {
+  python3 - "$@" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+for e in sys.argv[2:]:
+    if not eval(e, {"d": d}):
+        sys.exit(f"{sys.argv[1]}: want {e}, in\n{json.dumps(d, indent=2)}")
+EOF
+}
 
-step "mklint (ratcheted against results/lint_baseline.json)"
-go run ./cmd/mklint -baseline results/lint_baseline.json ./...
+# rows A B fails unless the JSONL streams A and B carry the same rows; a
+# sweep's "done" line carries wall-clock timing, its rows are the contract.
+rows() {
+  grep '"type":"row"' "$1" > "$1.rows"
+  grep '"type":"row"' "$2" > "$2.rows"
+  cmp "$1.rows" "$2.rows"
+}
 
-step "go test"
-go test ./...
+# post URL BODY posts a JSON body and prints the response.
+post() { curl -sf -X POST "$1" -H 'Content-Type: application/json' -d "$2"; }
 
-step "benchmark module (go vet + go test in _perfbench/)"
-(cd _perfbench && go vet ./... && go test ./...)
+# await FILE waits up to 10 s for a server to write its address to FILE
+# and prints the address.
+await() {
+  for _ in $(seq 1 100); do [ -s "$1" ] && break; sleep 0.1; done
+  cat "$1"
+}
 
-if [ "$fast" = 0 ]; then
-  step "go test -race"
+# serve NAME ARG... starts $out/mkservd ARG... on an ephemeral port,
+# logging to $out/NAME.log, and sets pid and addr once it listens.
+serve() {
+  local name=$1
+  shift
+  "$out/mkservd" -addr 127.0.0.1:0 -addrfile "$out/$name.addr" "$@" > "$out/$name.log" 2>&1 &
+  pid=$!
+  addr=$(await "$out/$name.addr")
+}
+
+# Format, vet, build and test (the workflow runs this job on every
+# supported Go version).
+job_test() {
+  step gofmt
+  local unformatted
+  unformatted=$(gofmt -s -l .)
+  if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    return 1
+  fi
+  step "go vet"
+  go vet ./...
+  step "go build"
+  go build ./...
+  step "go test"
+  go test ./...
+}
+
+# cmd/mklint (stdlib go/ast + go/types, no external analyzers) enforces
+# the reproduction's invariants: determinism of the simulator,
+# tolerance-safe float comparisons, context plumbing, hot-path allocation
+# hygiene (propagated through the whole-program call graph), goroutine
+# termination, lock discipline, error handling, stray printing and the
+# package DAG. The run is ratcheted against the committed findings
+# baseline: new findings fail, and fixed-but-still-baselined findings
+# fail until the baseline is refreshed.
+job_lint() {
+  step "go vet"
+  go vet ./...
+  step "mklint (ratcheted against results/lint_baseline.json)"
+  # Built, not `go run`, so its exit contract survives: 1 means findings,
+  # 2 means the linter itself broke.
+  build mklint
+  local status=0
+  "$out/mklint" -json "$out/mklint.json" -baseline results/lint_baseline.json ./... || status=$?
+  # The report, a refreshed baseline and its diff are written even when
+  # the run fails, so findings are inspectable, and the refresh
+  # committable, without rerunning.
+  "$out/mklint" -baseline "$out/lint_baseline.refreshed.json" -update-baseline ./...
+  diff -u results/lint_baseline.json "$out/lint_baseline.refreshed.json" > "$out/lint_baseline.diff" || true
+  step "the workflow runs each job of this script, and nothing else"
+  # A check written into the workflow instead would not run here. The
+  # benchstat install stays there: it needs the network and the gate
+  # never does.
+  python3 - .github/workflows/ci.yml "${all_jobs[@]}" <<'EOF' || status=1
+import re, sys
+path, jobs = sys.argv[1], sys.argv[2:]
+actions = ("actions/checkout@", "actions/setup-go@", "actions/upload-artifact@")
+benchstat = "go install golang.org/x/perf/cmd/benchstat@latest || true"
+errs, ran, section, job = [], {}, None, None
+for n, line in enumerate(open(path), 1):
+    if re.match(r"[^\s#]", line):
+        section = line.split(":")[0]
+    elif section == "jobs" and (m := re.match(r"  ([\w-]+):\s*$", line)):
+        job = m[1]
+        if job not in jobs:
+            errs.append(f"{path}:{n}: job {job} is no job of scripts/ci.sh")
+    elif section == "jobs" and (m := re.match(r"\s*(?:- )?(run|uses):\s*(.*?)\s*$", line)):
+        val = m[2].strip("'\"")
+        if m[1] == "uses" and not val.startswith(actions):
+            errs.append(f"{path}:{n}: uses {val}, want checkout, setup-go or upload-artifact")
+        elif m[1] == "run" and val == f"scripts/ci.sh {job}":
+            ran[job] = ran.get(job, 0) + 1
+        elif m[1] == "run" and val != benchstat:
+            errs.append(f"{path}:{n}: job {job} runs {val!r}, want 'scripts/ci.sh {job}'")
+for j in jobs:
+    if ran.get(j, 0) != 1:
+        errs.append(f"{path}: scripts/ci.sh {j} runs {ran.get(j, 0)} times, want once")
+sys.exit("\n".join(errs) or None)
+EOF
+  return "$status"
+}
+
+# The experiment harness fans simulations out over sync.WaitGroup/Mutex
+# workers; every change is gated under the race detector.
+job_race() {
   go test -race ./...
-fi
+}
 
-step "golden figures (1-5)"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-status=0
-for fig in 1 2 3 4 5; do
-  go run ./cmd/mktrace -fig "$fig" > "$tmp/fig$fig.txt"
-  if ! diff -u "results/golden/fig$fig.txt" "$tmp/fig$fig.txt"; then
-    echo "figure $fig regressed (regenerate goldens only if the change is intended)" >&2
-    status=1
-  fi
-done
-[ "$status" = 0 ]
-
-step "golden Figure-6 CSVs (full sweep, memoized and -nocache, and 6b and 6c alone, vs results/fig6{a,b,c}.csv)"
-go run ./cmd/mkbench -fig all -q -csv "$tmp/cached"
-go run ./cmd/mkbench -fig all -nocache -q -csv "$tmp/nocache"
-go run ./cmd/mkbench -fig 6b -q -csv "$tmp/alone"
-go run ./cmd/mkbench -fig 6c -q -csv "$tmp/alone"
-for mode in cached nocache; do
-  for fig in 6a 6b 6c; do
-    if ! diff -u "results/fig$fig.csv" "$tmp/$mode/fig$fig.csv"; then
-      echo "figure $fig CSV regressed ($mode; regenerate only if the change is intended)" >&2
-      status=1
-    fi
+# The paper's worked examples (Figures 1-5) must reproduce bit-exactly,
+# and the full-fidelity Figure-6 sweep byte for byte, so a change to the
+# R-pattern candidate filter that shifts the accepted sets fails here.
+job_golden_figures() {
+  local status=0 fig mode
+  step "Figures 1-5 vs results/golden/"
+  for fig in 1 2 3 4 5; do
+    go run ./cmd/mktrace -fig "$fig" > "$out/fig$fig.txt"
+    same "results/golden/fig$fig.txt" "$out/fig$fig.txt" || status=1
   done
-done
-if ! diff -u results/fig6b.csv "$tmp/alone/fig6b.csv"; then
-  echo "figure 6b CSV regressed (6b alone, no 6a fork to resume from)" >&2
-  status=1
-fi
-if ! diff -u results/fig6c.csv "$tmp/alone/fig6c.csv"; then
-  echo "figure 6c CSV regressed (6c alone, nothing to take from 6b)" >&2
-  status=1
-fi
-[ "$status" = 0 ]
+  step "Figure-6 CSVs vs results/fig6{a,b,c}.csv"
+  # Once through the session's interval memo and analysis cache, where 6b
+  # resumes every run from 6a's fork at its fault instant and 6c takes
+  # from 6b every run it proves identical, and once with both off
+  # (-nocache): the memoized and the regenerating path must each
+  # reproduce the committed series. 6b or 6c alone has nothing to take
+  # and runs every run from 0.
+  go run ./cmd/mkbench -fig all -q -csv "$out/cached"
+  go run ./cmd/mkbench -fig all -nocache -q -csv "$out/nocache"
+  go run ./cmd/mkbench -fig 6b -q -csv "$out/alone"
+  go run ./cmd/mkbench -fig 6c -q -csv "$out/alone"
+  for mode in cached nocache; do
+    for fig in 6a 6b 6c; do
+      same "results/fig$fig.csv" "$out/$mode/fig$fig.csv" || status=1
+    done
+  done
+  same results/fig6b.csv "$out/alone/fig6b.csv" || status=1
+  same results/fig6c.csv "$out/alone/fig6c.csv" || status=1
+  return "$status"
+}
 
-step "policy smoke (DBP ksweep vs results/golden/fig7_ksweep.csv)"
-go run ./cmd/mkablate -ksweep -sets 25 -candidates 5000 -lo 0.2 -hi 1.0 -q \
-  > "$tmp/fig7_ksweep.csv"
-if ! diff -u results/golden/fig7_ksweep.csv "$tmp/fig7_ksweep.csv"; then
-  echo "fig7 ksweep regressed (regenerate the golden only if the change is intended)" >&2
-  exit 1
-fi
+# fuzz TARGET TIME PKG fuzzes one target for TIME on top of its seed
+# corpus in PKG's testdata/fuzz/, where a failing input lands too.
+fuzz() {
+  step "$1 ($2)"
+  go test -run '^$' -fuzz "^$1\$" -fuzztime "$2" "$3"
+}
 
-step "ablation tables (mkablate vs results/ablation*.txt, timing stripped)"
-# Each table line ends in its variant's wall-clock time, "(53ms)": the
-# only column that may differ.
-go build -o "$tmp/mkablate" ./cmd/mkablate
-abl="-sets 12 -candidates 3000 -lo 0.2 -hi 0.8 -q"
-"$tmp/mkablate" $abl > "$tmp/ablation.txt"
-"$tmp/mkablate" $abl -harmonic > "$tmp/ablation_harmonic.txt"
-"$tmp/mkablate" $abl -harmonic -scenario permanent > "$tmp/ablation_harmonic_permanent.txt"
-for table in ablation ablation_harmonic ablation_harmonic_permanent; do
-  sed -E 's/[[:space:]]+\([^)]*\)$//' "results/$table.txt" > "$tmp/$table.want"
-  sed -E 's/[[:space:]]+\([^)]*\)$//' "$tmp/$table.txt" > "$tmp/$table.got"
-  if ! diff -u "$tmp/$table.want" "$tmp/$table.got"; then
-    echo "results/$table.txt regressed (regenerate it only if the change is intended)" >&2
-    status=1
-  fi
-done
-[ "$status" = 0 ]
+job_fuzz() {
+  # SchedulableRPattern decides synchronous R-pattern sets by a first-job
+  # fixed point; the walk it replaced is the reference.
+  fuzz FuzzCriticalInstantMatchesWalk 15s ./internal/rta
+  # /v1/sweep's normalizer never panics, and what it accepts is bounded
+  # work under canonical names.
+  fuzz FuzzNormalizeSweep 10s ./internal/serve
+  # A run request (the /v1/estimate query, the one path that carries NaN
+  # and Inf to parseRun) never panics, and what parseRun accepts holds a
+  # horizon timeu.FromMillis represents, a finite transient_rate of at
+  # least 0 and canonical names.
+  fuzz FuzzParseRun 10s ./internal/serve
+  # LoadSet never panics, and an accepted set holds only times in
+  # [1 µs, timeu.Infinity).
+  fuzz FuzzLoadSet 10s .
+  # Every engine stop equals the reference linear scan's, on a fresh and
+  # on a warm scratch, and the two traces agree.
+  fuzz FuzzStopsMatchLinearScan 10s ./internal/sim
+  # A run resumed from a fault-free run's fork at its fault instant
+  # equals the run from 0, on a fresh and on a warm scratch.
+  fuzz FuzzResumeMatchesFullRun 10s ./internal/experiment
+  # The candidate draw keeps the sets, errors, candidate counts and
+  # stream position of the math.Pow reference draw under any bounded
+  # generator config.
+  fuzz FuzzDrawMatchesReference 10s ./internal/workload
+  # LCM, LCMAll and CeilDiv equal their math/big values, LCM and LCMAll
+  # saturated at the cap.
+  fuzz FuzzLCMMatchesBig 10s ./internal/timeu
+  # dbp.Exact reads its verdict off one engine run; the whole verdict
+  # equals the reference walk's (walk_test.go).
+  fuzz FuzzExactMatchesWalk 10s ./internal/sim/policy/dbp
+  # A damaged segment (torn tail, flipped bytes, a rewritten length
+  # prefix, appended garbage, with or without its .idx sidecar) reopens
+  # without a panic, serves exactly the bytes put or a miss, and recovers
+  # nothing on a second open. Every input opens a store, which fsyncs its
+  # segment header and .idx sidecars, so on a disk the 10 s test only
+  # hundreds to a few thousand inputs: the target runs in a fresh
+  # directory in /dev/shm when that is writable, where the same syncs
+  # are cheap.
+  if [ -d /dev/shm ] && [ -w /dev/shm ]; then shm=$(mktemp -d /dev/shm/mkss-fuzz.XXXXXX); fi
+  TMPDIR=${shm:-${TMPDIR:-/tmp}} fuzz FuzzStoreRecovery 10s ./internal/store
+}
 
-if [ "$fast" = 0 ]; then
-  step "fuzz (first-job test vs the walk, 15 s)"
-  go test -run '^$' -fuzz '^FuzzCriticalInstantMatchesWalk$' -fuzztime 15s ./internal/rta
+# The benchmark module (_perfbench/, its own go.mod) compiles against the
+# repo's internal packages, but ./... skips directories starting with
+# "_": a refactor that breaks the benchmark fails here rather than when
+# the benchmark next runs.
+job_bench_module() {
+  (cd _perfbench && go vet ./... && go test ./...)
+}
 
-  step "fuzz (the /v1/sweep normalizer, 10 s)"
-  go test -run '^$' -fuzz '^FuzzNormalizeSweep$' -fuzztime 10s ./internal/serve
+# The pluggable-policy subsystem's end-to-end gate.
+job_policy_smoke() {
+  local status=0 table abl="-sets 12 -candidates 3000 -lo 0.2 -hi 0.8 -q"
+  step "DBP k-sweep vs results/golden/fig7_ksweep.csv"
+  # The full-size DBP k-sequence sweep (the Fig. 7 family; cheap, as the
+  # exact test runs a few hyperperiods per set): drift in the DBP distance
+  # rule, the exact test or the workload generator fails visibly.
+  go run ./cmd/mkablate -ksweep -sets 25 -candidates 5000 -lo 0.2 -hi 1.0 -q > "$out/fig7_ksweep.csv"
+  same results/golden/fig7_ksweep.csv "$out/fig7_ksweep.csv" || status=1
+  step "ablation tables vs results/ablation*.txt"
+  build mkablate
+  "$out/mkablate" $abl > "$out/ablation.txt"
+  "$out/mkablate" $abl -harmonic > "$out/ablation_harmonic.txt"
+  "$out/mkablate" $abl -harmonic -scenario permanent > "$out/ablation_harmonic_permanent.txt"
+  for table in ablation ablation_harmonic ablation_harmonic_permanent; do
+    # Each line ends in its variant's wall-clock time, "(53ms)": the only
+    # column that may differ.
+    sed -E 's/[[:space:]]+\([^)]*\)$//' "results/$table.txt" > "$out/$table.want"
+    sed -E 's/[[:space:]]+\([^)]*\)$//' "$out/$table.txt" > "$out/$table.got"
+    same "$out/$table.want" "$out/$table.got" "results/$table.txt" || status=1
+  done
+  step "mklint (policy layering)"
+  # The ratcheted run doubles as the layering gate: depdag's deny edge
+  # (internal/lint/depdag.go: the engine imports no concrete policy)
+  # reports any such import, and the committed baseline excuses none.
+  build mklint
+  "$out/mklint" -baseline results/lint_baseline.json ./...
+  return "$status"
+}
 
-  step "fuzz (the run request parser, 10 s)"
-  go test -run '^$' -fuzz '^FuzzParseRun$' -fuzztime 10s ./internal/serve
-
-  step "fuzz (the task-set JSON decoder, 10 s)"
-  go test -run '^$' -fuzz '^FuzzLoadSet$' -fuzztime 10s .
-
-  step "fuzz (engine stops vs the linear scan, 10 s)"
-  go test -run '^$' -fuzz '^FuzzStopsMatchLinearScan$' -fuzztime 10s ./internal/sim
-
-  step "fuzz (a run resumed from a fork vs the full run, 10 s)"
-  go test -run '^$' -fuzz '^FuzzResumeMatchesFullRun$' -fuzztime 10s ./internal/experiment
-
-  step "fuzz (the candidate draw vs the reference draw, 10 s)"
-  go test -run '^$' -fuzz '^FuzzDrawMatchesReference$' -fuzztime 10s ./internal/workload
-
-  step "fuzz (saturating time arithmetic vs math/big, 10 s)"
-  go test -run '^$' -fuzz '^FuzzLCMMatchesBig$' -fuzztime 10s ./internal/timeu
-
-  step "fuzz (the exact DBP test vs the reference walk, 10 s)"
-  go test -run '^$' -fuzz '^FuzzExactMatchesWalk$' -fuzztime 10s ./internal/sim/policy/dbp
-
-  step "fuzz (store segment recovery, 10 s)"
-  go test -run '^$' -fuzz '^FuzzStoreRecovery$' -fuzztime 10s ./internal/store
-
-  step "bench smoke"
+# One iteration of every benchmark catches bench rot; the reduced
+# Figure-6a sweep's document is uploaded for the cross-PR trajectory.
+job_bench_smoke() {
   go test -bench . -benchtime 1x ./...
-  go run ./cmd/mkbench -fig 6a -sets 3 -candidates 800 -q -json -jsonout "$tmp/BENCH_ci.json"
-  echo "BENCH_ci.json written to $tmp (CI uploads this as an artifact)"
+  go run ./cmd/mkbench -fig 6a -sets 3 -candidates 800 -q -json -jsonout "$out/BENCH_ci.json"
+  check "$out/BENCH_ci.json" 'd["schema"] == "mkss-bench/v1"' 'd["rows"]'
+}
 
-  step "perf gate (allocs/op + sweep wall clock vs results/bench_baseline.txt, count=6)"
-  go test -run '^$' -bench 'BenchmarkSimulate' -benchmem -count 6 . > "$tmp/bench_new.txt"
-  scripts/benchgate.sh results/bench_baseline.txt "$tmp/bench_new.txt"
-  go run ./cmd/mkbench -fig 6a -sets 4 -candidates 1200 -q -json -jsonout "$tmp/BENCH_pr6.json"
-  scripts/trajectory.sh "$tmp/BENCH_pr6.json" "$tmp/bench_trajectory.jsonl"
-  echo "BENCH_pr6.json written to $tmp (CI uploads it and the trajectory line as artifacts)"
-
-  step "serve smoke (mkservd + mkload)"
-  go build -o "$tmp/mkservd" ./cmd/mkservd
-  go build -o "$tmp/mkload" ./cmd/mkload
-  go build -o "$tmp/mksim" ./cmd/mksim
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/mkservd.addr" -drain 10s \
-    > "$tmp/mkservd.log" 2>&1 &
-  servd=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/mkservd.addr" ] && break; sleep 0.1; done
-  addr=$(cat "$tmp/mkservd.addr")
+# mkservd on an ephemeral port: every endpoint answers, mksim -json
+# prints the document /v1/simulate serves for the same run, a short
+# mkload burst runs without an error, and the SIGTERM drain exits 0 with
+# no in-flight request aborted.
+job_serve_smoke() {
+  build mkservd mkload mksim
+  serve mkservd -drain 10s
   curl -sf "http://$addr/healthz" | grep -q '"ok"'
-  curl -sf -X POST "http://$addr/v1/simulate" -H 'Content-Type: application/json' \
-    -d '{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4},{"period_ms":10,"deadline_ms":10,"wcet_ms":3,"m":1,"k":2}]},"approach":"selective","horizon_ms":20}' \
-    > "$tmp/served_run.json"
-  grep -q '"active_energy":12' "$tmp/served_run.json"
-  # mksim -json prints the mkss-run/v1 document /v1/simulate serves for
-  # the same run; only the layout differs.
-  "$tmp/mksim" -demo -json -seed 0 -horizon 20 | tr -d ' \n' > "$tmp/mksim_run.min"
-  tr -d ' \n' < "$tmp/served_run.json" > "$tmp/served_run.min"
-  cmp "$tmp/mksim_run.min" "$tmp/served_run.min"
-  "$tmp/mkload" -addr "$addr" -duration 2s -c 8 \
-    -mix simulate=0.9,analyze=0.08,sweep=0.02 -out "$tmp/BENCH_serve.json" -q
+  post "http://$addr/v1/simulate" "$runreq" > "$out/served_run.json"
+  grep -q '"active_energy":12' "$out/served_run.json"
+  # Only the layout differs.
+  "$out/mksim" -demo -json -seed 0 -horizon 20 | tr -d ' \n' > "$out/mksim_run.min"
+  tr -d ' \n' < "$out/served_run.json" > "$out/served_run.min"
+  cmp "$out/mksim_run.min" "$out/served_run.min"
+  "$out/mkload" -addr "$addr" -duration 2s -c 8 \
+    -mix simulate=0.9,analyze=0.08,sweep=0.02 -out "$out/BENCH_serve.json" -q
   curl -sf "http://$addr/metrics" | grep -q '^mkservd_requests_total '
-  kill -TERM "$servd"
-  wait "$servd"   # graceful drain must exit 0
-  grep -q '0 in-flight aborted' "$tmp/mkservd.log"
-  echo "BENCH_serve.json written to $tmp (CI uploads this as an artifact)"
+  kill -TERM "$pid"
+  wait "$pid"
+  grep -q '0 in-flight aborted' "$out/mkservd.log"
+  # mkload exits non-zero only when no request succeeds.
+  check "$out/BENCH_serve.json" 'd["schema"] == "mkss-bench/v1"' 'd["bench"] == "serve"' \
+    'd["requests"] > 0' 'd["errors"] == 0'
+}
 
-  step "estimate smoke (twin fast path + refine fallthrough)"
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/est.addr" -q > "$tmp/est.log" 2>&1 &
-  estd=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/est.addr" ] && break; sleep 0.1; done
-  eaddr=$(cat "$tmp/est.addr")
-  pset='{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4},{"period_ms":10,"deadline_ms":10,"wcet_ms":3,"m":1,"k":2}]}'
-  # Closed-form twin answer: no simulation, no execution slot.
-  curl -sf --get "http://$eaddr/v1/estimate" --data-urlencode "set=$pset" \
-    --data-urlencode approach=dp --data-urlencode horizon_ms=20 \
-    | grep -q '"backend":"twin"'
-  # refine=true must fall through to the /v1/simulate path byte-identically.
-  curl -sf --get "http://$eaddr/v1/estimate" --data-urlencode "set=$pset" \
+# The analytical twin's two-tier serving: GET /v1/estimate answers in
+# closed form (backend "twin", no execution slot) and stays fast under a
+# pure-estimate burst, and refine=true falls through to the /v1/simulate
+# path byte-identically.
+job_estimate_smoke() {
+  build mkservd mkload
+  serve est -q
+  curl -sf --get "http://$addr/v1/estimate" --data-urlencode "set=$pset" \
+    --data-urlencode approach=dp --data-urlencode horizon_ms=20 | grep -q '"backend":"twin"'
+  curl -sf --get "http://$addr/v1/estimate" --data-urlencode "set=$pset" \
     --data-urlencode approach=selective --data-urlencode horizon_ms=20 \
-    --data-urlencode refine=true > "$tmp/refined.json"
-  curl -sf -X POST "http://$eaddr/v1/simulate" -H 'Content-Type: application/json' \
-    -d "{\"set\":$pset,\"approach\":\"selective\",\"horizon_ms\":20}" > "$tmp/simulated.json"
-  cmp "$tmp/refined.json" "$tmp/simulated.json"
-  grep -q '"active_energy":12' "$tmp/refined.json"
-  # A pure-estimate burst: the top-level latency summary is then the
-  # estimate endpoint's, so the closed-form p99 is assertable directly.
-  "$tmp/mkload" -addr "$eaddr" -duration 2s -c 8 \
-    -mix estimate=1 -out "$tmp/BENCH_estimate.json" -q
-  p99=$(grep -m1 '"p99_ms"' "$tmp/BENCH_estimate.json" | sed -E 's/.*: *([0-9.]+).*/\1/')
-  awk -v p="$p99" 'BEGIN { exit !(p < 25) }' || {
-    echo "estimate p99 ${p99}ms >= 25ms — the closed-form fast path regressed" >&2
-    exit 1
-  }
-  kill -TERM "$estd"
-  wait "$estd"
-  echo "BENCH_estimate.json written to $tmp (estimate p99 ${p99}ms)"
+    --data-urlencode refine=true > "$out/refined.json"
+  post "http://$addr/v1/simulate" "$runreq" > "$out/simulated.json"
+  cmp "$out/refined.json" "$out/simulated.json"
+  grep -q '"active_energy":12' "$out/refined.json"
+  "$out/mkload" -addr "$addr" -duration 2s -c 8 -mix estimate=1 -out "$out/BENCH_estimate.json" -q
+  kill -TERM "$pid"
+  wait "$pid"
+  # A pure-estimate burst's top-level latency is the estimate endpoint's.
+  # 25 ms is generous for shared runners; the unit tests pin the real
+  # sub-millisecond budget.
+  check "$out/BENCH_estimate.json" 'd["schema"] == "mkss-bench/v1"' 'd["mix"] == {"estimate": 1}' \
+    'd["requests"] > 0' 'd["errors"] == 0' 'd["latency"]["p99_ms"] < 25'
+}
 
-  step "fleet smoke (mkfleet over 2 workers, one dead, then a re-run from the store)"
-  go build -o "$tmp/mkfleet" ./cmd/mkfleet
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/w1.addr" -q > "$tmp/w1.log" 2>&1 &
-  w1=$!
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/w2.addr" -q > "$tmp/w2.log" 2>&1 &
-  w2=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/w1.addr" ] && [ -s "$tmp/w2.addr" ] && break; sleep 0.1; done
-  workers="$(cat "$tmp/w1.addr"),$(cat "$tmp/w2.addr")"
-  # Kill worker 2 before the sweep starts but keep it in -workers: its
+# A distributed mkfleet sweep into a result store over two workers must
+# merge to the in-process reference run's rows; re-run against the same
+# store with both workers dead, it must come from the store alone.
+job_fleet_smoke() {
+  build mkservd mkfleet
+  local sweep=(-scenario both -seed 2020 -sets 3 -candidates 4000) w1 workers
+  serve w1 -q
+  w1=$pid workers=$addr
+  serve w2 -q
+  workers+=",$addr"
+  # Worker 2 dies before the sweep starts but stays in -workers: its
   # units meet a refused connection, so the fleet must mark it down and
   # retry them on worker 1. (The 9-unit sweep can finish before a kill
   # timed on its first row.)
-  kill -9 "$w2"
-  wait "$w2" 2>/dev/null || true
-  "$tmp/mkfleet" -workers "$workers" -scenario both -seed 2020 -sets 3 \
-    -candidates 4000 -store "$tmp/fleet.store" -out "$tmp/fleet.jsonl" \
-    -bench "$tmp/BENCH_fleet.json" 2> "$tmp/fleet.log"
-  grep -q 'sweep complete' "$tmp/fleet.log"
-  "$tmp/mkfleet" -local -scenario both -seed 2020 -sets 3 \
-    -candidates 4000 -out "$tmp/local.jsonl" -q
-  grep '"type":"row"' "$tmp/fleet.jsonl" > "$tmp/fleet_rows.jsonl"
-  grep '"type":"row"' "$tmp/local.jsonl" > "$tmp/local_rows.jsonl"
-  cmp "$tmp/fleet_rows.jsonl" "$tmp/local_rows.jsonl"
-  # first NAME FILE prints the first "NAME": number of a pretty-printed
-  # fleet document: the summary's own fields precede its workers'.
-  first() { grep -m1 "\"$1\"" "$2" | sed -E 's/.*: *([0-9.]+).*/\1/'; }
-  marks=$(grep '"markdowns"' "$tmp/BENCH_fleet.json" | sed -E 's/.*: *([0-9]+).*/\1/' | awk '{ s += $1 } END { print s + 0 }')
-  retried=$(first retried "$tmp/BENCH_fleet.json")
-  if [ "$marks" -lt 1 ] || [ "$retried" -lt 1 ]; then
-    echo "fleet smoke: $marks markdowns and $retried retried, want at least 1 of each" >&2
-    exit 1
-  fi
-  # Both workers dead: the re-run must come from the store alone.
+  kill -9 "$pid"
+  wait "$pid" 2>/dev/null || true
+  "$out/mkfleet" -workers "$workers" "${sweep[@]}" -store "$out/fleet.store" \
+    -out "$out/fleet.jsonl" -bench "$out/BENCH_fleet.json" 2> "$out/fleet.log"
+  cat "$out/fleet.log"
+  grep -q 'sweep complete' "$out/fleet.log"
+  "$out/mkfleet" -local "${sweep[@]}" -out "$out/local.jsonl" -q
+  rows "$out/fleet.jsonl" "$out/local.jsonl"
   kill "$w1"
   wait "$w1" 2>/dev/null || true
-  "$tmp/mkfleet" -workers "$workers" -scenario both -seed 2020 -sets 3 \
-    -candidates 4000 -store "$tmp/fleet.store" -out "$tmp/warm.jsonl" \
-    -bench "$tmp/warm.json" 2> "$tmp/warm.log"
-  grep '"type":"row"' "$tmp/warm.jsonl" > "$tmp/warm_rows.jsonl"
-  cmp "$tmp/warm_rows.jsonl" "$tmp/local_rows.jsonl"
-  if [ "$(first from_store "$tmp/warm.json")" != 9 ] || [ "$(first dispatched "$tmp/warm.json")" != 0 ]; then
-    echo "fleet smoke: the re-run was not served from the store alone" >&2
-    cat "$tmp/warm.log" >&2
-    exit 1
-  fi
-  echo "BENCH_fleet.json written to $tmp ($marks markdowns, $retried retried; re-run 9 from store)"
+  "$out/mkfleet" -workers "$workers" "${sweep[@]}" -store "$out/fleet.store" \
+    -out "$out/warm.jsonl" -bench "$out/warm.json" 2> "$out/warm.log"
+  cat "$out/warm.log"
+  rows "$out/warm.jsonl" "$out/local.jsonl"
+  check "$out/BENCH_fleet.json" 'd["schema"] == "mkss-bench/v1"' 'd["bench"] == "fleet"' \
+    'd["summary"]["units"] == 9' 'd["summary"]["retried"] >= 1' \
+    'sum(w["markdowns"] for w in d["summary"]["workers"]) >= 1'
+  check "$out/warm.json" 'd["summary"]["from_store"] == 9' 'd["summary"]["dispatched"] == 0'
+}
 
-  step "store smoke (persistent result store across a restart)"
-  # Cold run fills the store; the restarted server must answer the same
-  # requests purely from disk — byte-identical bodies, zero misses.
-  simreq='{"set":{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":3,"m":2,"k":4},{"period_ms":10,"deadline_ms":10,"wcet_ms":3,"m":1,"k":2}]},"approach":"selective","scenario":"permanent","seed":42,"horizon_ms":20}'
-  sweepreq='{"scenario":"both","seed":7,"sets_per_interval":2,"max_candidates":40,"lo":0.3,"hi":0.6,"approaches":["st"]}'
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/st1.addr" -store "$tmp/store" -q \
-    > "$tmp/st1.log" 2>&1 &
-  std=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/st1.addr" ] && break; sleep 0.1; done
-  saddr=$(cat "$tmp/st1.addr")
-  curl -sf -X POST "http://$saddr/v1/simulate" -H 'Content-Type: application/json' \
-    -d "$simreq" > "$tmp/cold_sim.json"
-  curl -sf -X POST "http://$saddr/v1/sweep" -H 'Content-Type: application/json' \
-    -d "$sweepreq" > "$tmp/cold_sweep.jsonl"
-  kill -TERM "$std"
-  wait "$std"
-  "$tmp/mkservd" -addr 127.0.0.1:0 -addrfile "$tmp/st2.addr" -store "$tmp/store" -q \
-    > "$tmp/st2.log" 2>&1 &
-  std=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/st2.addr" ] && break; sleep 0.1; done
-  saddr=$(cat "$tmp/st2.addr")
-  curl -sf -X POST "http://$saddr/v1/simulate" -H 'Content-Type: application/json' \
-    -d "$simreq" > "$tmp/warm_sim.json"
-  curl -sf -X POST "http://$saddr/v1/sweep" -H 'Content-Type: application/json' \
-    -d "$sweepreq" > "$tmp/warm_sweep.jsonl"
-  cmp "$tmp/cold_sim.json" "$tmp/warm_sim.json"
-  # The sweep "done" line carries wall-clock timing; rows are the contract.
-  grep '"type":"row"' "$tmp/cold_sweep.jsonl" > "$tmp/cold_rows.jsonl"
-  grep '"type":"row"' "$tmp/warm_sweep.jsonl" > "$tmp/warm_rows.jsonl"
-  cmp "$tmp/cold_rows.jsonl" "$tmp/warm_rows.jsonl"
-  curl -sf "http://$saddr/healthz" > "$tmp/STORE_stats.json"
-  grep -q '"hits":4' "$tmp/STORE_stats.json"     # 1 simulate + 3 sweep units
-  grep -q '"misses":0' "$tmp/STORE_stats.json"   # nothing recomputed
-  kill -TERM "$std"
-  wait "$std"
-  echo "STORE_stats.json written to $tmp (CI uploads this as an artifact)"
+# A cold mkservd run fills the persistent result store with one simulate
+# and a 3-interval sweep; a restarted server must answer the same
+# requests from disk alone: byte-identical bodies, 4 keys, 4 hits (1
+# simulate + 3 sweep units) and no miss.
+job_store_smoke() {
+  build mkservd
+  local run sim="{\"set\":$pset,\"approach\":\"selective\",\"scenario\":\"permanent\",\"seed\":42,\"horizon_ms\":20}"
+  local sweep='{"scenario":"both","seed":7,"sets_per_interval":2,"max_candidates":40,"lo":0.3,"hi":0.6,"approaches":["st"]}'
+  for run in cold warm; do
+    serve "$run" -store "$out/store" -q
+    post "http://$addr/v1/simulate" "$sim" > "$out/${run}_sim.json"
+    post "http://$addr/v1/sweep" "$sweep" > "$out/${run}_sweep.jsonl"
+    if [ "$run" = warm ]; then curl -sf "http://$addr/healthz" > "$out/STORE_stats.json"; fi
+    kill -TERM "$pid"
+    wait "$pid"
+  done
+  cmp "$out/cold_sim.json" "$out/warm_sim.json"
+  rows "$out/cold_sweep.jsonl" "$out/warm_sweep.jsonl"
+  check "$out/STORE_stats.json" 'd["store"]["keys"] == 4' 'd["store"]["hits"] == 4' 'd["store"]["misses"] == 0'
+}
 
-  step "autoscale smoke (elastic pool grows under burst, drains to min)"
-  "$tmp/mkfleet" -pool -min 1 -max 3 -worker-inflight 1 \
+# size prints the elastic pool's current size from its status file.
+size() { sed -nE 's/.*"size":([0-9]+).*/\1/p' "$out/pool.json" 2>/dev/null || true; }
+
+# A standalone elastic pool with a single-slot baseline worker must grow
+# above min under a burst and drain back to min once the burst ends.
+job_autoscale_smoke() {
+  build mkfleet mkload
+  local pool load addr s grew=0 drained=0
+  "$out/mkfleet" -pool -min 1 -max 3 -worker-inflight 1 \
     -scale-interval 200ms -scale-cooldown 500ms \
-    -pool-addrfile "$tmp/pool.addr" -pool-status "$tmp/pool.json" \
-    2> "$tmp/pool.log" &
-  poold=$!
-  for _ in $(seq 1 100); do [ -s "$tmp/pool.addr" ] && break; sleep 0.1; done
-  paddr=$(cat "$tmp/pool.addr")
+    -pool-addrfile "$out/pool.addr" -pool-status "$out/pool.json" 2> "$out/pool.log" &
+  pool=$!
+  addr=$(await "$out/pool.addr")
   # -distinct defeats coalescing and the store, and the long horizon makes
   # each run tens of milliseconds, so the burst saturates the single-slot
   # baseline worker and builds real queue depth.
-  "$tmp/mkload" -addr "$paddr" -duration 3s -c 12 -mix simulate=1 -distinct \
-    -horizon 200000 -out "$tmp/BENCH_pool.json" -q &
-  loadpid=$!
-  grew=0
+  "$out/mkload" -addr "$addr" -duration 3s -c 12 -mix simulate=1 -distinct \
+    -horizon 200000 -out "$out/BENCH_pool.json" -q &
+  load=$!
   for _ in $(seq 1 100); do
-    size=$(sed -nE 's/.*"size":([0-9]+).*/\1/p' "$tmp/pool.json" 2>/dev/null || true)
-    if [ -n "$size" ] && [ "$size" -gt 1 ]; then grew=1; break; fi
+    s=$(size)
+    if [ -n "$s" ] && [ "$s" -gt 1 ]; then grew=1; break; fi
     sleep 0.1
   done
-  wait "$loadpid"
-  if [ "$grew" = 0 ]; then
-    echo "pool never scaled above the baseline under burst" >&2
-    cat "$tmp/pool.log" >&2
-    exit 1
-  fi
-  drained=0
+  wait "$load"
   for _ in $(seq 1 200); do
-    size=$(sed -nE 's/.*"size":([0-9]+).*/\1/p' "$tmp/pool.json" 2>/dev/null || true)
-    if [ "$size" = 1 ]; then drained=1; break; fi
+    if [ "$(size)" = 1 ]; then drained=1; break; fi
     sleep 0.1
   done
-  if [ "$drained" = 0 ]; then
-    echo "pool never drained back to min after the burst" >&2
-    cat "$tmp/pool.log" >&2
-    exit 1
+  if [ "$grew" = 0 ] || [ "$drained" = 0 ]; then
+    echo "pool under a burst: grew above min $grew, drained back to min $drained (want 1 and 1)" >&2
+    cat "$out/pool.log" >&2
+    return 1
   fi
-  grep -q 'pool scaling up' "$tmp/pool.log"
-  grep -q 'pool scaling down' "$tmp/pool.log"
-  kill -TERM "$poold"
-  wait "$poold"
-fi
+  grep -q 'pool scaling up' "$out/pool.log"
+  grep -q 'pool scaling down' "$out/pool.log"
+  kill -TERM "$pool"
+  wait "$pool"
+}
 
-printf '\nall checks passed\n'
+# The Simulate benchmarks at count 6 against the committed
+# results/bench_baseline.txt (scripts/benchgate.sh): allocs/op of every
+# BenchmarkSimulate* within 15 % (nearly machine-independent) and ns/op of
+# the BenchmarkSimulateSweep* wall-clock benches within 40 % (shared-runner
+# noise; catches the order-of-magnitude engine regressions allocs/op
+# cannot see). benchstat, where installed, adds the full comparison but is
+# never required. Then a reduced Figure-6a sweep's record is appended to a
+# copy of results/bench_trajectory.jsonl, whose committed lines keep the
+# perf history queryable across changes.
+job_perf() {
+  go test -run '^$' -bench 'BenchmarkSimulate' -benchmem -count 6 . | tee "$out/bench_new.txt"
+  PATH="$PATH:$(go env GOPATH)/bin" scripts/benchgate.sh results/bench_baseline.txt "$out/bench_new.txt"
+  go run ./cmd/mkbench -fig 6a -sets 4 -candidates 1200 -q -json -jsonout "$out/BENCH_pr6.json"
+  cp results/bench_trajectory.jsonl "$out/bench_trajectory.jsonl"
+  scripts/trajectory.sh "$out/BENCH_pr6.json" "$out/bench_trajectory.jsonl" ci
+  tail -2 "$out/bench_trajectory.jsonl"
+}
+
+[ $# -gt 0 ] || set -- "${all_jobs[@]}"
+for job in "$@"; do
+  case " ${all_jobs[*]} " in
+  *" $job "*) ;;
+  *) echo "scripts/ci.sh: no job $job (want one of: ${all_jobs[*]})" >&2; exit 2 ;;
+  esac
+done
+for job in "$@"; do
+  printf '\n==== %s ====\n' "$job"
+  out=ci-out/$job
+  rm -rf "$out"
+  mkdir -p "$out"
+  "job_${job//-/_}"
+done
+printf '\nall checks passed: %s\n' "$*"
