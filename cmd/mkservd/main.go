@@ -28,9 +28,10 @@
 // -store, so a fleet run warms a server and vice versa.
 //
 // With -tenant-rate, every request is accounted against its tenant (the
-// X-MK-Tenant header; "default" when absent) and a tenant exceeding its
-// token-bucket quota receives a structured 429 (code "quota_exceeded")
-// whose Retry-After is derived from that bucket's refill time.
+// X-MK-Tenant header, at most 128 bytes; "default" when absent) and a
+// tenant exceeding its token-bucket quota receives a structured 429 (code
+// "quota_exceeded") whose Retry-After is derived from that bucket's
+// refill time.
 //
 // SIGINT/SIGTERM start the graceful drain: the listener stops accepting,
 // in-flight requests get -drain to finish, and whatever remains is

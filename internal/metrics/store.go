@@ -53,9 +53,18 @@ type StoreSnapshot struct {
 	CorruptRecovered uint64 `json:"corrupt_recovered"`
 }
 
+// maxTenants bounds the keys a TenantCounter keeps apart: a key first
+// seen when that many are counted is counted under otherTenants.
+const maxTenants = 1024
+
+// otherTenants is the key that counts every tenant past the first
+// maxTenants. No tenant is named "": serve.Tenant maps an absent header
+// to the default tenant.
+const otherTenants = ""
+
 // TenantCounter is a concurrency-safe string-keyed counter — the serving
 // layer's per-tenant quota-rejection accounting. Keys are created on
-// first use.
+// first use, at most maxTenants of them plus otherTenants.
 type TenantCounter struct {
 	mu sync.Mutex
 	m  map[string]uint64
@@ -66,6 +75,9 @@ func (t *TenantCounter) Add(key string) {
 	t.mu.Lock()
 	if t.m == nil {
 		t.m = make(map[string]uint64)
+	}
+	if _, ok := t.m[key]; !ok && len(t.m) >= maxTenants {
+		key = otherTenants
 	}
 	t.m[key]++
 	t.mu.Unlock()

@@ -71,6 +71,13 @@ func (b *tokenBucket) take() (ok bool, retryAfter time.Duration) {
 	return false, wait
 }
 
+// full reports whether the bucket will have refilled to its burst at t.
+func (b *tokenBucket) full(t time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tokens+b.rate*t.Sub(b.last).Seconds() >= b.burst
+}
+
 // admission is the bounded execution stage: at most slots simulation
 // jobs run at once, at most queueDepth more wait for a slot, and
 // everything beyond that is rejected immediately with backpressure.

@@ -130,6 +130,11 @@ func (s *Server) admitRate(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if s.tenants != nil {
 		tenant := Tenant(r)
+		if len(tenant) > maxTenantLen {
+			s.reject(w, http.StatusBadRequest, 0,
+				fmt.Sprintf("%s is %d bytes, want at most %d", TenantHeader, len(tenant), maxTenantLen))
+			return false
+		}
 		if ok, retry := s.tenants.take(tenant); !ok {
 			s.rejected.Add(1)
 			s.events.emit(eventQuotaReject, "", tenant)

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve/wire"
 	"repro/internal/store"
@@ -247,6 +252,104 @@ func TestQuotaRetryAfterFromRefill(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Errorf("Retry-After = %q, want %q (one token at 0.5/s, rounded up)", got, "2")
 	}
+}
+
+// TestTenantFloodIsBounded pins what a flood of distinct X-MK-Tenant
+// values can pin under quotas, on the server's injected clock: a tenant
+// over 128 bytes is refused before it gets a bucket, a bucket that has
+// refilled to its burst is dropped, and rejections are counted for at
+// most 1,024 tenants plus one overflow key.
+func TestTenantFloodIsBounded(t *testing.T) {
+	set, err := json.Marshal(paperSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := "/v1/analyze?set=" + url.QueryEscape(string(set))
+	// newServer serves tenants 1 token/s with a burst of 1 on a clock
+	// that moves only when clk is advanced.
+	newServer := func() (s *Server, clk *fakeClock, analyze func(tenant string) *httptest.ResponseRecorder) {
+		clk = &fakeClock{}
+		s = NewServer(Config{TenantRatePerSec: 1, TenantBurst: 1, Now: clk.now})
+		h := s.Handler()
+		return s, clk, func(tenant string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodGet, target, nil)
+			req.Header.Set(TenantHeader, tenant)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+	}
+	buckets := func(s *Server) int {
+		s.tenants.mu.Lock()
+		defer s.tenants.mu.Unlock()
+		return len(s.tenants.buckets)
+	}
+
+	t.Run("length", func(t *testing.T) {
+		s, _, analyze := newServer()
+		if rec := analyze(strings.Repeat("t", 128)); rec.Code != http.StatusOK {
+			t.Fatalf("128-byte tenant: status %d, want 200: %s", rec.Code, rec.Body)
+		}
+		rec := analyze(strings.Repeat("t", 129))
+		var doc wire.ErrorDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || rec.Code != http.StatusBadRequest || doc.Code != wire.CodeBadRequest {
+			t.Fatalf("129-byte tenant: status %d, body %s; want a structured 400", rec.Code, rec.Body)
+		}
+		if n := buckets(s); n != 1 {
+			t.Fatalf("%d buckets after one served tenant and one refused, want 1", n)
+		}
+	})
+
+	t.Run("buckets", func(t *testing.T) {
+		s, clk, analyze := newServer()
+		// Each round's tenants are new; one refill period later every
+		// bucket of the round before is full again.
+		var counts []int
+		for round := 0; round < 10; round++ {
+			for i := 0; i < 2000; i++ {
+				if rec := analyze(fmt.Sprintf("round%d-tenant%d", round, i)); rec.Code != http.StatusOK {
+					t.Fatalf("round %d tenant %d: status %d, want 200: %s", round, i, rec.Code, rec.Body)
+				}
+			}
+			counts = append(counts, buckets(s))
+			clk.advance(time.Second)
+		}
+		for _, n := range counts[2:] {
+			if n > counts[1] {
+				t.Fatalf("bucket count after each round %v: still growing after round 2", counts)
+			}
+		}
+	})
+
+	t.Run("rejections", func(t *testing.T) {
+		s, _, analyze := newServer()
+		// Four clients at once, 500 tenants each: the limiter and the
+		// rejection counter are shared by every request.
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 500; i++ {
+					tenant := fmt.Sprintf("client%d-tenant%d", c, i)
+					analyze(tenant)
+					if rec := analyze(tenant); rec.Code != http.StatusTooManyRequests {
+						t.Errorf("tenant %s second request: status %d, want 429", tenant, rec.Code)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		rejected := s.quotaRejections.Snapshot()
+		total := uint64(0)
+		for _, n := range rejected {
+			total += n
+		}
+		if len(rejected) > 1025 || total != 2000 {
+			t.Fatalf("%d rejection keys counting %d rejections, want at most 1025 counting 2000", len(rejected), total)
+		}
+	})
 }
 
 // TestServeEventStream pins the JSONL observability satellite: store

@@ -243,7 +243,8 @@ type HealthDoc struct {
 	// per-worker load signal alongside Queued.
 	P95MS float64 `json:"p95_ms"`
 	// QuotaRejected counts quota rejections per tenant; only tenants
-	// that were actually rejected appear.
+	// that were actually rejected appear, at most 1,024 of them, and the
+	// key "" counts the rest.
 	QuotaRejected map[string]uint64 `json:"quota_rejected,omitempty"`
 	// Store reports the persistent result store, when one is configured.
 	Store *StoreStatsDoc `json:"store,omitempty"`
