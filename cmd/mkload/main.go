@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -102,8 +103,8 @@ func parseMix(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("mix entry %q is not name=weight", part)
 		}
 		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("mix weight %q must be a non-negative number", val)
+		if err != nil || !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("mix weight %q must be a finite non-negative number", val)
 		}
 		known := false
 		for _, e := range endpointNames {
@@ -118,10 +119,26 @@ func parseMix(s string) (map[string]float64, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("mix has no positive weight")
 	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("mix weights sum beyond the float range")
+	}
 	for k := range mix {
 		mix[k] /= total
 	}
 	return mix, nil
+}
+
+// maxRate is the highest -rate whose pacing interval, 1s/rate, is still
+// at least one nanosecond.
+const maxRate = 1e9
+
+// checkRate accepts an open-loop rate in [0, maxRate]; 0 is the closed
+// loop.
+func checkRate(rate float64) error {
+	if !(rate >= 0 && rate <= maxRate) {
+		return fmt.Errorf("-rate %v must be a number in [0, %g]", rate, float64(maxRate))
+	}
+	return nil
 }
 
 // requestSpec is one prepared request: every invocation of an endpoint
@@ -145,6 +162,9 @@ type sample struct {
 type workerResult map[string]*sample
 
 func run(ctx context.Context, o options) error {
+	if err := checkRate(o.rate); err != nil {
+		return err
+	}
 	mix, err := parseMix(o.mix)
 	if err != nil {
 		return err
