@@ -153,10 +153,10 @@ func run(ctx context.Context, o options) error {
 	fmt.Printf("\n%s over %v (%s):\n", res.Policy, res.Horizon, sc)
 	fmt.Printf("  active energy: %.3f   total energy (incl. idle/sleep): %.3f\n",
 		res.ActiveEnergy(), res.TotalEnergy())
-	for p, en := range res.PerProc {
+	for p, pt := range res.Counters.Proc {
 		name := [...]string{"primary", "spare"}[p]
 		fmt.Printf("  %-7s busy %v, idle %v, asleep %v, dead %v\n",
-			name, en.ActiveTime, en.IdleTime, en.SleepTime, en.DeadTime)
+			name, pt.Busy, pt.Idle, pt.Sleep, pt.Dead)
 	}
 	c := res.Counters
 	fmt.Printf("  jobs: %d released, %d mandatory, %d optional selected, %d skipped, %d demotions\n",

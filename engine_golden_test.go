@@ -47,11 +47,22 @@ var engineCorpusRates = []struct {
 	rate float64
 }{{"paper", 0}, {"1e-2", 1e-2}}
 
+// energyJSON is the shape a processor's time partition had when the
+// golden was written (Result.PerProc, now Counters.Proc), rebuilt so the
+// digests hash the same bytes.
+type energyJSON struct {
+	ActiveTime, IdleTime, SleepTime, DeadTime Time
+}
+
 // runDigest is the sha256 prefix over everything a run reports that
 // depends on the engine: policy, counters, outcomes, per-processor
 // energy, trace, violation indices and the permanent fault.
 func runDigest(t *testing.T, r *Result) string {
 	t.Helper()
+	var perProc [len(r.Counters.Proc)]energyJSON
+	for p, pt := range r.Counters.Proc {
+		perProc[p] = energyJSON{pt.Busy, pt.Idle, pt.Sleep, pt.Dead}
+	}
 	b, err := json.Marshal(struct {
 		Policy         string
 		Counters       Counters
@@ -60,7 +71,7 @@ func runDigest(t *testing.T, r *Result) string {
 		Trace          any
 		ViolationAt    []int
 		PermanentFault any
-	}{r.Policy, r.Counters, r.Outcomes, r.PerProc, r.Trace, r.ViolationAt, r.PermanentFault})
+	}{r.Policy, r.Counters, r.Outcomes, perProc, r.Trace, r.ViolationAt, r.PermanentFault})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/pattern"
 	"repro/internal/rta"
 	"repro/internal/sim"
@@ -260,8 +262,67 @@ func TestPoliciesSurvivePermanentFaultAtZero(t *testing.T) {
 				t.Errorf("%v, proc %d dead at 0: (m,k) violated (outcomes %v)", a, proc, r.Outcomes)
 			}
 			// The dead processor must consume nothing.
-			if r.PerProc[proc].ActiveTime != 0 {
-				t.Errorf("%v: dead proc %d executed %v", a, proc, r.PerProc[proc].ActiveTime)
+			if r.Counters.Proc[proc].Busy != 0 {
+				t.Errorf("%v: dead proc %d executed %v", a, proc, r.Counters.Proc[proc].Busy)
+			}
+		}
+	}
+}
+
+// TestSingleSurvivorAfterPermanentFault pins the single-survivor rule,
+// which every approach reads from the engine's fault state: once the
+// permanent fault is emitted, every admission targets the survivor and
+// every job admitted from then on has exactly one copy, so all the
+// backups the run created were admitted before the fault.
+func TestSingleSurvivorAfterPermanentFault(t *testing.T) {
+	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 4, 1, 2))
+	type job struct{ task, index int }
+	for _, a := range append(policy.Approaches(), policy.Extensions()...) {
+		for dead := 0; dead < sim.NumProcs; dead++ {
+			for _, atMS := range []float64{0, 4.5, 23, 61.25} {
+				name := fmt.Sprintf("%v, processor %d dead at %vms", a, dead, atMS)
+				col := &metrics.Collector{}
+				plan := &fault.Plan{Permanent: &fault.Permanent{At: timeu.FromMillis(atMS), Proc: dead}}
+				eng, err := sim.New(s, mustNew(t, a, Options{}), sim.Config{Horizon: timeu.FromMillis(120), Faults: plan, Sink: col})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				faulted, backups := false, 0
+				copies := map[job]int{}
+				var after []job
+				for _, ev := range col.Events {
+					switch {
+					case ev.Kind == metrics.EvPermanentFault:
+						faulted = true
+					case ev.Kind != metrics.EvAdmit:
+					case !faulted:
+						copies[job{ev.TaskID, ev.Index}]++
+						if ev.Copy == metrics.CopyBackup {
+							backups++
+						}
+					default:
+						copies[job{ev.TaskID, ev.Index}]++
+						after = append(after, job{ev.TaskID, ev.Index})
+						if ev.Proc != 1-dead {
+							t.Errorf("%s: J%d,%d admitted to processor %d at %v", name, ev.TaskID+1, ev.Index, ev.Proc, ev.T)
+						}
+					}
+				}
+				if !faulted || len(after) == 0 {
+					t.Fatalf("%s: fault emitted %v, %d admissions after it", name, faulted, len(after))
+				}
+				for _, j := range after {
+					if copies[j] != 1 {
+						t.Errorf("%s: J%d,%d admitted %d copies", name, j.task+1, j.index, copies[j])
+					}
+				}
+				if r.Counters.BackupsCreated != backups {
+					t.Errorf("%s: %d backups created, %d admitted before the fault", name, r.Counters.BackupsCreated, backups)
+				}
 			}
 		}
 	}

@@ -40,8 +40,10 @@ type Request struct {
 	// exactly.
 	Scenario repro.Scenario
 	Seed     uint64
-	// HorizonMS is the estimated duration in ms; zero means the set's
-	// (m,k)-hyperperiod capped at 2000 ms (the Simulate default).
+	// HorizonMS is the estimated duration in ms, resolved by
+	// repro.Horizon as for a simulation: zero and negative values mean
+	// the set's (m,k)-hyperperiod capped at 2000 ms, and a value it
+	// refuses is an error.
 	HorizonMS float64
 	// TransientRate overrides the transient fault rate when non-zero.
 	TransientRate float64
@@ -110,15 +112,4 @@ func New(name string, r *repro.Runner) (Estimator, error) {
 		return &SimBackend{runner: r}, nil
 	}
 	return nil, fmt.Errorf("estimate: unknown backend %q (want one of sim, twin)", name)
-}
-
-// horizon resolves a request's effective window with the exact
-// convention of Runner.Simulate, so the twin and a refining run agree on
-// what they are estimating.
-func (req Request) horizon() timeu.Time {
-	h := timeu.FromMillis(req.HorizonMS)
-	if h <= 0 {
-		h = req.Set.MKHyperperiod(2000 * timeu.Millisecond)
-	}
-	return h
 }

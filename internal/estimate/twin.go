@@ -114,13 +114,16 @@ func (t *Twin) Estimate(_ context.Context, req Request) (*Answer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	H, err := repro.Horizon(s, req.HorizonMS)
+	if err != nil {
+		return nil, err
+	}
 	prods := t.runner.Analysis(s)
 	if !prods.Schedulable() {
 		return nil, errUnschedulable
 	}
 	prof := prods.MandatoryProfile()
 	power := sim.DefaultPower()
-	H := req.horizon()
 	hMS := H.Millis()
 	hmMS := prof.Horizon.Millis()
 	if hmMS <= 0 {

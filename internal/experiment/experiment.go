@@ -425,9 +425,8 @@ func Simulate(ctx context.Context, s *task.Set, a policy.Approach, opts policy.O
 	return eng.RunContext(ctx)
 }
 
-// runSet borrows engine working state from scratches (the sweep's
-// per-worker roster) when non-nil, else from cfg.ScratchPool (nil-safe: a
-// nil pool mints a fresh Scratch).
+// runSet borrows engine working state from scratches, the sweep's
+// per-worker roster.
 //
 // forks, when non-nil, holds the set's fork slot per approach, in
 // approaches order. In a Figure-6(a) sweep each run captures its fork
@@ -470,12 +469,8 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 	opts := cfg.CoreOpts
 	var scr *sim.Scratch
 	defer func() {
-		switch {
-		case scr == nil:
-		case scratches != nil:
+		if scr != nil {
 			scratches <- scr
-		default:
-			cfg.ScratchPool.Put(scr)
 		}
 	}()
 	for ai, a := range approaches {
@@ -501,11 +496,7 @@ func runSet(ctx context.Context, s *task.Set, approaches []policy.Approach, cfg 
 			})
 		}
 		if scr == nil {
-			if scratches != nil {
-				scr = <-scratches
-			} else {
-				scr = cfg.ScratchPool.Get()
-			}
+			scr = <-scratches
 		}
 		run.Scratch = scr
 		// Each approach re-draws the same plan from the same seed, so the

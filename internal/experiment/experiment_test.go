@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/sim/policy"
 	"repro/internal/task"
 	"repro/internal/timeu"
@@ -262,11 +263,14 @@ func TestRunSetSharesPermanentFault(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 4, 1, 2))
 	cfg := smallConfig(fault.PermanentOnly)
 	apps := []policy.Approach{policy.ST, policy.DP, policy.Selective}
-	a, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil, nil)
+	// A one-scratch roster, as a one-worker sweep holds.
+	scratches := make(chan *sim.Scratch, 1)
+	scratches <- sim.NewScratch()
+	a, err := runSet(context.Background(), s, apps, cfg, 77, scratches, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runSet(context.Background(), s, apps, cfg, 77, nil, nil, nil)
+	b, err := runSet(context.Background(), s, apps, cfg, 77, scratches, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func (c resumeCase) String() string {
 // returns "".
 func resultDiff(got, want *sim.Result) string {
 	switch {
-	case got.PerProc != want.PerProc:
-		return fmt.Sprintf("per-processor energy %+v, want %+v", got.PerProc, want.PerProc)
+	case got.Counters.Proc != want.Counters.Proc:
+		return fmt.Sprintf("per-processor time %+v, want %+v", got.Counters.Proc, want.Counters.Proc)
 	case got.Counters != want.Counters:
 		return fmt.Sprintf("counters %+v, want %+v", got.Counters, want.Counters)
 	case !reflect.DeepEqual(got.Outcomes, want.Outcomes):

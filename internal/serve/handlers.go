@@ -178,7 +178,7 @@ func parseRun(req wire.SimulateRequest) (runRequest, error) {
 	if run.sc, err = repro.ParseScenario(orDefault(req.Scenario, "none")); err != nil {
 		return run, err
 	}
-	if err = checkHorizon(req.HorizonMS); err != nil {
+	if _, err = repro.Horizon(run.set, req.HorizonMS); err != nil {
 		return run, err
 	}
 	if err = checkRate(req.TransientRate); err != nil {

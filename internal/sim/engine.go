@@ -42,12 +42,14 @@ const (
 
 // Policy is the scheduling brain plugged into the engine. All hooks run
 // at the engine's current time; policies must not mutate job fields other
-// than through the documented engine calls.
+// than through the documented engine calls. The engine owns the fault
+// state: a policy asks Degraded, not a hook of its own, whether the
+// permanent fault has left one survivor.
 type Policy interface {
 	// Name identifies the approach in reports ("MKSS-selective", ...).
 	Name() string
 	// Init is called once, after the engine is constructed and before
-	// time starts; policies typically run offline analyses here.
+	// time starts; policies resolve their offline analyses here.
 	Init(e *Engine) error
 	// Release is called at each job release instant r_ij, in priority
 	// order. The policy classifies the job and calls e.Admit for every
@@ -65,10 +67,6 @@ type Policy interface {
 	// (true = effective). Outcomes arrive in strictly increasing index
 	// order per task.
 	OnSettled(e *Engine, taskID, index int, effective bool)
-	// OnPermanentFault tells the policy processor dead has failed; the
-	// engine has already migrated/cancelled copies. Subsequent Release
-	// calls must route everything to the survivor.
-	OnPermanentFault(e *Engine, dead int)
 }
 
 // Config parameterizes one run.
@@ -129,15 +127,14 @@ type Result struct {
 	Policy  string
 	Horizon timeu.Time
 	Power   PowerModel
-	// PerProc energy breakdowns, and their sum.
-	PerProc [NumProcs]Energy
-	Totals  Energy
 	// Outcomes[i] is task i's realized 0/1 sequence over the run.
 	Outcomes [][]bool
 	// ViolationAt[i] is the 0-based index of the first (m,k) violation
 	// of task i, or -1.
 	ViolationAt []int
-	Counters    Counters
+	// Counters holds the run's statistics, each processor's time
+	// partition (Counters.Proc) among them.
+	Counters Counters
 	// Trace is non-nil when Config.RecordTrace was set.
 	Trace []Segment
 	// PermanentFault echoes the injected permanent fault, if any fired.
@@ -146,11 +143,25 @@ type Result struct {
 	fork *Fork // captured for Config.ForkAt; see ForkOf
 }
 
-// ActiveEnergy returns the total active energy — the paper's metric.
-func (r *Result) ActiveEnergy() float64 { return r.Totals.Active(r.Power) }
+// ActiveEnergy returns the total active energy (busy time × P_act) —
+// the paper's metric.
+func (r *Result) ActiveEnergy() float64 { return r.total().Busy.Millis() * r.Power.Active }
 
-// TotalEnergy returns active+idle+sleep energy.
-func (r *Result) TotalEnergy() float64 { return r.Totals.Total(r.Power) }
+// TotalEnergy returns active + idle + sleep energy (dead time consumes
+// none).
+func (r *Result) TotalEnergy() float64 {
+	t := r.total()
+	return t.Busy.Millis()*r.Power.Active + t.Idle.Millis()*r.Power.Idle + t.Sleep.Millis()*r.Power.Sleep
+}
+
+// total sums the processors' time partitions.
+func (r *Result) total() metrics.ProcTime {
+	var t metrics.ProcTime
+	for _, p := range r.Counters.Proc {
+		t = t.Add(p)
+	}
+	return t
+}
 
 // MKSatisfied reports whether no task violated its (m,k) constraint.
 func (r *Result) MKSatisfied() bool {
@@ -189,7 +200,6 @@ type processor struct {
 	asleep   bool
 	cur      *task.Job
 	curStart timeu.Time
-	energy   Energy
 	// nextAct and nextProm are the earliest future activation and
 	// dual-priority promotion among the copies on the processor's live
 	// list, as pick's walk found them at the last dispatch (timeu.Infinity
@@ -307,6 +317,11 @@ func (e *Engine) Set() *task.Set { return e.set }
 
 // Horizon returns the configured horizon.
 func (e *Engine) Horizon() timeu.Time { return e.cfg.Horizon }
+
+// Degraded reports whether the permanent fault has fired. From then on
+// one processor survives, and policies admit every new job to it as the
+// job's only copy.
+func (e *Engine) Degraded() bool { return e.permHit != nil }
 
 // Survivor returns the index of a live processor (the survivor after a
 // permanent fault; Primary when both are alive).
@@ -601,7 +616,6 @@ func (e *Engine) processCompletions() {
 		e.closeSegment(p, false)
 		p.cur = nil
 		j.Done = true
-		j.FinishTime = e.now
 		e.counters.Completions++
 		// Transient faults strike during execution and are detected by
 		// the end-of-job sanity check (§II-B).
@@ -672,7 +686,6 @@ func (e *Engine) copyFailed(j *task.Job) {
 //mklint:hotpath
 func (e *Engine) cancelCopy(c *task.Job, reason string) {
 	c.Canceled = true
-	c.FinishTime = e.now
 	proc := -1
 	for pid := 0; pid < NumProcs; pid++ {
 		p := &e.procs[pid]
@@ -753,7 +766,6 @@ func (e *Engine) processPermanentFault() {
 	// misses at their deadline.
 	for _, c := range e.scr.live[pf.Proc] {
 		c.Canceled = true
-		c.FinishTime = e.now
 		if c.Copy == task.Backup {
 			if c.Started {
 				e.counters.BackupsCanceledPartial++
@@ -770,7 +782,6 @@ func (e *Engine) processPermanentFault() {
 	// The dead processor leaves the power-state machine entirely; this is
 	// not a DPD wake-up, so clear the flag without counting a transition.
 	p.asleep = false
-	e.policy.OnPermanentFault(e, pf.Proc)
 }
 
 // dispatch re-evaluates, on each live processor, which eligible copy runs,
@@ -795,10 +806,7 @@ func (e *Engine) dispatch() {
 			p.cur = pick
 			if pick != nil {
 				e.setSleep(p, false)
-				if !pick.Started {
-					pick.Started = true
-					pick.StartTime = e.now
-				}
+				pick.Started = true
 				p.curStart = e.now
 				e.counters.Dispatches++
 				e.emitJob(metrics.EvDispatch, p.id, pick, "")
@@ -900,7 +908,8 @@ func (e *Engine) nextEventTime() (timeu.Time, error) {
 	return next, nil
 }
 
-// advance moves time to t, accruing energy and execution progress.
+// advance moves time to t, accruing each processor's time partition
+// and execution progress.
 //
 //mklint:hotpath
 func (e *Engine) advance(t timeu.Time) {
@@ -910,16 +919,17 @@ func (e *Engine) advance(t timeu.Time) {
 	}
 	for pid := range e.procs {
 		p := &e.procs[pid]
+		pt := &e.counters.Proc[pid]
 		switch {
 		case p.dead:
-			p.energy.DeadTime += delta
+			pt.Dead += delta
 		case p.cur != nil:
-			p.energy.ActiveTime += delta
+			pt.Busy += delta
 			p.cur.Remaining -= delta
 		case p.asleep:
-			p.energy.SleepTime += delta
+			pt.Sleep += delta
 		default:
-			p.energy.IdleTime += delta
+			pt.Idle += delta
 		}
 	}
 	e.now = t
@@ -996,15 +1006,6 @@ func (e *Engine) dropOpen(p *jobPair) {
 
 // result assembles the Result.
 func (e *Engine) result() *Result {
-	for p := 0; p < NumProcs; p++ {
-		en := e.procs[p].energy
-		e.counters.Proc[p] = metrics.ProcTime{
-			Busy:  en.ActiveTime,
-			Idle:  en.IdleTime,
-			Sleep: en.SleepTime,
-			Dead:  en.DeadTime,
-		}
-	}
 	if e.sink != nil {
 		// Best effort: a sink error is an observability problem, not a
 		// simulation failure.
@@ -1026,10 +1027,6 @@ func (e *Engine) result() *Result {
 		Trace:          append([]Segment(nil), e.scr.trace...),
 		PermanentFault: e.permHit,
 		fork:           e.fork,
-	}
-	for p := 0; p < NumProcs; p++ {
-		r.PerProc[p] = e.procs[p].energy
-		r.Totals = r.Totals.Add(e.procs[p].energy)
 	}
 	for i, t := range e.set.Tasks {
 		r.ViolationAt[i] = pattern.FirstViolation(outcomes[i], t.M, t.K)

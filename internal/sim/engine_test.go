@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/timeu"
@@ -19,7 +20,6 @@ type fpPolicy struct {
 	theta     []timeu.Time
 	skipEvery int // settle-skip every n-th job of task 0 (0 = never)
 	single    bool
-	deadProcs [NumProcs]bool
 }
 
 func (p *fpPolicy) Name() string                              { return "test-fp" }
@@ -32,7 +32,6 @@ func (p *fpPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 	return a.Index < b.Index
 }
 func (p *fpPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
-func (p *fpPolicy) OnPermanentFault(e *Engine, dead int)                   { p.deadProcs[dead] = true }
 
 func (p *fpPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.skipEvery > 0 && t.ID == 0 && index%p.skipEvery == 0 {
@@ -40,7 +39,7 @@ func (p *fpPolicy) Release(e *Engine, t *task.Task, index int) {
 		return
 	}
 	main := task.NewJob(*t, index, task.Mandatory)
-	if p.single || p.deadProcs[Primary] || p.deadProcs[Spare] {
+	if p.single || e.Degraded() {
 		e.Admit(main, e.Survivor())
 		return
 	}
@@ -79,9 +78,9 @@ func TestSingleTaskEnergyAndAccounting(t *testing.T) {
 		t.Errorf("active energy = %v, want 60", got)
 	}
 	// Accounting closes: each processor accounts exactly the horizon.
-	for pid, en := range r.PerProc {
-		if en.Span() != ms(100) {
-			t.Errorf("proc %d span = %v, want 100ms", pid, en.Span())
+	for pid, pt := range r.Counters.Proc {
+		if pt.Span() != ms(100) {
+			t.Errorf("proc %d span = %v, want 100ms", pid, pt.Span())
 		}
 	}
 	// All jobs effective.
@@ -106,17 +105,17 @@ func TestDPDSleepVsIdle(t *testing.T) {
 	}
 	// Primary: runs [0,3], then idle-or-sleep [3,10]. No more live jobs
 	// on the primary -> nextWork = Infinity -> sleeps.
-	if r.PerProc[Primary].SleepTime != ms(7) {
-		t.Errorf("primary sleep = %v, want 7ms", r.PerProc[Primary].SleepTime)
+	if r.Counters.Proc[Primary].Sleep != ms(7) {
+		t.Errorf("primary sleep = %v, want 7ms", r.Counters.Proc[Primary].Sleep)
 	}
 	// Spare: backup postponed to 7, canceled at 3 when the main
 	// completes. [0,3] it waits for release 7 (gap 7 > 1 -> asleep);
 	// cancellation leaves nothing -> stays asleep to horizon.
-	if r.PerProc[Spare].ActiveTime != 0 {
-		t.Errorf("spare active = %v, want 0", r.PerProc[Spare].ActiveTime)
+	if r.Counters.Proc[Spare].Busy != 0 {
+		t.Errorf("spare active = %v, want 0", r.Counters.Proc[Spare].Busy)
 	}
-	if r.PerProc[Spare].SleepTime != ms(10) {
-		t.Errorf("spare sleep = %v, want 10ms", r.PerProc[Spare].SleepTime)
+	if r.Counters.Proc[Spare].Sleep != ms(10) {
+		t.Errorf("spare sleep = %v, want 10ms", r.Counters.Proc[Spare].Sleep)
 	}
 	if r.Counters.BackupsCanceledClean != 1 {
 		t.Errorf("clean cancels = %d, want 1", r.Counters.BackupsCanceledClean)
@@ -136,11 +135,11 @@ func TestShortGapStaysIdle(t *testing.T) {
 	}
 	// Gap [9.5,10) precedes a known release 0.5ms away (< Tbe): idle.
 	// Gap [19.5,20) has no future work at all: the processor powers down.
-	if r.PerProc[Primary].IdleTime != ms(0.5) {
-		t.Errorf("idle = %v, want 0.5ms", r.PerProc[Primary].IdleTime)
+	if r.Counters.Proc[Primary].Idle != ms(0.5) {
+		t.Errorf("idle = %v, want 0.5ms", r.Counters.Proc[Primary].Idle)
 	}
-	if r.PerProc[Primary].SleepTime != ms(0.5) {
-		t.Errorf("sleep = %v, want 0.5ms", r.PerProc[Primary].SleepTime)
+	if r.Counters.Proc[Primary].Sleep != ms(0.5) {
+		t.Errorf("sleep = %v, want 0.5ms", r.Counters.Proc[Primary].Sleep)
 	}
 }
 
@@ -228,8 +227,8 @@ func TestPermanentFaultOnSpare(t *testing.T) {
 		t.Fatal("permanent fault not recorded")
 	}
 	// Spare dead from 15 on: 35ms dead time.
-	if r.PerProc[Spare].DeadTime != ms(35) {
-		t.Errorf("spare dead time = %v, want 35ms", r.PerProc[Spare].DeadTime)
+	if r.Counters.Proc[Spare].Dead != ms(35) {
+		t.Errorf("spare dead time = %v, want 35ms", r.Counters.Proc[Spare].Dead)
 	}
 	// All 5 jobs still effective (mains unaffected).
 	if r.Counters.Effective != 5 || !r.MKSatisfied() {
@@ -266,8 +265,8 @@ func TestPermanentFaultOnPrimaryBackupTakesOver(t *testing.T) {
 		t.Error("backup never ran on the spare")
 	}
 	// Primary accounting: 1ms of activity then dead.
-	if r.PerProc[Primary].ActiveTime != ms(1) || r.PerProc[Primary].DeadTime != ms(19) {
-		t.Errorf("primary energy = %+v", r.PerProc[Primary])
+	if r.Counters.Proc[Primary].Busy != ms(1) || r.Counters.Proc[Primary].Dead != ms(19) {
+		t.Errorf("primary time = %+v", r.Counters.Proc[Primary])
 	}
 }
 
@@ -355,22 +354,19 @@ func TestResultStrings(t *testing.T) {
 	}
 }
 
+// TestEnergyHelpers pins Result's energy figures: both processors' busy
+// time at P_act, plus idle and sleep time at their powers for the total;
+// dead time costs nothing.
 func TestEnergyHelpers(t *testing.T) {
-	e := Energy{ActiveTime: ms(10), IdleTime: ms(5), SleepTime: ms(3), DeadTime: ms(2)}
-	p := PowerModel{Active: 1, Idle: 0.1, Sleep: 0.01, BreakEven: ms(1)}
-	if got := e.Active(p); got != 10 {
-		t.Errorf("Active = %v", got)
+	r := &Result{Power: PowerModel{Active: 1, Idle: 0.5, Sleep: 0.25, BreakEven: ms(1)}}
+	r.Counters.Proc[Primary] = metrics.ProcTime{Busy: ms(10), Idle: ms(5), Sleep: ms(3), Dead: ms(2)}
+	r.Counters.Proc[Spare] = metrics.ProcTime{Busy: ms(4), Idle: ms(1), Sleep: ms(15)}
+	if got := r.ActiveEnergy(); got != 14 {
+		t.Errorf("ActiveEnergy = %v, want 14", got)
 	}
-	want := 10 + 0.5 + 0.03
-	if got := e.Total(p); got != want {
-		t.Errorf("Total = %v, want %v", got, want)
-	}
-	if e.Span() != ms(20) {
-		t.Errorf("Span = %v", e.Span())
-	}
-	sum := e.Add(e)
-	if sum.ActiveTime != ms(20) || sum.DeadTime != ms(4) {
-		t.Errorf("Add = %+v", sum)
+	want := 14 + 6*0.5 + 18*0.25
+	if got := r.TotalEnergy(); got != want {
+		t.Errorf("TotalEnergy = %v, want %v", got, want)
 	}
 }
 
@@ -456,7 +452,6 @@ func (p *splitPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 	return a.Index < b.Index
 }
 func (p *splitPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
-func (p *splitPolicy) OnPermanentFault(e *Engine, dead int)                   {}
 func (p *splitPolicy) Release(e *Engine, t *task.Task, index int) {
 	e.Admit(task.NewJob(*t, index, task.Mandatory), Primary)
 	if t.ID == 1 {
@@ -468,8 +463,8 @@ func TestAdmitToDeadProcReroutes(t *testing.T) {
 	// Kill the spare at 0; a policy that still admits backups to the
 	// spare must see them rerouted to the primary (the survivor).
 	pf := &fault.Plan{Permanent: &fault.Permanent{At: 0, Proc: Spare}}
-	// fpPolicy without the deadProcs shortcut: force dual admission by
-	// leaving single=false and ignoring OnPermanentFault via a wrapper.
+	// Unlike fpPolicy, stubbornPolicy never asks Degraded, so it keeps
+	// admitting both copies.
 	p := &stubbornPolicy{}
 	e, err := New(oneTask(), p, Config{Horizon: ms(20), RecordTrace: true})
 	_ = pf
@@ -508,7 +503,6 @@ func (p *stubbornPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 	return a.Copy == task.Main && b.Copy == task.Backup
 }
 func (p *stubbornPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
-func (p *stubbornPolicy) OnPermanentFault(e *Engine, dead int)                   {}
 func (p *stubbornPolicy) Release(e *Engine, t *task.Task, index int) {
 	e.Admit(task.NewJob(*t, index, task.Mandatory), Primary)
 	e.Admit(task.NewBackup(*t, index, 0), Spare)

@@ -11,19 +11,20 @@ import (
 
 // Forker is the optional Policy interface that lets a run fork. Fork
 // returns a policy of the same kind in the same state that shares nothing
-// mutable with the receiver: outcome histories, alternation counters and
-// dead-processor flags are copied, while offline analyses, which no hook
-// mutates, are shared.
+// mutable with the receiver: outcome histories and alternation counters
+// are copied, while offline analyses, which no hook mutates, are shared.
+// A policy with no per-run state may return the receiver.
 type Forker interface {
 	Policy
 	Fork() Policy
 }
 
 // Fork is a fault-free run's state right after dispatch at its last stop
-// before an instant at: the clock, the processors with their energy and
-// the activation and promotion minima that dispatch recorded, the counters
-// and loop-pass count, the release calendar, the outcome rows, the open
-// pairs with their copies, the live lists and a copy of the policy.
+// before an instant at: the clock, the processors with the activation and
+// promotion minima that dispatch recorded, the counters with each
+// processor's time so far and the loop-pass count, the release calendar,
+// the outcome rows, the open pairs with their copies, the live lists and
+// a copy of the policy.
 //
 // A run of the same set, policy and configuration whose fault plan acts
 // first at at — a permanent fault at at, no transient rate — takes the

@@ -10,6 +10,7 @@ package dbp
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/pattern"
 	"repro/internal/postpone"
 	"repro/internal/sim"
@@ -51,9 +52,9 @@ func init() {
 // against a brute-force window recount.
 type dbpPolicy struct {
 	opts policy.Options
+	off  *analysis.Products
 	an   *postpone.Analysis
 	hist []*pattern.History
-	dead [sim.NumProcs]bool
 
 	// onClassify, when non-nil, observes every release classification
 	// (task, 1-based job index, distance). Tests hook it to audit the
@@ -65,16 +66,8 @@ func (p *dbpPolicy) Name() string { return policy.DBP.String() }
 
 func (p *dbpPolicy) Init(e *sim.Engine) error {
 	set := e.Set()
-	var an *postpone.Analysis
-	var err error
-	if off := p.opts.Offline; off != nil {
-		an, err = off.Postponement()
-	} else {
-		an, err = postpone.Compute(set, postpone.Options{
-			Pattern:        p.opts.Pattern,
-			HyperperiodCap: p.opts.HyperperiodCap,
-		})
-	}
+	p.off = policy.Offline(set, p.opts)
+	an, err := p.off.Postponement()
 	if err != nil {
 		return fmt.Errorf("dbp: %w", err)
 	}
@@ -92,7 +85,7 @@ func (p *dbpPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 		e.Counters().MandatoryJobs++
 		main := e.NewJob(t, index, task.Mandatory)
 		main.FD = dist
-		if p.dead[sim.Primary] || p.dead[sim.Spare] {
+		if e.Degraded() {
 			e.Admit(main, e.Survivor())
 			return
 		}
@@ -102,7 +95,7 @@ func (p *dbpPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 		e.Admit(backup, sim.Spare)
 		return
 	}
-	if policy.StaticMandatory(&p.opts, t, index) {
+	if p.off.Mandatory(t.ID, index) {
 		e.Counters().Demotions++
 	}
 	e.Counters().OptionalSelected++
@@ -132,8 +125,6 @@ func (p *dbpPolicy) Runnable(now timeu.Time, j *task.Job) bool {
 func (p *dbpPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {
 	p.hist[taskID].Record(effective)
 }
-
-func (p *dbpPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
 
 // Fork copies the policy with its outcome windows; the postponement
 // analysis is shared.

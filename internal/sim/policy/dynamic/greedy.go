@@ -6,8 +6,8 @@
 package dynamic
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/pattern"
-	"repro/internal/rta"
 	"repro/internal/sim"
 	"repro/internal/sim/policy"
 	"repro/internal/task"
@@ -40,20 +40,17 @@ func init() {
 // is never dispatched (O11 in Figure 2 "will not be invoked at all").
 type greedyPolicy struct {
 	opts policy.Options
+	off  *analysis.Products
 	ys   []timeu.Time
 	hist []*pattern.History
-	dead [sim.NumProcs]bool
 }
 
 func (p *greedyPolicy) Name() string { return policy.Greedy.String() }
 
 func (p *greedyPolicy) Init(e *sim.Engine) error {
 	set := e.Set()
-	if off := p.opts.Offline; off != nil {
-		p.ys = off.PromotionTimes()
-	} else {
-		p.ys = rta.PromotionTimesSafe(set)
-	}
+	p.off = policy.Offline(set, p.opts)
+	p.ys = p.off.PromotionTimes()
 	p.hist = policy.Histories(set)
 	return nil
 }
@@ -63,7 +60,7 @@ func (p *greedyPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 	if fd == 0 {
 		e.Counters().MandatoryJobs++
 		main := e.NewJob(t, index, task.Mandatory)
-		if p.dead[sim.Primary] || p.dead[sim.Spare] {
+		if e.Degraded() {
 			e.Admit(main, e.Survivor())
 			return
 		}
@@ -71,7 +68,7 @@ func (p *greedyPolicy) Release(e *sim.Engine, t *task.Task, index int) {
 		e.Admit(e.NewBackup(t, index, p.ys[t.ID]), sim.Spare)
 		return
 	}
-	if policy.StaticMandatory(&p.opts, t, index) {
+	if p.off.Mandatory(t.ID, index) {
 		e.Counters().Demotions++
 	}
 	e.Counters().OptionalSelected++
@@ -103,8 +100,6 @@ func (p *greedyPolicy) Runnable(now timeu.Time, j *task.Job) bool {
 func (p *greedyPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {
 	p.hist[taskID].Record(effective)
 }
-
-func (p *greedyPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
 
 // Fork copies the policy with its outcome windows.
 func (p *greedyPolicy) Fork() sim.Policy {

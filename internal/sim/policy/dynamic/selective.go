@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/analysis"
 	"repro/internal/pattern"
 	"repro/internal/postpone"
 	"repro/internal/sim"
@@ -38,28 +39,20 @@ import (
 // are no longer postponed (they are the only copy left).
 type selectivePolicy struct {
 	opts policy.Options
+	off  *analysis.Products
 	an   *postpone.Analysis
 	hist []*pattern.History
 	// alt[i] counts task i's selected optional jobs; even → primary,
 	// odd → spare (Figure 4's alternation).
-	alt  []int
-	dead [sim.NumProcs]bool
+	alt []int
 }
 
 func (p *selectivePolicy) Name() string { return policy.Selective.String() }
 
 func (p *selectivePolicy) Init(e *sim.Engine) error {
 	set := e.Set()
-	var an *postpone.Analysis
-	var err error
-	if off := p.opts.Offline; off != nil {
-		an, err = off.Postponement()
-	} else {
-		an, err = postpone.Compute(set, postpone.Options{
-			Pattern:        p.opts.Pattern,
-			HyperperiodCap: p.opts.HyperperiodCap,
-		})
-	}
+	p.off = policy.Offline(set, p.opts)
+	an, err := p.off.Postponement()
 	if err != nil {
 		return fmt.Errorf("selective: %w", err)
 	}
@@ -84,14 +77,14 @@ func (p *selectivePolicy) Release(e *sim.Engine, t *task.Task, index int) {
 	case fd == 0:
 		e.Counters().MandatoryJobs++
 		main := e.NewJob(t, index, task.Mandatory)
-		if p.dead[sim.Primary] || p.dead[sim.Spare] {
+		if e.Degraded() {
 			e.Admit(main, e.Survivor())
 			return
 		}
 		e.Admit(main, sim.Primary)
 		e.Admit(e.NewBackup(t, index, p.theta(t.ID)), sim.Spare)
 	case fd <= p.opts.FDThreshold:
-		if policy.StaticMandatory(&p.opts, t, index) {
+		if p.off.Mandatory(t.ID, index) {
 			e.Counters().Demotions++
 		}
 		e.Counters().OptionalSelected++
@@ -104,7 +97,7 @@ func (p *selectivePolicy) Release(e *sim.Engine, t *task.Task, index int) {
 		p.alt[t.ID]++
 		e.Admit(j, proc)
 	default:
-		if policy.StaticMandatory(&p.opts, t, index) {
+		if p.off.Mandatory(t.ID, index) {
 			e.Counters().Demotions++
 		}
 		e.SettleSkip(t.ID, index)
@@ -127,8 +120,6 @@ func (p *selectivePolicy) Runnable(now timeu.Time, j *task.Job) bool {
 func (p *selectivePolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {
 	p.hist[taskID].Record(effective)
 }
-
-func (p *selectivePolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
 
 // Fork copies the policy with its outcome windows and alternation
 // counters; the postponement analysis is shared.

@@ -1,9 +1,9 @@
 // Package policy is the plug-in layer between the simulation kernel and
 // the concrete scheduling schemes. The engine (internal/sim) owns time,
-// processors, energy and settlement; everything approach-specific — which
-// job copy goes where, in which priority band, when backups become
-// eligible — lives in a sim.Policy implementation registered here under
-// its Approach.
+// processors, energy, the permanent fault and settlement; everything
+// approach-specific — which job copy goes where, in which priority band,
+// when backups become eligible — lives in a sim.Policy implementation
+// registered here under its Approach.
 //
 // The Approach table (approach.go) is the one place an approach is named:
 // its canonical name, its aliases and its position in every listing.
@@ -45,7 +45,9 @@ type Options struct {
 	// repeated runs of the same set skip the per-Init recomputation. The
 	// products must have been derived with the same Pattern and
 	// HyperperiodCap, from a set fingerprint-identical to the one
-	// simulated; repro.Runner guarantees both.
+	// simulated; repro.Runner guarantees both. Nil means each run derives
+	// its own (see Offline): every policy reads its analyses from one
+	// analysis.Products either way.
 	Offline *analysis.Products
 }
 
@@ -77,13 +79,13 @@ func Histories(s *task.Set) []*pattern.History {
 	return hs
 }
 
-// StaticMandatory applies the static pattern classification shared by the
-// ST and DP baselines, via the memoized table when offline products are
-// attached. Both arguments are read through pointers so the per-release
-// call copies neither the options nor the task.
-func StaticMandatory(opts *Options, t *task.Task, index int) bool {
+// Offline returns the offline analyses of set s a policy reads: the
+// caller's opts.Offline when set, else fresh products derived with opts'
+// Pattern and HyperperiodCap, each computed on first use. Policies call
+// it once, from Init.
+func Offline(s *task.Set, opts Options) *analysis.Products {
 	if opts.Offline != nil {
-		return opts.Offline.Mandatory(t.ID, index)
+		return opts.Offline
 	}
-	return pattern.Mandatory(opts.Pattern, index, t.M, t.K)
+	return analysis.New(s, analysis.Options{Pattern: opts.Pattern, HyperperiodCap: opts.HyperperiodCap})
 }

@@ -17,7 +17,6 @@ func (p *fakePolicy) Release(e *sim.Engine, t *task.Task, index int)      {}
 func (p *fakePolicy) Less(now timeu.Time, a, b *task.Job) bool            { return false }
 func (p *fakePolicy) Runnable(now timeu.Time, j *task.Job) bool           { return true }
 func (p *fakePolicy) OnSettled(e *sim.Engine, taskID, index int, ok bool) {}
-func (p *fakePolicy) OnPermanentFault(e *sim.Engine, dead int)            {}
 
 // emptyRegistry swaps in an empty builder table until the test ends, so
 // registration can be exercised without disturbing the implementation

@@ -7,7 +7,7 @@
 package static
 
 import (
-	"repro/internal/rta"
+	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/sim/policy"
 	"repro/internal/task"
@@ -33,21 +33,24 @@ func init() {
 // backup cancellation saves almost nothing.
 type stPolicy struct {
 	opts policy.Options
-	dead [sim.NumProcs]bool
+	off  *analysis.Products
 }
 
 func (p *stPolicy) Name() string { return policy.ST.String() }
 
-func (p *stPolicy) Init(e *sim.Engine) error { return nil }
+func (p *stPolicy) Init(e *sim.Engine) error {
+	p.off = policy.Offline(e.Set(), p.opts)
+	return nil
+}
 
 func (p *stPolicy) Release(e *sim.Engine, t *task.Task, index int) {
-	if !policy.StaticMandatory(&p.opts, t, index) {
+	if !p.off.Mandatory(t.ID, index) {
 		e.SettleSkip(t.ID, index)
 		return
 	}
 	e.Counters().MandatoryJobs++
 	main := e.NewJob(t, index, task.Mandatory)
-	if p.dead[sim.Primary] || p.dead[sim.Spare] {
+	if e.Degraded() {
 		// Single survivor: one copy only.
 		e.Admit(main, e.Survivor())
 		return
@@ -62,13 +65,8 @@ func (p *stPolicy) Runnable(now timeu.Time, j *task.Job) bool { return true }
 
 func (p *stPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {}
 
-func (p *stPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
-
-// Fork copies the policy; its only mutable state is the dead flags.
-func (p *stPolicy) Fork() sim.Policy {
-	c := *p
-	return &c
-}
+// Fork returns the policy itself: it keeps no per-run state.
+func (p *stPolicy) Fork() sim.Policy { return p }
 
 // dpPolicy is MKSS_DP: the preference-oriented dual-priority baseline
 // reconstructed from Figure 1. Main copies alternate across the two
@@ -79,8 +77,8 @@ func (p *stPolicy) Fork() sim.Policy {
 // successfully cancels its backup, which is the entire energy play.
 type dpPolicy struct {
 	opts policy.Options
+	off  *analysis.Products
 	ys   []timeu.Time
-	dead [sim.NumProcs]bool
 	// background switches to textbook dual-priority (the DPBackground
 	// extension): backups are eligible from their nominal release but run
 	// in a background band until promotion at r + Yi, instead of being
@@ -96,11 +94,8 @@ func (p *dpPolicy) Name() string {
 }
 
 func (p *dpPolicy) Init(e *sim.Engine) error {
-	if off := p.opts.Offline; off != nil {
-		p.ys = off.PromotionTimes()
-	} else {
-		p.ys = rta.PromotionTimesSafe(e.Set())
-	}
+	p.off = policy.Offline(e.Set(), p.opts)
+	p.ys = p.off.PromotionTimes()
 	return nil
 }
 
@@ -109,13 +104,13 @@ func (p *dpPolicy) Init(e *sim.Engine) error {
 func (p *dpPolicy) mainProc(taskID int) int { return taskID % sim.NumProcs }
 
 func (p *dpPolicy) Release(e *sim.Engine, t *task.Task, index int) {
-	if !policy.StaticMandatory(&p.opts, t, index) {
+	if !p.off.Mandatory(t.ID, index) {
 		e.SettleSkip(t.ID, index)
 		return
 	}
 	e.Counters().MandatoryJobs++
 	main := e.NewJob(t, index, task.Mandatory)
-	if p.dead[sim.Primary] || p.dead[sim.Spare] {
+	if e.Degraded() {
 		e.Admit(main, e.Survivor())
 		return
 	}
@@ -153,11 +148,5 @@ func (p *dpPolicy) Runnable(now timeu.Time, j *task.Job) bool { return true }
 
 func (p *dpPolicy) OnSettled(e *sim.Engine, taskID, index int, effective bool) {}
 
-func (p *dpPolicy) OnPermanentFault(e *sim.Engine, dead int) { p.dead[dead] = true }
-
-// Fork copies the policy; its only mutable state is the dead flags, and
-// the promotion intervals are shared.
-func (p *dpPolicy) Fork() sim.Policy {
-	c := *p
-	return &c
-}
+// Fork returns the policy itself: it keeps no per-run state.
+func (p *dpPolicy) Fork() sim.Policy { return p }

@@ -34,40 +34,3 @@ func DefaultPower() PowerModel {
 func (p PowerModel) String() string {
 	return fmt.Sprintf("power{act=%g idle=%g sleep=%g Tbe=%v}", p.Active, p.Idle, p.Sleep, p.BreakEven)
 }
-
-// Energy is the per-processor energy breakdown of one run.
-type Energy struct {
-	// ActiveTime, IdleTime, SleepTime, DeadTime partition the horizon.
-	ActiveTime timeu.Time
-	IdleTime   timeu.Time
-	SleepTime  timeu.Time
-	DeadTime   timeu.Time
-}
-
-// Active returns the active energy (busy time × P_act) — the paper's
-// headline metric.
-func (e Energy) Active(p PowerModel) float64 {
-	return e.ActiveTime.Millis() * p.Active
-}
-
-// Total returns active + idle + sleep energy (dead time consumes none).
-func (e Energy) Total(p PowerModel) float64 {
-	return e.ActiveTime.Millis()*p.Active +
-		e.IdleTime.Millis()*p.Idle +
-		e.SleepTime.Millis()*p.Sleep
-}
-
-// Span returns the accounted time (must equal the horizon after a run).
-func (e Energy) Span() timeu.Time {
-	return e.ActiveTime + e.IdleTime + e.SleepTime + e.DeadTime
-}
-
-// Add accumulates another breakdown (used when aggregating processors).
-func (e Energy) Add(o Energy) Energy {
-	return Energy{
-		ActiveTime: e.ActiveTime + o.ActiveTime,
-		IdleTime:   e.IdleTime + o.IdleTime,
-		SleepTime:  e.SleepTime + o.SleepTime,
-		DeadTime:   e.DeadTime + o.DeadTime,
-	}
-}

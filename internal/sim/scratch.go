@@ -121,18 +121,8 @@ func NewScratchPool() *ScratchPool {
 }
 
 // Get borrows a Scratch; return it with Put once the run's Result has
-// been assembled. Safe on a nil pool (returns a fresh Scratch).
-func (sp *ScratchPool) Get() *Scratch {
-	if sp == nil {
-		return NewScratch()
-	}
-	return sp.pool.Get().(*Scratch)
-}
+// been assembled.
+func (sp *ScratchPool) Get() *Scratch { return sp.pool.Get().(*Scratch) }
 
-// Put returns a Scratch to the pool. Safe on a nil pool (drops it).
-func (sp *ScratchPool) Put(s *Scratch) {
-	if sp == nil || s == nil {
-		return
-	}
-	sp.pool.Put(s)
-}
+// Put returns a Scratch to the pool.
+func (sp *ScratchPool) Put(s *Scratch) { sp.pool.Put(s) }

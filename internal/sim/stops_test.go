@@ -85,14 +85,14 @@ func checkStop(t *testing.T, e *Engine, next timeu.Time, run string) {
 
 // stopPolicy stresses every class of stop the scan reads: postponed
 // backup activations (theta), dual-priority-style promotions, and
-// settle-skips, with single-processor routing after a permanent fault.
+// settle-skips, with single-processor routing once the engine is
+// degraded.
 // It classifies every admitted job as mandatory, so the run's counters
 // satisfy metrics.CheckInvariants.
 type stopPolicy struct {
 	theta     []timeu.Time
 	promote   []timeu.Time // Promote = Release + promote[id] when positive
 	skipEvery int
-	dead      bool
 }
 
 func (p *stopPolicy) Name() string                              { return "test-stops" }
@@ -105,7 +105,6 @@ func (p *stopPolicy) Less(now timeu.Time, a, b *task.Job) bool {
 	return a.Index < b.Index
 }
 func (p *stopPolicy) OnSettled(e *Engine, taskID, index int, effective bool) {}
-func (p *stopPolicy) OnPermanentFault(e *Engine, dead int)                   { p.dead = true }
 
 func (p *stopPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.skipEvery > 0 && (index+t.ID)%p.skipEvery == 0 {
@@ -117,7 +116,7 @@ func (p *stopPolicy) Release(e *Engine, t *task.Task, index int) {
 	if p.promote != nil && p.promote[t.ID] > 0 {
 		main.Promote = main.Release + p.promote[t.ID]
 	}
-	if p.dead {
+	if e.Degraded() {
 		e.Admit(main, e.Survivor())
 		return
 	}

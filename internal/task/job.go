@@ -84,10 +84,6 @@ type Job struct {
 	Remaining timeu.Time
 	// Started reports whether the copy has ever run.
 	Started bool
-	// StartTime is the first dispatch instant (valid when Started).
-	StartTime timeu.Time
-	// FinishTime is the completion or cancellation instant.
-	FinishTime timeu.Time
 
 	// Faulty marks a copy hit by a transient fault during execution; the
 	// sanity check at end of execution (§II-B) detects it, so the copy

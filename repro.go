@@ -119,8 +119,9 @@ func NewSet(tasks ...Task) *Set { return task.NewSet(tasks...) }
 // RunConfig parameterizes Simulate. The zero value of every field picks
 // the paper's setting.
 type RunConfig struct {
-	// HorizonMS is the simulated duration in ms; zero uses the set's
-	// (m,k)-hyperperiod capped at 2000 ms.
+	// HorizonMS is the simulated duration in ms; zero and negative values
+	// use the set's (m,k)-hyperperiod capped at 2000 ms, and a value
+	// Horizon refuses is an error.
 	HorizonMS float64
 	// Scenario injects faults (default NoFault); Seed makes the fault
 	// realization reproducible.

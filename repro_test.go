@@ -21,14 +21,37 @@ func TestQuickstartNumbers(t *testing.T) {
 	}
 }
 
+// TestDefaultHorizonIsHyperperiod pins how Simulate resolves
+// RunConfig.HorizonMS: zero and negative values run the set's
+// (m,k)-hyperperiod, and a value that is not finite or whose µs count
+// does not fit in Time is an error, not a run of whatever horizon the
+// CPU's float-to-int conversion yields.
 func TestDefaultHorizonIsHyperperiod(t *testing.T) {
 	set := motivationSet() // (m,k)-hyperperiod = 20ms
-	res, err := Simulate(set, ST, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Horizon != 20*Millisecond {
-		t.Errorf("default horizon = %v, want 20ms", res.Horizon)
+	for _, tt := range []struct {
+		name      string
+		horizonMS float64
+		want      Time // 0 means an error
+	}{
+		{"zero", 0, 20 * Millisecond},
+		{"negative", -5, 20 * Millisecond},
+		{"given", 30, 30 * Millisecond},
+		{"NaN", math.NaN(), 0},
+		{"+Inf", math.Inf(1), 0},
+		{"-Inf", math.Inf(-1), 0},
+		{"1e300", 1e300, 0},
+		{"-1e300", -1e300, 0},
+		{"2^63 µs", 9223372036854775.808, 0},
+	} {
+		res, err := Simulate(set, ST, RunConfig{HorizonMS: tt.horizonMS})
+		switch {
+		case tt.want == 0 && (err == nil || !strings.Contains(err.Error(), "horizon_ms")):
+			t.Errorf("%s: Simulate error %v, want one naming horizon_ms", tt.name, err)
+		case tt.want != 0 && err != nil:
+			t.Errorf("%s: %v", tt.name, err)
+		case tt.want != 0 && res.Horizon != tt.want:
+			t.Errorf("%s: horizon = %v, want %v", tt.name, res.Horizon, tt.want)
+		}
 	}
 }
 
@@ -223,9 +246,9 @@ func TestEnergyConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for p, en := range res.PerProc {
-				if en.Span() != res.Horizon {
-					t.Errorf("%v/%v proc %d: span %v != horizon %v", a, sc, p, en.Span(), res.Horizon)
+			for p, pt := range res.Counters.Proc {
+				if pt.Span() != res.Horizon {
+					t.Errorf("%v/%v proc %d: span %v != horizon %v", a, sc, p, pt.Span(), res.Horizon)
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/experiment"
@@ -139,13 +141,35 @@ func (r *Runner) Analysis(s *Set) *OfflineAnalysis {
 // Simulate/Sweep callers share one process-wide session.
 var defaultRunner = NewRunner(RunnerConfig{})
 
+// maxHorizonUS is 2^63, the first µs count past Time's range.
+const maxHorizonUS = float64(math.MaxInt64)
+
+// Horizon resolves the horizon a run of s covers when horizonMS
+// milliseconds are asked for: horizonMS as timeu.FromMillis rounds it,
+// or, for zero and negative values, the set's (m,k)-hyperperiod capped
+// at 2000 ms. A value that is not finite, or whose µs count does not fit
+// in Time, is an error: Go leaves the conversion of such a value
+// implementation-dependent, so the run it asked for would depend on the
+// CPU. Simulate, the analytical twin and the server all resolve their
+// horizons here.
+func Horizon(s *Set, horizonMS float64) (Time, error) {
+	us := math.Round(horizonMS * float64(timeu.Millisecond))
+	if math.IsNaN(us) || us >= maxHorizonUS || us < -maxHorizonUS {
+		return 0, fmt.Errorf("horizon_ms must be finite and below %v in magnitude, got %v", maxHorizonUS/float64(timeu.Millisecond), horizonMS)
+	}
+	if h := Time(us); h > 0 {
+		return h, nil
+	}
+	return s.MKHyperperiod(2000 * timeu.Millisecond), nil
+}
+
 // simulate is the one code path every Simulate variant funnels through.
 // With prods == nil and scr == nil it reproduces the standalone behavior
 // exactly: fresh analyses, fresh engine state.
 func simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig, prods *analysis.Products, scr *sim.Scratch) (*Result, error) {
-	horizon := timeu.FromMillis(cfg.HorizonMS)
-	if horizon <= 0 {
-		horizon = s.MKHyperperiod(2000 * timeu.Millisecond)
+	horizon, err := Horizon(s, cfg.HorizonMS)
+	if err != nil {
+		return nil, err
 	}
 	opts := cfg.Options
 	if opts.Offline == nil {

@@ -276,10 +276,11 @@ job_policy_smoke() {
   return "$status"
 }
 
-# One iteration of every benchmark catches bench rot; the reduced
+# One iteration of every benchmark catches bench rot; -run '^$' skips
+# the unit tests, which the test and race jobs run. The reduced
 # Figure-6a sweep's document is uploaded for the cross-PR trajectory.
 job_bench_smoke() {
-  go test -bench . -benchtime 1x ./...
+  go test -run '^$' -bench . -benchtime 1x ./...
   go run ./cmd/mkbench -fig 6a -sets 3 -candidates 800 -q -json -jsonout "$out/BENCH_ci.json"
   check "$out/BENCH_ci.json" 'd["schema"] == "mkss-bench/v1"' 'd["rows"]'
 }
