@@ -98,11 +98,14 @@ type options struct {
 	scaleQueue     int64
 }
 
+// scenarioUsage lists the fault scenarios repro.ParseScenario accepts.
+const scenarioUsage = "fault scenario: none | permanent | permanent+transient"
+
 func main() {
 	var o options
 	flag.StringVar(&o.workers, "workers", "", "comma-separated mkservd addresses (host:port or http://...)")
 	flag.BoolVar(&o.local, "local", false, "run the sweep in-process instead (reference stream for byte-identity checks)")
-	flag.StringVar(&o.scenario, "scenario", "none", "fault scenario: none|transient|permanent|both")
+	flag.StringVar(&o.scenario, "scenario", "none", scenarioUsage)
 	flag.Uint64Var(&o.seed, "seed", 2020, "master seed")
 	flag.IntVar(&o.sets, "sets", 3, "task sets per utilization interval")
 	flag.IntVar(&o.candidates, "candidates", 500, "max candidate sets per interval")

@@ -21,8 +21,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro"
@@ -44,30 +46,35 @@ type options struct {
 	jsonOut   bool
 	events    string
 	estimate  bool
-	backend   string
 }
+
+// approachUsage and scenarioUsage list, after their colons, names the
+// flags' parsers accept: every approach by its canonical name, which
+// also parses without its MKSS- prefix, and every scenario.
+var approachUsage = "approach (any case, MKSS- prefix optional): " + strings.Join(repro.ApproachNames(), " | ")
+
+const scenarioUsage = "fault scenario: none | permanent | permanent+transient"
 
 func main() {
 	var o options
 	flag.StringVar(&o.setPath, "set", "", "path to a JSON task-set spec (- = stdin)")
 	flag.BoolVar(&o.demo, "demo", false, "use the paper's §III example set instead of -set")
-	flag.StringVar(&o.approach, "approach", "selective", "st | dp | greedy | selective | dp-background")
+	flag.StringVar(&o.approach, "approach", "selective", approachUsage)
 	flag.Float64Var(&o.horizonMS, "horizon", 0, "simulated ms (0 = one (m,k)-hyperperiod, capped at 2000)")
-	flag.StringVar(&o.scenario, "scenario", "none", "fault scenario: none | permanent | permanent+transient")
+	flag.StringVar(&o.scenario, "scenario", "none", scenarioUsage)
 	flag.Uint64Var(&o.seed, "seed", 1, "fault realization seed")
 	flag.BoolVar(&o.gantt, "gantt", false, "print an ASCII Gantt chart")
 	flag.BoolVar(&o.segments, "segments", false, "print every execution segment")
 	flag.BoolVar(&o.perTask, "pertask", false, "print per-task energy/outcome attribution")
 	flag.BoolVar(&o.jsonOut, "json", false, "print a machine-readable run report (schema mkss-run/v1) instead of text")
 	flag.StringVar(&o.events, "events", "", "write the structured event trace as JSONL to this file")
-	flag.BoolVar(&o.estimate, "estimate", false, "answer from an estimator backend instead of simulating (closed-form twin by default)")
-	flag.StringVar(&o.backend, "backend", "", "estimator backend for -estimate (default twin; see internal/estimate)")
+	flag.BoolVar(&o.estimate, "estimate", false, "answer from the closed-form analytical twin instead of simulating")
 	flag.Parse()
 	// SIGINT and SIGTERM cancel the simulation gracefully: the engine
 	// stops at the next event-loop check and run reports the interruption.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, o); err != nil {
+	if err := run(ctx, o, os.Stdout); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "mksim: interrupted — no results (single runs have no partial output)")
 		} else {
@@ -77,7 +84,9 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, o options) error {
+// run does what o asks and prints the report on stdout; a run that fails
+// prints nothing there.
+func run(ctx context.Context, o options, stdout io.Writer) error {
 	var s *repro.Set
 	switch {
 	case o.demo:
@@ -101,19 +110,10 @@ func run(ctx context.Context, o options) error {
 	}
 
 	if o.estimate {
-		return runEstimate(ctx, s, a, sc, o)
+		return runEstimate(s, a, sc, o, stdout)
 	}
 
-	schedulable := repro.RPatternSchedulable(s)
 	trace := o.gantt || o.perTask
-	if !o.jsonOut {
-		fmt.Printf("task set (total utilization %.3f, (m,k)-utilization %.3f):\n%s\n",
-			s.Utilization(), s.MKUtilization(), s)
-		if !schedulable {
-			fmt.Println("warning: set is NOT R-pattern schedulable; (m,k)-deadlines are not guaranteed")
-		}
-	}
-
 	cfg := repro.RunConfig{
 		HorizonMS:   o.horizonMS,
 		Scenario:    sc,
@@ -146,87 +146,84 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 
+	schedulable := repro.RPatternSchedulable(s)
 	if o.jsonOut {
-		return printIndented(serve.RunDocOf(s, sc, o.seed, schedulable, res))
+		return printIndented(stdout, serve.RunDocOf(s, sc, o.seed, schedulable, res))
 	}
 
-	fmt.Printf("\n%s over %v (%s):\n", res.Policy, res.Horizon, sc)
-	fmt.Printf("  active energy: %.3f   total energy (incl. idle/sleep): %.3f\n",
+	fmt.Fprintf(stdout, "task set (total utilization %.3f, (m,k)-utilization %.3f):\n%s\n",
+		s.Utilization(), s.MKUtilization(), s)
+	if !schedulable {
+		fmt.Fprintln(stdout, "warning: set is NOT R-pattern schedulable; (m,k)-deadlines are not guaranteed")
+	}
+	fmt.Fprintf(stdout, "\n%s over %v (%s):\n", res.Policy, res.Horizon, sc)
+	fmt.Fprintf(stdout, "  active energy: %.3f   total energy (incl. idle/sleep): %.3f\n",
 		res.ActiveEnergy(), res.TotalEnergy())
 	for p, pt := range res.Counters.Proc {
 		name := [...]string{"primary", "spare"}[p]
-		fmt.Printf("  %-7s busy %v, idle %v, asleep %v, dead %v\n",
+		fmt.Fprintf(stdout, "  %-7s busy %v, idle %v, asleep %v, dead %v\n",
 			name, pt.Busy, pt.Idle, pt.Sleep, pt.Dead)
 	}
 	c := res.Counters
-	fmt.Printf("  jobs: %d released, %d mandatory, %d optional selected, %d skipped, %d demotions\n",
+	fmt.Fprintf(stdout, "  jobs: %d released, %d mandatory, %d optional selected, %d skipped, %d demotions\n",
 		c.Released, c.MandatoryJobs, c.OptionalSelected, c.OptionalSkipped, c.Demotions)
-	fmt.Printf("  backups: %d created, %d canceled clean, %d canceled partial\n",
+	fmt.Fprintf(stdout, "  backups: %d created, %d canceled clean, %d canceled partial\n",
 		c.BackupsCreated, c.BackupsCanceledClean, c.BackupsCanceledPartial)
-	fmt.Printf("  outcomes: %d effective, %d misses, %d transient faults\n",
+	fmt.Fprintf(stdout, "  outcomes: %d effective, %d misses, %d transient faults\n",
 		c.Effective, c.Misses, c.TransientFaults)
 	if pf := res.PermanentFault; pf != nil {
-		fmt.Printf("  permanent fault: processor %d at %v\n", pf.Proc, pf.At)
+		fmt.Fprintf(stdout, "  permanent fault: processor %d at %v\n", pf.Proc, pf.At)
 	}
-	fmt.Printf("  (m,k) satisfied: %v\n", res.MKSatisfied())
+	fmt.Fprintf(stdout, "  (m,k) satisfied: %v\n", res.MKSatisfied())
 	if !res.MKSatisfied() {
 		for i, v := range res.ViolationAt {
 			if v >= 0 {
-				fmt.Printf("    tau%d violates at job %d\n", i+1, v+1)
+				fmt.Fprintf(stdout, "    tau%d violates at job %d\n", i+1, v+1)
 			}
 		}
 	}
 	if trace {
-		fmt.Println()
-		fmt.Print(repro.GanttChart(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, repro.GanttChart(res))
 	}
 	if o.perTask {
-		fmt.Println()
-		fmt.Print(res.PerTaskTable())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.PerTaskTable())
 	}
 	if o.segments {
-		fmt.Println()
-		fmt.Print(repro.TraceSummary(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, repro.TraceSummary(res))
 	}
 	return nil
 }
 
-// runEstimate answers the query through an estimator backend — the
-// analytical twin by default: closed-form schedulability and energy with
-// no discrete-event run. With -json it prints the same mkss-estimate/v1
-// document GET /v1/estimate serves.
-func runEstimate(ctx context.Context, s *repro.Set, a repro.Approach, sc repro.Scenario, o options) error {
-	est, err := estimate.New(o.backend, repro.NewRunner(repro.RunnerConfig{}))
-	if err != nil {
-		return err
-	}
-	ans, err := est.Estimate(ctx, estimate.Request{
+// runEstimate answers the query from the analytical twin: closed-form
+// schedulability and energy with no discrete-event run. With -json it
+// prints the same mkss-estimate/v1 document GET /v1/estimate serves.
+func runEstimate(s *repro.Set, a repro.Approach, sc repro.Scenario, o options, stdout io.Writer) error {
+	ans, err := estimate.NewTwin(repro.NewRunner(repro.RunnerConfig{})).Estimate(estimate.Request{
 		Set: s, Approach: a, Scenario: sc, Seed: o.seed, HorizonMS: o.horizonMS,
 	})
 	if err != nil {
 		return err
 	}
 	if o.jsonOut {
-		return printIndented(serve.EstimateDocOf(s, sc, o.seed, ans, 0))
+		return printIndented(stdout, serve.EstimateDocOf(s, sc, o.seed, ans, 0))
 	}
-	kind := "estimated (closed-form twin)"
-	if ans.Exact {
-		kind = "exact (simulated through the estimator)"
-	}
-	fmt.Printf("%s estimate over %v (%s), backend %s — %s:\n",
-		ans.Policy, ans.Horizon, sc, ans.Backend, kind)
-	fmt.Printf("  R-pattern schedulable: %v   (m,k) predicted: %v\n", ans.Schedulable, ans.MKPredicted)
-	fmt.Printf("  active energy: %.3f   total energy (incl. idle/sleep): %.3f\n",
+	fmt.Fprintf(stdout, "%s estimate over %v (%s), backend twin — estimated (closed-form twin):\n",
+		ans.Policy, ans.Horizon, sc)
+	fmt.Fprintf(stdout, "  R-pattern schedulable: %v   (m,k) predicted: %v\n", ans.Schedulable, ans.MKPredicted)
+	fmt.Fprintf(stdout, "  active energy: %.3f   total energy (incl. idle/sleep): %.3f\n",
 		ans.ActiveEnergy, ans.TotalEnergy)
 	return nil
 }
 
-// printIndented prints doc as indented JSON on stdout.
-func printIndented(doc any) error {
+// printIndented prints doc as indented JSON on w.
+func printIndented(w io.Writer, doc any) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Println(string(data))
+	_, err = fmt.Fprintln(w, string(data))
 	return err
 }

@@ -70,20 +70,13 @@ type errBound struct {
 // TestTwinErrorBounds cross-validates the analytical twin against the
 // simulator over the full corpus and enforces the committed bounds:
 //   - schedulability verdicts match the public Theorem-1 test AND the
-//     sim backend exactly (they are not estimates);
+//     session's memoized verdict exactly (they are not estimates);
 //   - the (m,k) prediction matches the simulated outcome on every run;
 //   - per-scenario, per-approach relative energy error stays within
 //     results/twin_error_bounds.json.
 func TestTwinErrorBounds(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
-	tw, err := New("twin", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := New("sim", r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tw := NewTwin(r)
 
 	measured := map[string]map[string]errBound{}
 	runs := 0
@@ -97,29 +90,27 @@ func TestTwinErrorBounds(t *testing.T) {
 			for _, a := range corpusApproaches() {
 				for _, sc := range corpusScenarios() {
 					runs++
-					req := Request{
-						Set: set, Approach: a, Scenario: sc,
-						Seed: corpusRunSeedK*uint64(i) + uint64(si),
-					}
-					at, err := tw.Estimate(context.Background(), req)
+					seed := corpusRunSeedK*uint64(i) + uint64(si)
+					at, err := tw.Estimate(Request{Set: set, Approach: a, Scenario: sc, Seed: seed})
 					if err != nil {
 						t.Fatalf("%v/%v twin: %v", a, sc, err)
 					}
-					as, err := sm.Estimate(context.Background(), req)
+					res, err := r.Simulate(context.Background(), set, a, repro.RunConfig{Scenario: sc, Seed: seed})
 					if err != nil {
 						t.Fatalf("%v/%v sim: %v", a, sc, err)
 					}
-					if want := repro.RPatternSchedulable(set); at.Schedulable != want || as.Schedulable != want {
+					simActive, simTotal := res.ActiveEnergy(), res.TotalEnergy()
+					if want, sim := repro.RPatternSchedulable(set), r.Analysis(set).Schedulable(); at.Schedulable != want || sim != want {
 						t.Errorf("%v/%v interval %d set %d: verdicts twin=%v sim=%v public=%v",
-							a, sc, i, si, at.Schedulable, as.Schedulable, want)
+							a, sc, i, si, at.Schedulable, sim, want)
 					}
-					if at.MKPredicted != as.MKPredicted {
+					if at.MKPredicted != res.MKSatisfied() {
 						t.Errorf("%v/%v interval %d set %d: (m,k) predicted %v, simulated %v",
-							a, sc, i, si, at.MKPredicted, as.MKPredicted)
+							a, sc, i, si, at.MKPredicted, res.MKSatisfied())
 					}
-					if as.ActiveEnergy <= 0 || as.TotalEnergy <= 0 {
+					if simActive <= 0 || simTotal <= 0 {
 						t.Fatalf("%v/%v interval %d set %d: degenerate sim energy %v/%v",
-							a, sc, i, si, as.ActiveEnergy, as.TotalEnergy)
+							a, sc, i, si, simActive, simTotal)
 					}
 					m := measured[sc.String()]
 					if m == nil {
@@ -127,10 +118,10 @@ func TestTwinErrorBounds(t *testing.T) {
 						measured[sc.String()] = m
 					}
 					b := m[at.Policy]
-					if e := math.Abs(at.ActiveEnergy-as.ActiveEnergy) / as.ActiveEnergy; e > b.ActiveRelErr {
+					if e := math.Abs(at.ActiveEnergy-simActive) / simActive; e > b.ActiveRelErr {
 						b.ActiveRelErr = e
 					}
-					if e := math.Abs(at.TotalEnergy-as.TotalEnergy) / as.TotalEnergy; e > b.TotalRelErr {
+					if e := math.Abs(at.TotalEnergy-simTotal) / simTotal; e > b.TotalRelErr {
 						b.TotalRelErr = e
 					}
 					m[at.Policy] = b

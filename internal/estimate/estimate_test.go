@@ -14,32 +14,6 @@ func paperSet() *repro.Set {
 	return repro.NewSet(repro.NewTask(5, 4, 3, 2, 4), repro.NewTask(10, 10, 3, 1, 2))
 }
 
-// TestRegistry pins the backends New builds: the default, both names,
-// and the unknown-name error that serving returns as a 400 body.
-func TestRegistry(t *testing.T) {
-	r := repro.NewRunner(repro.RunnerConfig{})
-	def, err := New("", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Name() != DefaultBackend {
-		t.Errorf("New(\"\") built %q, want default %q", def.Name(), DefaultBackend)
-	}
-	for _, name := range []string{"twin", "sim"} {
-		est, err := New(name, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Name() != name || est.Exact() != (name == "sim") {
-			t.Errorf("New(%q) built %q (exact %v)", name, est.Name(), est.Exact())
-		}
-	}
-	const want = `estimate: unknown backend "oracle" (want one of sim, twin)`
-	if _, err := New("oracle", r); err == nil || err.Error() != want {
-		t.Errorf("New(oracle) error = %v, want %s", err, want)
-	}
-}
-
 // The twin's verdicts must be simulation-exact and its energy figures
 // close on the paper's running example, for every approach and both
 // deterministic fault scenarios. The committed per-scenario bounds over
@@ -59,46 +33,35 @@ func TestTwinMatchesSimOnPaperSet(t *testing.T) {
 		repro.Greedy:       0.25,
 	}
 
+	twin := NewTwin(r)
 	for _, a := range []repro.Approach{repro.ST, repro.DP, repro.DPBackground, repro.Selective, repro.Greedy} {
 		for _, sc := range []repro.Scenario{repro.NoFault, repro.PermanentOnly} {
-			req := Request{Set: set, Approach: a, Scenario: sc, Seed: 42, HorizonMS: 100}
-			tw, err := New("twin", r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sm, err := New("sim", r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at, err := tw.Estimate(context.Background(), req)
+			at, err := twin.Estimate(Request{Set: set, Approach: a, Scenario: sc, Seed: 42, HorizonMS: 100})
 			if err != nil {
 				t.Fatalf("%v/%v twin: %v", a, sc, err)
 			}
-			as, err := sm.Estimate(context.Background(), req)
+			res, err := r.Simulate(context.Background(), set, a, repro.RunConfig{HorizonMS: 100, Scenario: sc, Seed: 42})
 			if err != nil {
 				t.Fatalf("%v/%v sim: %v", a, sc, err)
 			}
-			if at.Exact || !as.Exact {
-				t.Errorf("%v/%v: Exact flags twin=%v sim=%v", a, sc, at.Exact, as.Exact)
+			if at.Policy != res.Policy {
+				t.Errorf("%v/%v: policy %q vs %q", a, sc, at.Policy, res.Policy)
 			}
-			if at.Policy != as.Policy {
-				t.Errorf("%v/%v: policy %q vs %q", a, sc, at.Policy, as.Policy)
+			if at.Horizon != res.Horizon {
+				t.Errorf("%v/%v: horizon %v vs %v", a, sc, at.Horizon, res.Horizon)
 			}
-			if at.Horizon != as.Horizon {
-				t.Errorf("%v/%v: horizon %v vs %v", a, sc, at.Horizon, as.Horizon)
+			if want := r.Analysis(set).Schedulable(); at.Schedulable != want {
+				t.Errorf("%v/%v: schedulable %v vs %v", a, sc, at.Schedulable, want)
 			}
-			if at.Schedulable != as.Schedulable {
-				t.Errorf("%v/%v: schedulable %v vs %v", a, sc, at.Schedulable, as.Schedulable)
-			}
-			if at.MKPredicted != as.MKPredicted {
-				t.Errorf("%v/%v: mk %v vs %v", a, sc, at.MKPredicted, as.MKPredicted)
+			if at.MKPredicted != res.MKSatisfied() {
+				t.Errorf("%v/%v: mk %v vs %v", a, sc, at.MKPredicted, res.MKSatisfied())
 			}
 			for _, e := range []struct {
 				name       string
 				twin, real float64
 			}{
-				{"active", at.ActiveEnergy, as.ActiveEnergy},
-				{"total", at.TotalEnergy, as.TotalEnergy},
+				{"active", at.ActiveEnergy, res.ActiveEnergy()},
+				{"total", at.TotalEnergy, res.TotalEnergy()},
 			} {
 				rel := math.Abs(e.twin-e.real) / e.real
 				if rel > tol[a] {
@@ -110,21 +73,11 @@ func TestTwinMatchesSimOnPaperSet(t *testing.T) {
 	}
 }
 
-// newTwin builds the twin backend around r through the registry.
-func newTwin(t *testing.T, r *repro.Runner) Estimator {
-	t.Helper()
-	tw, err := New("twin", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tw
-}
-
 // A zero horizon must resolve exactly as Runner.Simulate resolves it.
 func TestTwinDefaultHorizon(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
 	set := paperSet()
-	a, err := newTwin(t, r).Estimate(context.Background(), Request{Set: set, Approach: repro.ST})
+	a, err := NewTwin(r).Estimate(Request{Set: set, Approach: repro.ST})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +91,7 @@ func TestTwinDefaultHorizon(t *testing.T) {
 func TestTwinSchedulableIsExact(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
 	set := paperSet()
-	a, err := newTwin(t, r).Estimate(context.Background(), Request{Set: set, Approach: repro.DP, HorizonMS: 100})
+	a, err := NewTwin(r).Estimate(Request{Set: set, Approach: repro.DP, HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,20 +133,21 @@ func TestExecFraction(t *testing.T) {
 // UnsupportedError, never a zero-activity estimate that looks plausible.
 func TestTwinUnsupportedDBP(t *testing.T) {
 	r := repro.NewRunner(repro.RunnerConfig{})
-	twin := newTwin(t, r)
-	_, err := twin.Estimate(context.Background(), Request{
+	twin := NewTwin(r)
+	_, err := twin.Estimate(Request{
 		Set: paperSet(), Approach: repro.DBP, HorizonMS: 100,
 	})
 	var ue *UnsupportedError
 	if !errors.As(err, &ue) {
 		t.Fatalf("twin answered for DBP with err=%v; want UnsupportedError", err)
 	}
-	if ue.Backend != "twin" || ue.Policy != "MKSS-DBP" {
-		t.Errorf("error identifies %q/%q, want twin/MKSS-DBP", ue.Backend, ue.Policy)
+	const want = `estimate: backend "twin" has no model for policy "MKSS-DBP"; refine with the simulator`
+	if ue.Policy != "MKSS-DBP" || err.Error() != want {
+		t.Errorf("error %q for policy %q, want %q", err, ue.Policy, want)
 	}
 	// Every modeled approach still answers.
 	for _, a := range append(repro.Approaches(), repro.DPBackground) {
-		if _, err := twin.Estimate(context.Background(), Request{Set: paperSet(), Approach: a, HorizonMS: 100}); err != nil {
+		if _, err := twin.Estimate(Request{Set: paperSet(), Approach: a, HorizonMS: 100}); err != nil {
 			t.Errorf("%v: %v", a, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package estimate
 
 import (
-	"context"
 	"errors"
 	"strings"
 
@@ -79,6 +78,11 @@ type Twin struct {
 	runner *repro.Runner
 }
 
+// NewTwin builds the twin around the given session, whose analysis LRU
+// memoizes the twin's per-set products and the simulations' offline
+// analyses alike.
+func NewTwin(r *repro.Runner) *Twin { return &Twin{runner: r} }
+
 // errUnschedulable refuses a twin estimate of a set whose mandatory jobs
 // fail the Theorem-1 test. The closed forms model a schedule without
 // backlog, and the profile walk beneath them runs to the end of the
@@ -87,9 +91,6 @@ type Twin struct {
 // backlogs, because Di ≤ Pi makes a backlog a miss, so the walk stays
 // linear behind the check.
 var errUnschedulable = errors.New("estimate: mandatory jobs are not schedulable under the static pattern, and the twin models only sets that are; refine with the simulator")
-
-func (t *Twin) Name() string { return "twin" }
-func (t *Twin) Exact() bool  { return false }
 
 // modeled reports whether the twin's closed forms cover the approach.
 // The switch mirrors activePerProc exactly: an approach absent from both
@@ -103,12 +104,12 @@ func (t *Twin) modeled(a repro.Approach) bool {
 }
 
 // Estimate answers one query in closed form.
-func (t *Twin) Estimate(_ context.Context, req Request) (*Answer, error) {
+func (t *Twin) Estimate(req Request) (*Answer, error) {
 	if !t.modeled(req.Approach) {
 		// MKSS-DBP (and any future dynamic policy) schedules from the
 		// realized k-sequences; the static-pattern profile underneath the
 		// closed forms says nothing about it.
-		return nil, &UnsupportedError{Backend: t.Name(), Policy: req.Approach.String()}
+		return nil, &UnsupportedError{Policy: req.Approach.String()}
 	}
 	s := req.Set
 	if err := s.Validate(); err != nil {
@@ -186,14 +187,12 @@ func (t *Twin) Estimate(_ context.Context, req Request) (*Answer, error) {
 
 	sched := prods.Schedulable()
 	return &Answer{
-		Backend:      t.Name(),
 		Policy:       req.Approach.String(),
 		Horizon:      H,
 		Schedulable:  sched,
 		ActiveEnergy: activeE,
 		TotalEnergy:  totalE,
 		MKPredicted:  sched,
-		Exact:        false,
 	}, nil
 }
 

@@ -68,9 +68,10 @@ type Options struct {
 // that the Yi fallback is used.
 const DefaultHyperperiodCap = 10 * timeu.Second
 
-// Compute runs the postponement analysis on set s. The set must be fully
-// FP-schedulable (rta.PromotionTimes must succeed) so that the Yi floor
-// and fallback exist; the paper's workload generator guarantees this.
+// Compute runs the postponement analysis on set s. Its Yi floor and
+// fallback are opts.Promotion or else rta.PromotionTimesSafe, which sets
+// Yi = 0 for a task whose full-interference RTA diverges, so a set need
+// not be fully FP-schedulable.
 func Compute(s *task.Set, opts Options) (*Analysis, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("postpone: %w", err)

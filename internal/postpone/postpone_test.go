@@ -1,6 +1,7 @@
 package postpone
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +173,11 @@ func TestPostponedScheduleProperty(t *testing.T) {
 			return task.Task{ID: id, Period: period, Deadline: period, WCET: wcet, M: m, K: k}
 		}
 		s := task.NewSet(mkTask(0, p1, c1, k1), mkTask(1, p2, c2, k2), mkTask(2, p3, c3, k3))
-		if s.Validate() != nil || !rta.SchedulableRTA(s) {
+		if s.Validate() != nil {
+			return true
+		}
+		// Only fully FP-schedulable sets: every task's RTA converges.
+		if _, conv := rta.ResponseTimesSafe(s); slices.Contains(conv, false) {
 			return true
 		}
 		an, err := Compute(s, Options{Pattern: pattern.RPattern})

@@ -1,11 +1,11 @@
 // Package rta implements fixed-priority response-time analysis and the
 // derived quantities the paper needs: the worst-case response time Ri of
-// each task, the dual-priority promotion time Yi = Di − Ri (Eq. (2)), and
-// schedulability tests — the classic exact RTA test over full periodic
-// interference, plus Theorem 1's premise that the mandatory jobs are
-// schedulable: one first-job fixed point per task for synchronous
-// R-pattern sets (mkrta.go), else a walk of the mandatory-only schedule
-// over the (m,k)-hyperperiod, which also profiles it for the twin.
+// each task under full periodic interference, the dual-priority
+// promotion time Yi = Di − Ri (Eq. (2)), and Theorem 1's premise that
+// the mandatory jobs are schedulable: one first-job fixed point per task
+// for synchronous R-pattern sets (mkrta.go), else a walk of the
+// mandatory-only schedule over the (m,k)-hyperperiod, which also
+// profiles it for the twin.
 package rta
 
 import (
@@ -28,7 +28,7 @@ func (e *ErrUnschedulable) Error() string {
 	return fmt.Sprintf("rta: task %d unschedulable: %s", e.TaskID+1, e.Detail)
 }
 
-// ResponseTime computes the worst-case response time of task i in set s
+// responseTime computes the worst-case response time of task i in set s
 // under preemptive fixed-priority scheduling with full periodic
 // interference from all higher-priority tasks (each task treated as
 // strictly periodic — the paper's Eq. (2) uses this standard analysis;
@@ -36,20 +36,10 @@ func (e *ErrUnschedulable) Error() string {
 // hence Y1=Y2=1, matching §III).
 //
 // The fixed-point iteration R = Ci + Σ_{j<i} ⌈R/Pj⌉·Cj starts from Ci and
-// stops when it converges or exceeds the deadline, in which case an
-// *ErrUnschedulable is returned. The sum saturates at the largest Time
-// instead of wrapping, and a saturated iterate is past every deadline.
-func ResponseTime(s *task.Set, i int) (timeu.Time, error) {
-	r, ok := responseTime(s, i)
-	if !ok {
-		return r, &ErrUnschedulable{TaskID: i, Detail: fmt.Sprintf("response time exceeds deadline %v", s.Tasks[i].Deadline)}
-	}
-	return r, nil
-}
-
-// responseTime is ResponseTime's fixed point without the error: ok
-// reports convergence within the deadline, and a diverged r is the first
-// iterate past it.
+// stops when it converges or exceeds the deadline: ok reports
+// convergence within the deadline, and a diverged r is the first iterate
+// past it. The sum saturates at the largest Time instead of wrapping, and
+// a saturated iterate is past every deadline.
 func responseTime(s *task.Set, i int) (r timeu.Time, ok bool) {
 	t := &s.Tasks[i]
 	r = t.WCET
@@ -69,38 +59,9 @@ func responseTime(s *task.Set, i int) (r timeu.Time, ok bool) {
 	}
 }
 
-// ResponseTimes computes all response times; it fails on the first
-// unschedulable task.
-func ResponseTimes(s *task.Set) ([]timeu.Time, error) {
-	out := make([]timeu.Time, s.N())
-	for i := range s.Tasks {
-		r, err := ResponseTime(s, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// PromotionTimes computes Yi = Di − Ri (Eq. (2)) for every task: the
-// amount by which a backup job may be procrastinated under the
-// dual-priority scheme while still meeting its deadline.
-func PromotionTimes(s *task.Set) ([]timeu.Time, error) {
-	rs, err := ResponseTimes(s)
-	if err != nil {
-		return nil, err
-	}
-	ys := make([]timeu.Time, len(rs))
-	for i, r := range rs {
-		ys[i] = s.Tasks[i].Deadline - r
-	}
-	return ys, nil
-}
-
-// ResponseTimesSafe computes every task's worst-case response time with a
-// divergence fallback instead of an error: converged[i] reports whether
-// the fixed point settled within the deadline; when it did not, rs[i] is
+// ResponseTimesSafe computes every task's worst-case response time and
+// never fails: converged[i] reports whether the fixed point settled
+// within the deadline; when it did not, rs[i] is
 // the first iterate past the deadline (an under-approximation of the true,
 // possibly unbounded, response time). The pair is the memoizable "RTA
 // response times" product consumed by internal/analysis.
@@ -113,8 +74,10 @@ func ResponseTimesSafe(s *task.Set) (rs []timeu.Time, converged []bool) {
 	return rs, converged
 }
 
-// PromotionTimesSafe computes Yi = Di − Ri like PromotionTimes but never
-// fails: tasks whose full-interference response time diverges past the
+// PromotionTimesSafe computes Yi = Di − Ri (Eq. (2)) for every task: the
+// amount by which a backup job may be procrastinated under the
+// dual-priority scheme while still meeting its deadline. It never fails:
+// tasks whose full-interference response time diverges past the
 // deadline get Yi = 0 (no procrastination — the dual-priority baseline
 // degenerates to concurrent execution for them). This matters for (m,k)
 // workloads that are R-pattern-schedulable without being fully
@@ -138,14 +101,6 @@ func PromotionFromResponse(s *task.Set, rs []timeu.Time, converged []bool) []tim
 		ys[i] = s.Tasks[i].Deadline - rs[i]
 	}
 	return ys
-}
-
-// SchedulableRTA reports whether the full task set (every job of every
-// task, ignoring (m,k) slack) is FP-schedulable by exact response-time
-// analysis. This is sufficient but pessimistic for (m,k) systems.
-func SchedulableRTA(s *task.Set) bool {
-	_, err := ResponseTimes(s)
-	return err == nil
 }
 
 // job is one mandatory job streamed by mandIter. While it waits in a

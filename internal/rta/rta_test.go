@@ -1,7 +1,7 @@
 package rta
 
 import (
-	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,9 +17,9 @@ func ms(v float64) timeu.Time { return timeu.FromMillis(v) }
 // Y1 = Y2 = 1.
 func TestPromotionTimesPaperExample(t *testing.T) {
 	s := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
-	rs, err := ResponseTimes(s)
-	if err != nil {
-		t.Fatal(err)
+	rs, conv := ResponseTimesSafe(s)
+	if slices.Contains(conv, false) {
+		t.Fatalf("converged = %v, want every task", conv)
 	}
 	if rs[0] != ms(3) {
 		t.Errorf("R1 = %v, want 3ms", rs[0])
@@ -27,10 +27,7 @@ func TestPromotionTimesPaperExample(t *testing.T) {
 	if rs[1] != ms(9) {
 		t.Errorf("R2 = %v, want 9ms", rs[1])
 	}
-	ys, err := PromotionTimes(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ys := PromotionTimesSafe(s)
 	if ys[0] != ms(1) || ys[1] != ms(1) {
 		t.Errorf("Y = %v,%v, want 1ms,1ms", ys[0], ys[1])
 	}
@@ -41,9 +38,9 @@ func TestResponseTimeConverges(t *testing.T) {
 	// R3 = 3 + ceil(R/4)*1 + ceil(R/8)*2; R=3: 3+1+2=6; R=6: 3+2+2=7;
 	// R=7: 3+2+2=7 converged.
 	s := task.NewSet(task.New(0, 4, 4, 1, 1, 2), task.New(1, 8, 8, 2, 1, 2), task.New(2, 16, 16, 3, 1, 2))
-	rs, err := ResponseTimes(s)
-	if err != nil {
-		t.Fatal(err)
+	rs, conv := ResponseTimesSafe(s)
+	if slices.Contains(conv, false) {
+		t.Fatalf("converged = %v, want every task", conv)
 	}
 	want := []timeu.Time{ms(1), ms(3), ms(7)}
 	for i := range want {
@@ -54,28 +51,17 @@ func TestResponseTimeConverges(t *testing.T) {
 }
 
 func TestResponseTimeUnschedulable(t *testing.T) {
-	// Two tasks each needing 60% of the processor.
+	// Two tasks each needing 60% of the processor: task 1 diverges.
 	s := task.NewSet(task.New(0, 10, 10, 6, 1, 2), task.New(1, 10, 10, 6, 1, 2))
-	_, err := ResponseTime(s, 1)
-	if err == nil {
-		t.Fatal("expected unschedulability")
-	}
-	var ue *ErrUnschedulable
-	if !errors.As(err, &ue) {
-		t.Fatalf("error type = %T", err)
-	}
-	if ue.TaskID != 1 {
-		t.Errorf("TaskID = %d", ue.TaskID)
-	}
-	if SchedulableRTA(s) {
-		t.Error("SchedulableRTA must be false")
+	if _, conv := ResponseTimesSafe(s); !conv[0] || conv[1] {
+		t.Errorf("converged = %v, want [true false]", conv)
 	}
 }
 
 // TestOverflowSetUnschedulable: two tasks with P = D = 4.8e15 ms and
 // C = 4.7e15 ms pass validation. τ2 cannot finish before 9.4e15 ms > D₂,
-// but C₁ + C₂ passes the largest Time. Wrapped sums would make
-// ResponseTime's fixed point oscillate forever (hanging /v1/analyze) and
+// but C₁ + C₂ passes the largest Time. Wrapped sums would make the
+// response-time fixed point oscillate forever (hanging /v1/analyze) and
 // let the filter and the profile accept the set.
 func TestOverflowSetUnschedulable(t *testing.T) {
 	tk := task.New(0, 4.8e15, 4.8e15, 4.7e15, 1, 2)
@@ -83,19 +69,18 @@ func TestOverflowSetUnschedulable(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
+	done := make(chan []bool, 1)
 	go func() {
-		_, err := ResponseTime(s, 1)
-		done <- err
+		_, conv := ResponseTimesSafe(s)
+		done <- conv
 	}()
 	select {
-	case err := <-done:
-		var ue *ErrUnschedulable
-		if !errors.As(err, &ue) || ue.TaskID != 1 {
-			t.Errorf("ResponseTime(s, 1) error = %v, want *ErrUnschedulable for task 1", err)
+	case conv := <-done:
+		if !conv[0] || conv[1] {
+			t.Errorf("ResponseTimesSafe converged = %v, want task 1 diverged", conv)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ResponseTime(s, 1) did not return within 10 s")
+		t.Fatal("ResponseTimesSafe did not return within 10 s")
 	}
 	const cap = 10 * timeu.Second
 	if SchedulableRPattern(s, pattern.RPattern, cap) {
@@ -184,7 +169,7 @@ func TestSchedulableRPatternTight(t *testing.T) {
 	// three tasks with C=P/2 and (1,2) constraints: mandatory-only load
 	// is 0.75 with alternating releases.
 	s := task.NewSet(task.New(0, 10, 10, 5, 1, 2), task.New(1, 20, 20, 10, 1, 2))
-	if SchedulableRTA(s) {
+	if _, conv := ResponseTimesSafe(s); !slices.Contains(conv, false) {
 		t.Skip("set unexpectedly fully schedulable; test premise broken")
 	}
 	if !SchedulableRPattern(s, pattern.RPattern, ms(100000)) {
@@ -208,8 +193,8 @@ func TestResponseTimeProperties(t *testing.T) {
 			task.Task{ID: 0, Period: 10, Deadline: 10, WCET: w1, M: 1, K: 2},
 			task.Task{ID: 1, Period: 40, Deadline: 40, WCET: w2, M: 1, K: 2},
 		)
-		rs, err := ResponseTimes(s)
-		if err != nil {
+		rs, conv := ResponseTimesSafe(s)
+		if slices.Contains(conv, false) {
 			return true // unschedulable is acceptable here
 		}
 		if rs[0] != w1 {
@@ -238,7 +223,7 @@ func TestRTAImpliesRPattern(t *testing.T) {
 			task.Task{ID: 1, Period: 8000, Deadline: 8000, WCET: timeu.Time(c2%20)*100 + 100, M: m2, K: kk2},
 			task.Task{ID: 2, Period: 20000, Deadline: 20000, WCET: timeu.Time(c3%40)*100 + 100, M: m3, K: kk3},
 		)
-		if !SchedulableRTA(s) {
+		if _, conv := ResponseTimesSafe(s); slices.Contains(conv, false) {
 			return true
 		}
 		return SchedulableRPattern(s, pattern.RPattern, timeu.Time(10_000_000))

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -25,11 +26,9 @@ import (
 // same admission, same coalescing flight, byte-identical mkss-run/v1
 // response.
 //
-// Backend selects one of the two estimators (estimate.New); the exact
-// one ("sim") runs real simulation work and therefore does pass through
-// the execution-slot admission even without refine (its answer is
-// still packaged as an EstimateDoc, and its run counters are not folded
-// into the /metrics aggregate — use refine for the full document).
+// The twin is the only estimator. The request's backend field stays on
+// the wire so that requests naming the twin keep working: "" and "twin"
+// answer from it, and any other name is a 400.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		s.reject(w, http.StatusMethodNotAllowed, 0, "GET or POST required")
@@ -57,40 +56,29 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.serveSimulate(w, r, run)
 		return
 	}
-	est, err := estimate.New(req.Backend, s.runner)
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, 0, err.Error())
+	if req.Backend != "" && req.Backend != "twin" {
+		s.reject(w, http.StatusBadRequest, 0, fmt.Sprintf(
+			"estimate: unknown backend %q (the twin is the only estimator; refine=true answers from the simulator)", req.Backend))
 		return
 	}
-	ctx, cancel := s.workCtx(r, req.TimeoutMS)
-	defer cancel()
-	if est.Exact() {
-		release, err := s.adm.acquire(ctx)
-		if err != nil {
-			s.fail(w, classifyCtx(err))
-			return
-		}
-		defer release()
-	}
 	start := s.now()
-	ans, err := est.Estimate(ctx, estimate.Request{
-		Set:           run.set,
-		Approach:      run.a,
-		Scenario:      run.sc,
-		Seed:          req.Seed,
-		HorizonMS:     req.HorizonMS,
-		TransientRate: req.TransientRate,
+	ans, err := estimate.NewTwin(s.runner).Estimate(estimate.Request{
+		Set:       run.set,
+		Approach:  run.a,
+		Scenario:  run.sc,
+		Seed:      req.Seed,
+		HorizonMS: req.HorizonMS,
 	})
 	if err != nil {
 		var ue *estimate.UnsupportedError
 		if errors.As(err, &ue) {
-			// Structured 501: the backend has no model for this policy.
+			// Structured 501: the twin has no model for this policy.
 			// Permanent for the pair — the client should refine (the
 			// simulator handles every registered policy) rather than retry.
 			s.rejectCode(w, http.StatusNotImplemented, 0, wire.CodeUnsupportedBackend, err.Error())
 			return
 		}
-		s.fail(w, classifyCtx(err))
+		s.reject(w, http.StatusUnprocessableEntity, 0, err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, EstimateDocOf(run.set, run.sc, req.Seed, ans, s.now().Sub(start)))
@@ -110,15 +98,15 @@ func parseEstimate(req wire.EstimateRequest) (runRequest, error) {
 	})
 }
 
-// EstimateDocOf is the mkss-estimate/v1 document of one estimator answer
-// for set under scenario and fault seed seed, produced in elapsed. It is
-// the document's one builder: /v1/estimate and mksim -estimate -json
-// print what it returns.
+// EstimateDocOf is the mkss-estimate/v1 document of one twin answer for
+// set under scenario and fault seed seed, produced in elapsed. It is the
+// document's one builder: /v1/estimate and mksim -estimate -json print
+// what it returns.
 func EstimateDocOf(set *repro.Set, scenario repro.Scenario, seed uint64, ans *estimate.Answer, elapsed time.Duration) wire.EstimateDoc {
 	return wire.EstimateDoc{
 		Schema:       wire.EstimateSchema,
 		Fingerprint:  analysis.Fingerprint(set),
-		Backend:      ans.Backend,
+		Backend:      "twin",
 		Policy:       ans.Policy,
 		Scenario:     scenario.String(),
 		Seed:         seed,
@@ -127,7 +115,7 @@ func EstimateDocOf(set *repro.Set, scenario repro.Scenario, seed uint64, ans *es
 		ActiveEnergy: ans.ActiveEnergy,
 		TotalEnergy:  ans.TotalEnergy,
 		MKPredicted:  ans.MKPredicted,
-		Exact:        ans.Exact,
+		Exact:        false,
 		ElapsedUS:    int64(elapsed / time.Microsecond),
 	}
 }

@@ -152,39 +152,6 @@ func TestEstimateNeedsNoExecutionSlot(t *testing.T) {
 	if doc := decodeEstimate(t, get); !doc.Schedulable {
 		t.Error("estimate under saturation returned wrong answer")
 	}
-
-	// An exact backend runs real simulation work, so it DOES wait for a
-	// slot — with none available and no queue, it is rejected.
-	resp = postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
-		Set: paperSpec(), Approach: "st", HorizonMS: 100, Backend: "sim", TimeoutMS: 50,
-	})
-	if resp.StatusCode == http.StatusOK {
-		t.Error("exact backend must pass through execution-slot admission")
-	}
-	readAll(t, resp)
-}
-
-// The sim backend (a slot being available) answers as an exact
-// EstimateDoc whose energies equal the refined run document's.
-func TestEstimateSimBackend(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
-		Set: paperSpec(), Approach: "dp", HorizonMS: 100, Backend: "sim",
-	}))
-	if !doc.Exact || doc.Backend != "sim" {
-		t.Fatalf("backend %q exact %v, want sim/exact", doc.Backend, doc.Exact)
-	}
-	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
-		Set: paperSpec(), Approach: "dp", HorizonMS: 100, Refine: true,
-	}))
-	var run wire.RunDoc
-	if err := json.Unmarshal(refined, &run); err != nil {
-		t.Fatal(err)
-	}
-	if doc.ActiveEnergy != run.ActiveEnergy || doc.TotalEnergy != run.TotalEnergy {
-		t.Errorf("sim backend energies %v/%v, run doc %v/%v",
-			doc.ActiveEnergy, doc.TotalEnergy, run.ActiveEnergy, run.TotalEnergy)
-	}
 }
 
 // The twin has no model for dynamically promoted policies: asking it
@@ -210,8 +177,8 @@ func TestEstimateTwinUnsupportedDBP(t *testing.T) {
 		}
 	}
 
-	// refine=true short-circuits to the simulation core before any backend
-	// is constructed: a full mkss-run/v1 document, byte-identical to
+	// refine=true short-circuits to the simulation core before the twin
+	// is asked: a full mkss-run/v1 document, byte-identical to
 	// /v1/simulate.
 	refined := readAll(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
 		Set: paperSpec(), Approach: "dbp", HorizonMS: 100, Refine: true,
@@ -228,14 +195,6 @@ func TestEstimateTwinUnsupportedDBP(t *testing.T) {
 	}
 	if run.Schema != wire.RunSchema || run.Policy != "MKSS-DBP" {
 		t.Errorf("refined doc schema %q policy %q, want %q/MKSS-DBP", run.Schema, run.Policy, wire.RunSchema)
-	}
-
-	// The sim backend models every policy; DBP answers exactly.
-	doc := decodeEstimate(t, postJSON(t, ts.URL+"/v1/estimate", wire.EstimateRequest{
-		Set: paperSpec(), Approach: "dbp", HorizonMS: 100, Backend: "sim",
-	}))
-	if !doc.Exact || doc.Policy != "MKSS-DBP" {
-		t.Errorf("sim backend for dbp: %+v", doc)
 	}
 }
 
@@ -311,6 +270,9 @@ func TestEstimateBadRequests(t *testing.T) {
 	}{
 		{"unknown backend", func() (*http.Response, error) {
 			return post(ts.URL+"/v1/estimate", wire.EstimateRequest{Set: paperSpec(), Approach: "st", Backend: "oracle"})
+		}},
+		{"sim backend", func() (*http.Response, error) {
+			return post(ts.URL+"/v1/estimate", wire.EstimateRequest{Set: paperSpec(), Approach: "st", Backend: "sim"})
 		}},
 		{"bad set query", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/estimate?set=notjson")

@@ -181,7 +181,7 @@ func parseRun(req wire.SimulateRequest) (runRequest, error) {
 	if _, err = repro.Horizon(run.set, req.HorizonMS); err != nil {
 		return run, err
 	}
-	if err = checkRate(req.TransientRate); err != nil {
+	if err = repro.CheckTransientRate(req.TransientRate); err != nil {
 		return run, err
 	}
 	return run, checkTimeout(req.TimeoutMS)

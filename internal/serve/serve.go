@@ -278,15 +278,6 @@ func checkTimeout(ms float64) error {
 	return nil
 }
 
-// checkRate bounds a request's transient_rate: it must be finite and at
-// least zero.
-func checkRate(rate float64) error {
-	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
-		return fmt.Errorf("transient_rate must be finite and at least 0, got %v", rate)
-	}
-	return nil
-}
-
 // workCtx derives the context one request's simulation work runs under:
 // the client's context, bounded by the request deadline (checked by
 // checkTimeout), and canceled early when the drain window expires.

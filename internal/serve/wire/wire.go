@@ -78,9 +78,10 @@ type EstimateRequest struct {
 	Seed          uint64        `json:"seed,omitempty"`
 	HorizonMS     float64       `json:"horizon_ms,omitempty"`
 	TransientRate float64       `json:"transient_rate,omitempty"`
-	// Backend selects the estimator ("twin" by default; "sim" runs the
-	// real simulation through the estimator interface — same answer as
-	// /v1/simulate, but packaged as an EstimateDoc).
+	// Backend names the estimator. The analytical twin is the only one:
+	// "" and "twin" answer from it, and any other name is a 400. The
+	// field stays so that requests naming the twin keep working; the
+	// exact answer is Refine.
 	Backend string `json:"backend,omitempty"`
 	// Refine falls through to the real discrete-event simulation under
 	// the server's admission path: the response is the byte-identical
@@ -101,6 +102,9 @@ type EstimateRequest struct {
 type EstimateDoc struct {
 	Schema      string `json:"schema"`
 	Fingerprint string `json:"fingerprint"`
+	// Backend is always "twin" and Exact always false: the twin is the
+	// only estimator, and the exact answer is Refine's mkss-run/v1
+	// document. Both fields stay so that documents keep their bytes.
 	Backend     string `json:"backend"`
 	Policy      string `json:"policy"`
 	Scenario    string `json:"scenario"`
@@ -115,8 +119,7 @@ type EstimateDoc struct {
 	// the set is R-pattern schedulable (Theorem 1 then guarantees the
 	// (m,k)-deadlines under at most one permanent fault plus transients).
 	MKPredicted bool `json:"mk_predicted"`
-	// Exact reports whether the answer came from a real simulation (the
-	// "sim" backend) rather than the closed-form twin.
+	// Exact is always false; see Backend.
 	Exact bool `json:"exact"`
 	// ElapsedUS is the server-side estimation time in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`
@@ -224,10 +227,9 @@ const (
 	CodeUnavailable   = "unavailable"
 	CodeDeadline      = "deadline"
 	CodeInternal      = "internal"
-	// CodeUnsupportedBackend is a 501: the requested estimate backend has
-	// no model for the requested policy (e.g. the analytical twin asked
-	// about MKSS-DBP). Permanent for that (backend, policy) pair — retry
-	// with refine=true or another backend, not later.
+	// CodeUnsupportedBackend is a 501: the analytical twin has no model
+	// for the requested policy (MKSS-DBP). Permanent for that policy —
+	// retry with refine=true, not later.
 	CodeUnsupportedBackend = "unsupported_backend"
 )
 

@@ -129,7 +129,8 @@ type RunConfig struct {
 	Seed     uint64
 	// TransientRate overrides the transient fault rate (per ms of
 	// execution) when non-zero; the paper's value is 1e-6. Useful for
-	// demos and sensitivity studies.
+	// demos and sensitivity studies. A rate CheckTransientRate refuses
+	// is an error.
 	TransientRate float64
 	// Power overrides the energy model (zero value = paper defaults:
 	// P_act=1, T_be=1ms).

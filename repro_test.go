@@ -55,6 +55,34 @@ func TestDefaultHorizonIsHyperperiod(t *testing.T) {
 	}
 }
 
+// TestTransientRateRule pins how Simulate checks RunConfig.TransientRate:
+// zero and positive rates run, and NaN, ±Inf and negative rates are
+// errors. NaN and −1 used to run silently as zero, and +Inf made every
+// copy of every job faulty.
+func TestTransientRateRule(t *testing.T) {
+	set := motivationSet()
+	for _, tt := range []struct {
+		name string
+		rate float64
+		ok   bool
+	}{
+		{"zero", 0, true},
+		{"1e-3", 1e-3, true},
+		{"NaN", math.NaN(), false},
+		{"-1", -1, false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	} {
+		_, err := Simulate(set, Selective, RunConfig{Scenario: PermanentAndTransient, Seed: 3, TransientRate: tt.rate})
+		switch {
+		case tt.ok && err != nil:
+			t.Errorf("%s: %v", tt.name, err)
+		case !tt.ok && (err == nil || !strings.Contains(err.Error(), "transient_rate")):
+			t.Errorf("%s: Simulate error %v, want one naming transient_rate", tt.name, err)
+		}
+	}
+}
+
 func TestLoadSet(t *testing.T) {
 	const doc = `{"tasks": [
 	  {"name":"video", "period_ms":5, "deadline_ms":4, "wcet_ms":3, "m":2, "k":4},

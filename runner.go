@@ -163,12 +163,28 @@ func Horizon(s *Set, horizonMS float64) (Time, error) {
 	return s.MKHyperperiod(2000 * timeu.Millisecond), nil
 }
 
+// CheckTransientRate checks a run's transient fault rate per ms of
+// execution: zero keeps the scenario's own rate and a positive value
+// replaces it, while NaN, ±Inf and negative values are errors, with the
+// text the server's 400 carries. A NaN or negative rate would otherwise
+// run as zero, and +Inf would make every copy faulty. Simulate and the
+// server check their rates here.
+func CheckTransientRate(rate float64) error {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		return fmt.Errorf("transient_rate must be finite and at least 0, got %v", rate)
+	}
+	return nil
+}
+
 // simulate is the one code path every Simulate variant funnels through.
 // With prods == nil and scr == nil it reproduces the standalone behavior
 // exactly: fresh analyses, fresh engine state.
 func simulate(ctx context.Context, s *Set, a Approach, cfg RunConfig, prods *analysis.Products, scr *sim.Scratch) (*Result, error) {
 	horizon, err := Horizon(s, cfg.HorizonMS)
 	if err != nil {
+		return nil, err
+	}
+	if err := CheckTransientRate(cfg.TransientRate); err != nil {
 		return nil, err
 	}
 	opts := cfg.Options

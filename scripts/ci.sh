@@ -311,14 +311,20 @@ job_serve_smoke() {
 }
 
 # The analytical twin's two-tier serving: GET /v1/estimate answers in
-# closed form (backend "twin", no execution slot) and stays fast under a
-# pure-estimate burst, and refine=true falls through to the /v1/simulate
-# path byte-identically.
+# closed form (backend "twin", no execution slot) with the document
+# mksim -estimate -json prints, and stays fast under a pure-estimate
+# burst, and refine=true falls through to the /v1/simulate path
+# byte-identically.
 job_estimate_smoke() {
-  build mkservd mkload
+  build mkservd mkload mksim
   serve est -q
   curl -sf --get "http://$addr/v1/estimate" --data-urlencode "set=$pset" \
-    --data-urlencode approach=dp --data-urlencode horizon_ms=20 | grep -q '"backend":"twin"'
+    --data-urlencode approach=dp --data-urlencode horizon_ms=20 > "$out/served_estimate.json"
+  grep -q '"backend":"twin"' "$out/served_estimate.json"
+  # Only the layout and the server's elapsed_us differ (mksim prints 0).
+  "$out/mksim" -demo -estimate -json -approach dp -horizon 20 -seed 0 | tr -d ' \n' > "$out/mksim_estimate.min"
+  tr -d ' \n' < "$out/served_estimate.json" | sed -E 's/"elapsed_us":[0-9]+/"elapsed_us":0/' > "$out/served_estimate.min"
+  cmp "$out/mksim_estimate.min" "$out/served_estimate.min"
   curl -sf --get "http://$addr/v1/estimate" --data-urlencode "set=$pset" \
     --data-urlencode approach=selective --data-urlencode horizon_ms=20 \
     --data-urlencode refine=true > "$out/refined.json"
