@@ -7,26 +7,15 @@
 //
 //	mklint ./...                      # whole module (the CI invocation)
 //	mklint ./internal/sim/...         # one subtree
+//	mklint ./internal/sim/... ./internal/rta/...   # several subtrees
 //	mklint -json lint.json ./...      # also write the JSON artifact
+//	mklint -json - ./...              # the JSON document alone on stdout
 //	mklint -rules determinism ./...   # run a subset of rules
 //	mklint -list                      # print the rule catalogue
-//	mklint -scope floateq=internal/legacy/ ./...   # extra per-path scoping
-//	mklint -scope internal/sim,internal/rta ./...  # restrict to packages
-//	mklint -baseline results/lint_baseline.json ./...   # ratcheted run
-//	mklint -baseline results/lint_baseline.json -update-baseline ./...
 //
-// -scope has two forms: "rule=prefix[,prefix...]" disables one rule under
-// the given paths (repeatable, merged over the default scope table), and
-// a bare comma-separated package list ("internal/sim,internal/rta")
-// restricts the whole run to those packages and their subtrees, exactly
-// like passing each as a ./dir/... pattern.
-//
-// With -baseline, findings listed in the baseline file are accepted and
-// everything else fails: new findings must be fixed (or added to the
-// baseline with a written justification via -update-baseline plus a
-// hand-edited "why"), and baselined findings that stop firing make their
-// entries stale, which also fails until the baseline is refreshed — the
-// ratchet only moves toward zero.
+// Patterns are module-relative directories, each optionally ending in
+// /... to take its whole subtree; a package is linted when it matches any
+// of them.
 //
 // Suppress an intentional violation with a trailing or preceding comment:
 //
@@ -34,17 +23,20 @@
 //
 // The rule name must exist and the reason must be non-empty; allows that
 // no longer suppress anything are themselves reported as stale, so
-// suppressions cannot rot silently.
+// suppressions cannot rot silently. An allow is the only way to excuse a
+// finding.
 //
-// Exit status: 0 clean, 1 findings (including stale baseline entries),
-// 2 usage, load or internal error. CI can therefore distinguish "the
-// code has violations" from "the linter itself failed to run".
+// Exit status: 0 clean, 1 findings, 2 usage, load or internal error. CI
+// can therefore distinguish "the code has violations" from "the linter
+// itself failed to run".
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,186 +52,89 @@ const (
 )
 
 func main() {
-	os.Exit(run())
+	dir, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
+		os.Exit(exitInternal)
+	}
+	os.Exit(run(os.Args[1:], dir, os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run lints the module enclosing dir as args ask, resolving relative
+// patterns against dir, and returns the exit status.
+func run(args []string, dir string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mklint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonPath     = flag.String("json", "", "write diagnostics as a JSON document to this path ('-' for stdout)")
-		rules        = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-		list         = flag.Bool("list", false, "print the rule catalogue and exit")
-		baselinePath = flag.String("baseline", "", "accepted-findings baseline file (schema "+lint.BaselineSchema+"); new or stale findings fail")
-		updateBase   = flag.Bool("update-baseline", false, "rewrite -baseline from the current findings, carrying over existing justifications")
-		scopes       scopeFlag
+		jsonPath = fs.String("json", "", "write diagnostics as a JSON document to this path ('-' for stdout, which then carries the document alone)")
+		rules    = fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
+		list     = fs.Bool("list", false, "print the rule catalogue and exit")
 	)
-	flag.Var(&scopes, "scope", "rule=prefix[,prefix...] to disable a rule under paths, or a bare package list to restrict the run (repeatable)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitClean
+		}
+		return exitInternal
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "mklint: %v\n", err)
+		return exitInternal
+	}
 
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return exitClean
 	}
-	if *updateBase && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "mklint: -update-baseline requires -baseline")
-		return exitInternal
-	}
 
-	opts, pkgScopes, err := buildOptions(*rules, scopes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
+	var opts lint.Options
+	if *rules != "" {
+		for _, name := range strings.Split(*rules, ",") {
+			a := lint.ByName(strings.TrimSpace(name))
+			if a == nil {
+				return fail(fmt.Errorf("unknown rule %q (try -list)", strings.TrimSpace(name)))
+			}
+			opts.Analyzers = append(opts.Analyzers, a)
+		}
 	}
-	root, err := moduleRoot()
+	root, err := moduleRoot(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
+		return fail(err)
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts.Match, err = matcher(root, patterns, pkgScopes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
+	if opts.Match, err = matcher(root, dir, patterns); err != nil {
+		return fail(err)
 	}
 
 	prog, err := lint.Load(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
+		return fail(err)
 	}
 	diags := lint.Run(prog, opts)
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-			return exitInternal
+		if err := writeJSON(*jsonPath, stdout, diags); err != nil {
+			return fail(err)
 		}
 	}
-
-	if *baselinePath == "" {
+	if *jsonPath != "-" {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "mklint: %d diagnostic(s)\n", len(diags))
-			return exitFindings
-		}
-		return exitClean
 	}
-	return applyBaseline(*baselinePath, *updateBase, diags)
-}
-
-// applyBaseline runs the ratchet (or refreshes the file with
-// -update-baseline) and returns the process exit code.
-func applyBaseline(path string, update bool, diags []lint.Diagnostic) int {
-	if update {
-		prev, err := lint.LoadBaseline(path)
-		if err != nil && !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-			return exitInternal
-		}
-		b := lint.RefreshBaseline(diags, prev)
-		if err := lint.WriteBaseline(path, b); err != nil {
-			fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-			return exitInternal
-		}
-		fmt.Printf("mklint: wrote %s with %d entr%s\n", path, len(b.Entries), plural(len(b.Entries), "y", "ies"))
-		if err := b.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		}
-		return exitClean
-	}
-	base, err := lint.LoadBaseline(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
-	}
-	if err := base.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "mklint: %v\n", err)
-		return exitInternal
-	}
-	fresh, stale := base.Apply(diags)
-	for _, d := range fresh {
-		fmt.Println(d)
-	}
-	for _, e := range stale {
-		fmt.Printf("%s: [%s] baseline entry no longer fires (%q) — remove it with -update-baseline\n", e.File, e.Rule, e.Message)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "mklint: %d new finding(s), %d stale baseline entr%s\n",
-			len(fresh), len(stale), plural(len(stale), "y", "ies"))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "mklint: %d diagnostic(s)\n", len(diags))
 		return exitFindings
 	}
 	return exitClean
 }
 
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// buildOptions resolves the -rules subset and splits -scope values into
-// rule=prefix disables (merged over the default scope table) and bare
-// package-list restrictions.
-func buildOptions(rules string, scopes scopeFlag) (lint.Options, []string, error) {
-	opts := lint.Options{}
-	if rules != "" {
-		for _, name := range strings.Split(rules, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				return opts, nil, fmt.Errorf("unknown rule %q (try -list)", strings.TrimSpace(name))
-			}
-			opts.Analyzers = append(opts.Analyzers, a)
-		}
-	}
-	var pkgScopes []string
-	var merged map[string][]string
-	for _, s := range scopes {
-		rule, prefixes, isRuleForm := strings.Cut(s, "=")
-		if !isRuleForm {
-			// Bare form: a comma-separated package list restricting the run.
-			for _, p := range strings.Split(s, ",") {
-				if p = strings.TrimSpace(strings.TrimPrefix(p, "./")); p != "" {
-					pkgScopes = append(pkgScopes, filepath.ToSlash(strings.TrimSuffix(p, "/")))
-				}
-			}
-			continue
-		}
-		if lint.ByName(rule) == nil {
-			return opts, nil, fmt.Errorf("bad -scope %q: unknown rule %q (try -list)", s, rule)
-		}
-		if merged == nil {
-			merged = lint.DefaultScopes()
-		}
-		for _, p := range strings.Split(prefixes, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				merged[rule] = append(merged[rule], p)
-			}
-		}
-	}
-	if merged != nil {
-		opts.Scopes = merged
-	}
-	return opts, pkgScopes, nil
-}
-
-type scopeFlag []string
-
-func (s *scopeFlag) String() string     { return strings.Join(*s, " ") }
-func (s *scopeFlag) Set(v string) error { *s = append(*s, v); return nil }
-
-// moduleRoot walks up from the working directory to the enclosing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
+// moduleRoot walks up from dir to the enclosing go.mod.
+func moduleRoot(dir string) (string, error) {
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 			return dir, nil
@@ -253,15 +148,9 @@ func moduleRoot() (string, error) {
 }
 
 // matcher converts go-style package patterns ("./...", "./internal/sim",
-// "./internal/sim/...") into a package filter over module-relative paths.
-// pkgScopes (from bare -scope lists) further restricts the match: a
-// package must satisfy both a pattern and, when any scopes are given,
-// one of the scope subtrees.
-func matcher(root string, patterns, pkgScopes []string) (func(*lint.Package) bool, error) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
+// "./internal/sim/..."), relative to dir, into a package filter over
+// module-relative paths: a package matches when any pattern does.
+func matcher(root, dir string, patterns []string) (func(*lint.Package) bool, error) {
 	type pat struct {
 		rel  string
 		tree bool
@@ -279,7 +168,7 @@ func matcher(root string, patterns, pkgScopes []string) (func(*lint.Package) boo
 		}
 		abs := p.rel
 		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(cwd, abs)
+			abs = filepath.Join(dir, abs)
 		}
 		rel, err := filepath.Rel(root, abs)
 		if err != nil || strings.HasPrefix(rel, "..") {
@@ -291,25 +180,10 @@ func matcher(root string, patterns, pkgScopes []string) (func(*lint.Package) boo
 		p.rel = filepath.ToSlash(rel)
 		pats = append(pats, p)
 	}
-	inTree := func(rel, prefix string) bool {
-		return prefix == "" || rel == prefix || strings.HasPrefix(rel, prefix+"/")
-	}
 	return func(pkg *lint.Package) bool {
-		matched := false
 		for _, p := range pats {
-			if p.tree && inTree(pkg.Rel, p.rel) || !p.tree && pkg.Rel == p.rel {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return false
-		}
-		if len(pkgScopes) == 0 {
-			return true
-		}
-		for _, s := range pkgScopes {
-			if inTree(pkg.Rel, s) {
+			if !p.tree && pkg.Rel == p.rel ||
+				p.tree && (p.rel == "" || pkg.Rel == p.rel || strings.HasPrefix(pkg.Rel, p.rel+"/")) {
 				return true
 			}
 		}
@@ -324,7 +198,9 @@ type jsonDoc struct {
 	Diagnostics []lint.Diagnostic `json:"diagnostics"`
 }
 
-func writeJSON(path string, diags []lint.Diagnostic) error {
+// writeJSON writes the diagnostics document to path, or to stdout when
+// path is "-".
+func writeJSON(path string, stdout io.Writer, diags []lint.Diagnostic) error {
 	doc := jsonDoc{Schema: "mklint/v1", Count: len(diags), Diagnostics: diags}
 	if doc.Diagnostics == nil {
 		doc.Diagnostics = []lint.Diagnostic{}
@@ -335,7 +211,7 @@ func writeJSON(path string, diags []lint.Diagnostic) error {
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

@@ -165,6 +165,11 @@ func run(ctx context.Context, o options) error {
 	if err := checkRate(o.rate); err != nil {
 		return err
 	}
+	// -c sizes the result slice and the open loop's permit buffer; a
+	// negative count panics in make, and 0 starts no worker.
+	if o.workers < 1 {
+		return fmt.Errorf("-c %d must be at least 1", o.workers)
+	}
 	mix, err := parseMix(o.mix)
 	if err != nil {
 		return err

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +47,21 @@ func TestCheckRate(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 3e9, math.Nextafter(1e9, 2e9)} {
 		if err := checkRate(bad); err == nil {
 			t.Errorf("checkRate(%v) = nil, want an error", bad)
+		}
+	}
+}
+
+// TestRunRefusesWorkers pins that -c below 1 is refused before anything
+// starts: -c -1 panicked in make (with -rate set, in the permit
+// buffer's), and -c 0 started no worker.
+func TestRunRefusesWorkers(t *testing.T) {
+	for _, o := range []options{
+		{workers: 0, mix: "simulate=1"},
+		{workers: -1, mix: "simulate=1"},
+		{workers: -1, rate: 10, mix: "simulate=1"},
+	} {
+		if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), "-c ") {
+			t.Errorf("run with -c %d -rate %v: error %v, want one naming -c", o.workers, o.rate, err)
 		}
 	}
 }

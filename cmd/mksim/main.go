@@ -67,7 +67,7 @@ func main() {
 	flag.BoolVar(&o.segments, "segments", false, "print every execution segment")
 	flag.BoolVar(&o.perTask, "pertask", false, "print per-task energy/outcome attribution")
 	flag.BoolVar(&o.jsonOut, "json", false, "print a machine-readable run report (schema mkss-run/v1) instead of text")
-	flag.StringVar(&o.events, "events", "", "write the structured event trace as JSONL to this file")
+	flag.StringVar(&o.events, "events", "", "write the structured event trace as JSONL to this regular file, replaced only when the run succeeds")
 	flag.BoolVar(&o.estimate, "estimate", false, "answer from the closed-form analytical twin instead of simulating")
 	flag.Parse()
 	// SIGINT and SIGTERM cancel the simulation gracefully: the engine
@@ -120,30 +120,47 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 		Seed:        o.seed,
 		RecordTrace: trace || o.segments,
 	}
+	// The trace goes to a temporary file beside o.events, which replaces
+	// o.events only once the run and the trace's writes have succeeded:
+	// a refused run leaves an earlier trace as it was.
+	var commitEvents func() error
 	if o.events != "" {
-		f, err := os.Create(o.events)
+		// The rename would replace a symlink or a device node such as
+		// /dev/stdout itself, not write through it.
+		if fi, err := os.Lstat(o.events); err == nil && !fi.Mode().IsRegular() {
+			return fmt.Errorf("-events %s is not a regular file", o.events)
+		}
+		tmp := fmt.Sprintf("%s.%d.tmp", o.events, os.Getpid())
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 		if err != nil {
 			return err
 		}
 		defer func() {
-			// The events file is an output artifact: surface close
-			// failures (ENOSPC, NFS flush) instead of dropping them.
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mksim: closing %s: %v\n", o.events, err)
-			}
+			// Both fail harmlessly once the rename has moved the file.
+			_ = f.Close()
+			_ = os.Remove(tmp)
 		}()
 		sink := repro.NewJSONLSink(f)
 		cfg.Sink = sink
-		defer func() {
+		commitEvents = func() error {
 			if err := sink.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "mksim: event sink: %v\n", err)
+				return fmt.Errorf("event trace: %w", err)
 			}
-		}()
+			if err := f.Close(); err != nil {
+				return fmt.Errorf("event trace: %w", err)
+			}
+			return os.Rename(tmp, o.events)
+		}
 	}
 
 	res, err := repro.SimulateContext(ctx, s, a, cfg)
 	if err != nil {
 		return err
+	}
+	if commitEvents != nil {
+		if err := commitEvents(); err != nil {
+			return err
+		}
 	}
 
 	schedulable := repro.RPatternSchedulable(s)

@@ -53,7 +53,10 @@ func (prog *Program) hotTagged() map[*types.Func]bool {
 	if prog.hotFuncs == nil {
 		prog.hotFuncs = make(map[*types.Func]bool)
 		for _, pkg := range prog.Packages {
-			for decl := range hotpathDecls(pkg) {
+			// Only the hotpath tags count here: checking allows and
+			// reporting malformed directives is Run's job.
+			dirs := parseDirectives(prog, pkg, nil, func(string, token.Pos, string) {})
+			for decl := range hotpathDecls(pkg, dirs) {
 				if fn := pkg.FuncObj(decl); fn != nil {
 					prog.hotFuncs[fn] = true
 				}

@@ -37,26 +37,20 @@ type Analyzer struct {
 // directives (unknown rules in an allow, missing reasons, stale allows).
 const MetaRule = "allow"
 
-// DefaultScopes lists, per rule, module-relative path prefixes where the
-// rule does not apply. This is the framework's per-path scoping: timeu
-// owns the float tolerance helpers so it may compare floats, and command
-// mains, examples and the trace renderer are the sanctioned homes of
-// human-facing printing.
-func DefaultScopes() map[string][]string {
-	return map[string][]string{
-		"floateq":    {"internal/timeu/"},
-		"printdebug": {"cmd/", "examples/", "internal/trace/"},
-	}
+// exemptPaths lists, per rule, module-relative path prefixes where the
+// rule does not apply: timeu owns the float tolerance helpers so it may
+// compare floats, and command mains, examples and the trace renderer are
+// the sanctioned homes of human-facing printing. Any other exception is
+// an inline //mklint:allow with its reason at the site.
+var exemptPaths = map[string][]string{
+	"floateq":    {"internal/timeu/"},
+	"printdebug": {"cmd/", "examples/", "internal/trace/"},
 }
 
 // Options configures one Run.
 type Options struct {
 	// Analyzers to execute; nil means All().
 	Analyzers []*Analyzer
-	// Scopes maps rule name to disabled path prefixes; nil means
-	// DefaultScopes(). Passing a non-nil map replaces the defaults, so
-	// callers extending them should start from DefaultScopes().
-	Scopes map[string][]string
 	// Match filters which packages are analyzed; nil analyzes all.
 	Match func(*Package) bool
 }
@@ -118,53 +112,55 @@ type directive struct {
 	rule   string // allow only
 	reason string // allow only
 	arg    string // hotpath only ("" or "file")
-	used   bool
+	used   bool   // an allow suppressed a diagnostic; a hotpath tag tagged a function
 }
 
 const directivePrefix = "//mklint:"
 
-// parseDirectives extracts every //mklint: directive from f. Malformed
-// directives are reported through report under MetaRule; knownRules is
-// the full registry (allows naming any registered rule are well-formed
-// even when that rule is not part of this run).
-func parseDirectives(prog *Program, f *File, knownRules map[string]bool, report func(rule string, pos token.Pos, msg string)) []*directive {
+// parseDirectives extracts every well-formed //mklint: directive from
+// pkg's files. Malformed directives are reported through report under
+// MetaRule; knownRules is the full registry (an allow naming any
+// registered rule is well-formed even when that rule is not part of this
+// run).
+func parseDirectives(prog *Program, pkg *Package, knownRules map[string]bool, report func(rule string, pos token.Pos, msg string)) []*directive {
 	var out []*directive
-	for _, cg := range f.Ast.Comments {
-		for _, c := range cg.List {
-			text, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
+	for _, f := range pkg.Files {
+		for _, cg := range f.Ast.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, directivePrefix)
+				if !ok {
+					continue
+				}
+				d := &directive{file: f.Rel, line: prog.Fset.Position(c.Pos()).Line, pos: c.Pos()}
+				verb, rest, _ := strings.Cut(text, " ")
+				d.verb = verb
+				switch verb {
+				case "allow":
+					d.rule, d.reason = splitAllow(rest)
+					if d.rule == "" {
+						report(MetaRule, c.Pos(), "malformed directive: want //mklint:allow <rule> — <reason>")
+						continue
+					}
+					if !knownRules[d.rule] {
+						report(MetaRule, c.Pos(), fmt.Sprintf("allow names unknown rule %q", d.rule))
+						continue
+					}
+					if d.reason == "" {
+						report(MetaRule, c.Pos(), fmt.Sprintf("allow %s is missing a reason: want //mklint:allow %s — <reason>", d.rule, d.rule))
+						continue
+					}
+				case "hotpath":
+					d.arg = strings.TrimSpace(rest)
+					if d.arg != "" && d.arg != "file" {
+						report(MetaRule, c.Pos(), fmt.Sprintf("malformed directive: //mklint:hotpath takes no argument or \"file\", got %q", d.arg))
+						continue
+					}
+				default:
+					report(MetaRule, c.Pos(), fmt.Sprintf("unknown mklint directive %q", verb))
+					continue
+				}
+				out = append(out, d)
 			}
-			pos := prog.Fset.Position(c.Pos())
-			d := &directive{file: f.Rel, line: pos.Line, pos: c.Pos()}
-			verb, rest, _ := strings.Cut(text, " ")
-			d.verb = verb
-			switch verb {
-			case "allow":
-				d.rule, d.reason = splitAllow(rest)
-				if d.rule == "" {
-					report(MetaRule, c.Pos(), "malformed directive: want //mklint:allow <rule> — <reason>")
-					continue
-				}
-				if !knownRules[d.rule] {
-					report(MetaRule, c.Pos(), fmt.Sprintf("allow names unknown rule %q", d.rule))
-					continue
-				}
-				if d.reason == "" {
-					report(MetaRule, c.Pos(), fmt.Sprintf("allow %s is missing a reason: want //mklint:allow %s — <reason>", d.rule, d.rule))
-					continue
-				}
-			case "hotpath":
-				d.arg = strings.TrimSpace(rest)
-				if d.arg != "" && d.arg != "file" {
-					report(MetaRule, c.Pos(), fmt.Sprintf("malformed directive: //mklint:hotpath takes no argument or \"file\", got %q", d.arg))
-					continue
-				}
-			default:
-				report(MetaRule, c.Pos(), fmt.Sprintf("unknown mklint directive %q", verb))
-				continue
-			}
-			out = append(out, d)
 		}
 	}
 	return out
@@ -185,36 +181,26 @@ func splitAllow(s string) (rule, reason string) {
 	return rule, rest
 }
 
-// hotpathDecls computes the set of function declarations tagged hot in a
-// package: a "//mklint:hotpath" line inside a function's doc comment tags
-// that function; a standalone "//mklint:hotpath file" comment anywhere in
-// a file tags every function in it.
-func hotpathDecls(pkg *Package) map[*ast.FuncDecl]bool {
+// hotpathDecls returns the function declarations of pkg that the parsed
+// directives dirs tag hot, and marks each tag that tags one used: a
+// "//mklint:hotpath file" tag tags every function in its file, and a
+// bare "//mklint:hotpath" inside a function's doc comment tags that
+// function.
+func hotpathDecls(pkg *Package, dirs []*directive) map[*ast.FuncDecl]bool {
 	tagged := make(map[*ast.FuncDecl]bool)
 	for _, f := range pkg.Files {
-		fileWide := false
-		for _, cg := range f.Ast.Comments {
-			for _, c := range cg.List {
-				if strings.TrimSpace(c.Text) == directivePrefix+"hotpath file" {
-					fileWide = true
-				}
-			}
-		}
 		for _, decl := range f.Ast.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			if fileWide {
-				tagged[fd] = true
-				continue
-			}
-			if fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if strings.TrimSpace(c.Text) == directivePrefix+"hotpath" {
+			for _, d := range dirs {
+				if d.verb != "hotpath" || d.file != f.Rel {
+					continue
+				}
+				if d.arg == "file" || fd.Doc != nil && fd.Doc.Pos() <= d.pos && d.pos < fd.Doc.End() {
 					tagged[fd] = true
+					d.used = true
 				}
 			}
 		}
@@ -230,15 +216,12 @@ func hotpathDecls(pkg *Package) map[*ast.FuncDecl]bool {
 //     (preceding);
 //   - allows that suppress nothing — for a rule that is part of this run
 //     — are themselves reported as stale;
-//   - malformed or unknown-rule directives are reported under MetaRule.
+//   - malformed or unknown-rule directives, and hotpath tags that tag no
+//     function, are reported under MetaRule.
 func Run(prog *Program, opts Options) []Diagnostic {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All()
-	}
-	scopes := opts.Scopes
-	if scopes == nil {
-		scopes = DefaultScopes()
 	}
 	knownRules := make(map[string]bool)
 	for _, a := range All() {
@@ -258,7 +241,7 @@ func Run(prog *Program, opts Options) []Diagnostic {
 		report := func(rule string, pos token.Pos, msg string) {
 			position := prog.Fset.Position(pos)
 			file := relFile(prog, pkg, position.Filename)
-			for _, prefix := range scopes[rule] {
+			for _, prefix := range exemptPaths[rule] {
 				if strings.HasPrefix(file, prefix) {
 					return
 				}
@@ -268,10 +251,16 @@ func Run(prog *Program, opts Options) []Diagnostic {
 				Rule: rule, Message: msg,
 			})
 		}
-		for _, f := range pkg.Files {
-			allows = append(allows, parseDirectives(prog, f, knownRules, report)...)
+		dirs := parseDirectives(prog, pkg, knownRules, report)
+		pass := &Pass{Prog: prog, Pkg: pkg, hotDecls: hotpathDecls(pkg, dirs), report: report}
+		for _, d := range dirs {
+			switch {
+			case d.verb == "allow":
+				allows = append(allows, d)
+			case !d.used:
+				report(MetaRule, d.pos, "hotpath tag tags no function: put it in a function's doc comment, or tag the file with //mklint:hotpath file")
+			}
 		}
-		pass := &Pass{Prog: prog, Pkg: pkg, hotDecls: hotpathDecls(pkg), report: report}
 		for _, a := range analyzers {
 			a.Run(pass)
 		}
@@ -279,9 +268,6 @@ func Run(prog *Program, opts Options) []Diagnostic {
 
 	allowAt := make(map[string][]*directive) // "file:line" -> allows
 	for _, d := range allows {
-		if d.verb != "allow" {
-			continue
-		}
 		key := fmt.Sprintf("%s:%d", d.file, d.line)
 		allowAt[key] = append(allowAt[key], d)
 	}
@@ -293,7 +279,7 @@ func Run(prog *Program, opts Options) []Diagnostic {
 		out = append(out, diag)
 	}
 	for _, d := range allows {
-		if d.verb == "allow" && !d.used && running[d.rule] {
+		if !d.used && running[d.rule] {
 			out = append(out, Diagnostic{
 				File: d.file, Line: d.line, Col: 1, Rule: MetaRule,
 				Message: fmt.Sprintf("stale allow: no %s diagnostic here anymore — remove the directive", d.rule),

@@ -380,7 +380,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Utilization: set.Utilization(),
 		MKUtil:      set.MKUtilization(),
 		Schedulable: prods.Schedulable(),
-		Cache:       s.runner.CacheStats(),
 	}
 	post, perr := prods.Postponement()
 	if perr != nil {

@@ -340,20 +340,22 @@ func TestAnalyze(t *testing.T) {
 			t.Errorf("task %d RTA did not converge", i)
 		}
 	}
-	// A second query for the same set must be a cache hit (body form).
+	// A second query for the same set must be a cache hit (body form),
+	// and its answer the first one's bytes: the document depends on the
+	// set alone.
+	before := s.runner.CacheStats()
 	resp2, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body2 := readAll(t, resp2)
-	var doc2 wire.AnalyzeDoc
-	if err := json.Unmarshal(body2, &doc2); err != nil {
-		t.Fatal(err)
+	if body2 := readAll(t, resp2); !bytes.Equal(body2, body) {
+		t.Errorf("repeat analyze answered\n%s\nwant the first answer\n%s", body2, body)
 	}
-	if doc2.Cache.Hits == 0 {
-		t.Errorf("repeat analyze missed the cache: %+v", doc2.Cache)
+	st := s.runner.CacheStats()
+	if st.Hits == before.Hits || st.Misses != before.Misses {
+		t.Errorf("repeat analyze missed the cache: before %+v, after %+v", before, st)
 	}
-	if st := s.runner.CacheStats(); st.Entries != 1 {
+	if st.Entries != 1 {
 		t.Errorf("cache entries = %d, want 1 (same fingerprint)", st.Entries)
 	}
 }

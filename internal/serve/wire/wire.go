@@ -14,7 +14,7 @@
 // type is data on the wire, not behavior.
 //
 // Schema versioning: every top-level document carries its schema tag
-// (mkss-run/v1, mkss-sweep/v1, mkss-analyze/v1, mkss-estimate/v1). Bump
+// (mkss-run/v1, mkss-sweep/v1, mkss-analyze/v2, mkss-estimate/v1). Bump
 // a tag on any backwards-incompatible change; additive changes keep the
 // version.
 package wire
@@ -25,7 +25,7 @@ import "repro"
 const (
 	RunSchema      = "mkss-run/v1"
 	SweepSchema    = "mkss-sweep/v1"
-	AnalyzeSchema  = "mkss-analyze/v1"
+	AnalyzeSchema  = "mkss-analyze/v2"
 	EstimateSchema = "mkss-estimate/v1"
 )
 
@@ -185,20 +185,20 @@ type AnalyzeTask struct {
 	MKUtil       float64 `json:"mk_util"`
 }
 
-// AnalyzeDoc is the /v1/analyze response (schema mkss-analyze/v1): the
+// AnalyzeDoc is the /v1/analyze response (schema mkss-analyze/v2): the
 // memoized offline products for a task set, served from the session's
 // analysis LRU — R-pattern schedulability, RTA response times and
 // promotion intervals Yi (Eq. 2), and the θ postponement intervals of
-// Defs. 2–5 when the analysis succeeds.
+// Defs. 2–5 when the analysis succeeds. It depends on the set alone;
+// /metrics publishes the session's cache counters.
 type AnalyzeDoc struct {
-	Schema      string           `json:"schema"`
-	Fingerprint string           `json:"fingerprint"`
-	Utilization float64          `json:"utilization"`
-	MKUtil      float64          `json:"mk_utilization"`
-	Schedulable bool             `json:"r_pattern_schedulable"`
-	Tasks       []AnalyzeTask    `json:"tasks"`
-	ThetaError  string           `json:"theta_error,omitempty"`
-	Cache       repro.CacheStats `json:"cache"`
+	Schema      string        `json:"schema"`
+	Fingerprint string        `json:"fingerprint"`
+	Utilization float64       `json:"utilization"`
+	MKUtil      float64       `json:"mk_utilization"`
+	Schedulable bool          `json:"r_pattern_schedulable"`
+	Tasks       []AnalyzeTask `json:"tasks"`
+	ThetaError  string        `json:"theta_error,omitempty"`
 }
 
 // ErrorDoc is the uniform JSON error body of every 4xx/5xx response:

@@ -87,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 			Schema: AnalyzeSchema, Fingerprint: "fp", Utilization: 0.9,
 			MKUtil: 0.45, Schedulable: true,
 			Tasks:      []AnalyzeTask{{PeriodUS: 5000}},
-			ThetaError: "theta failed", Cache: repro.CacheStats{},
+			ThetaError: "theta failed",
 		},
 		ErrorDoc{Error: "queue full", Code: CodeQueueFull},
 		HealthDoc{Status: "ok", InFlight: 1, Queued: 2},
@@ -126,7 +126,7 @@ func TestSchemaTags(t *testing.T) {
 	want := map[string]string{
 		RunSchema:      "mkss-run/v1",
 		SweepSchema:    "mkss-sweep/v1",
-		AnalyzeSchema:  "mkss-analyze/v1",
+		AnalyzeSchema:  "mkss-analyze/v2",
 		EstimateSchema: "mkss-estimate/v1",
 	}
 	for got, exp := range want {

@@ -101,23 +101,21 @@ job_test() {
 # tolerance-safe float comparisons, context plumbing, hot-path allocation
 # hygiene (propagated through the whole-program call graph), goroutine
 # termination, lock discipline, error handling, stray printing and the
-# package DAG. The run is ratcheted against the committed findings
-# baseline: new findings fail, and fixed-but-still-baselined findings
-# fail until the baseline is refreshed.
+# package DAG. Any finding fails; an intended exception is an inline
+# //mklint:allow <rule> — <reason> at its site.
 job_lint() {
   step "go vet"
   go vet ./...
-  step "mklint (ratcheted against results/lint_baseline.json)"
+  step "mklint"
   # Built, not `go run`, so its exit contract survives: 1 means findings,
-  # 2 means the linter itself broke.
+  # 2 means the linter itself broke. The JSON report is written even when
+  # the run fails, so findings are inspectable without rerunning. The run
+  # doubles as the policy layering gate: depdag's deny edge
+  # (internal/lint/depdag.go: the engine imports no concrete policy)
+  # reports any such import.
   build mklint
   local status=0
-  "$out/mklint" -json "$out/mklint.json" -baseline results/lint_baseline.json ./... || status=$?
-  # The report, a refreshed baseline and its diff are written even when
-  # the run fails, so findings are inspectable, and the refresh
-  # committable, without rerunning.
-  "$out/mklint" -baseline "$out/lint_baseline.refreshed.json" -update-baseline ./...
-  diff -u results/lint_baseline.json "$out/lint_baseline.refreshed.json" > "$out/lint_baseline.diff" || true
+  "$out/mklint" -json "$out/mklint.json" ./... || status=$?
   step "the workflow runs each job of this script, and nothing else"
   # A check written into the workflow instead would not run here. The
   # benchstat install stays there: it needs the network and the gate
@@ -246,7 +244,8 @@ job_bench_module() {
   (cd _perfbench && go vet ./... && go test ./...)
 }
 
-# The pluggable-policy subsystem's end-to-end gate.
+# The pluggable-policy subsystem's end-to-end gate (its layering gate is
+# the lint job's mklint run).
 job_policy_smoke() {
   local status=0 table abl="-sets 12 -candidates 3000 -lo 0.2 -hi 0.8 -q"
   step "DBP k-sweep vs results/golden/fig7_ksweep.csv"
@@ -267,12 +266,6 @@ job_policy_smoke() {
     sed -E 's/[[:space:]]+\([^)]*\)$//' "$out/$table.txt" > "$out/$table.got"
     same "$out/$table.want" "$out/$table.got" "results/$table.txt" || status=1
   done
-  step "mklint (policy layering)"
-  # The ratcheted run doubles as the layering gate: depdag's deny edge
-  # (internal/lint/depdag.go: the engine imports no concrete policy)
-  # reports any such import, and the committed baseline excuses none.
-  build mklint
-  "$out/mklint" -baseline results/lint_baseline.json ./...
   return "$status"
 }
 
