@@ -22,11 +22,12 @@
 // never merged.
 //
 // -elastic replaces -workers with a self-managed pool of in-process
-// workers, autoscaled between -min and -max from observed queue depth
-// and p95 latency. -pool runs the same autoscaling pool standalone (no
-// sweep) until SIGTERM, for driving with external load: -pool-addrfile
-// receives the first worker's address, -pool-status a periodically
-// rewritten pool-stats JSON.
+// workers, autoscaled between -min and -max on queue depth: the sweep
+// units waiting for a worker plus the jobs queued at each worker. -pool
+// runs the same autoscaling pool standalone (no sweep) until SIGTERM,
+// for driving with external load: -pool-addrfile receives the first
+// worker's address, -pool-status a periodically rewritten pool-stats
+// JSON.
 //
 // -local runs the identical sweep in-process (no workers, no HTTP)
 // through the same emission path, producing the reference stream a
@@ -241,6 +242,7 @@ func localSpawn(o options, st *store.Store) fleet.SpawnFunc {
 		return &fleet.WorkerHandle{
 			Addr: addr,
 			Stop: func() { cancel(); <-done },
+			Load: s.Load,
 		}, nil
 	}
 }

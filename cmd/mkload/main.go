@@ -162,6 +162,11 @@ type sample struct {
 type workerResult map[string]*sample
 
 func run(ctx context.Context, o options) error {
+	// An empty address makes the client's base URL "http:/", which sends
+	// every request to a host named after its first path segment.
+	if o.addr == "" {
+		return fmt.Errorf("-addr must name the mkservd address (host:port)")
+	}
 	if err := checkRate(o.rate); err != nil {
 		return err
 	}

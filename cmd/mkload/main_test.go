@@ -51,17 +51,23 @@ func TestCheckRate(t *testing.T) {
 	}
 }
 
-// TestRunRefusesWorkers pins that -c below 1 is refused before anything
-// starts: -c -1 panicked in make (with -rate set, in the permit
-// buffer's), and -c 0 started no worker.
+// TestRunRefusesWorkers pins that -c below 1 and an empty -addr are
+// refused before anything starts: -c -1 panicked in make (with -rate
+// set, in the permit buffer's), -c 0 started no worker, and an empty
+// -addr sent every request to a host named "v1".
 func TestRunRefusesWorkers(t *testing.T) {
-	for _, o := range []options{
-		{workers: 0, mix: "simulate=1"},
-		{workers: -1, mix: "simulate=1"},
-		{workers: -1, rate: 10, mix: "simulate=1"},
+	for _, tc := range []struct {
+		o    options
+		flag string
+	}{
+		{options{addr: "127.0.0.1:8080", workers: 0, mix: "simulate=1"}, "-c "},
+		{options{addr: "127.0.0.1:8080", workers: -1, mix: "simulate=1"}, "-c "},
+		{options{addr: "127.0.0.1:8080", workers: -1, rate: 10, mix: "simulate=1"}, "-c "},
+		{options{addr: "", workers: 1, mix: "simulate=1"}, "-addr "},
 	} {
-		if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), "-c ") {
-			t.Errorf("run with -c %d -rate %v: error %v, want one naming -c", o.workers, o.rate, err)
+		if err := run(context.Background(), tc.o); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run with -addr %q -c %d -rate %v: error %v, want one naming %s",
+				tc.o.addr, tc.o.workers, tc.o.rate, err, tc.flag)
 		}
 	}
 }

@@ -18,7 +18,7 @@
 //	                    consumes no execution slot, refine=true falls
 //	                    through to the /v1/simulate path byte-identically
 //	GET  /v1/analyze    offline analysis products for a task set
-//	GET  /healthz       liveness, drain state, store stats, p95
+//	GET  /healthz       liveness, drain state, queue depth, store stats
 //	GET  /metrics       counters and gauges, text format
 //
 // With -store, simulate and sweep results persist in a content-addressed

@@ -6,17 +6,19 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"repro/internal/serve/client"
 )
 
 // WorkerHandle is one elastic worker the pool spawned: its serving
-// address and the hook that stops it (cancel + wait — Stop must not
+// address, the hook that stops it (cancel + wait — Stop must not
 // return until the worker's goroutines are done, so the pool never
-// leaks a worker it retired).
+// leaks a worker it retired), and the hook that reads its load.
 type WorkerHandle struct {
 	Addr string
 	Stop func()
+	// Load reports the worker's jobs waiting for an execution slot and
+	// its requests in flight (in cmd/mkfleet, serve.Server.Load). The
+	// control loop calls it under the pool lock, so it must not block.
+	Load func() (queued, inflight int64)
 }
 
 // SpawnFunc starts one worker and returns its handle. The context is
@@ -34,31 +36,17 @@ type PoolConfig struct {
 	Min, Max int
 	// Spawn starts one worker (required).
 	Spawn SpawnFunc
-	// Interval is the control-loop cadence: each tick polls every
-	// member's /healthz and feeds the scaling decision (default 2s).
+	// Interval is the control-loop cadence: each tick sums every
+	// member's Load and feeds the scaling decision (default 2s).
 	Interval time.Duration
 	// ScaleUpQueue is the summed queued-jobs threshold: a tick observing
-	// at least this many queued jobs across the pool counts toward
-	// scaling up (default 4).
+	// at least this many queued jobs across the pool (its members'
+	// queues plus the units a coordinator holds undispatched) counts
+	// toward scaling up (default 4).
 	ScaleUpQueue int64
-	// ScaleUpP95MS is the latency threshold: a tick observing any member
-	// above this p95 (milliseconds) counts toward scaling up (default
-	// 500).
-	ScaleUpP95MS float64
-	// UpAfter/DownAfter are the hysteresis streaks: only UpAfter
-	// consecutive busy ticks grow the pool, and only DownAfter
-	// consecutive idle ticks (zero queued AND zero in-flight everywhere)
-	// shrink it (defaults 2 and 5). One anomalous sample never flaps the
-	// pool.
-	UpAfter, DownAfter int
 	// Cooldown is the minimum gap between consecutive scaling
 	// operations, in either direction (default 30s).
 	Cooldown time.Duration
-	// ProbeTimeout bounds one health poll (default 2s).
-	ProbeTimeout time.Duration
-	// NewClient builds the per-member health-poll client (test seam);
-	// nil uses a default client without retries.
-	NewClient func(addr string) *client.Client
 	// Log receives scaling decisions; nil discards them.
 	Log io.Writer
 	// Now is the wall clock (tests inject a fake); nil means time.Now.
@@ -76,17 +64,20 @@ type PoolStats struct {
 	Addrs         []string `json:"addrs"`
 }
 
-// poolMember pairs a spawned worker with the client the control loop
-// polls it through.
-type poolMember struct {
-	handle *WorkerHandle
-	cl     *client.Client
-}
+// The hysteresis streaks: only upAfter consecutive busy ticks grow the
+// pool, and only downAfter consecutive idle ticks (zero queued AND zero
+// in flight everywhere) shrink it. One anomalous sample never flaps the
+// pool.
+const (
+	upAfter   = 2
+	downAfter = 5
+)
 
 // Pool is an elastic set of mkservd workers driven by observed load: a
-// control loop polls every member's /healthz and scales between Min and
-// Max on queue depth and p95 latency, with streak hysteresis and a
-// cooldown so the pool reacts to sustained pressure, not noise.
+// control loop sums the queue depth wherever the pool's jobs wait, at
+// every member and in a coordinator that feeds it, and scales between
+// Min and Max on it, with streak hysteresis and a cooldown so the pool
+// reacts to sustained pressure, not noise.
 //
 // Members are spawned via the configured SpawnFunc — typically an
 // in-process serve.Server on a loopback listener (see cmd/mkfleet) —
@@ -96,11 +87,15 @@ type Pool struct {
 	cfg PoolConfig
 
 	mu        sync.Mutex
-	members   []*poolMember
+	members   []*WorkerHandle
 	stats     PoolStats
 	lastScale time.Time
 	upStreak  int
 	idleStrk  int
+	// backlog is the units a coordinator holds because no member can
+	// take them (Coordinator.Run keeps it current): they wait outside
+	// any member's queue, so Load never reports them.
+	backlog int64
 
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -128,25 +123,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.ScaleUpQueue <= 0 {
 		cfg.ScaleUpQueue = 4
 	}
-	if cfg.ScaleUpP95MS <= 0 {
-		cfg.ScaleUpP95MS = 500
-	}
-	if cfg.UpAfter <= 0 {
-		cfg.UpAfter = 2
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 5
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 30 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.NewClient == nil {
-		cfg.NewClient = func(addr string) *client.Client {
-			return client.New(client.Config{Addr: addr})
-		}
 	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
@@ -193,7 +171,7 @@ func (p *Pool) Stop() {
 	p.mu.Unlock()
 	p.wg.Wait()
 	for i := len(members) - 1; i >= 0; i-- {
-		members[i].handle.Stop()
+		members[i].Stop()
 	}
 }
 
@@ -203,7 +181,7 @@ func (p *Pool) Addrs() []string {
 	defer p.mu.Unlock()
 	addrs := make([]string, len(p.members))
 	for i, m := range p.members {
-		addrs[i] = m.handle.Addr
+		addrs[i] = m.Addr
 	}
 	return addrs
 }
@@ -220,9 +198,16 @@ func (p *Pool) Stats() PoolStats {
 	st.Max = p.cfg.Max
 	st.Addrs = make([]string, len(p.members))
 	for i, m := range p.members {
-		st.Addrs[i] = m.handle.Addr
+		st.Addrs[i] = m.Addr
 	}
 	return st
+}
+
+// setBacklog records how many units a coordinator holds undispatched.
+func (p *Pool) setBacklog(n int) {
+	p.mu.Lock()
+	p.backlog = int64(n)
+	p.mu.Unlock()
 }
 
 // spawnOne starts one worker and registers it. Called from Start and
@@ -242,13 +227,13 @@ func (p *Pool) spawnOne(ctx context.Context) error {
 		h.Stop()
 		return fmt.Errorf("fleet: pool stopped during spawn")
 	}
-	p.members = append(p.members, &poolMember{handle: h, cl: p.cfg.NewClient(h.Addr)})
+	p.members = append(p.members, h)
 	p.stats.Size = len(p.members)
 	p.mu.Unlock()
 	return nil
 }
 
-// loop is the control loop: poll, decide, scale.
+// loop is the control loop: read the load, decide, scale.
 func (p *Pool) loop(ctx context.Context) {
 	defer p.wg.Done()
 	ticker := time.NewTicker(p.cfg.Interval)
@@ -265,64 +250,20 @@ func (p *Pool) loop(ctx context.Context) {
 	}
 }
 
-// memberLoad is one health poll's load signal.
-type memberLoad struct {
-	queued, inflight int64
-	p95MS            float64
-	ok               bool
-}
-
-// tick runs one control-loop iteration. Health polls run outside the
-// pool lock (they are network calls); only the membership mutation at
-// the end takes it.
+// tick runs one control-loop iteration: it sums the backlog and the
+// members' load and decides under the pool lock; spawning and stopping
+// a worker run outside it.
 func (p *Pool) tick(ctx context.Context) {
 	p.mu.Lock()
-	members := append([]*poolMember(nil), p.members...)
-	p.mu.Unlock()
-	if len(members) == 0 {
-		return
-	}
-
-	loads := make([]memberLoad, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *poolMember) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
-			defer cancel()
-			h, err := m.cl.Healthz(pctx)
-			if err != nil || h == nil {
-				return
-			}
-			loads[i] = memberLoad{queued: h.Queued, inflight: h.InFlight, p95MS: h.P95MS, ok: true}
-		}(i, m)
-	}
-	wg.Wait()
-
-	var queued, inflight int64
-	var maxP95 float64
-	polled := 0
-	for _, l := range loads {
-		if !l.ok {
-			continue
-		}
-		polled++
-		queued += l.queued
-		inflight += l.inflight
-		if l.p95MS > maxP95 {
-			maxP95 = l.p95MS
-		}
-	}
-	if polled == 0 {
-		return // every poll failed; no signal, no decision
-	}
-
-	busy := queued >= p.cfg.ScaleUpQueue || maxP95 >= p.cfg.ScaleUpP95MS
-	idle := queued == 0 && inflight == 0
-
-	p.mu.Lock()
 	size := len(p.members)
+	queued, inflight := p.backlog, int64(0)
+	for _, m := range p.members {
+		q, f := m.Load()
+		queued += q
+		inflight += f
+	}
+	busy := queued >= p.cfg.ScaleUpQueue
+	idle := queued == 0 && inflight == 0
 	switch {
 	case busy:
 		p.upStreak++
@@ -336,9 +277,9 @@ func (p *Pool) tick(ctx context.Context) {
 	}
 	now := p.cfg.Now()
 	coolingDown := !p.lastScale.IsZero() && now.Sub(p.lastScale) < p.cfg.Cooldown
-	grow := p.upStreak >= p.cfg.UpAfter && size < p.cfg.Max && !coolingDown
-	var retire *poolMember
-	if !grow && p.idleStrk >= p.cfg.DownAfter && size > p.cfg.Min && !coolingDown {
+	grow := p.upStreak >= upAfter && size < p.cfg.Max && !coolingDown
+	var retire *WorkerHandle
+	if !grow && p.idleStrk >= downAfter && size > p.cfg.Min && !coolingDown {
 		// Retire the newest member: the baseline Min workers stay the
 		// longest-lived (warmest caches), and LIFO makes repeated
 		// grow/shrink cycles churn one slot, not the whole pool.
@@ -358,13 +299,12 @@ func (p *Pool) tick(ctx context.Context) {
 
 	if retire != nil {
 		fmt.Fprintf(p.cfg.Log, "fleet: pool scaling down to %d (idle %d ticks): retiring %s\n",
-			sizeAfter, p.cfg.DownAfter, retire.handle.Addr)
-		retire.handle.Stop()
+			sizeAfter, downAfter, retire.Addr)
+		retire.Stop()
 		return
 	}
 	if grow {
-		fmt.Fprintf(p.cfg.Log, "fleet: pool scaling up (queued=%d, max p95=%.0f ms over %d workers)\n",
-			queued, maxP95, size)
+		fmt.Fprintf(p.cfg.Log, "fleet: pool scaling up (queued=%d over %d workers)\n", queued, size)
 		if err := p.spawnOne(ctx); err != nil {
 			fmt.Fprintf(p.cfg.Log, "fleet: pool spawn failed: %v\n", err)
 		} else {

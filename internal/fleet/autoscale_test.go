@@ -2,58 +2,36 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fakeMember is a stub worker for the autoscaler: a /healthz endpoint
-// whose load signal the test controls.
+// fakeMember is a stub worker for the autoscaler: a load signal the
+// test controls.
 type fakeMember struct {
-	ts       *httptest.Server
 	queued   atomic.Int64
 	inflight atomic.Int64
 	stopped  atomic.Bool
 }
 
-func newFakeMember(t *testing.T) *fakeMember {
-	t.Helper()
-	m := &fakeMember{}
-	m.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			http.NotFound(w, r)
-			return
-		}
-		if err := json.NewEncoder(w).Encode(map[string]any{
-			"status": "ok", "queued": m.queued.Load(), "inflight": m.inflight.Load(),
-		}); err != nil {
-			t.Errorf("fake healthz encode: %v", err)
-		}
-	}))
-	t.Cleanup(m.ts.Close)
-	return m
-}
-
-func (m *fakeMember) addr() string { return strings.TrimPrefix(m.ts.URL, "http://") }
+func (m *fakeMember) load() (queued, inflight int64) { return m.queued.Load(), m.inflight.Load() }
 
 // fakeSpawner hands out fakeMembers and records them.
 type fakeSpawner struct {
-	t  *testing.T
 	mu sync.Mutex
 	ms []*fakeMember
 }
 
 func (s *fakeSpawner) spawn(ctx context.Context) (*WorkerHandle, error) {
-	m := newFakeMember(s.t)
+	m := &fakeMember{}
 	s.mu.Lock()
 	s.ms = append(s.ms, m)
+	addr := fmt.Sprintf("fake-%d", len(s.ms))
 	s.mu.Unlock()
-	return &WorkerHandle{Addr: m.addr(), Stop: func() { m.stopped.Store(true) }}, nil
+	return &WorkerHandle{Addr: addr, Stop: func() { m.stopped.Store(true) }, Load: m.load}, nil
 }
 
 func (s *fakeSpawner) members() []*fakeMember {
@@ -68,8 +46,6 @@ func fastPool(sp *fakeSpawner, min, max int) PoolConfig {
 		Min: min, Max: max, Spawn: sp.spawn,
 		Interval:     5 * time.Millisecond,
 		ScaleUpQueue: 5,
-		UpAfter:      2,
-		DownAfter:    3,
 		Cooldown:     time.Millisecond,
 	}
 }
@@ -92,7 +68,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 // idleness shrinks it back to Min, and the retired members are the
 // newest ones, actually stopped.
 func TestPoolScalesUpUnderLoadAndDrainsToMin(t *testing.T) {
-	sp := &fakeSpawner{t: t}
+	sp := &fakeSpawner{}
 	p, err := NewPool(fastPool(sp, 1, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +107,13 @@ func TestPoolScalesUpUnderLoadAndDrainsToMin(t *testing.T) {
 	}
 }
 
-// TestPoolHysteresisIgnoresOneSample pins the streak gate: a single
-// busy tick must not grow the pool.
+// TestPoolHysteresisIgnoresOneSample pins the streak gate on the
+// control loop's own ticks: one busy tick leaves the size alone, a mixed
+// tick resets the streak, and two consecutive busy ticks grow the pool.
 func TestPoolHysteresisIgnoresOneSample(t *testing.T) {
-	sp := &fakeSpawner{t: t}
+	sp := &fakeSpawner{}
 	cfg := fastPool(sp, 1, 3)
-	cfg.UpAfter = 1000 // effectively never
+	cfg.Interval = time.Hour // no loop tick interleaves with the test's
 	p, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,17 +124,30 @@ func TestPoolHysteresisIgnoresOneSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	sp.members()[0].queued.Store(100)
-	time.Sleep(100 * time.Millisecond) // many busy ticks, streak below UpAfter
-	if got := p.Stats().Size; got != 1 {
-		t.Fatalf("pool grew to %d below the UpAfter streak", got)
+	m := sp.members()[0]
+	for i, step := range []struct {
+		queued, inflight int64
+		size             int
+	}{
+		{queued: 100, size: 1}, // one busy tick
+		{inflight: 1, size: 1}, // mixed: the busy streak resets
+		{queued: 100, size: 1}, // busy again, a streak of one
+		{queued: 100, size: 2}, // two consecutive busy ticks grow the pool
+	} {
+		m.queued.Store(step.queued)
+		m.inflight.Store(step.inflight)
+		p.tick(ctx)
+		if got := p.Stats().Size; got != step.size {
+			t.Fatalf("tick %d (queued %d, inflight %d): size %d, want %d",
+				i, step.queued, step.inflight, got, step.size)
+		}
 	}
 }
 
 // TestPoolStopStopsEveryMember pins shutdown: Stop retires the whole
 // pool, including members added by scale-ups.
 func TestPoolStopStopsEveryMember(t *testing.T) {
-	sp := &fakeSpawner{t: t}
+	sp := &fakeSpawner{}
 	p, err := NewPool(fastPool(sp, 2, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +175,7 @@ func TestPoolStopStopsEveryMember(t *testing.T) {
 func TestFleetElasticPoolRunsSweep(t *testing.T) {
 	spawn := func(ctx context.Context) (*WorkerHandle, error) {
 		addr, _ := newWorker(t)
-		return &WorkerHandle{Addr: addr, Stop: func() {}}, nil
+		return &WorkerHandle{Addr: addr, Stop: func() {}, Load: func() (int64, int64) { return 0, 0 }}, nil
 	}
 	p, err := NewPool(PoolConfig{Min: 2, Max: 2, Spawn: spawn, Interval: 5 * time.Millisecond})
 	if err != nil {
@@ -208,5 +198,51 @@ func TestFleetElasticPoolRunsSweep(t *testing.T) {
 	checkStream(t, lines, referenceRows(t, spec))
 	if sum.Dispatched != 3 || len(sum.Workers) != 2 {
 		t.Errorf("summary = %+v, want 3 dispatched over 2 adopted workers", sum)
+	}
+}
+
+// TestFleetElasticPoolGrowsOnBacklog pins the sweep's own load signal: a
+// coordinator that holds units back because every worker is at its
+// dispatch bound reports them as the pool's backlog, so a pool whose
+// members queue nothing still grows, and the new member is sent units.
+func TestFleetElasticPoolGrowsOnBacklog(t *testing.T) {
+	spawn := func(ctx context.Context) (*WorkerHandle, error) {
+		addr, c := newWorker(t)
+		c.stallNS.Store(int64(300 * time.Millisecond)) // one unit outlasts two pool ticks
+		return &WorkerHandle{Addr: addr, Stop: func() {}, Load: func() (int64, int64) { return 0, 0 }}, nil
+	}
+	// The cooldown keeps the grown pool until the sweep ends.
+	p, err := NewPool(PoolConfig{Min: 1, Max: 2, Spawn: spawn, Interval: 5 * time.Millisecond,
+		ScaleUpQueue: 2, Cooldown: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := p.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+
+	spec := testSpec()
+	cfg := fastConfig(t, nil, spec)
+	cfg.Pool = p
+	cfg.PerWorkerInFlight = 1 // one worker takes one of the three units; two wait
+	lines, sum, err := runFleet(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStream(t, lines, referenceRows(t, spec))
+	if st := p.Stats(); st.ScaleUps != 1 || st.Size != 2 {
+		t.Errorf("pool stats = %+v, want one scale-up to 2 members", st)
+	}
+	if len(sum.Workers) != 2 || sum.Workers[1].Dispatched == 0 {
+		t.Errorf("summary = %+v, want units dispatched to the grown member", sum)
+	}
+	p.mu.Lock()
+	backlog := p.backlog
+	p.mu.Unlock()
+	if backlog != 0 {
+		t.Errorf("backlog = %d after the sweep, want 0", backlog)
 	}
 }

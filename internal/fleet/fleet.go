@@ -89,8 +89,10 @@ type Config struct {
 	Store *store.Store
 	// Pool, when non-nil, is an elastic worker pool: the coordinator
 	// syncs its registry with Pool.Addrs() every tick, adopting workers
-	// the autoscaler spawned and retiring ones it stopped. Workers may
-	// be empty when a Pool is configured.
+	// the autoscaler spawned and retiring ones it stopped, and reports
+	// the units it cannot dispatch as the pool's backlog, the queue the
+	// autoscaler grows on. Workers may be empty when a Pool is
+	// configured.
 	Pool *Pool
 	// Log receives coordinator lifecycle lines; nil discards them.
 	Log io.Writer
@@ -253,6 +255,7 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 	reg := newRegistry(c.cfg.Workers, c.cfg.NewClient, c.cfg.ProbeBackoff, c.cfg.ProbeMax)
 	if c.cfg.Pool != nil {
 		reg.sync(c.cfg.Pool.Addrs(), c.cfg.NewClient)
+		defer c.cfg.Pool.setBacklog(0)
 	}
 	maxAttempts := maxWorkers*c.cfg.PerWorkerInFlight + 1
 	results := make(chan unitResult, maxAttempts)
@@ -308,8 +311,12 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 
 	// schedule assigns pending units, in interval order, to available
 	// workers. A unit excluded from every live worker has its exclusion
-	// reset (better a repeat attempt than a stall).
+	// reset (better a repeat attempt than a stall). The units left
+	// pending are an elastic pool's backlog: no worker can take them
+	// (each is at its dispatch bound or down), so they queue here and
+	// not at a worker.
 	schedule := func() {
+		waiting := 0
 		for u := 0; u < n; u++ {
 			ui := &units[u]
 			if ui.state != unitPending {
@@ -323,9 +330,13 @@ func (c *Coordinator) Run(ctx context.Context, out func(line []byte) error) (*Su
 				}
 			}
 			if w == nil {
+				waiting++
 				continue
 			}
 			dispatch(u, w, false)
+		}
+		if c.cfg.Pool != nil {
+			c.cfg.Pool.setBacklog(waiting)
 		}
 	}
 

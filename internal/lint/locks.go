@@ -10,17 +10,15 @@ import (
 
 const ruleLocks = "locks"
 
-// Locks enforces mutex discipline across the whole program:
+// Locks enforces mutex discipline across the whole program (go vet's
+// copylocks already reports lock-bearing values copied by value):
 //
-//  1. no sync.Mutex/RWMutex copied by value (value receivers, value
-//     parameters, plain assignments, range over a slice of lock-bearing
-//     structs) — a copied lock guards nothing;
-//  2. no Unlock without a dominating Lock in the same function (a
+//  1. no Unlock without a dominating Lock in the same function (a
 //     must-hold walk: a Lock that happens on only one branch does not
 //     dominate);
-//  3. no early return while a lock is held without a deferred unlock —
+//  2. no early return while a lock is held without a deferred unlock —
 //     the classic leak when an error path grows after the happy path;
-//  4. no blocking operation (channel send/receive, select, time.Sleep,
+//  3. no blocking operation (channel send/receive, select, time.Sleep,
 //     WaitGroup.Wait, net/http round trip) while a lock is held, checked
 //     transitively through the call graph a few hops deep, with the call
 //     chain in the diagnostic.
@@ -30,7 +28,7 @@ const ruleLocks = "locks"
 // idiom — Lock; if hit { Unlock; return }; …; Unlock — is clean.
 var Locks = &Analyzer{
 	Name: ruleLocks,
-	Doc:  "mutex discipline: no by-value copies, dominated unlocks, no held locks across returns or blocking operations",
+	Doc:  "mutex discipline: dominated unlocks, no held locks across returns or blocking operations",
 	Run:  runLocks,
 }
 
@@ -41,121 +39,13 @@ const lockBlockDepth = 3
 func runLocks(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Ast.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				p.checkMutexCopyFunc(d)
-				if d.Body != nil {
-					w := &lockWalker{p: p, reported: make(map[token.Pos]bool)}
-					w.stmts(d.Body.List, newHeldSet())
-				}
-			case *ast.GenDecl:
-				// Copies via plain var initialization are caught in the
-				// walker's assignment handling; nothing at decl level.
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Body != nil {
+				w := &lockWalker{p: p, reported: make(map[token.Pos]bool)}
+				w.stmts(d.Body.List, newHeldSet())
 			}
 		}
 	}
 }
-
-// --- check 1: mutex copied by value -----------------------------------
-
-func (p *Pass) checkMutexCopyFunc(decl *ast.FuncDecl) {
-	if decl.Recv != nil {
-		for _, field := range decl.Recv.List {
-			if t := p.Pkg.Info.TypeOf(field.Type); t != nil && containsMutex(t) {
-				p.Reportf(ruleLocks, field.Type.Pos(),
-					"method %s has a value receiver of %s which contains a mutex; the copy's lock guards nothing — use a pointer receiver", decl.Name.Name, t)
-			}
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			if t := p.Pkg.Info.TypeOf(field.Type); t != nil && containsMutex(t) {
-				p.Reportf(ruleLocks, field.Type.Pos(),
-					"parameter of %s passes %s by value, copying the mutex inside it — pass a pointer", decl.Name.Name, t)
-			}
-		}
-	}
-	if decl.Body == nil {
-		return
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if copiesMutex(p, rhs) {
-					p.Reportf(ruleLocks, rhs.Pos(),
-						"assignment copies %s by value, and it contains a mutex — take a pointer instead", p.TypeOf(rhs))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			t := p.TypeOf(n.X)
-			if t == nil {
-				return true
-			}
-			if s, ok := t.Underlying().(*types.Slice); ok && containsMutex(s.Elem()) {
-				p.Reportf(ruleLocks, n.Value.Pos(),
-					"range copies each %s element by value, and it contains a mutex — range over indices or a slice of pointers", s.Elem())
-			}
-		}
-		return true
-	})
-}
-
-// copiesMutex reports whether evaluating rhs copies an existing
-// lock-bearing value. Composite literals and calls construct fresh
-// values whose zero-value locks have never been used, so they are fine.
-func copiesMutex(p *Pass, rhs ast.Expr) bool {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.CompositeLit, *ast.CallExpr, *ast.UnaryExpr, *ast.FuncLit:
-		return false
-	}
-	t := p.TypeOf(rhs)
-	if t == nil {
-		return false
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return false
-	}
-	return containsMutex(t)
-}
-
-// containsMutex reports whether t is, or transitively embeds by value,
-// a sync.Mutex or sync.RWMutex.
-func containsMutex(t types.Type) bool {
-	return containsMutex1(t, make(map[types.Type]bool))
-}
-
-func containsMutex1(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if containsMutex1(st.Field(i).Type(), seen) {
-			return true
-		}
-	}
-	return false
-}
-
-// --- checks 2–4: the must-hold walker ---------------------------------
 
 // holdInfo tracks one held lock: where it was acquired and whether a
 // deferred unlock already covers every exit.

@@ -1,5 +1,5 @@
-// Package locks exercises the mutex-discipline rule: no by-value copies,
-// dominated unlocks, no held locks across returns or blocking calls.
+// Package locks exercises the mutex-discipline rule: dominated unlocks,
+// no held locks across returns or blocking calls.
 package locks
 
 import (
@@ -7,31 +7,10 @@ import (
 	"time"
 )
 
-// Box carries a mutex; copying it copies the lock.
+// Box carries a mutex.
 type Box struct {
 	mu sync.Mutex
 	n  int
-}
-
-func byValueParam(b Box) int { // want locks "by value, copying the mutex"
-	return b.n
-}
-
-func (b Box) valueReceiver() int { // want locks "value receiver"
-	return b.n
-}
-
-func copyAssign(b *Box) int {
-	c := *b // want locks "assignment copies"
-	return c.n
-}
-
-func rangeCopy(boxes []Box) int {
-	total := 0
-	for _, b := range boxes { // want locks "range copies each"
-		total += b.n
-	}
-	return total
 }
 
 func unlockOnly(b *Box) {

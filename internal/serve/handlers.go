@@ -413,11 +413,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusMethodNotAllowed, 0, "GET required")
 		return
 	}
+	queued, inflight := s.Load()
 	doc := wire.HealthDoc{
 		Status:        "ok",
-		InFlight:      s.inflight.Load() - 1,
-		Queued:        s.queued.Load(),
-		P95MS:         s.lat.p95(),
+		InFlight:      inflight - 1, // exclude this request
+		Queued:        queued,
 		QuotaRejected: s.quotaRejections.Snapshot(),
 	}
 	if st := s.cfg.Store; st != nil {

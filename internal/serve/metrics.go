@@ -27,19 +27,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		draining = 1
 	}
+	queued, inflight := s.Load()
 	writePairs(&b, "mkservd_", [][2]string{
 		{"aborted_total", u(s.aborted.Load())},
 		{"coalesced_total", u(s.coalesced.Load())},
 		{"draining", strconv.FormatInt(draining, 10)},
 		{"failures_total", u(s.failures.Load())},
-		{"inflight", strconv.FormatInt(s.inflight.Load()-1, 10)}, // exclude this request
+		{"inflight", strconv.FormatInt(inflight-1, 10)}, // exclude this request
 		{"queue_depth", strconv.Itoa(s.cfg.QueueDepth)},
-		{"queued", strconv.FormatInt(s.queued.Load(), 10)},
+		{"queued", strconv.FormatInt(queued, 10)},
 		{"rejected_total", u(s.rejected.Load())},
 		{"requests_total", u(s.requests.Load())},
 		{"slots", strconv.Itoa(s.cfg.MaxInFlight)},
 	})
-	fmt.Fprintf(&b, "mkservd_p95_ms %s\n", strconv.FormatFloat(s.lat.p95(), 'f', -1, 64))
 	if st := s.cfg.Store; st != nil {
 		b.WriteString("# persistent result store\n")
 		stats := st.Stats()

@@ -30,7 +30,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +103,6 @@ type Server struct {
 	flights *coalescer
 	tenants *tenantLimiter
 	events  *eventLog
-	lat     *latencyRing
 
 	// quotaRejections counts per-tenant quota rejections for /healthz
 	// and /metrics (fed by tenants, which holds a pointer to it).
@@ -164,7 +162,6 @@ func NewServer(cfg Config) *Server {
 		runner:  cfg.Runner,
 		now:     cfg.Now,
 		flights: newCoalescer(),
-		lat:     newLatencyRing(512),
 	}
 	s.stop, s.stopWork = context.WithCancel(context.Background())
 	if cfg.RatePerSec > 0 {
@@ -213,15 +210,16 @@ func (s *Server) observe(h func(http.ResponseWriter, *http.Request)) http.Handle
 			s.reject(w, http.StatusServiceUnavailable, 0, "server is draining")
 			return
 		}
-		// Only /v1/* work feeds the p95 gauge: health probes and metrics
-		// scrapes are sub-millisecond and frequent, and folding them in
-		// would drag the autoscaler's load signal toward zero.
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			start := s.now()
-			defer func() { s.lat.observe(s.now().Sub(start)) }()
-		}
 		h(w, r)
 	})
+}
+
+// Load reports the server's load: the jobs waiting for an execution
+// slot and the HTTP requests in flight, this one included when called
+// from a handler. It is what /healthz and /metrics publish and what an
+// elastic pool scales on.
+func (s *Server) Load() (queued, inflight int64) {
+	return s.queued.Load(), s.inflight.Load()
 }
 
 // Run serves HTTP on l until ctx is canceled, then drains gracefully:

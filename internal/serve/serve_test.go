@@ -486,28 +486,93 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
-// TestQueueFull fills the single slot and the zero-depth queue so a new
-// request is rejected with 429 + Retry-After backpressure.
+// TestQueueFull holds the single execution slot and fills the queue so
+// a new request is rejected with 429 + Retry-After backpressure. With a
+// queue of one, the waiting request is the load Server.Load reports and
+// /healthz and /metrics publish, less their own request.
 func TestQueueFull(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
-	release, err := s.adm.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	resp := postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if !strings.Contains(string(body), "queue full") {
-		t.Fatalf("body %s does not mention the queue", body)
-	}
-	if s.rejected.Load() == 0 {
-		t.Fatal("rejected counter not incremented")
+	for _, tc := range []struct {
+		name       string
+		queueDepth int
+		waiting    int64
+	}{
+		{name: "zero-depth", queueDepth: -1},
+		{name: "one-waiting", queueDepth: 1, waiting: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: tc.queueDepth})
+			held, err := s.adm.acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A failed check still frees the slot, so the waiting request
+			// finishes and ts.Close returns.
+			release := sync.OnceFunc(held)
+			defer release()
+			// Distinct horizons keep the requests from coalescing into one.
+			statuses := make(chan int, tc.waiting)
+			for i := int64(0); i < tc.waiting; i++ {
+				go func(horizon float64) {
+					resp, err := post(ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: horizon})
+					if err != nil {
+						t.Error(err)
+						statuses <- 0
+						return
+					}
+					resp.Body.Close() //mklint:allow errdrop — only the status matters
+					statuses <- resp.StatusCode
+				}(float64(30 + i))
+			}
+			for deadline := 0; ; deadline++ {
+				if queued, _ := s.Load(); queued == tc.waiting {
+					break
+				}
+				if deadline > 5000 {
+					t.Fatalf("%d requests never queued", tc.waiting)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if queued, inflight := s.Load(); queued != tc.waiting || inflight != tc.waiting {
+				t.Errorf("Load() = %d queued, %d in flight, want %d and %d", queued, inflight, tc.waiting, tc.waiting)
+			}
+			if doc := healthDoc(t, ts.URL); doc.Queued != tc.waiting || doc.InFlight != tc.waiting {
+				t.Errorf("/healthz = %d queued, %d in flight, want %d and %d", doc.Queued, doc.InFlight, tc.waiting, tc.waiting)
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics := string(readAll(t, resp))
+			for _, want := range []string{
+				fmt.Sprintf("mkservd_queued %d\n", tc.waiting),
+				fmt.Sprintf("mkservd_inflight %d\n", tc.waiting),
+			} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("/metrics lacks %q:\n%s", want, metrics)
+				}
+			}
+
+			resp = postJSON(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Set: paperSpec(), HorizonMS: 20})
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			if !strings.Contains(string(body), "queue full") {
+				t.Fatalf("body %s does not mention the queue", body)
+			}
+			if s.rejected.Load() == 0 {
+				t.Fatal("rejected counter not incremented")
+			}
+			release()
+			for i := int64(0); i < tc.waiting; i++ {
+				if status := <-statuses; status != http.StatusOK {
+					t.Errorf("queued request answered %d, want 200", status)
+				}
+			}
+		})
 	}
 }
 

@@ -233,17 +233,15 @@ const (
 	CodeUnsupportedBackend = "unsupported_backend"
 )
 
-// HealthDoc is the /healthz body: liveness plus the load gauges a fleet
-// coordinator or autoscaler uses to pick and size workers. The P95MS,
-// QuotaRejected and Store fields are additive (always safe to ignore).
+// HealthDoc is the /healthz body: liveness plus the server's load, the
+// jobs waiting for an execution slot and the requests in flight besides
+// the probe itself (serve.Server.Load, which an in-process elastic pool
+// reads directly). The QuotaRejected and Store fields are additive
+// (always safe to ignore).
 type HealthDoc struct {
 	Status   string `json:"status"`
 	InFlight int64  `json:"inflight"`
 	Queued   int64  `json:"queued"`
-	// P95MS is the 95th-percentile latency of recent /v1/* requests in
-	// milliseconds (0 until enough samples exist) — the autoscaler's
-	// per-worker load signal alongside Queued.
-	P95MS float64 `json:"p95_ms"`
 	// QuotaRejected counts quota rejections per tenant; only tenants
 	// that were actually rejected appear, at most 1,024 of them, and the
 	// key "" counts the rest.

@@ -392,16 +392,37 @@ job_store_smoke() {
 # size prints the elastic pool's current size from its status file.
 size() { sed -nE 's/.*"size":([0-9]+).*/\1/p' "$out/pool.json" 2>/dev/null || true; }
 
-# A standalone elastic pool with a single-slot baseline worker must grow
-# above min under a burst and drain back to min once the burst ends.
+# A standalone elastic pool with a single-slot baseline worker must hold
+# its size through one slow run, which queues nothing, then grow above
+# min under a burst and drain back to min once the burst ends.
 job_autoscale_smoke() {
   build mkfleet mkload
-  local pool load addr s grew=0 drained=0
+  local pool load slow addr s grew=0 drained=0
   "$out/mkfleet" -pool -min 1 -max 3 -worker-inflight 1 \
     -scale-interval 200ms -scale-cooldown 500ms \
     -pool-addrfile "$out/pool.addr" -pool-status "$out/pool.json" 2> "$out/pool.log" &
   pool=$!
   addr=$(await "$out/pool.addr")
+  # mkfleet writes the status file after the address file; every size
+  # check below reads it.
+  await "$out/pool.json" > /dev/null
+  # horizon_ms 50,000,000 runs for about two seconds on one core. Every
+  # size sample must read 1 while it runs and for 2 s after: a load
+  # signal that outlives the run (a latency percentile over past
+  # requests, here that one run alone) would grow the pool.
+  post "http://$addr/v1/simulate" "{\"set\":$pset,\"horizon_ms\":50000000}" > "$out/slow.json" &
+  slow=$!
+  while kill -0 "$slow" 2>/dev/null; do
+    s=$(size)
+    [ "$s" = 1 ] || { echo "pool size $s during one slow run (want 1)" >&2; cat "$out/pool.log" >&2; return 1; }
+    sleep 0.1
+  done
+  wait "$slow"
+  for _ in $(seq 1 20); do
+    s=$(size)
+    [ "$s" = 1 ] || { echo "pool size $s after one slow run (want 1)" >&2; cat "$out/pool.log" >&2; return 1; }
+    sleep 0.1
+  done
   # -distinct defeats coalescing and the store, and the long horizon makes
   # each run tens of milliseconds, so the burst saturates the single-slot
   # baseline worker and builds real queue depth.
