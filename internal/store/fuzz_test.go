@@ -3,12 +3,49 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
+
+// FuzzGetMatchesJSON checks the hit decode, putValue, against
+// encoding/json, which decodes every record the scan reads. It touches no
+// disk. (a) The put record that encodeFrame writes for key and val reads
+// back as val whenever key is valid UTF-8 (Put refuses any other key).
+// (b) Whatever payload putValue accepts for key, json.Unmarshal decodes
+// to a put record of that key holding the same value: the hit decode
+// accepts nothing the scan would read differently.
+func FuzzGetMatchesJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key string, val, payload []byte) {
+		if utf8.ValidString(key) {
+			frame, err := encodeFrame(record{Type: "put", Key: key, Val: val})
+			if err != nil {
+				t.Fatalf("encodeFrame(%q): %v", key, err)
+			}
+			put, err := framePayload(frame)
+			if err != nil {
+				t.Fatalf("framePayload of the frame written for %q: %v", key, err)
+			}
+			got, err := putValue(put, key)
+			if err != nil || !bytes.Equal(got, val) {
+				t.Fatalf("putValue(%q, %q) = %q, %v; %q was put", put, key, got, err, val)
+			}
+		}
+		got, err := putValue(payload, key)
+		if err != nil {
+			return
+		}
+		var rec record
+		if jerr := json.Unmarshal(payload, &rec); jerr != nil || rec.Type != "put" || rec.Key != key ||
+			!bytes.Equal(rec.Val, got) || rec.Schema != "" || rec.Segment != 0 {
+			t.Fatalf("putValue(%q, %q) accepted %q, but json.Unmarshal reads %+v, %v", payload, key, got, rec, jerr)
+		}
+	})
+}
 
 // FuzzStoreRecovery puts a few records, closes the store, damages its
 // segment as the input says and reopens it twice. Whatever the damage,

@@ -17,6 +17,11 @@
 // base64 value). The JSON-in-frame layout keeps the file greppable and
 // schema-versioned; the frame layer gives exact corruption detection.
 //
+// A hit parses no JSON: Get is a positional read, the frame's length
+// and CRC check, a compare against the head of the put record that
+// encodeFrame writes for the key, and a base64 decode of the value.
+// Only the scan at Open decodes records with encoding/json.
+//
 // Durability model: appends go straight to the segment file, so a
 // process crash can leave at most one torn frame at the tail. Open
 // scans every segment, verifies each frame's length and CRC, and
@@ -43,6 +48,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -54,6 +60,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 )
@@ -207,16 +214,17 @@ func indexPath(dir string, id int) string {
 
 // openSegment loads one existing segment: from its index sidecar when
 // the sidecar matches the file size, by a full verifying scan otherwise,
-// truncating a corrupt tail in the scan case.
+// truncating a corrupt tail in the scan case. Only the scan reads the
+// file; the sidecar check needs its size alone.
 func (s *Store) openSegment(id int) (*segment, error) {
 	path := segmentPath(s.dir, id)
-	buf, err := os.ReadFile(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	seg := &segment{id: id, path: path}
-	if doc, ok := s.loadIndexSidecar(id, int64(len(buf))); ok {
-		seg.size = int64(len(buf))
+	if doc, ok := s.loadIndexSidecar(id, fi.Size()); ok {
+		seg.size = fi.Size()
 		// The sidecar lists only the records live when it was written;
 		// the rest of its puts were superseded by then. A sidecar
 		// without the count adds none.
@@ -226,6 +234,10 @@ func (s *Store) openSegment(id int) (*segment, error) {
 			s.link(seg, e.Key, e.Off, e.N)
 		}
 	} else {
+		buf, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return nil, fmt.Errorf("store: %w", rerr)
+		}
 		ents, valid, serr := scanFrames(buf)
 		if serr != nil {
 			return nil, fmt.Errorf("store: segment %s: %w", path, serr)
@@ -310,6 +322,11 @@ func (s *Store) Put(key string, val []byte) error {
 	if key == "" {
 		return errors.New("store: empty key")
 	}
+	// json.Marshal would write U+FFFD for each bad byte: the record would
+	// carry another key than the index, so it could never hit.
+	if !utf8.ValidString(key) {
+		return errors.New("store: key is not valid UTF-8")
+	}
 	frame, err := encodeFrame(record{Type: "put", Key: key, Val: val})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -369,12 +386,16 @@ func (s *Store) rollLocked() (*segment, error) {
 }
 
 // Get returns the stored bytes for key. The returned slice is freshly
-// read from disk and owned by the caller.
+// read from disk and owned by the caller. A hit parses no JSON: it is a
+// positional read, the frame's length and CRC check, a compare against
+// the head of key's put record and a base64 decode (putValue). A record
+// that fails any of them is logged with the reason and counted as a
+// miss; so is every Get on a closed store, with no read and no log line.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.index[key]
-	if !ok {
+	if !ok || e.seg.read == nil { // Close drops the read handles
 		s.counters.Miss()
 		return nil, false
 	}
@@ -384,14 +405,21 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.counters.Miss()
 		return nil, false
 	}
-	rec, n, err := decodeFrame(buf)
-	if err != nil || n != e.n || rec.Type != "put" || rec.Key != key {
-		fmt.Fprintf(s.opts.Log, "store: record %s@%d failed verification (err=%v)\n", e.seg.path, e.off, err)
+	payload, err := framePayload(buf)
+	if err == nil && frameHeader+len(payload) != e.n {
+		err = fmt.Errorf("frame is %d bytes, index says %d", frameHeader+len(payload), e.n)
+	}
+	var val []byte
+	if err == nil {
+		val, err = putValue(payload, key)
+	}
+	if err != nil {
+		fmt.Fprintf(s.opts.Log, "store: record %s@%d failed verification: %v\n", e.seg.path, e.off, err)
 		s.counters.Miss()
 		return nil, false
 	}
 	s.counters.Hit()
-	return rec.Val, true
+	return val, true
 }
 
 // Compact rewrites every live record, sorted by key, into one fresh
@@ -561,28 +589,83 @@ func encodeFrame(rec record) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeFrame verifies and decodes the frame at the head of buf,
-// returning the record and the frame's total length.
-func decodeFrame(buf []byte) (record, int, error) {
-	var rec record
+// framePayload verifies the length and CRC of the frame at the head of
+// buf and returns its payload; the frame is frameHeader+len(payload)
+// bytes long.
+func framePayload(buf []byte) ([]byte, error) {
 	if len(buf) < frameHeader {
-		return rec, 0, errPartialFrame
+		return nil, errPartialFrame
 	}
 	n := int(binary.LittleEndian.Uint32(buf[0:4]))
 	if n <= 0 || n > maxFrameBytes {
-		return rec, 0, fmt.Errorf("implausible frame length %d", n)
+		return nil, fmt.Errorf("implausible frame length %d", n)
 	}
 	if len(buf) < frameHeader+n {
-		return rec, 0, errPartialFrame
+		return nil, errPartialFrame
 	}
 	payload := buf[frameHeader : frameHeader+n]
 	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(buf[4:8]) {
-		return rec, 0, errors.New("CRC mismatch")
+		return nil, errors.New("CRC mismatch")
+	}
+	return payload, nil
+}
+
+// decodeFrame verifies and decodes the frame at the head of buf,
+// returning the record and the frame's total length. Only the scan
+// decodes records; a hit reads its value with putValue.
+func decodeFrame(buf []byte) (record, int, error) {
+	var rec record
+	payload, err := framePayload(buf)
+	if err != nil {
+		return rec, 0, err
 	}
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, 0, fmt.Errorf("decode record: %w", err)
 	}
-	return rec, frameHeader + n, nil
+	return rec, frameHeader + len(payload), nil
+}
+
+// putValue returns the value held by payload, which must be exactly the
+// put record of key that encodeFrame writes: the head
+// {"type":"put","key":<key>,"val":" (the key as json.Marshal escapes
+// it), the base64 value and "}, or the head's record without val for an
+// empty value. Anything else is an error: another key or record type,
+// valid JSON in a layout that no build of the store writes (such as
+// reordered fields), and CR or LF inside the base64, which the decoder
+// would skip.
+func putValue(payload []byte, key string) ([]byte, error) {
+	if !utf8.ValidString(key) {
+		return nil, errors.New("key is not valid UTF-8")
+	}
+	bare, err := json.Marshal(record{Type: "put", Key: key})
+	if err != nil {
+		return nil, err
+	}
+	// bare is {"type":"put","key":<key>}; the key's closing quote ends
+	// the compared prefix, so a key that extends this one differs in it.
+	rest, ok := bytes.CutPrefix(payload, bare[:len(bare)-1])
+	if !ok {
+		return nil, errors.New("not the put record of this key")
+	}
+	if string(rest) == "}" {
+		return nil, nil
+	}
+	b64, ok := bytes.CutPrefix(rest, []byte(`,"val":"`))
+	if ok {
+		b64, ok = bytes.CutSuffix(b64, []byte(`"}`))
+	}
+	if !ok || len(b64) == 0 {
+		return nil, errors.New("value not in the put-record layout")
+	}
+	if bytes.IndexByte(b64, '\r') >= 0 || bytes.IndexByte(b64, '\n') >= 0 {
+		return nil, errors.New("CR or LF in the base64 value")
+	}
+	val := make([]byte, base64.StdEncoding.DecodedLen(len(b64)))
+	n, err := base64.StdEncoding.Decode(val, b64)
+	if err != nil {
+		return nil, fmt.Errorf("value: %w", err)
+	}
+	return val[:n], nil
 }
 
 // scanEntry is one live record found by a scan.

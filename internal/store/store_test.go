@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -277,10 +279,24 @@ func TestIndexSidecarRebuilt(t *testing.T) {
 
 func TestClosedStore(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Options{})
+	var log bytes.Buffer
+	s := openT(t, dir, Options{Log: &log})
 	mustPut(t, s, "k", []byte("v"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	log.Reset()
+	// A Get of a stored key on a closed store is a counted miss that
+	// reads nothing and logs nothing.
+	before := s.Stats().Misses
+	if v, ok := s.Get("k"); ok || v != nil {
+		t.Fatalf("Get on closed store = %q, %v; want a miss", v, ok)
+	}
+	if got := s.Stats().Misses; got != before+1 {
+		t.Fatalf("Get on closed store: Misses %d -> %d, want one more", before, got)
+	}
+	if log.Len() != 0 {
+		t.Fatalf("Get on closed store logged %q", log.String())
 	}
 	if err := s.Put("k2", []byte("v2")); err != ErrClosed {
 		t.Fatalf("Put on closed store: err = %v, want ErrClosed", err)
@@ -366,5 +382,143 @@ func TestSupersededSurvivesReopen(t *testing.T) {
 				t.Fatalf("rescan: Superseded = %d, want %d", st.Superseded, want.Superseded)
 			}
 		})
+	}
+}
+
+// TestPutRefusesInvalidUTF8Key: json.Marshal would store such a key with
+// U+FFFD in place of each bad byte, so the record could never hit under
+// the key put and would answer, after a reopen, under a key never put.
+func TestPutRefusesInvalidUTF8Key(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	if err := s.Put("x\xff", []byte("v")); err == nil {
+		t.Fatal("Put of a key that is not valid UTF-8 succeeded")
+	}
+	if _, ok := s.Get("x\xff"); ok {
+		t.Fatal("Get(x\\xff) hit")
+	}
+	if st := s.Stats(); st.Writes != 0 || st.Keys != 0 {
+		t.Fatalf("refused Put changed the store: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2 := openT(t, dir, Options{})
+	defer s2.Close() //mklint:allow errdrop — test cleanup
+	for _, k := range []string{"x\xff", "x\uFFFD"} {
+		if _, ok := s2.Get(k); ok {
+			t.Fatalf("after reopen: Get(%q) hit", k)
+		}
+	}
+}
+
+// TestGetLogsWhyRecordFailed points key a's sidecar entry at key b's
+// record and then at the segment header: each Get is a counted miss,
+// and the log line names the failed check.
+func TestGetLogsWhyRecordFailed(t *testing.T) {
+	for _, target := range []string{"b", "header"} {
+		t.Run(target, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, Options{})
+			mustPut(t, s, "a", []byte("value-a"))
+			mustPut(t, s, "b", []byte("value-b"))
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			idx := indexPath(dir, 1)
+			buf, err := os.ReadFile(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc indexDoc
+			if err := json.Unmarshal(buf, &doc); err != nil {
+				t.Fatal(err)
+			}
+			// Entries are sorted by key: a, then b.
+			if target == "b" {
+				doc.Entries[0].Off, doc.Entries[0].N = doc.Entries[1].Off, doc.Entries[1].N
+			} else {
+				doc.Entries[0].Off, doc.Entries[0].N = 0, int(doc.Entries[0].Off)
+			}
+			if buf, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(idx, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var log bytes.Buffer
+			s2 := openT(t, dir, Options{Log: &log})
+			defer s2.Close() //mklint:allow errdrop — test cleanup
+			if v, ok := s2.Get("a"); ok {
+				t.Fatalf("Get(a) = %q through an entry pointing at %s", v, target)
+			}
+			mustGet(t, s2, "b", []byte("value-b"))
+			if st := s2.Stats(); st.Misses != 1 || st.Hits != 1 {
+				t.Fatalf("counters = %+v, want 1 hit / 1 miss", st)
+			}
+			if line := log.String(); !strings.Contains(line, "failed verification: not the put record of this key") {
+				t.Fatalf("log = %q, want the failed check named", line)
+			}
+		})
+	}
+}
+
+// TestPutValueLayouts pins what the hit decode accepts: exactly the put
+// record encodeFrame writes for the key asked for, nothing else, however
+// valid as JSON.
+func TestPutValueLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name, key, payload string
+		want               string // "" with ok: the empty value
+		ok                 bool
+	}{
+		{"written", "k", `{"type":"put","key":"k","val":"dmFsdWU="}`, "value", true},
+		{"empty value", "k", `{"type":"put","key":"k"}`, "", true},
+		{"escaped key", "<&>", `{"type":"put","key":"\u003c\u0026\u003e","val":"dg=="}`, "v", true},
+		{"another key", "k", `{"type":"put","key":"j","val":"dg=="}`, "", false},
+		{"key extends the stored one", "k1", `{"type":"put","key":"k","val":"dg=="}`, "", false},
+		{"stored key extends the one asked", "k", `{"type":"put","key":"k1","val":"dg=="}`, "", false},
+		{"header record", "k", `{"schema":"mkss-store/v1","type":"header","segment":1}`, "", false},
+		{"fields reordered", "k", `{"key":"k","type":"put","val":"dg=="}`, "", false},
+		{"unescaped key", "<", `{"type":"put","key":"<","val":"dg=="}`, "", false},
+		{"empty val field", "k", `{"type":"put","key":"k","val":""}`, "", false},
+		{"no val field", "k", `{"type":"put","key":"k"dg=="}`, "", false},
+		{"trailing space", "k", `{"type":"put","key":"k","val":"dg=="} `, "", false},
+		{"LF in value", "k", "{\"type\":\"put\",\"key\":\"k\",\"val\":\"dmFs\ndWU=\"}", "", false},
+		{"CR in value", "k", "{\"type\":\"put\",\"key\":\"k\",\"val\":\"dmFs\rdWU=\"}", "", false},
+		{"JSON escape in value", "k", `{"type":"put","key":"k","val":"dmFs\u0064WU="}`, "", false},
+		{"bad base64", "k", `{"type":"put","key":"k","val":"dg="}`, "", false},
+		{"key not UTF-8", "x\xff", `{"type":"put","key":"x\ufffd","val":"dg=="}`, "", false},
+	} {
+		got, err := putValue([]byte(tc.payload), tc.key)
+		if ok := err == nil; ok != tc.ok || string(got) != tc.want {
+			t.Errorf("%s: putValue = %q, %v; want %q, ok %v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// BenchmarkStoreGet reads 256 stored values of 1.15 KB, the size of the
+// mkss-run/v1 documents serve-replay answers from the store.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close() //mklint:allow errdrop — benchmark cleanup
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("run|%016x|dp|both|%d|100000|0", i*7919, i)
+		doc := fmt.Sprintf(`{"schema":"mkss-run/v1","n":%d,"pad":"%s"}`, i, strings.Repeat("x", 1150))
+		if err := s.Put(keys[i], []byte(doc[:1150])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(keys[i%len(keys)]); !ok {
+			b.Fatalf("Get(%s) missed", keys[i%len(keys)])
+		}
 	}
 }

@@ -234,6 +234,10 @@ job_fuzz() {
   # are cheap.
   if [ -d /dev/shm ] && [ -w /dev/shm ]; then shm=$(mktemp -d /dev/shm/mkss-fuzz.XXXXXX); fi
   TMPDIR=${shm:-${TMPDIR:-/tmp}} fuzz FuzzStoreRecovery 10s ./internal/store
+  # A store hit reads its value without a JSON parser; whatever that
+  # decode accepts, json.Unmarshal reads as a put of the same key and
+  # value, and every put record encodeFrame writes reads back. No disk.
+  fuzz FuzzGetMatchesJSON 10s ./internal/store
 }
 
 # The benchmark module (_perfbench/, its own go.mod) compiles against the
